@@ -4,6 +4,7 @@
 // uses the paper's platform instead.
 #include <benchmark/benchmark.h>
 
+#include "blas/blas.hpp"
 #include "chol/reference_chol.hpp"
 #include "common/rng.hpp"
 #include "kernels/tile_kernels.hpp"
@@ -165,6 +166,33 @@ void BM_ttmqr(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+// Left trmm W := op(T) W on an ib-by-nb W, the T-multiply of the tile
+// kernels. range(2) picks the shape: 0 = Upper/Trans/NonUnit (the T^T W of
+// tsmqr/ttmqr), 1 = Lower/Trans/Unit (the V1^T C1 of larfb_left, hence
+// geqrt/ormqr). Each iteration first restores W from a pristine copy (the
+// lacpy the tile kernels also run before their trmm), so repeated products
+// neither overflow nor decay into subnormals. Rated at the nominal
+// ib*ib*nb flops of a left trmm.
+void BM_trmm(benchmark::State& state) {
+  const int nb = static_cast<int>(state.range(0));
+  const int ib = static_cast<int>(state.range(1));
+  const bool larfb = state.range(2) != 0;
+  const blas::Uplo uplo = larfb ? blas::Uplo::Lower : blas::Uplo::Upper;
+  const blas::Diag diag = larfb ? blas::Diag::Unit : blas::Diag::NonUnit;
+  const Matrix t = random_matrix(ib, ib, 16);
+  const Matrix w0 = random_matrix(ib, nb, 17);
+  Matrix w(ib, nb);
+  for (auto _ : state) {
+    blas::lacpy_all(w0.view(), w.view());
+    blas::trmm(blas::Side::Left, uplo, blas::Trans::Yes, diag, 1.0, t.view(),
+               w.view());
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      static_cast<double>(ib) * ib * nb * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 // ---- Single-precision rows (templated kernel path) ------------------------
 
 MatrixF random_matrix_f(int m, int n, std::uint64_t seed) {
@@ -316,6 +344,9 @@ BENCHMARK(BM_tsmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ttmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
+// The T-multiply at the stacked_apply and larfb_left shapes.
+BENCHMARK(BM_trmm)->Args({64, 16, 0})->Args({128, 32, 0})
+    ->Args({64, 16, 1})->Args({128, 32, 1})->Unit(benchmark::kMillisecond);
 // Single-precision path: packed float gemm and the float stacked kernels
 // (double-width SIMD lanes; compare against the f64 rows above).
 BENCHMARK(BM_gemm_f32)->Arg(128)->Arg(192)->Unit(benchmark::kMillisecond);

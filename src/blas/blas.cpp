@@ -1,7 +1,9 @@
 #include "blas/blas.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "blas/simd.hpp"
@@ -495,15 +497,53 @@ void gemm(Trans ta, Trans tb, float alpha, ConstMatrixViewF a,
 
 namespace {
 
+// B := alpha * op(A) * B as a row sweep. Row i of the product is its
+// diagonal term plus one bounded dot of op(A)'s row i against the rows of
+// B that row references, swept across all columns of B four at a time by
+// the active table's dot_cols. When op(A) is upper, row i reads only rows
+// below it, so rows go in ascending order; when it is lower, row i reads
+// only rows above it, so they go in descending order. Either way every row
+// read still holds its input and the sweep runs in place. Only the
+// referenced triangle of A is read, and Diag::Unit never reads the
+// diagonal. op(A)'s row i (a column of A under Trans::Yes, a strided row
+// under Trans::No) is gathered in fixed-size chunks into a stack buffer,
+// so the dot operand is contiguous and nothing is allocated.
+template <class T>
+void trmm_left(Uplo uplo, Trans trans, Diag diag, T alpha,
+               ConstMatrixViewT<T> a, MatrixViewT<T> b) {
+  const int m = b.rows;
+  const int n = b.cols;
+  const simd::KernelTable<T>& kt = simd::kernels<T>();
+  const bool upper_effect = (uplo == Uplo::Upper) == (trans == Trans::No);
+  constexpr int kChunk = 128;
+  T row[kChunk];
+  for (int s = 0; s < m; ++s) {
+    const int i = upper_effect ? s : m - 1 - s;
+    T* bi = b.data + i;  // row i of B, stride b.ld
+    const T d = diag == Diag::Unit ? alpha : alpha * a(i, i);
+    if (d != T(1)) {
+      for (int j = 0; j < n; ++j) {
+        bi[static_cast<std::ptrdiff_t>(j) * b.ld] *= d;
+      }
+    }
+    const int k0 = upper_effect ? i + 1 : 0;
+    const int k1 = upper_effect ? m : i;
+    for (int c0 = k0; c0 < k1; c0 += kChunk) {
+      const int len = std::min(kChunk, k1 - c0);
+      for (int p = 0; p < len; ++p) {
+        row[p] = trans == Trans::No ? a(i, c0 + p) : a(c0 + p, i);
+      }
+      kt.dot_cols(len, alpha, row, b.data + c0, b.ld, n, bi, b.ld);
+    }
+  }
+}
+
 template <class T>
 void trmm_t(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
             ConstMatrixViewT<T> a, MatrixViewT<T> b) {
   if (side == Side::Left) {
     PQR_ASSERT(a.rows == b.rows && a.cols == b.rows, "trmm: shape mismatch");
-    for (int j = 0; j < b.cols; ++j) {
-      trmv(uplo, trans, diag, a, b.col(j));
-      if (alpha != T(1)) scal(b.rows, alpha, b.col(j));
-    }
+    trmm_left(uplo, trans, diag, alpha, a, b);
   } else {
     PQR_ASSERT(a.rows == b.cols && a.cols == b.cols, "trmm: shape mismatch");
     // B := alpha * B * op(A). Work row-wise via column combinations:

@@ -96,7 +96,9 @@ long long gemm_small_max_work_f64();
 long long gemm_small_max_work_f32();
 
 /// B := alpha * op(A) * B (Side::Left) or alpha * B * op(A) (Side::Right),
-/// A triangular.
+/// A triangular. Only the referenced triangle of A is read; with
+/// Diag::Unit the diagonal is not read either. Side::Left is an in-place
+/// row sweep through the active SIMD table's dot_cols.
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b);
 

@@ -94,13 +94,21 @@ void stacked_qrt(MatrixViewT<T> a1, MatrixViewT<T> a2, int ib,
       const int j = jb + jl;
       const int bj = row_bound(tri, j, m2);
       tau[jl] = lapack::larfg(bj + 1, a1(j, j), a2.col(j));
-      // Apply H_j to the remaining columns of this panel.
-      for (int jj = j + 1; jj < jb + kb; ++jj) {
-        T w = a1(j, jj) + blas::dot(bj, a2.col(j), a2.col(jj));
-        w *= tau[jl];
-        a1(j, jj) -= w;
-        blas::axpy(bj, -w, a2.col(j), a2.col(jj));
+      // Apply H_j to the remaining panel columns: one dot_cols sweep forms
+      // w = tau * (A1(j, :) + V2(:, j)^T A2) over rows [0, bj), one
+      // ger_cols sweep forms A2 -= V2(:, j) w over the same rows. Every
+      // later column's row bound is at least bj. The block-update buffer
+      // is idle during the panel, so its head holds w.
+      const int nr = jb + kb - j - 1;
+      if (nr == 0) continue;
+      T* w = workbuf;
+      for (int c = 0; c < nr; ++c) w[c] = a1(j, j + 1 + c);
+      kt.dot_cols(bj, T(1), a2.col(j), a2.col(j + 1), a2.ld, nr, w, 1);
+      for (int c = 0; c < nr; ++c) {
+        w[c] *= tau[jl];
+        a1(j, j + 1 + c) -= w[c];
       }
+      kt.ger_cols(bj, T(-1), a2.col(j), w, 1, a2.col(j + 1), a2.ld, nr);
     }
     // T block for this panel: T(i,i) = tau_i and
     // T(0:i, i) = -tau_i * T(0:i, 0:i) * (V2b(:, 0:i)^T V2b(:, i));

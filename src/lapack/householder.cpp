@@ -95,7 +95,7 @@ void larfb_left_t(blas::Trans trans, ConstMatrixViewT<T> v,
                ConstMatrixViewT<T>(w), T(1),
                MatrixViewT<T>(c.data + k, m - k, n, c.ld));
   }
-  // C1 := C1 - V1 W : compute V1 W via trmm into a copy of W, then subtract.
+  // C1 := C1 - V1 W : W := V1 W in place via trmm, then subtract.
   blas::trmm(blas::Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
              ConstMatrixViewT<T>(v.data, k, k, v.ld), w);
   for (int j = 0; j < n; ++j) {

@@ -22,6 +22,7 @@
 #include "blas/blas.hpp"
 #include "blas/simd.hpp"
 #include "common/rng.hpp"
+#include "isa_guard.hpp"
 #include "kernels/tile_kernels.hpp"
 #include "kernels/workspace.hpp"
 
@@ -150,20 +151,6 @@ TEST(GemmFuzz, WideN) {
 // ---- Per-ISA cross-checks -------------------------------------------------
 
 using blas::simd::Isa;
-
-std::vector<Isa> supported_isas() {
-  std::vector<Isa> out;
-  for (Isa isa : {Isa::Scalar, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
-    if (blas::simd::isa_supported(isa)) out.push_back(isa);
-  }
-  return out;
-}
-
-// Save/restore the process-wide ISA selection around a test.
-struct IsaGuard {
-  Isa prev = blas::simd::active_isa();
-  ~IsaGuard() { blas::simd::set_isa(prev); }
-};
 
 TEST(GemmFuzz, EveryIsaMatchesScalarReference) {
   IsaGuard guard;

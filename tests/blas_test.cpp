@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "blas/simd.hpp"
 #include "common/rng.hpp"
+#include "isa_guard.hpp"
 
 namespace pulsarqr {
 namespace {
@@ -204,6 +207,119 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Uplo::Upper, Uplo::Lower),
                        ::testing::Values(Trans::No, Trans::Yes),
                        ::testing::Values(Diag::NonUnit, Diag::Unit)));
+
+// ---- trmm triangle discipline ---------------------------------------------
+//
+// trmm must read only the referenced triangle of A, and under Diag::Unit
+// not even the diagonal. Every entry it must not read holds NaN (so does
+// A's padding below row k), so any stray read poisons the result; the
+// expected value is gemm_ref on the dense effective operand (zeros off the
+// triangle, ones on a unit diagonal). Every side/uplo/trans/diag
+// combination, f64 and f32, on every compiled ISA, at depths straddling
+// the four-column and vector-width fringes, with odd other dimensions,
+// padded leading dimensions and a general alpha. Tolerance is the
+// standard depth-k bound on the absolute-value product.
+
+template <class T>
+void trmm_nan_case(Side side, Uplo uplo, Trans trans, Diag diag, int k,
+                   int other, int pad, T alpha, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "side=" << (side == Side::Left ? "L" : "R")
+               << " uplo=" << (uplo == Uplo::Upper ? "U" : "L")
+               << " trans=" << (trans == Trans::No ? "N" : "T")
+               << " diag=" << (diag == Diag::Unit ? "U" : "N") << " k=" << k
+               << " other=" << other << " pad=" << pad);
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  Rng rng(seed);
+  // A (k-by-k in a (k+pad)-row buffer) and its dense effective operand.
+  MatrixT<T> a(k + pad, k);
+  MatrixT<T> aeff(k, k);
+  for (int j = 0; j < k; ++j) {
+    for (int i = 0; i < k + pad; ++i) {
+      const T v = static_cast<T>(rng.next_symmetric());
+      const bool in_tri = i < k && (uplo == Uplo::Upper ? i <= j : i >= j);
+      const bool read = in_tri && !(i == j && diag == Diag::Unit);
+      a(i, j) = read ? v : nan;
+      if (i < k) aeff(i, j) = read ? v : (i == j ? T(1) : T(0));
+    }
+  }
+  const int rows = side == Side::Left ? k : other;
+  const int cols = side == Side::Left ? other : k;
+  MatrixT<T> b(rows + pad, cols);
+  for (int j = 0; j < cols; ++j) {
+    for (int i = 0; i < rows + pad; ++i) {
+      b(i, j) = static_cast<T>(rng.next_symmetric());
+    }
+  }
+  const MatrixT<T> b0 = b;
+  MatrixT<T> expect(rows, cols);
+  MatrixT<T> bound(rows, cols);
+  MatrixT<T> aabs(k, k);
+  MatrixT<T> babs(rows, cols);
+  for (int j = 0; j < k; ++j) {
+    for (int i = 0; i < k; ++i) aabs(i, j) = std::fabs(aeff(i, j));
+  }
+  for (int j = 0; j < cols; ++j) {
+    for (int i = 0; i < rows; ++i) babs(i, j) = std::fabs(b0(i, j));
+  }
+  ConstMatrixViewT<T> bv(b0.data(), rows, cols, rows + pad);
+  if (side == Side::Left) {
+    blas::gemm_ref(trans, Trans::No, alpha, aeff.view(), bv, T(0),
+                   expect.view());
+    blas::gemm_ref(trans, Trans::No, std::fabs(alpha), aabs.view(),
+                   babs.view(), T(0), bound.view());
+  } else {
+    blas::gemm_ref(Trans::No, trans, alpha, bv, aeff.view(), T(0),
+                   expect.view());
+    blas::gemm_ref(Trans::No, trans, std::fabs(alpha), babs.view(),
+                   aabs.view(), T(0), bound.view());
+  }
+  blas::trmm(side, uplo, trans, diag, alpha,
+             ConstMatrixViewT<T>(a.data(), k, k, k + pad),
+             MatrixViewT<T>(b.data(), rows, cols, rows + pad));
+  const T eps = std::numeric_limits<T>::epsilon();
+  for (int j = 0; j < cols; ++j) {
+    for (int i = 0; i < rows; ++i) {
+      const T tol = T(4) * T(k + 2) * eps * bound(i, j) +
+                    std::numeric_limits<T>::min();
+      ASSERT_NEAR(b(i, j), expect(i, j), tol)
+          << "mismatch at (" << i << ", " << j << ")";
+    }
+    for (int i = rows; i < rows + pad; ++i) {
+      ASSERT_EQ(b(i, j), b0(i, j)) << "padding clobbered";
+    }
+  }
+}
+
+template <class T>
+void trmm_nan_sweep() {
+  IsaGuard guard;
+  const int ks[] = {1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 64, 128};
+  const int others[] = {1, 3, 7, 13};
+  for (blas::simd::Isa isa : supported_isas()) {
+    SCOPED_TRACE(blas::simd::isa_name(isa));
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    int idx = 0;
+    for (Side side : {Side::Left, Side::Right}) {
+      for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+        for (Trans trans : {Trans::No, Trans::Yes}) {
+          for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+            for (int k : ks) {
+              const T alpha = idx % 2 == 0 ? T(-0.75) : T(1.5);
+              trmm_nan_case<T>(side, uplo, trans, diag, k, others[idx % 4],
+                               1 + idx % 3, alpha, 900 + idx);
+              ++idx;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TrmmFuzz, ReadsOnlyReferencedTriangleF64) { trmm_nan_sweep<double>(); }
+
+TEST(TrmmFuzz, ReadsOnlyReferencedTriangleF32) { trmm_nan_sweep<float>(); }
 
 TEST(Level2, TrsvSolves) {
   Matrix a = make_triangular(8, Uplo::Upper, 41);

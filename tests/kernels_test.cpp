@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -238,6 +240,139 @@ TEST(GeqrtTile, ApplyTransposeYieldsR) {
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i <= j; ++i) EXPECT_NEAR(c(i, j), a(i, j), 1e-12);
     for (int i = j + 1; i < m; ++i) EXPECT_NEAR(c(i, j), 0.0, 1e-12);
+  }
+}
+
+// ---- T-block and V1 poison ---------------------------------------------------
+//
+// The apply kernels multiply by each ib-by-ib T block as an upper triangle
+// and by V1 as a unit lower triangle, so neither the strict-lower part of
+// a T block nor anything on or above V1's diagonal may be read. Each test
+// runs a kernel twice, once with those entries zeroed and once holding
+// NaN, and requires bitwise-identical outputs.
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     sizeof(double) * x.rows() * x.cols()) == 0;
+}
+
+// Copy of the ib-by-n T factor with every entry outside the upper triangle
+// of its ib-wide blocks (strict lower, and the rows below a short last
+// block) set to `fill`.
+Matrix poison_t(const Matrix& t, int ib, double fill) {
+  Matrix out = t;
+  for (int j = 0; j < out.cols(); ++j) {
+    for (int i = j % ib + 1; i < out.rows(); ++i) out(i, j) = fill;
+  }
+  return out;
+}
+
+// Copy of a geqrt factor (V below the diagonal, R on and above it) with R,
+// diagonal included, replaced by `fill`.
+Matrix poison_v1(const Matrix& v, double fill) {
+  Matrix out = v;
+  for (int j = 0; j < out.cols(); ++j) {
+    for (int i = 0; i <= j && i < out.rows(); ++i) out(i, j) = fill;
+  }
+  return out;
+}
+
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+
+// (n, ib): full blocks, a short last block, a single block, and blocks
+// wider than every vector width.
+const std::pair<int, int> kPoisonShapes[] = {
+    {12, 4}, {13, 5}, {7, 7}, {40, 16}};
+
+// tsmqr (dense V2 below R1) and ttmqr (triangular V2) in one sweep.
+TEST(KernelPoison, StackedApplyIgnoresTStrictLower) {
+  for (bool tt : {false, true}) {
+    for (const auto& [n, ib] : kPoisonShapes) {
+      const int m2 = tt ? n : n + 3;
+      Matrix r1 = upper_square(random_matrix(n, n, 351), n);
+      Matrix v2 = random_matrix(m2, n, 352);
+      Matrix t(ib, n);
+      if (tt) {
+        kernels::ttqrt(r1.view(), v2.view(), ib, t.view());
+      } else {
+        kernels::tsqrt(r1.view(), v2.view(), ib, t.view());
+      }
+      for (Trans trans : {Trans::Yes, Trans::No}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (tt ? "ttmqr" : "tsmqr") << " n=" << n << " ib=" << ib
+                     << " trans=" << (trans == Trans::No ? "N" : "T"));
+        Matrix out[2][2];
+        for (int p = 0; p < 2; ++p) {
+          const Matrix tp = poison_t(t, ib, p == 0 ? 0.0 : kNan);
+          out[p][0] = random_matrix(n, 9, 353);
+          out[p][1] = random_matrix(m2, 9, 354);
+          if (tt) {
+            kernels::ttmqr(trans, v2.view(), tp.view(), ib, out[p][0].view(),
+                           out[p][1].view());
+          } else {
+            kernels::tsmqr(trans, v2.view(), tp.view(), ib, out[p][0].view(),
+                           out[p][1].view());
+          }
+        }
+        EXPECT_TRUE(same_bits(out[0][0], out[1][0]));
+        EXPECT_TRUE(same_bits(out[0][1], out[1][1]));
+      }
+    }
+  }
+}
+
+TEST(KernelPoison, OrmqrIgnoresTStrictLowerAndV1Diagonal) {
+  for (const auto& [n, ib] : kPoisonShapes) {
+    const int m = n + 9;
+    Matrix v = random_matrix(m, n, 371);
+    Matrix t(ib, n);
+    kernels::geqrt(v.view(), ib, t.view());
+    for (Trans trans : {Trans::Yes, Trans::No}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " ib=" << ib
+                   << " trans=" << (trans == Trans::No ? "N" : "T"));
+      Matrix out[2];
+      for (int p = 0; p < 2; ++p) {
+        const double fill = p == 0 ? 0.0 : kNan;
+        const Matrix tp = poison_t(t, ib, fill);
+        const Matrix vp = poison_v1(v, fill);
+        out[p] = random_matrix(m, 11, 372);
+        kernels::ormqr(trans, vp.view(), tp.view(), ib, out[p].view());
+      }
+      EXPECT_TRUE(same_bits(out[0], out[1]));
+    }
+  }
+}
+
+// geqrt's trailing update reads each panel's V1 while R's diagonal still
+// sits in it. Factoring panel by panel — a one-panel geqrt, then ormqr with
+// that panel's V1 diagonal and R poisoned with NaN on the trailing
+// columns — must reproduce geqrt bitwise.
+TEST(KernelPoison, GeqrtIgnoresV1Diagonal) {
+  for (const auto& [n, ib] : kPoisonShapes) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " ib=" << ib);
+    const int m = n + 9;
+    const Matrix a0 = random_matrix(m, n, 381);
+    Matrix a = a0;
+    Matrix t(ib, n);
+    kernels::geqrt(a.view(), ib, t.view());
+
+    Matrix b = a0;
+    Matrix tb(ib, n);
+    for (int j = 0; j < n; j += ib) {
+      const int kb = std::min(ib, n - j);
+      kernels::geqrt(b.view().block(j, j, m - j, kb), kb,
+                     tb.view().block(0, j, kb, kb));
+      if (j + kb == n) break;
+      Matrix vp(m - j, kb);
+      blas::lacpy_all(b.view().block(j, j, m - j, kb), vp.view());
+      kernels::ormqr(Trans::Yes, poison_v1(vp, kNan).view(),
+                     tb.view().block(0, j, kb, kb), kb,
+                     b.view().block(j, j + kb, m - j, n - j - kb));
+    }
+    EXPECT_TRUE(same_bits(a, b));
+    EXPECT_TRUE(same_bits(t, tb));
   }
 }
 
