@@ -14,43 +14,32 @@
 namespace {
 
 using namespace pulsarqr;
-using prt::ChannelImpl;
 using prt::Packet;
 using prt::Scheduling;
 using prt::Tuple;
 using prt::Vsa;
 
-ChannelImpl impl_arg(const benchmark::State& state) {
-  return state.range(0) == 0 ? ChannelImpl::Spsc : ChannelImpl::Mutex;
-}
-
-void set_impl_label(benchmark::State& state) {
-  state.SetLabel(state.range(0) == 0 ? "spsc" : "mutex");
-}
-
 // Same-thread push/pop round trip: the per-packet bookkeeping floor.
 void BM_channel_push_pop(benchmark::State& state) {
-  prt::Channel ch(64, true, impl_arg(state));
+  prt::Channel ch(64, true);
   Packet p = Packet::make(64);
   for (auto _ : state) {
     ch.push(p);
     benchmark::DoNotOptimize(ch.pop());
   }
   state.SetItemsProcessed(state.iterations());
-  set_impl_label(state);
 }
 
 // Single-channel ping throughput: one producer thread streams packets
 // through one channel to a consuming thread — exactly the SPSC regime
-// GraphCheck proves for every VSA channel. This is the tentpole
-// comparison: the lock-free path must beat the mutex path.
+// GraphCheck proves for every VSA channel.
 void BM_channel_ping(benchmark::State& state) {
   const int packets = 1 << 14;
   // Cap the in-flight count at a realistic channel occupancy: VSA
   // channels stay short, which is what keeps the SPSC node cache in
   // recycle mode. Unbounded build-up would measure malloc instead.
   const int max_queue = 1024;
-  prt::Channel ch(64, true, impl_arg(state));
+  prt::Channel ch(64, true);
   Packet p = Packet::make(64);
   for (auto _ : state) {
     std::thread producer([&] {
@@ -74,7 +63,6 @@ void BM_channel_ping(benchmark::State& state) {
     producer.join();
   }
   state.SetItemsProcessed(state.iterations() * packets);
-  set_impl_label(state);
 }
 
 // Inter-node ping through the proxy path: a 3-way A/B matrix of egress
@@ -166,7 +154,7 @@ void BM_channel_ping_internode_socket(benchmark::State& state) {
 
 // End-to-end tree QR at small tiles, where per-packet runtime overhead —
 // channel ops and wakeups — is the limiter (the regime of arXiv:1110.1553
-// / arXiv:0809.2407). A/B of the channel implementations.
+// / arXiv:0809.2407).
 void BM_qr_small_nb(benchmark::State& state) {
   const int n = 768;
   const int nb = 64;
@@ -178,13 +166,11 @@ void BM_qr_small_nb(benchmark::State& state) {
   opt.ib = 16;
   opt.nodes = 1;
   opt.workers_per_node = 4;
-  opt.channel_impl = impl_arg(state);
   for (auto _ : state) {
     auto run = vsaqr::tree_qr(tiled, opt);
     benchmark::DoNotOptimize(run.stats.fires);
   }
   state.SetItemsProcessed(state.iterations());
-  set_impl_label(state);
 }
 
 // Pooled vs plain allocation: the recycled steady state against a fresh
@@ -289,8 +275,8 @@ void BM_bypass_chain(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_channel_push_pop)->Arg(0)->Arg(1);
-BENCHMARK(BM_channel_ping)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_channel_push_pop);
+BENCHMARK(BM_channel_ping)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode)
     ->Args({1, 0, 1})->Args({0, 0, 1})  // coalesce A/B, reliable off
     ->Args({1, 1, 1})->Args({0, 1, 1})  // coalesce A/B, reliable on
@@ -298,8 +284,7 @@ BENCHMARK(BM_channel_ping_internode)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode_socket)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_qr_small_nb)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_qr_small_nb)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_packet_alloc)
     ->Args({64, 1})->Args({64, 0})
     ->Args({192 * 192 * 8, 1})->Args({192 * 192 * 8, 0});

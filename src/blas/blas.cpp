@@ -1,7 +1,6 @@
 #include "blas/blas.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -341,8 +340,6 @@ void gemm_tt(T alpha, ConstMatrixViewT<T> a, ConstMatrixViewT<T> b,
   }
 }
 
-std::atomic<GemmImpl> g_gemm_impl{GemmImpl::Packed};
-
 template <class T>
 void laset_all_t(T off, T diag, MatrixViewT<T> a) {
   for (int j = 0; j < a.cols; ++j) {
@@ -444,9 +441,7 @@ void gemm_t(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
   // direct small tier instead (still through the SIMD tables, but with
   // the operands read in place).
   const long long work = static_cast<long long>(c.rows) * c.cols * k;
-  if (gemm_impl() != GemmImpl::Packed) {
-    gemm_ref(ta, tb, alpha, a, b, beta, c);
-  } else if (work > gemm_small_max_work_t<T>()) {
+  if (work > gemm_small_max_work_t<T>()) {
     gemm_packed(ta, tb, alpha, a, b, beta, c);
   } else {
     gemm_small_t(ta, tb, alpha, a, b, beta, c);
@@ -454,12 +449,6 @@ void gemm_t(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
 }
 
 }  // namespace
-
-void set_gemm_impl(GemmImpl impl) {
-  g_gemm_impl.store(impl, std::memory_order_relaxed);
-}
-
-GemmImpl gemm_impl() { return g_gemm_impl.load(std::memory_order_relaxed); }
 
 void gemm_ref(Trans ta, Trans tb, double alpha, ConstMatrixView a,
               ConstMatrixView b, double beta, MatrixView c) {

@@ -53,26 +53,15 @@ void trsv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView a, double* x);
 
 // ---- Level 3 -------------------------------------------------------------
 
-/// Matrix-multiply implementation behind gemm().
-///   Packed — cache-blocked MC/KC/NC loop nest over packed A/B panels with
-///            an 8x4 register-tiled micro-kernel; the default. All four
-///            Trans combinations pack into one uniform layout.
-///   Ref    — the original unblocked column-sweep kernels; kept as the A/B
-///            baseline (mirrors prt::ChannelImpl::Mutex) and used for
-///            shapes too small to amortize packing.
-enum class GemmImpl { Ref, Packed };
-
-/// Select the process-wide gemm implementation (thread-safe knob; reads are
-/// relaxed atomics on the gemm hot path).
-void set_gemm_impl(GemmImpl impl);
-GemmImpl gemm_impl();
-
-/// C := alpha * op(A) * op(B) + beta * C.
+/// C := alpha * op(A) * op(B) + beta * C. Products large enough to
+/// amortize packing run the cache-blocked MC/KC/NC loop nest over packed
+/// A/B panels (gemm_packed); smaller ones the direct small tier.
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c);
 
-/// The two implementations, directly callable (for A/B tests and benches);
-/// same contract as gemm() but never re-dispatch.
+/// gemm_ref is the unblocked column-sweep reference (the test oracle and
+/// the bench baseline); gemm_packed the packed path. Same contract as
+/// gemm() but never re-dispatch.
 void gemm_ref(Trans ta, Trans tb, double alpha, ConstMatrixView a,
               ConstMatrixView b, double beta, MatrixView c);
 void gemm_packed(Trans ta, Trans tb, double alpha, ConstMatrixView a,

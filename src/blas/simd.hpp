@@ -106,7 +106,7 @@ const KernelTable<float>* resolve_f32();
 
 /// The active ISA's kernel table for T (T = double or float). The atomic
 /// load is relaxed: tables are immutable once published and the selection
-/// is a process-wide knob like blas::gemm_impl().
+/// is a process-wide knob.
 template <class T>
 inline const KernelTable<T>& kernels();
 

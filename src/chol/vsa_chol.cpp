@@ -21,19 +21,6 @@ using vsaqr::tile_view;
 Tuple p_tuple(int k) { return Tuple{0, k}; }
 Tuple s_tuple(int k, int j) { return Tuple{1, k, j}; }
 
-/// Thread-safe store for the finalized L tiles (one writer per tile).
-/// The overwrite-copy put is naturally idempotent, so crash-recovery
-/// replays of shipped deposits need no extra discipline here.
-struct CholStore {
-  explicit CholStore(TileMatrix l) : l(std::move(l)) {}
-  TileMatrix l;
-  vsaqr::TileDepositLog dlog;  ///< socket transport: ships tiles home
-  void put(int i, int k, ConstMatrixView tile) {
-    blas::lacpy_all(tile, l.tile(i, k));
-    dlog.record(i, k);
-  }
-};
-
 struct PanelCfg {
   int k = 0;
   int mt = 0;
@@ -51,7 +38,7 @@ void panel_fire(VdpContext& ctx, const PanelCfg& cfg) {
   const int r = cfg.k + idx;
   Packet tile = ctx.pop(0);
   PQR_ASSERT(tile.meta() == r, "vsa-chol: panel VDP received wrong row");
-  auto& store = ctx.global<CholStore>();
+  auto& store = ctx.global<vsaqr::TileStore>();
   if (idx == 0) {
     lapack::potf2(tile_view(tile));
     store.put(cfg.k, cfg.k, tile_view(tile));
@@ -106,25 +93,15 @@ void update_fire(VdpContext& ctx, const UpdateCfg& cfg) {
 class Builder {
  public:
   Builder(const TileMatrix& a, const VsaCholOptions& opt)
-      : a_(a), opt_(opt), vsa_(make_config(opt)) {
+      : a_(a), opt_(opt), vsa_(opt) {
     require(a.rows() == a.cols(), "vsa_cholesky: matrix must be square");
-    store_ = std::make_shared<CholStore>(TileMatrix(a.rows(), a.cols(),
-                                                    a.nb()));
+    store_ = std::make_shared<vsaqr::TileStore>(
+        TileMatrix(a.rows(), a.cols(), a.nb()));
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      // Each node process fills its own copy-on-write store; the deposit
-      // log ships every child's L tiles back for the parent to merge.
-      store_->dlog.enable();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->dlog.serialize(store->l); },
-          [store](int, const Packet& blob) {
-            vsaqr::TileDepositLog::apply(
-                blob, [&store](int i, int j, ConstMatrixView v) {
-                  store->put(i, j, v);
-                });
-          });
-    }
+    // Under the socket transport each node process fills its own
+    // copy-on-write store; the deposit log ships every child's tiles back
+    // for the parent to merge.
+    vsaqr::ship_deposits(vsa_, store_);
     bytes_ = vsaqr::tile_packet_bytes(a.nb(), a.nb());
   }
 
@@ -195,33 +172,13 @@ class Builder {
   VsaCholRun run() {
     build();
     auto stats = vsa_.run();
-    VsaCholRun out{std::move(store_->l), stats, {}, vdp_count_,
+    VsaCholRun out{std::move(store_->tiles), stats, {}, vdp_count_,
                    channel_count_};
     if (opt_.trace) out.events = vsa_.recorder().collect();
     return out;
   }
 
  private:
-  static prt::Vsa::Config make_config(const VsaCholOptions& opt) {
-    prt::Vsa::Config c;
-    c.nodes = opt.nodes;
-    c.workers_per_node = opt.workers_per_node;
-    c.scheduling = opt.scheduling;
-    c.work_stealing = opt.work_stealing;
-    c.trace = opt.trace;
-    c.watchdog_seconds = opt.watchdog_seconds;
-    c.graph_check = opt.graph_check;
-    c.transport = opt.transport;
-    c.reliable_transport = opt.reliable_transport;
-    c.fault_plan = opt.fault_plan;
-    c.retransmit_timeout_us = opt.retransmit_timeout_us;
-    c.max_retransmits = opt.max_retransmits;
-    c.max_respawns = opt.max_respawns;
-    c.replay_log_bytes = opt.replay_log_bytes;
-    c.heartbeat_timeout_seconds = opt.heartbeat_timeout_seconds;
-    return c;
-  }
-
   /// Step-0 consumers are fed the input tiles; later steps are wired by
   /// their producers (see run()).
   void wire_tiles(const Tuple& dst, int k, int j, bool enabled) {
@@ -241,7 +198,7 @@ class Builder {
   const TileMatrix& a_;
   VsaCholOptions opt_;
   prt::Vsa vsa_;
-  std::shared_ptr<CholStore> store_;
+  std::shared_ptr<vsaqr::TileStore> store_;
   std::size_t bytes_ = 0;
   int vdp_count_ = 0;
   int channel_count_ = 0;

@@ -21,18 +21,6 @@ using vsaqr::tile_view;
 Tuple p_tuple(int k) { return Tuple{0, k}; }
 Tuple s_tuple(int k, int j) { return Tuple{1, k, j}; }
 
-/// Overwrite-copy deposits are naturally idempotent, so crash-recovery
-/// replays of shipped tiles need no extra discipline here.
-struct LuStore {
-  explicit LuStore(TileMatrix f) : f(std::move(f)) {}
-  TileMatrix f;
-  vsaqr::TileDepositLog dlog;  ///< socket transport: ships tiles home
-  void put(int i, int j, ConstMatrixView tile) {
-    blas::lacpy_all(tile, f.tile(i, j));
-    dlog.record(i, j);
-  }
-};
-
 struct PanelCfg {
   int k = 0;
   int kb = 0;          ///< pivot count of the diagonal tile
@@ -50,7 +38,7 @@ void panel_fire(VdpContext& ctx, const PanelCfg& cfg) {
   const int r = cfg.k + idx;
   Packet tile = ctx.pop(0);
   PQR_ASSERT(tile.meta() == r, "vsa-lu: panel VDP received wrong row");
-  auto& store = ctx.global<LuStore>();
+  auto& store = ctx.global<vsaqr::TileStore>();
   if (idx == 0) {
     lapack::getf2_nopiv(tile_view(tile));
     store.put(cfg.k, cfg.k, tile_view(tile));
@@ -90,7 +78,7 @@ void update_fire(VdpContext& ctx, const UpdateCfg& cfg) {
   Packet tile = ctx.pop(0);
   PQR_ASSERT(tile.meta() == cfg.k + idx,
              "vsa-lu: update VDP received wrong tile");
-  auto& store = ctx.global<LuStore>();
+  auto& store = ctx.global<vsaqr::TileStore>();
   if (idx == 0) {
     // chain == LU(k,k): finish U(k,j) on the pivot rows of the top tile.
     MatrixView t = tile_view(tile);
@@ -115,23 +103,14 @@ void update_fire(VdpContext& ctx, const UpdateCfg& cfg) {
 class Builder {
  public:
   Builder(const TileMatrix& a, const VsaLuOptions& opt)
-      : a_(a), opt_(opt), vsa_(make_config(opt)) {
-    store_ = std::make_shared<LuStore>(TileMatrix(a.rows(), a.cols(), a.nb()));
+      : a_(a), opt_(opt), vsa_(opt) {
+    store_ = std::make_shared<vsaqr::TileStore>(
+        TileMatrix(a.rows(), a.cols(), a.nb()));
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      // Each node process fills its own copy-on-write store; the deposit
-      // log ships every child's factor tiles back for the parent to merge.
-      store_->dlog.enable();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->dlog.serialize(store->f); },
-          [store](int, const Packet& blob) {
-            vsaqr::TileDepositLog::apply(
-                blob, [&store](int i, int j, ConstMatrixView v) {
-                  store->put(i, j, v);
-                });
-          });
-    }
+    // Under the socket transport each node process fills its own
+    // copy-on-write store; the deposit log ships every child's tiles back
+    // for the parent to merge.
+    vsaqr::ship_deposits(vsa_, store_);
     bytes_ = vsaqr::tile_packet_bytes(a.nb(), a.nb());
   }
 
@@ -198,32 +177,12 @@ class Builder {
   VsaLuRun run() {
     build();
     auto stats = vsa_.run();
-    VsaLuRun out{std::move(store_->f), stats, {}, vdp_count_, channel_count_};
+    VsaLuRun out{std::move(store_->tiles), stats, {}, vdp_count_, channel_count_};
     if (opt_.trace) out.events = vsa_.recorder().collect();
     return out;
   }
 
  private:
-  static prt::Vsa::Config make_config(const VsaLuOptions& opt) {
-    prt::Vsa::Config c;
-    c.nodes = opt.nodes;
-    c.workers_per_node = opt.workers_per_node;
-    c.scheduling = opt.scheduling;
-    c.work_stealing = opt.work_stealing;
-    c.trace = opt.trace;
-    c.watchdog_seconds = opt.watchdog_seconds;
-    c.graph_check = opt.graph_check;
-    c.transport = opt.transport;
-    c.reliable_transport = opt.reliable_transport;
-    c.fault_plan = opt.fault_plan;
-    c.retransmit_timeout_us = opt.retransmit_timeout_us;
-    c.max_retransmits = opt.max_retransmits;
-    c.max_respawns = opt.max_respawns;
-    c.replay_log_bytes = opt.replay_log_bytes;
-    c.heartbeat_timeout_seconds = opt.heartbeat_timeout_seconds;
-    return c;
-  }
-
   void feed_if_first_step(const Tuple& dst, int k, int j) {
     if (k > 0) return;  // wired by the producing S(k-1, j)
     std::vector<Packet> initial;
@@ -237,7 +196,7 @@ class Builder {
   const TileMatrix& a_;
   VsaLuOptions opt_;
   prt::Vsa vsa_;
-  std::shared_ptr<LuStore> store_;
+  std::shared_ptr<vsaqr::TileStore> store_;
   std::size_t bytes_ = 0;
   int vdp_count_ = 0;
   int channel_count_ = 0;

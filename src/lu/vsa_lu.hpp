@@ -22,31 +22,10 @@
 
 namespace pulsarqr::lu {
 
-struct VsaLuOptions {
-  int nodes = 1;
-  int workers_per_node = 2;
-  prt::Scheduling scheduling = prt::Scheduling::Lazy;
-  bool work_stealing = false;
-  bool trace = false;
-  double watchdog_seconds = 60.0;
-  /// Statically verify the constructed array with prt::GraphCheck before
-  /// executing it (see prt::Vsa::Config::graph_check).
-  bool graph_check = true;
-  /// Transport backend (see prt::Transport). Socket mode ships the final
-  /// packed factors back to the parent through a TileDepositLog.
-  prt::Transport transport = prt::Transport::InProcess;
-  /// Reliable-delivery protocol + tuning (see prt::Vsa::Config).
-  bool reliable_transport = false;
-  prt::net::FaultPlan fault_plan;
-  int retransmit_timeout_us = 2000;
-  int max_retransmits = 10;
-  /// Crash recovery over the Socket transport (see
-  /// prt::Vsa::Config::max_respawns / replay_log_bytes /
-  /// heartbeat_timeout_seconds).
-  int max_respawns = 0;
-  std::size_t replay_log_bytes = 64 * 1024 * 1024;
-  double heartbeat_timeout_seconds = 10.0;
-};
+/// The LU array has no shape knobs of its own: its options are the
+/// runtime's prt::Vsa::Config. Socket runs ship the final packed factors
+/// back to the parent through the vsaqr::TileStore deposit log.
+using VsaLuOptions = prt::Vsa::Config;
 
 struct VsaLuRun {
   TileMatrix f;  ///< packed factors: U upper, unit-L below

@@ -4,21 +4,16 @@
 
 namespace pulsarqr::prt {
 
-Channel::Channel(std::size_t max_bytes, bool enabled, ChannelImpl impl,
-                 int capacity)
-    : max_bytes_(max_bytes), impl_(impl), capacity_(capacity),
-      enabled_(enabled) {
-  if (impl_ == ChannelImpl::Spsc) {
-    Node* dummy = new Node;
-    head_.store(dummy, std::memory_order_relaxed);
-    tail_ = dummy;
-    first_ = dummy;
-    head_copy_ = dummy;
-  }
+Channel::Channel(std::size_t max_bytes, bool enabled, int capacity)
+    : max_bytes_(max_bytes), capacity_(capacity), enabled_(enabled) {
+  Node* dummy = new Node;
+  head_.store(dummy, std::memory_order_relaxed);
+  tail_ = dummy;
+  first_ = dummy;
+  head_copy_ = dummy;
 }
 
 Channel::~Channel() {
-  if (impl_ != ChannelImpl::Spsc) return;
   // Every node ever allocated is reachable from first_ through the next
   // chain (recycling pops from the front and relinks at the tail).
   Node* n = first_;
@@ -49,11 +44,13 @@ Channel::Node* Channel::alloc_node() {
   return new Node;
 }
 
-void Channel::push_spsc(Packet p) {
+void Channel::push(Packet p) {
+  PQR_ASSERT(p.size() <= max_bytes_,
+             "channel: packet exceeds the declared maximum size");
   // No fence or handshake against destroy(): a push racing destroy() may
   // link its node after the drain walked past, but a destroyed channel
   // reports size() == 0 forever, so the straggler is unobservable — its
-  // payload is released by drain_spsc() if the walk saw it, else by the
+  // payload is released by drain() if the walk saw it, else by the
   // destructor. Everything here is plain or release-ordered.
   if (destroyed_.load(std::memory_order_acquire)) return;
   Node* n = alloc_node();
@@ -65,9 +62,10 @@ void Channel::push_spsc(Packet p) {
   // Single-writer counter: plain load + store, no RMW on the hot path.
   pushed_.store(pushed_.load(std::memory_order_relaxed) + 1,
                 std::memory_order_release);
+  if (waker_ != nullptr) waker_->wake();
 }
 
-Packet Channel::pop_spsc() {
+Packet Channel::pop() {
   Node* h = head_.load(std::memory_order_relaxed);  // consumer-owned
   Node* n = h->next.load(std::memory_order_acquire);
   PQR_ASSERT(n != nullptr, "channel: pop from empty channel");
@@ -77,10 +75,11 @@ Packet Channel::pop_spsc() {
   head_.store(n, std::memory_order_release);  // frees h for recycling
   popped_.store(popped_.load(std::memory_order_relaxed) + 1,
                 std::memory_order_release);
+  if (pop_waker_ != nullptr) pop_waker_->wake();
   return p;
 }
 
-void Channel::drain_spsc() {
+void Channel::drain() {
   // Consumer-side drop of everything queued: advance head_ over all
   // linked nodes, releasing each payload now rather than at destruction.
   Node* h = head_.load(std::memory_order_relaxed);
@@ -95,50 +94,9 @@ void Channel::drain_spsc() {
                 std::memory_order_release);
 }
 
-void Channel::push(Packet p) {
-  PQR_ASSERT(p.size() <= max_bytes_,
-             "channel: packet exceeds the declared maximum size");
-  if (impl_ == ChannelImpl::Spsc) {
-    push_spsc(std::move(p));
-  } else {
-    std::lock_guard<std::mutex> lock(mu_);
-    // destroyed_ is checked under the same lock that guards the queue, so
-    // a push can never re-enqueue after destroy() cleared it.
-    if (destroyed_.load(std::memory_order_acquire)) return;
-    q_.push_back(std::move(p));
-    mutex_size_.store(static_cast<int>(q_.size()), std::memory_order_release);
-    pushed_.store(pushed_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_release);
-  }
-  if (waker_ != nullptr) waker_->wake();
-}
-
-Packet Channel::pop() {
-  if (impl_ == ChannelImpl::Spsc) {
-    Packet p = pop_spsc();
-    if (pop_waker_ != nullptr) pop_waker_->wake();
-    return p;
-  }
-  Packet p;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PQR_ASSERT(!q_.empty(), "channel: pop from empty channel");
-    p = std::move(q_.front());
-    q_.pop_front();
-    mutex_size_.store(static_cast<int>(q_.size()), std::memory_order_release);
-    popped_.store(popped_.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_release);
-  }
-  if (pop_waker_ != nullptr) pop_waker_->wake();
-  return p;
-}
-
 int Channel::size() const {
-  if (impl_ != ChannelImpl::Spsc) {
-    return mutex_size_.load(std::memory_order_acquire);
-  }
   // A destroyed channel is empty forever, even if a push that raced
-  // destroy() managed to link a node (see push_spsc).
+  // destroy() managed to link a node (see push).
   if (destroyed_.load(std::memory_order_acquire)) return 0;
   // pushed_ is loaded first: popped_ can only advance past the loaded
   // pushed_ value if more pushes happened since, so the difference only
@@ -156,26 +114,13 @@ void Channel::set_enabled(bool e) {
 
 void Channel::destroy() {
   enabled_.store(false, std::memory_order_release);
-  if (impl_ != ChannelImpl::Spsc) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      destroyed_.store(true, std::memory_order_release);
-      popped_.store(popped_.load(std::memory_order_relaxed) +
-                        static_cast<long long>(q_.size()),
-                    std::memory_order_release);
-      q_.clear();
-      mutex_size_.store(0, std::memory_order_release);
-    }
-    if (pop_waker_ != nullptr) pop_waker_->wake();
-    return;
-  }
   // After this store, size() pins to zero and later pushes drop their
   // packet on entry. One already-in-flight push may still link a node the
   // drain below misses; it stays in the list, unobservable, until the
   // destructor frees it. Nothing resurfaces on a destroyed channel and no
   // per-push fence is needed to guarantee it.
   destroyed_.store(true, std::memory_order_release);
-  drain_spsc();
+  drain();
   // A destroyed channel reports size() == 0 forever, so any producer
   // stalled on has_room() can proceed.
   if (pop_waker_ != nullptr) pop_waker_->wake();

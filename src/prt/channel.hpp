@@ -8,12 +8,10 @@
 // are serialized by the worker binding or the work-stealing claim flag) or
 // the destination node's proxy thread — and exactly ONE consumer, the
 // destination VDP. That single-producer/single-consumer invariant is what
-// legitimizes the default lock-free implementation below.
+// legitimizes the lock-free implementation below.
 #pragma once
 
 #include <atomic>
-#include <deque>
-#include <mutex>
 
 #include "prt/packet.hpp"
 #include "prt/tuple.hpp"
@@ -28,13 +26,8 @@ class Waker {
   virtual void wake() = 0;
 };
 
-/// Queue implementation behind a Channel.
-///   Spsc  — lock-free single-producer/single-consumer linked-node queue
-///           with a producer-side node cache (Vyukov style); the default.
-///   Mutex — the legacy mutex-protected deque; kept as a fallback and as
-///           the baseline for the channel microbenchmark.
-enum class ChannelImpl { Spsc, Mutex };
-
+/// A lock-free single-producer/single-consumer linked-node queue with a
+/// producer-side node cache (Vyukov style).
 class Channel {
  public:
   /// `capacity` bounds the number of RESIDENT packets (0 = unbounded).
@@ -45,8 +38,7 @@ class Channel {
   /// still succeeds (the proxy path and multi-packet firings may overshoot
   /// by a burst), which is why GraphCheck's flow analysis, not the queue,
   /// is the authority on whether a declared bound can deadlock the graph.
-  Channel(std::size_t max_bytes, bool enabled,
-          ChannelImpl impl = ChannelImpl::Spsc, int capacity = 0);
+  Channel(std::size_t max_bytes, bool enabled, int capacity = 0);
   ~Channel();
 
   Channel(const Channel&) = delete;
@@ -85,7 +77,6 @@ class Channel {
   bool destroyed() const { return destroyed_.load(std::memory_order_acquire); }
 
   std::size_t max_bytes() const { return max_bytes_; }
-  ChannelImpl impl() const { return impl_; }
 
   /// Declared resident-packet bound; 0 means unbounded.
   int capacity() const { return capacity_; }
@@ -110,19 +101,16 @@ class Channel {
   };
 
   Node* alloc_node();
-  void push_spsc(Packet p);
-  Packet pop_spsc();
-  void drain_spsc();
+  void drain();
 
   std::size_t max_bytes_;
-  ChannelImpl impl_;
   int capacity_;
   std::atomic<bool> enabled_;
   std::atomic<bool> destroyed_{false};
   Waker* waker_ = nullptr;
   Waker* pop_waker_ = nullptr;
 
-  // ---- SPSC state. The queue is a singly linked list from first_ to
+  // ---- Queue state. The queue is a singly linked list from first_ to
   // tail_; [first_, head_) are consumed nodes awaiting recycling, head_ is
   // the consumer's dummy, (head_, tail_] hold live packets.
 
@@ -135,13 +123,6 @@ class Channel {
   Node* first_ = nullptr;      ///< oldest node not yet recycled
   Node* head_copy_ = nullptr;  ///< producer's cached copy of head_
   std::atomic<long long> pushed_{0};  ///< single writer: the producer
-
-  // ---- Mutex-impl state. The Mutex impl shares the pushed_/popped_
-  // counters above; its updates are serialized by mu_, preserving the
-  // single-writer store discipline.
-  mutable std::mutex mu_;
-  std::deque<Packet> q_;
-  std::atomic<int> mutex_size_{0};
 };
 
 }  // namespace pulsarqr::prt

@@ -296,8 +296,7 @@ void Vsa::validate_and_wire() {
             "feed: bad input slot on " + f.dst.to_string());
     require(dst.inputs_[f.in_slot] == nullptr,
             "feed: input slot already connected on " + f.dst.to_string());
-    auto ch = std::make_unique<Channel>(f.max_bytes, f.enabled,
-                                        cfg_.channel_impl, f.capacity);
+    auto ch = std::make_unique<Channel>(f.max_bytes, f.enabled, f.capacity);
     for (auto& p : f.initial) ch->push(std::move(p));
     dst.inputs_[f.in_slot] = std::move(ch);
   }
@@ -316,8 +315,7 @@ void Vsa::validate_and_wire() {
     require(dst.inputs_[e.in_slot] == nullptr,
             "connect: input slot already connected on " + e.dst.to_string());
 
-    auto ch = std::make_unique<Channel>(e.max_bytes, e.enabled,
-                                        cfg_.channel_impl, e.capacity);
+    auto ch = std::make_unique<Channel>(e.max_bytes, e.enabled, e.capacity);
     Channel* chp = ch.get();
     dst.inputs_[e.in_slot] = std::move(ch);
 

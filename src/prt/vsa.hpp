@@ -41,6 +41,10 @@ enum class Transport { InProcess, Socket };
 
 class Vsa {
  public:
+  /// Every runtime option, declared once. The factorization drivers take
+  /// it as their option type (chol::VsaCholOptions, lu::VsaLuOptions) or
+  /// inherit from it and add their own shape knobs (vsaqr::TreeQrOptions,
+  /// vsaqr::BatchOptions), so a field set here reaches every driver.
   struct Config {
     int nodes = 1;
     int workers_per_node = 2;
@@ -54,7 +58,7 @@ class Vsa {
     bool trace = false;
     /// Abort the run (with a stuck-VDP diagnostic) if no VDP fires for
     /// this long. 0 disables the watchdog.
-    double watchdog_seconds = 30.0;
+    double watchdog_seconds = 60.0;
     /// Microseconds an idle worker spins on its atomic wake flag before
     /// parking on the condition variable (adaptive spin-then-park). The
     /// spin keeps fine-grained small-nb pipelines out of the kernel; the
@@ -63,11 +67,6 @@ class Vsa {
     /// per worker, 0 when oversubscribed (spinning on a shared core only
     /// steals time from the worker holding the packet).
     int spin_us = -1;
-    /// Queue implementation behind every channel. The lock-free SPSC
-    /// default is legitimized by the GraphCheck-enforced one-producer-per-
-    /// input-slot invariant (the producer is either the source VDP's
-    /// serialized firings or the node proxy — never both).
-    ChannelImpl channel_impl = ChannelImpl::Spsc;
     /// Run prt::GraphCheck over the constructed graph at the top of
     /// run() and throw (before spawning any thread) if it finds an
     /// error-severity diagnostic — turning wiring and packet-balance bugs

@@ -69,6 +69,9 @@ BatchRun qr_batch_t(std::span<const MatrixViewT<T>> a,
   require(opt.ib >= 1, "qr_batch: ib must be positive");
   require(opt.nodes >= 1 && opt.workers_per_node >= 1,
           "qr_batch: need at least one node and worker");
+  require(opt.transport == prt::Transport::InProcess,
+          "qr_batch: only the in-process transport is supported (results "
+          "are written into caller memory)");
   const long long batch = static_cast<long long>(a.size());
   for (long long i = 0; i < batch; ++i) {
     const int k = std::min(a[i].rows, a[i].cols);
@@ -80,15 +83,7 @@ BatchRun qr_batch_t(std::span<const MatrixViewT<T>> a,
   if (opt.record_latency) out.matrix_seconds.assign(a.size(), 0.0);
   if (batch == 0) return out;
 
-  prt::Vsa::Config cfg;
-  cfg.nodes = opt.nodes;
-  cfg.workers_per_node = opt.workers_per_node;
-  cfg.scheduling = opt.scheduling;
-  cfg.channel_impl = opt.channel_impl;
-  cfg.spin_us = opt.spin_us;
-  cfg.graph_check = opt.graph_check;
-  cfg.watchdog_seconds = opt.watchdog_seconds;
-  prt::Vsa vsa(cfg);
+  prt::Vsa vsa(opt);
 
   auto st = std::make_shared<BatchState<T>>();
   st->a.assign(a.begin(), a.end());
@@ -97,7 +92,7 @@ BatchRun qr_batch_t(std::span<const MatrixViewT<T>> a,
   st->lat = opt.record_latency ? &out.matrix_seconds : nullptr;
   vsa.set_global(st);
 
-  const int threads = cfg.nodes * cfg.workers_per_node;
+  const int threads = vsa.total_threads();
   const int nvdp =
       static_cast<int>(std::min<long long>(threads, batch));
   long long chunk = opt.chunk;

@@ -24,20 +24,16 @@
 
 namespace pulsarqr::vsaqr {
 
-struct BatchOptions {
+/// Batch options: the runtime's prt::Vsa::Config plus the batch knobs.
+/// Only the in-process transport is supported: results are written into
+/// caller memory, which a forked node process cannot reach.
+struct BatchOptions : prt::Vsa::Config {
   /// Inner block size of each matrix's geqrt (T factors are ib-by-n).
   int ib = 32;
-  int nodes = 1;
-  int workers_per_node = 2;
   /// Matrices per VDP firing (one range packet each). 0 picks a chunk that
   /// gives every VDP several firings (watchdog heartbeats, readable
   /// traces) while keeping the packet count negligible.
   int chunk = 0;
-  prt::Scheduling scheduling = prt::Scheduling::Lazy;
-  prt::ChannelImpl channel_impl = prt::ChannelImpl::Spsc;
-  int spin_us = -1;
-  bool graph_check = true;
-  double watchdog_seconds = 30.0;
   /// Record per-matrix factorization seconds into BatchRun::matrix_seconds
   /// (two clock reads per matrix; off for peak-throughput runs).
   bool record_latency = false;

@@ -3,18 +3,10 @@
 #include <cstring>
 
 #include "blas/blas.hpp"
-#include "prt/wire.hpp"
 
 namespace pulsarqr::vsaqr {
 
 namespace {
-/// Column-major copy of a (contiguous-destination) view into a Blob.
-void blob_matrix(prt::net::wire::Blob& b, ConstMatrixView v) {
-  b.i32(v.rows);
-  b.i32(v.cols);
-  for (int j = 0; j < v.cols; ++j) b.f64s(v.col(j), v.rows);
-}
-
 /// Bitwise equality of two equally-shaped views (memcmp per column: a
 /// replayed deposit must reproduce the first write exactly, including
 /// signed zeros and NaN payloads).
@@ -62,7 +54,7 @@ void ResultStore::put_tile(int i, int j, ConstMatrixView tile) {
     return;  // idempotent replay: already written, already logged
   }
   blas::lacpy_all(tile, dst);
-  log_deposit(0, i, j);
+  log_.record(0, i, j);
 }
 
 void ResultStore::put_tg(int i, int j, ConstMatrixView t) {
@@ -76,7 +68,7 @@ void ResultStore::put_tg(int i, int j, ConstMatrixView t) {
     return;
   }
   blas::lacpy_all(src, dst);
-  if (!was) log_deposit(1, i, j);
+  if (!was) log_.record(1, i, j);
 }
 
 void ResultStore::put_tt(int i, int j, ConstMatrixView t) {
@@ -90,80 +82,33 @@ void ResultStore::put_tt(int i, int j, ConstMatrixView t) {
     return;
   }
   blas::lacpy_all(src, dst);
-  if (!was) log_deposit(2, i, j);
+  if (!was) log_.record(2, i, j);
 }
-
-void ResultStore::enable_deposit_log() { log_enabled_ = true; }
 
 void ResultStore::enable_dedup() { dedup_ = true; }
 
-void ResultStore::log_deposit(std::uint8_t kind, int i, int j) {
-  if (!log_enabled_) return;
-  std::lock_guard<std::mutex> lock(log_mu_);
-  log_.push_back({kind, i, j});
+void ResultStore::put(int kind, int i, int j, ConstMatrixView v) {
+  switch (kind) {
+    case 0:
+      put_tile(i, j, v);
+      break;
+    case 1:
+      put_tg(i, j, v);
+      break;
+    default:
+      put_tt(i, j, v);
+      break;
+  }
 }
 
-prt::Packet ResultStore::serialize_deposits() const {
-  namespace wire = prt::net::wire;
-  std::vector<Deposit> log;
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    log = log_;
-  }
-  wire::Blob b;
-  b.u32(static_cast<std::uint32_t>(log.size()));
-  for (const Deposit& d : log) {
-    b.u32(d.kind);
-    b.i32(d.i);
-    b.i32(d.j);
-    switch (d.kind) {
-      case 0:
-        blob_matrix(b, a_.tile(d.i, d.j));
-        break;
-      case 1:
-        blob_matrix(b, tg_.t(d.i, d.j));
-        break;
-      default:
-        blob_matrix(b, tt_.t(d.i, d.j));
-        break;
-    }
-  }
-  prt::Packet out = prt::Packet::make(b.size());
-  if (b.size() > 0) std::memcpy(out.bytes(), b.data(), b.size());
-  return out;
-}
-
-void ResultStore::apply_deposits(const prt::Packet& blob) {
-  namespace wire = prt::net::wire;
-  wire::BlobReader br(blob.bytes(), blob.size());
-  const std::uint32_t count = br.u32();
-  std::vector<double> buf;
-  for (std::uint32_t k = 0; k < count; ++k) {
-    const std::uint32_t kind = br.u32();
-    const int i = br.i32();
-    const int j = br.i32();
-    const int rows = br.i32();
-    const int cols = br.i32();
-    require(rows >= 0 && cols >= 0,
-            "ResultStore::apply_deposits: corrupt deposit blob");
-    buf.resize(static_cast<std::size_t>(rows) * cols);
-    for (std::size_t e = 0; e < buf.size(); ++e) buf[e] = br.f64();
-    const ConstMatrixView v(buf.data(), rows, cols, rows);
-    // Replaying through put_* keeps the exactly-once flags authoritative
-    // across processes: two children claiming one tile still assert.
-    switch (kind) {
-      case 0:
-        put_tile(i, j, v);
-        break;
-      case 1:
-        put_tg(i, j, v);
-        break;
-      case 2:
-        put_tt(i, j, v);
-        break;
-      default:
-        require(false, "ResultStore::apply_deposits: unknown deposit kind");
-    }
+ConstMatrixView ResultStore::slot(int kind, int i, int j) const {
+  switch (kind) {
+    case 0:
+      return a_.tile(i, j);
+    case 1:
+      return tg_.t(i, j);
+    default:
+      return tt_.t(i, j);
   }
 }
 

@@ -8,14 +8,11 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "prt/packet.hpp"
 #include "ref/reference_qr.hpp"
 #include "tile/tile_matrix.hpp"
+#include "vsaqr/deposit_log.hpp"
 
 namespace pulsarqr::vsaqr {
 
@@ -37,22 +34,22 @@ class ResultStore {
   /// factors out. `plan` must describe the run that filled the store.
   ref::TreeQrFactors finish(plan::ReductionPlan plan, int ib);
 
-  // ---- socket-transport result shipping ----
+  // ---- socket-transport result shipping (see vsaqr/deposit_log.hpp) ----
   //
   // Under the Socket transport every node process fills a copy-on-write
   // copy of this store with ONLY its own deposits; the parent's copy
-  // stays empty. With the deposit log enabled, each put_* also records
-  // (kind, i, j), and serialize_deposits() re-reads the deposited slots
-  // into one little-endian blob the child ships home in its run
-  // epilogue; apply_deposits() replays a child's blob into the parent's
-  // store (re-asserting the exactly-once discipline across processes).
+  // stays empty. With the deposit log enabled, each first write of a
+  // slot also records (kind, i, j), and replaying a child's blob goes
+  // through put(), re-asserting the exactly-once discipline across
+  // processes.
 
-  /// Start recording deposits. Call BEFORE the run (i.e. pre-fork).
-  void enable_deposit_log();
-  /// Little-endian blob of every logged deposit (shape + data).
-  prt::Packet serialize_deposits() const;
-  /// Replay one child's blob into this store.
-  void apply_deposits(const prt::Packet& blob);
+  /// Deposit kinds: 0 = factor tile, 1 = geqrt T, 2 = tsqrt/ttqrt T.
+  static constexpr int kDepositKinds = 3;
+  /// Dispatch one deposit to put_tile / put_tg / put_tt by kind.
+  void put(int kind, int i, int j, ConstMatrixView v);
+  /// The current content of slot (kind, i, j).
+  ConstMatrixView slot(int kind, int i, int j) const;
+  DepositLog& log() { return log_; }
 
   // ---- crash recovery: exactly-once deposits ----
   //
@@ -66,17 +63,10 @@ class ResultStore {
   // recovery, it is two VDPs claiming one slot.
 
   /// Make re-deposits idempotent (verify + skip) instead of fatal.
-  /// Call BEFORE the run, alongside enable_deposit_log().
+  /// Call BEFORE the run, alongside enabling the deposit log.
   void enable_dedup();
 
  private:
-  struct Deposit {
-    std::uint8_t kind;  ///< 0 = tile, 1 = tg, 2 = tt
-    int i;
-    int j;
-  };
-  void log_deposit(std::uint8_t kind, int i, int j);
-
   TileMatrix a_;
   ref::TStore tg_;
   ref::TStore tt_;
@@ -86,10 +76,8 @@ class ResultStore {
   /// make put_tg/put_tt replays detectable (and loggable exactly once).
   std::vector<std::atomic<bool>> tg_written_;
   std::vector<std::atomic<bool>> tt_written_;
-  bool log_enabled_ = false;
   bool dedup_ = false;
-  mutable std::mutex log_mu_;
-  std::vector<Deposit> log_;  ///< guarded by log_mu_
+  DepositLog log_;
 };
 
 }  // namespace pulsarqr::vsaqr

@@ -284,22 +284,17 @@ class Builder {
   Builder(const TileMatrix& a, const TreeQrOptions& opt)
       : a_(a),
         opt_(opt),
-        vsa_(make_config(opt)),
+        vsa_(opt),
         store_(std::make_shared<ResultStore>(a.rows(), a.cols(), a.nb(),
                                              opt.ib)),
         total_threads_(opt.nodes * opt.workers_per_node) {
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      // Each node process deposits into its own copy-on-write store; the
-      // deposit log ships every child's tiles back for the parent to
-      // merge before finish().
-      store_->enable_deposit_log();
-      if (opt.max_respawns > 0) store_->enable_dedup();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->serialize_deposits(); },
-          [store](int, const Packet& blob) { store->apply_deposits(blob); });
-    }
+    // Under the socket transport each node process deposits into its own
+    // copy-on-write store; the deposit log ships every child's tiles back
+    // for the parent to merge before finish(). Crash recovery may replay
+    // deposits, so it makes them idempotent.
+    if (opt.max_respawns > 0) store_->enable_dedup();
+    ship_deposits(vsa_, store_);
     tile_bytes_ = tile_packet_bytes(a.nb(), a.nb());
     vt_bytes_ = vt_packet_bytes(a.nb(), a.nb(), opt.ib);
   }
@@ -332,30 +327,6 @@ class Builder {
   }
 
  private:
-  static prt::Vsa::Config make_config(const TreeQrOptions& opt) {
-    prt::Vsa::Config c;
-    c.nodes = opt.nodes;
-    c.workers_per_node = opt.workers_per_node;
-    c.scheduling = opt.scheduling;
-    c.work_stealing = opt.work_stealing;
-    c.trace = opt.trace;
-    c.watchdog_seconds = opt.watchdog_seconds;
-    c.channel_impl = opt.channel_impl;
-    c.spin_us = opt.spin_us;
-    c.graph_check = opt.graph_check;
-    c.reliable_transport = opt.reliable_transport;
-    c.fault_plan = opt.fault_plan;
-    c.retransmit_timeout_us = opt.retransmit_timeout_us;
-    c.max_retransmits = opt.max_retransmits;
-    c.coalesce_bytes = opt.coalesce_bytes;
-    c.coalesce_flush_us = opt.coalesce_flush_us;
-    c.transport = opt.transport;
-    c.max_respawns = opt.max_respawns;
-    c.replay_log_bytes = opt.replay_log_bytes;
-    c.heartbeat_timeout_seconds = opt.heartbeat_timeout_seconds;
-    return c;
-  }
-
   void connect(const Producer& src, const Tuple& dst, int slot,
                std::size_t bytes, bool enabled = true) {
     vsa_.connect(src.vdp, src.slot, dst, slot, bytes, enabled);
@@ -593,20 +564,14 @@ class ApplyBuilder {
  public:
   ApplyBuilder(const ref::TreeQrFactors& f, const TileMatrix& b,
                const TreeQrOptions& opt)
-      : f_(f), b_(b), opt_(opt), vsa_(vsa_config(opt)) {
+      : f_(f), b_(b), opt_(opt), vsa_(opt) {
     require(b.rows() == f.a.rows() && b.nb() == f.a.nb(),
             "apply_qt: B must match the factored matrix rows and tile size");
     require(b.cols() >= 1, "apply_qt: B must have at least one column");
     store_ = std::make_shared<ResultStore>(b.rows(), b.cols(), b.nb(), f.ib);
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      store_->enable_deposit_log();
-      if (opt.max_respawns > 0) store_->enable_dedup();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->serialize_deposits(); },
-          [store](int, const Packet& blob) { store->apply_deposits(blob); });
-    }
+    if (opt.max_respawns > 0) store_->enable_dedup();
+    ship_deposits(vsa_, store_);
     tile_bytes_ = tile_packet_bytes(b.nb(), b.nb());
     vt_bytes_ = vt_packet_bytes(f.a.nb(), f.a.nb(), f.ib);
     total_threads_ = opt.nodes * opt.workers_per_node;
@@ -627,30 +592,6 @@ class ApplyBuilder {
   }
 
  private:
-  static prt::Vsa::Config vsa_config(const TreeQrOptions& opt) {
-    prt::Vsa::Config c;
-    c.nodes = opt.nodes;
-    c.workers_per_node = opt.workers_per_node;
-    c.scheduling = opt.scheduling;
-    c.work_stealing = opt.work_stealing;
-    c.trace = opt.trace;
-    c.watchdog_seconds = opt.watchdog_seconds;
-    c.channel_impl = opt.channel_impl;
-    c.spin_us = opt.spin_us;
-    c.graph_check = opt.graph_check;
-    c.reliable_transport = opt.reliable_transport;
-    c.fault_plan = opt.fault_plan;
-    c.retransmit_timeout_us = opt.retransmit_timeout_us;
-    c.max_retransmits = opt.max_retransmits;
-    c.coalesce_bytes = opt.coalesce_bytes;
-    c.coalesce_flush_us = opt.coalesce_flush_us;
-    c.transport = opt.transport;
-    c.max_respawns = opt.max_respawns;
-    c.replay_log_bytes = opt.replay_log_bytes;
-    c.heartbeat_timeout_seconds = opt.heartbeat_timeout_seconds;
-    return c;
-  }
-
   void connect(const Producer& src, const Tuple& dst, int slot,
                std::size_t bytes, bool enabled = true) {
     vsa_.connect(src.vdp, src.slot, dst, slot, bytes, enabled);

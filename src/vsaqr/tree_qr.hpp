@@ -18,60 +18,18 @@
 
 namespace pulsarqr::vsaqr {
 
-struct TreeQrOptions {
+/// Tree QR options: the runtime's own prt::Vsa::Config (nodes, workers,
+/// scheduling, transport, reliability, coalescing, crash recovery, ...)
+/// plus the factorization's shape knobs. Socket runs ship result tiles
+/// back to the parent through the ResultStore deposit log; a run with
+/// max_respawns > 0 also switches the store to idempotent re-deposits.
+struct TreeQrOptions : prt::Vsa::Config {
   plan::PlanConfig tree;  ///< reduction tree (kind, h, boundary mode)
   int ib = 32;            ///< inner block size
-  int nodes = 1;          ///< virtual distributed-memory nodes
-  int workers_per_node = 2;
-  prt::Scheduling scheduling = prt::Scheduling::Lazy;
-  /// Execute with the per-node work-stealing pool instead of the static
-  /// VDP->thread binding (see prt::Vsa::Config::work_stealing).
-  bool work_stealing = false;
-  bool trace = false;
-  double watchdog_seconds = 60.0;
-  /// Channel queue implementation (see prt::Vsa::Config::channel_impl);
-  /// the mutex fallback exists mainly for A/B measurement.
-  prt::ChannelImpl channel_impl = prt::ChannelImpl::Spsc;
-  /// Idle-worker spin before parking, in microseconds; negative = auto
-  /// (see prt::Vsa::Config::spin_us).
-  int spin_us = -1;
   /// Eliminate only this many tile columns (> 0); the remaining columns
   /// are swept by the updates only and come out as Q^T applied to them.
   /// Used by tree_qr_solve to factorize [A | B] in one pass.
   int panel_columns = -1;
-  /// Statically verify the constructed array with prt::GraphCheck before
-  /// executing it (see prt::Vsa::Config::graph_check).
-  bool graph_check = true;
-  /// Ack/retransmit reliable delivery on the inter-node transport (see
-  /// prt::Vsa::Config::reliable_transport). Required for correct
-  /// completion when fault_plan injects losses.
-  bool reliable_transport = false;
-  /// Deterministic chaos schedule for the inter-node transport (see
-  /// prt::Vsa::Config::fault_plan); inert when all probabilities are zero.
-  prt::net::FaultPlan fault_plan;
-  /// Reliable-protocol tuning (see prt::Vsa::Config).
-  int retransmit_timeout_us = 2000;
-  int max_retransmits = 10;
-  /// Per-destination egress coalescing of inter-node frames (see
-  /// prt::Vsa::Config::coalesce_bytes / coalesce_flush_us). 0 disables.
-  std::size_t coalesce_bytes = 64 * 1024;
-  int coalesce_flush_us = 50;
-  /// Transport backend for inter-node traffic: InProcess threads (the
-  /// default) or one forked OS process per node over Unix-domain sockets
-  /// (see prt::Transport). Socket mode ships result tiles back to the
-  /// parent through the ResultStore deposit log.
-  prt::Transport transport = prt::Transport::InProcess;
-  /// Crash recovery over the Socket transport: how many node-process
-  /// deaths the run may absorb by respawning (see
-  /// prt::Vsa::Config::max_respawns; requires reliable_transport). Also
-  /// switches the ResultStore to idempotent re-deposits.
-  int max_respawns = 0;
-  /// Per-destination byte budget of the crash-replay frame log (see
-  /// prt::Vsa::Config::replay_log_bytes).
-  std::size_t replay_log_bytes = 64 * 1024 * 1024;
-  /// Parent-side liveness deadline on child heartbeats and control-plane
-  /// reads (see prt::Vsa::Config::heartbeat_timeout_seconds).
-  double heartbeat_timeout_seconds = 10.0;
 };
 
 struct TreeQrRun {

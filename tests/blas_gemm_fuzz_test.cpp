@@ -440,17 +440,5 @@ TEST(GemmSmall, ThresholdDerivesFromActiveTable) {
   }
 }
 
-TEST(GemmFuzz, DispatcherKnob) {
-  // The knob must route through the selected implementation; both agree
-  // numerically, so just check the setting round-trips and gemm still works.
-  const blas::GemmImpl prev = blas::gemm_impl();
-  blas::set_gemm_impl(blas::GemmImpl::Ref);
-  EXPECT_EQ(blas::gemm_impl(), blas::GemmImpl::Ref);
-  run_case({40, 40, 40, 0, 0, 0, Trans::No, Trans::No, 1.0, 1.0});
-  blas::set_gemm_impl(blas::GemmImpl::Packed);
-  EXPECT_EQ(blas::gemm_impl(), blas::GemmImpl::Packed);
-  blas::set_gemm_impl(prev);
-}
-
 }  // namespace
 }  // namespace pulsarqr

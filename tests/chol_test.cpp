@@ -229,6 +229,33 @@ TEST(VsaChol, TraceHasBothColors) {
   EXPECT_EQ(run.stats.fires, expect);
 }
 
+// One prt::Vsa::Config reaches the driver: coalesce_bytes switches the
+// proxies' egress coalescing off (no aggregates) or leaves it at the
+// default (every inter-node frame rides an aggregate). The factor is
+// bitwise identical either way.
+TEST(VsaChol, CoalesceBytesReachesTheRuntime) {
+  Matrix a = chol::random_spd(40, 17);
+  TileMatrix ref = chol::tile_cholesky(TileMatrix::from_dense(a.view(), 8));
+  for (const bool coalesce : {false, true}) {
+    chol::VsaCholOptions opt;
+    opt.nodes = 2;
+    opt.workers_per_node = 1;
+    if (!coalesce) opt.coalesce_bytes = 0;
+    auto run = chol::vsa_cholesky(TileMatrix::from_dense(a.view(), 8), opt);
+    ASSERT_GT(run.stats.remote_messages, 0);
+    if (coalesce) {
+      EXPECT_GT(run.stats.aggregates_sent, 0);
+    } else {
+      EXPECT_EQ(run.stats.aggregates_sent, 0);
+    }
+    for (int j = 0; j < 40; ++j) {
+      for (int i = j; i < 40; ++i) {
+        ASSERT_EQ(run.l.at(i, j), ref.at(i, j)) << "coalesce " << coalesce;
+      }
+    }
+  }
+}
+
 TEST(VsaChol, RejectsNonSquare) {
   TileMatrix a(8, 12, 4);
   chol::VsaCholOptions opt;

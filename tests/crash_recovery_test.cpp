@@ -126,7 +126,7 @@ TEST(ResultStoreDedupTest, ReplayedDepositsAreVerifiedAndSkipped) {
   // once from the replacement's own epilogue). With dedup on, identical
   // re-deposits are no-ops; the deposit log must not grow either.
   vsaqr::ResultStore src(10, 5, 5, 2);
-  src.enable_deposit_log();
+  src.log().enable();
   src.enable_dedup();
   Matrix tile(5, 5), t(2, 5);
   fill_random(tile.view(), 31);
@@ -135,14 +135,14 @@ TEST(ResultStoreDedupTest, ReplayedDepositsAreVerifiedAndSkipped) {
   src.put_tile(1, 0, tile.view());
   src.put_tg(0, 0, t.view());
   src.put_tt(1, 0, t.view());
-  const Packet blob = src.serialize_deposits();
+  const Packet blob = vsaqr::serialize_deposits(src);
 
   vsaqr::ResultStore dst(10, 5, 5, 2);
-  dst.enable_deposit_log();
+  dst.log().enable();
   dst.enable_dedup();
-  dst.apply_deposits(blob);
-  dst.apply_deposits(blob);  // the replay: verified bitwise, then skipped
-  const Packet once = dst.serialize_deposits();
+  vsaqr::apply_deposits(blob, dst);
+  vsaqr::apply_deposits(blob, dst);  // the replay: verified, then skipped
+  const Packet once = vsaqr::serialize_deposits(dst);
   EXPECT_EQ(once.size(), blob.size())
       << "replayed deposits leaked into the deposit log";
 }

@@ -182,6 +182,33 @@ INSTANTIATE_TEST_SUITE_P(
                       VsaLuCase{5, 5, 8, 1, 2, false},    // single tile
                       VsaLuCase{48, 48, 6, 3, 2, true}));
 
+// One prt::Vsa::Config reaches the driver: coalesce_bytes switches the
+// proxies' egress coalescing off (no aggregates) or leaves it at the
+// default (every inter-node frame rides an aggregate). The factors are
+// bitwise identical either way.
+TEST(VsaLu, CoalesceBytesReachesTheRuntime) {
+  Matrix a = lu::random_diag_dominant(40, 40, 19);
+  TileMatrix ref = lu::tile_lu(TileMatrix::from_dense(a.view(), 8));
+  for (const bool coalesce : {false, true}) {
+    lu::VsaLuOptions opt;
+    opt.nodes = 2;
+    opt.workers_per_node = 1;
+    if (!coalesce) opt.coalesce_bytes = 0;
+    auto run = lu::vsa_lu(TileMatrix::from_dense(a.view(), 8), opt);
+    ASSERT_GT(run.stats.remote_messages, 0);
+    if (coalesce) {
+      EXPECT_GT(run.stats.aggregates_sent, 0);
+    } else {
+      EXPECT_EQ(run.stats.aggregates_sent, 0);
+    }
+    for (int j = 0; j < 40; ++j) {
+      for (int i = 0; i < 40; ++i) {
+        ASSERT_EQ(run.f.at(i, j), ref.at(i, j)) << "coalesce " << coalesce;
+      }
+    }
+  }
+}
+
 TEST(VsaLu, FireCountMatchesStructure) {
   // P(k) fires mt-k, each of the nt-k-1 update VDPs fires mt-k.
   const int mt = 4;

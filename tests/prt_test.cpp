@@ -54,18 +54,8 @@ TEST(Packet, EmptyByDefault) {
   EXPECT_EQ(p.size(), 0u);
 }
 
-class ChannelImplParam : public ::testing::TestWithParam<ChannelImpl> {};
-
-INSTANTIATE_TEST_SUITE_P(Impls, ChannelImplParam,
-                         ::testing::Values(ChannelImpl::Spsc,
-                                           ChannelImpl::Mutex),
-                         [](const auto& info) {
-                           return info.param == ChannelImpl::Spsc ? "Spsc"
-                                                                  : "Mutex";
-                         });
-
-TEST_P(ChannelImplParam, FifoOrder) {
-  Channel ch(64, true, GetParam());
+TEST(Channel, FifoOrder) {
+  Channel ch(64, true);
   for (int i = 0; i < 5; ++i) {
     ch.push(Packet::make(8, i));
   }
@@ -79,9 +69,9 @@ TEST_P(ChannelImplParam, FifoOrder) {
 // The SPSC regime proper: a producer thread streams sequence-numbered
 // packets while the consumer pops concurrently; order must be exact and
 // no packet lost. (TSan covers the memory-ordering claims.)
-TEST_P(ChannelImplParam, CrossThreadStrictFifo) {
+TEST(Channel, CrossThreadStrictFifo) {
   const int packets = 20000;
-  Channel ch(8, true, GetParam());
+  Channel ch(8, true);
   std::thread producer([&] {
     for (int i = 0; i < packets; ++i) ch.push(Packet::make(8, i));
   });
@@ -99,10 +89,10 @@ TEST_P(ChannelImplParam, CrossThreadStrictFifo) {
 // resurrecting data on a destroyed channel. Hammered here so TSan sees
 // the interleavings; after destroy() + producer exit the channel must be
 // empty no matter how the race resolved.
-TEST_P(ChannelImplParam, DestroyVsPushRace) {
+TEST(Channel, DestroyVsPushRace) {
   const int rounds = 300;
   for (int round = 0; round < rounds; ++round) {
-    Channel ch(8, true, GetParam());
+    Channel ch(8, true);
     std::atomic<bool> start{false};
     std::thread producer([&] {
       while (!start.load(std::memory_order_acquire)) {
@@ -357,8 +347,8 @@ TEST(Tags, ReliableSendAndStagerRejectReservedTags) {
   EXPECT_NO_THROW(stager.add(0, 0, p));
 }
 
-TEST_P(ChannelImplParam, PushedPoppedCounters) {
-  Channel ch(64, true, GetParam());
+TEST(Channel, PushedPoppedCounters) {
+  Channel ch(64, true);
   EXPECT_EQ(ch.pushed(), 0);
   EXPECT_EQ(ch.popped(), 0);
   for (int i = 0; i < 4; ++i) ch.push(Packet::make(8, i));

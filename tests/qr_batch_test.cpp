@@ -179,5 +179,21 @@ TEST(QrBatch, RejectsMismatchedSpansAndSmallTFactors) {
                Error);
 }
 
+// The results land in caller memory, which a forked socket node process
+// cannot write back: a socket run is refused instead of silently losing
+// every factor.
+TEST(QrBatch, RejectsSocketTransport) {
+  Matrix a(8, 4), t(4, 4);
+  fill_random(a.view(), 8);
+  const MatrixView av[] = {a.view()};
+  const MatrixView tv[] = {t.view()};
+  vsaqr::BatchOptions opt;
+  opt.ib = 4;
+  opt.transport = prt::Transport::Socket;
+  EXPECT_THROW(vsaqr::qr_batch(std::span<const MatrixView>(av),
+                               std::span<const MatrixView>(tv), opt),
+               Error);
+}
+
 }  // namespace
 }  // namespace pulsarqr

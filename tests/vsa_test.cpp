@@ -340,11 +340,10 @@ TEST(Vsa, WatchdogToleratesOneLongFiring) {
   EXPECT_EQ(collector->values.size(), 1u);
 }
 
-// The legacy mutex channels and the park-immediately wakeup path stay
-// exercised through the Config knobs.
-TEST(VsaPipeline, MutexChannelsAndImmediatePark) {
+// The park-immediately wakeup path (spin_us = 0) stays exercised through
+// the Config knob.
+TEST(VsaPipeline, ImmediatePark) {
   Vsa::Config c = cfg(2, 2);
-  c.channel_impl = ChannelImpl::Mutex;
   c.spin_us = 0;
   Vsa vsa(c);
   auto collector = std::make_shared<Collector>();

@@ -1,17 +1,30 @@
 // pqr — command-line driver for the pulsarqr library.
 //
 //   pqr factor   --m 4096 --n 512 [--nb 128 --ib 32 --tree hier --h 6
-//                 --boundary shifted --nodes 2 --workers 2 --sched lazy
-//                 --trace trace.csv --check --seed 1 --graph-check 0
-//                 --channel spsc|mutex --spin-us -1|0|50 --gemm packed|ref
-//                 --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1
-//                 --delay 0.1 --delay-us 200 --reliable
-//                 --rto-us 2000 --max-retransmits 10
-//                 --coalesce-bytes 65536 --flush-us 50 --no-packet-pool
-//                 --transport inproc|socket
-//                 --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
-//                 --kill-node -1 --kill-after 0
-//                 --kernel-isa auto|avx512|avx2|neon|scalar]
+//                 --boundary shifted --trace trace.csv --check --seed 1
+//                 <runtime flags>]
+//   pqr solve    --m 4096 --n 512 [--nrhs 1 <factor flags>]
+//   pqr chol     --n 1024 [--nb 128 --seed 1 <runtime flags>]
+//   pqr lu       --n 1024 [--nb 128 --seed 1 <runtime flags>]
+//   pqr batch    --batch 1024 --m 64 --n 16 [--ib 32 --chunk 0 --f32
+//                 --seed 1 --check <runtime flags>]
+//   pqr simulate --m 368640 --n 4608 [--nb 192 --ib 48 --tree hier --h 6
+//                 --boundary shifted --nodes 768 --algo qr|chol|lu]
+//
+// Runtime flags (prt::Vsa::Config, shared by factor, solve, chol, lu and
+// batch):
+//   --nodes 1 --workers 2 --sched lazy|aggressive --graph-check 1
+//   --spin-us -1|0|50 --transport inproc|socket
+//   --coalesce-bytes 65536 --flush-us 50
+//   --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1 --delay 0.1
+//   --delay-us 200 --reliable --rto-us 2000 --max-retransmits 10
+//   --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
+//   --kill-node -1 --kill-after 0
+// Process-wide flags (every command):
+//   --kernel-isa auto|avx512|avx2|neon|scalar --no-packet-pool
+//
+// A flag the command does not read is an error (exit 2), so a mistyped or
+// retired flag never silently runs the default.
 //
 // The chaos flags install a deterministic FaultPlan on the inter-node
 // transport (same seed => same fault schedule); --reliable layers the
@@ -19,24 +32,15 @@
 // Under --transport socket, --kill-node R --kill-after F SIGKILLs rank R's
 // node process after F firings and --max-respawns N lets the run absorb up
 // to N such deaths by respawning (requires --reliable).
-//   pqr batch    --batch 1024 --m 64 --n 16 [--ib 32 --nodes 1 --workers 2
-//                 --chunk 0 --f32 --seed 1 --check --graph-check 0
-//                 --kernel-isa ...]
 //
 // `batch` factors N independent small matrices through ONE fused VSA plan
 // (see src/vsaqr/qr_batch.hpp) and reports jobs/sec plus per-matrix latency
 // percentiles; --check verifies each result is bitwise identical to a
-// sequential geqrt loop.
-//   pqr solve    --m 4096 --n 512 [--nrhs 1 ...]
-//   pqr chol     --n 1024 [--nb 128 --nodes 2 --workers 2
-//                 --transport inproc|socket --reliable ...]
-//   pqr lu       --n 1024 [--nb 128 --nodes 2 --workers 2
-//                 --transport inproc|socket --reliable ...]
-//   pqr simulate --m 368640 --n 4608 [--nb 192 --ib 48 --tree hier --h 6
-//                 --nodes 768]
+// sequential geqrt loop. It runs in-process only.
 //
-// `factor`, `solve`, `chol` and `lu` run the real PULSAR runtime on this
-// host; `simulate` replays a task graph on the Kraken machine model.
+// `factor`, `solve`, `chol`, `lu` and `batch` run the real PULSAR runtime
+// on this host; `simulate` replays a task graph on the Kraken machine
+// model.
 
 // GCC 12's -Wrestrict emits a known false positive on inlined std::string
 // copies under -O3 (GCC PR105651); the flag-map code trips it.
@@ -50,6 +54,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,19 +81,31 @@ namespace {
 
 struct Args {
   std::map<std::string, std::string> kv;
+  mutable std::set<std::string> read;  ///< every key a getter asked for
 
-  bool has(const std::string& k) const { return kv.count(k) > 0; }
+  bool has(const std::string& k) const {
+    read.insert(k);
+    return kv.count(k) > 0;
+  }
   int geti(const std::string& k, int dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atoi(it->second.c_str());
+    return has(k) ? std::atoi(kv.at(k).c_str()) : dflt;
   }
   std::string gets(const std::string& k, const std::string& dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : it->second;
+    return has(k) ? kv.at(k) : dflt;
   }
   double getd(const std::string& k, double dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atof(it->second.c_str());
+    return has(k) ? std::atof(kv.at(k).c_str()) : dflt;
+  }
+  /// Exit 2 naming any flag no getter has read. Commands call this after
+  /// reading all their flags and before doing any work.
+  void reject_unread() const {
+    for (const auto& [k, v] : kv) {
+      if (read.count(k) == 0) {
+        std::fprintf(stderr, "unknown flag --%s for this command\n",
+                     k.c_str());
+        std::exit(2);
+      }
+    }
   }
 };
 
@@ -131,11 +148,21 @@ plan::PlanConfig tree_config(const Args& a) {
   return cfg;
 }
 
-/// Transport / chaos / reliability / crash-recovery flags, shared by the
-/// factor, solve, chol and lu commands (their option structs carry
-/// identically-named fields).
-template <class Opt>
-void transport_options(Opt& opt, const Args& a) {
+/// The runtime flags (see the header), shared by every command that runs
+/// the PULSAR runtime.
+void runtime_options(prt::Vsa::Config& opt, const Args& a) {
+  opt.nodes = a.geti("nodes", opt.nodes);
+  opt.workers_per_node = a.geti("workers", opt.workers_per_node);
+  const std::string sched = a.gets("sched", "lazy");
+  if (sched == "aggressive") {
+    opt.scheduling = prt::Scheduling::Aggressive;
+  } else if (sched != "lazy") {
+    std::fprintf(stderr, "unknown --sched %s (lazy|aggressive)\n",
+                 sched.c_str());
+    std::exit(2);
+  }
+  opt.graph_check = a.geti("graph-check", 1) != 0;
+  opt.spin_us = a.geti("spin-us", opt.spin_us);
   // Transport backend: in-process mailbox threads (default) or one forked
   // OS process per node over Unix-domain sockets.
   const std::string transport = a.gets("transport", "inproc");
@@ -146,6 +173,10 @@ void transport_options(Opt& opt, const Args& a) {
                  transport.c_str());
     std::exit(2);
   }
+  // Egress coalescing (--coalesce-bytes 0 turns it off).
+  opt.coalesce_bytes = static_cast<std::size_t>(
+      a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes)));
+  opt.coalesce_flush_us = a.geti("flush-us", opt.coalesce_flush_us);
   // Chaos engineering: a seeded deterministic fault schedule plus the
   // reliable-delivery protocol that tolerates it.
   opt.fault_plan.seed = static_cast<std::uint64_t>(a.geti("chaos-seed", 0));
@@ -185,24 +216,10 @@ void print_recovery(const prt::Vsa::RunStats& stats, int max_respawns) {
 
 vsaqr::TreeQrOptions qr_options(const Args& a) {
   vsaqr::TreeQrOptions opt;
+  runtime_options(opt, a);
   opt.tree = tree_config(a);
   opt.ib = a.geti("ib", 32);
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.scheduling = a.gets("sched", "lazy") == "aggressive"
-                       ? prt::Scheduling::Aggressive
-                       : prt::Scheduling::Lazy;
   opt.trace = a.has("trace");
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  opt.channel_impl = a.gets("channel", "spsc") == "mutex"
-                         ? prt::ChannelImpl::Mutex
-                         : prt::ChannelImpl::Spsc;
-  opt.spin_us = a.geti("spin-us", opt.spin_us);
-  transport_options(opt, a);
-  // Egress coalescing (--coalesce-bytes 0 turns it off).
-  opt.coalesce_bytes = static_cast<std::size_t>(
-      a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes)));
-  opt.coalesce_flush_us = a.geti("flush-us", opt.coalesce_flush_us);
   return opt;
 }
 
@@ -210,15 +227,20 @@ int cmd_factor(const Args& a) {
   const int m = a.geti("m", 4096);
   const int n = a.geti("n", 512);
   const int nb = a.geti("nb", 128);
+  const int seed = a.geti("seed", 1);
+  const std::string tree = a.gets("tree", "hier");
+  const std::string trace = a.gets("trace", "trace.csv");
+  const bool check = a.has("check");
+  const auto opt = qr_options(a);
+  a.reject_unread();
   Matrix a0(m, n);
-  fill_random(a0.view(), a.geti("seed", 1));
+  fill_random(a0.view(), seed);
   TileMatrix tiled = TileMatrix::from_dense(a0.view(), nb);
-  auto opt = qr_options(a);
   auto run = vsaqr::tree_qr(tiled, opt);
   std::printf("factor %dx%d nb=%d ib=%d tree=%s kernels=%s/f64: %.3fs wall, "
               "%lld firings, %d VDPs, %d channels, %lld inter-node msgs "
               "(%.1f MB)\n",
-              m, n, nb, opt.ib, a.gets("tree", "hier").c_str(),
+              m, n, nb, opt.ib, tree.c_str(),
               blas::simd::isa_name(blas::simd::active_isa()),
               run.stats.seconds, run.stats.fires, run.vdp_count,
               run.channel_count, run.stats.remote_messages,
@@ -240,13 +262,13 @@ int cmd_factor(const Args& a) {
                 run.stats.duplicates_suppressed, run.stats.acks_sent);
   }
   print_recovery(run.stats, opt.max_respawns);
-  if (a.has("trace")) {
-    std::ofstream os(a.gets("trace", "trace.csv"));
+  if (opt.trace) {
+    std::ofstream os(trace);
     prt::trace::write_csv(os, run.events);
-    std::printf("trace written to %s (%zu events)\n",
-                a.gets("trace", "trace.csv").c_str(), run.events.size());
+    std::printf("trace written to %s (%zu events)\n", trace.c_str(),
+                run.events.size());
   }
-  if (a.has("check")) {
+  if (check) {
     TileMatrix b = TileMatrix::from_dense(a0.view(), nb);
     ref::apply_q(blas::Trans::Yes, run.factors, b);
     double below = 0.0;
@@ -277,23 +299,24 @@ int run_batch(const Args& a, const char* prec) {
   const int m = a.geti("m", 64);
   const int n = a.geti("n", 16);
   const int k = std::min(m, n);
+  const int seed = a.geti("seed", 1);
+  const bool check = a.has("check");
+  vsaqr::BatchOptions opt;
+  runtime_options(opt, a);
+  opt.ib = a.geti("ib", 32);
+  opt.chunk = a.geti("chunk", 0);
+  opt.record_latency = true;
+  a.reject_unread();
   if (batch < 1 || k < 1) {
     std::fprintf(stderr, "batch: need --batch >= 1 and --m, --n >= 1\n");
     return 2;
   }
-  vsaqr::BatchOptions opt;
-  opt.ib = a.geti("ib", 32);
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.chunk = a.geti("chunk", 0);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  opt.record_latency = true;
 
   std::vector<MatrixT<T>> mats, tfac;
   std::vector<MatrixViewT<T>> av, tv;
   mats.reserve(batch);
   tfac.reserve(batch);
-  Rng rng(static_cast<std::uint64_t>(a.geti("seed", 1)));
+  Rng rng(static_cast<std::uint64_t>(seed));
   for (int i = 0; i < batch; ++i) {
     mats.emplace_back(m, n);
     tfac.emplace_back(std::min(opt.ib, k), k);
@@ -303,7 +326,7 @@ int run_batch(const Args& a, const char* prec) {
     }
   }
   std::vector<MatrixT<T>> ref_a, ref_t;
-  if (a.has("check")) {
+  if (check) {
     ref_a = mats;
     ref_t = tfac;
   }
@@ -323,7 +346,7 @@ int run_batch(const Args& a, const char* prec) {
               blas::simd::isa_name(blas::simd::active_isa()), prec,
               run.stats.seconds, batch / run.stats.seconds, pct_us(lat, 50),
               pct_us(lat, 99), run.stats.fires, run.vdp_count, run.chunks);
-  if (a.has("check")) {
+  if (check) {
     kernels::Workspace ws;
     long long mismatches = 0;
     for (int i = 0; i < batch; ++i) {
@@ -354,12 +377,15 @@ int cmd_solve(const Args& a) {
   const int n = a.geti("n", 512);
   const int nb = a.geti("nb", 128);
   const int nrhs = a.geti("nrhs", 1);
+  const int seed = a.geti("seed", 1);
+  const auto opt = qr_options(a);
+  a.reject_unread();
   Matrix a0(m, n);
-  fill_random_well_conditioned(a0.view(), a.geti("seed", 1));
+  fill_random_well_conditioned(a0.view(), seed);
   Matrix b(m, nrhs);
-  fill_random(b.view(), a.geti("seed", 1) + 1);
+  fill_random(b.view(), seed + 1);
   TileMatrix tiled = TileMatrix::from_dense(a0.view(), nb);
-  Matrix x = vsaqr::tree_qr_solve(tiled, b.view(), qr_options(a));
+  Matrix x = vsaqr::tree_qr_solve(tiled, b.view(), opt);
   // Report residual orthogonality per rhs.
   double worst = 0.0;
   for (int r = 0; r < nrhs; ++r) {
@@ -380,12 +406,11 @@ int cmd_solve(const Args& a) {
 int cmd_chol(const Args& a) {
   const int n = a.geti("n", 1024);
   const int nb = a.geti("nb", 128);
-  Matrix spd = chol::random_spd(n, a.geti("seed", 1));
+  const int seed = a.geti("seed", 1);
   chol::VsaCholOptions opt;
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  transport_options(opt, a);
+  runtime_options(opt, a);
+  a.reject_unread();
+  Matrix spd = chol::random_spd(n, seed);
   auto run = chol::vsa_cholesky(TileMatrix::from_dense(spd.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
   Matrix l = chol::extract_l(run.l);
@@ -408,16 +433,15 @@ int cmd_chol(const Args& a) {
 int cmd_lu(const Args& a) {
   const int n = a.geti("n", 1024);
   const int nb = a.geti("nb", 128);
-  Matrix m = lu::random_diag_dominant(n, n, a.geti("seed", 1));
+  const int seed = a.geti("seed", 1);
   lu::VsaLuOptions opt;
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  transport_options(opt, a);
+  runtime_options(opt, a);
+  a.reject_unread();
+  Matrix m = lu::random_diag_dominant(n, n, seed);
   auto run = lu::vsa_lu(TileMatrix::from_dense(m.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
   // Verify by solving a planted system through the factors.
-  Rng rng(a.geti("seed", 1) + 7);
+  Rng rng(seed + 7);
   std::vector<double> xtrue(n);
   for (auto& v : xtrue) v = rng.next_symmetric();
   std::vector<double> b(n, 0.0);
@@ -437,11 +461,13 @@ int cmd_simulate(const Args& a) {
   const int nb = a.geti("nb", 192);
   const int nodes = a.geti("nodes", 768);
   const std::string algo = a.gets("algo", "qr");
+  const int ib = a.geti("ib", 48);
+  const plan::PlanConfig tree = tree_config(a);
+  a.reject_unread();
   const sim::MachineModel mm = sim::MachineModel::kraken();
   sim::SimResult r;
   if (algo == "qr") {
-    r = sim::simulate_tree_qr(m, n, nb, a.geti("ib", 48), tree_config(a), mm,
-                              nodes);
+    r = sim::simulate_tree_qr(m, n, nb, ib, tree, mm, nodes);
   } else if (algo == "chol") {
     r = sim::simulate_cholesky(n, nb, mm, nodes);
   } else if (algo == "lu") {
@@ -481,17 +507,6 @@ int main(int argc, char** argv) {
   // the equivalent std::string comparisons under -O3).
   const char* cmd = argv[1];
   const Args a = parse(argc, argv, 2);
-  // Process-wide compute-kernel A/B switch, the analogue of --channel for
-  // the runtime: every command funnels its flops through blas::gemm.
-  const std::string gemm = a.gets("gemm", "packed");
-  if (gemm == "ref") {
-    blas::set_gemm_impl(blas::GemmImpl::Ref);
-  } else if (gemm == "packed") {
-    blas::set_gemm_impl(blas::GemmImpl::Packed);
-  } else {
-    std::fprintf(stderr, "unknown --gemm %s (packed|ref)\n", gemm.c_str());
-    return 2;
-  }
   // Kernel ISA selection. Unlike the PQR_KERNEL_ISA env override (which
   // warns and falls back), the CLI rejects bad or unsupported values.
   const std::string isa_arg = a.gets("kernel-isa", "");
