@@ -1,27 +1,18 @@
 #include "prt/vsa.hpp"
 
 #include <algorithm>
-
-#include "prt/graph_check.hpp"
-#include "prt/packet_pool.hpp"
-#include "prt/socket_comm.hpp"
-#include "prt/wire.hpp"
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
+
+#include "prt/graph_check.hpp"
+#include "prt/packet_pool.hpp"
+#include "prt/socket_comm.hpp"
 
 namespace pulsarqr::prt {
 
@@ -43,6 +34,65 @@ inline void cpu_relax() {
   std::this_thread::yield();
 #endif
 }
+
+/// Adaptive spin-then-park wake state: a generation counter bumped by
+/// every wake, plus a parked count so wakers skip the mutex entirely while
+/// nobody is parked (the common case). Dekker pairing: a waiter publishes
+/// parked then re-reads the epoch, a waker publishes the epoch then reads
+/// parked — both seq_cst, so no wake is ever lost. A sweep worker owns
+/// one (single waiter); a stealing node shares one among its workers.
+struct Parker : Waker {
+  std::atomic<std::uint64_t> epoch{0};
+  std::atomic<int> parked{0};
+  std::mutex mu;
+  std::condition_variable cv;
+
+  void wake() override { bump(false); }
+  /// Release every waiter (shutdown, or a stealing node's last VDP died).
+  void broadcast() { bump(true); }
+
+  /// Spin-then-park until the epoch moves past `seen` (a value read
+  /// BEFORE the caller looked for work, so any wake during the look
+  /// returns immediately), `stop()` turns true, or a backstop timeout
+  /// expires.
+  template <class Stop>
+  void wait(std::uint64_t seen, int spin_us, Stop stop) {
+    if (spin_us > 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(spin_us);
+      int iter = 0;
+      while (epoch.load(std::memory_order_acquire) == seen) {
+        cpu_relax();
+        if ((++iter & 63) == 0 &&
+            (stop() || std::chrono::steady_clock::now() >= deadline)) {
+          break;
+        }
+      }
+      if (epoch.load(std::memory_order_acquire) != seen || stop()) return;
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    parked.fetch_add(1, std::memory_order_seq_cst);
+    // The 10ms wait_for is a liveness backstop only; the epoch/parked
+    // protocol makes real wakeups prompt.
+    cv.wait_for(lock, 10ms, [&] {
+      return epoch.load(std::memory_order_seq_cst) != seen || stop();
+    });
+    parked.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+ private:
+  void bump(bool all) {
+    epoch.fetch_add(1, std::memory_order_seq_cst);
+    if (parked.load(std::memory_order_seq_cst) > 0) {
+      std::lock_guard<std::mutex> lock(mu);  // pairs with the parked wait
+      if (all) {
+        cv.notify_all();
+      } else {
+        cv.notify_one();
+      }
+    }
+  }
+};
 }  // namespace
 
 // ---- runtime structures -----------------------------------------------------
@@ -53,109 +103,57 @@ struct OutMsg {
   Packet p;
 };
 
-struct Vsa::Worker : Waker {
+struct Vsa::Worker {
   int node_id = 0;
-  int local_id = 0;
   int global_id = 0;
   std::vector<Vdp*> vdps;
   int alive = 0;
   double busy = 0.0;
-
-  // Wake state: a generation counter bumped by every wake(), plus a
-  // parked flag so producers skip the mutex entirely while the worker is
-  // running or spinning (the common case). Dekker pairing: the waiter
-  // publishes parked then re-reads the epoch, the waker publishes the
-  // epoch then reads parked — both seq_cst, so no wake is ever lost.
-  std::atomic<std::uint64_t> wake_epoch{0};
-  std::atomic<bool> parked{false};
-  std::mutex mu;
-  std::condition_variable cv;
+  Parker parker;  ///< sweep executor: woken by its VDPs' channels
 
   // Heartbeat for the watchdog: incremented entering AND leaving fire(),
   // so an odd value means "a firing is in flight on this worker".
   std::atomic<std::uint64_t> fire_epoch{0};
 
-  // Outgoing inter-node packets (one queue per worker, as in Figure 4).
-  std::mutex omu;
-  std::deque<OutMsg> outq;
-
   std::thread thread;
-
-  void wake() override {
-    wake_epoch.fetch_add(1, std::memory_order_seq_cst);
-    if (parked.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lock(mu);  // pairs with the parked wait
-      cv.notify_one();
-    }
-  }
-
-  /// Spin-then-park until the wake epoch moves past `seen` (a value read
-  /// BEFORE the caller's last scan, so any wake during the scan returns
-  /// immediately), `stop()` turns true, or a backstop timeout expires.
-  template <class Stop>
-  void wait_for_wake(std::uint64_t seen, int spin_us, Stop stop) {
-    if (spin_us > 0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::microseconds(spin_us);
-      int iter = 0;
-      while (wake_epoch.load(std::memory_order_acquire) == seen) {
-        cpu_relax();
-        if ((++iter & 63) == 0 &&
-            (stop() || std::chrono::steady_clock::now() >= deadline)) {
-          break;
-        }
-      }
-      if (wake_epoch.load(std::memory_order_acquire) != seen || stop()) return;
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    parked.store(true, std::memory_order_seq_cst);
-    // The 10ms wait_for is a liveness backstop only; the epoch/parked
-    // protocol makes real wakeups prompt.
-    cv.wait_for(lock, 10ms, [&] {
-      return wake_epoch.load(std::memory_order_seq_cst) != seen || stop();
-    });
-    parked.store(false, std::memory_order_relaxed);
-  }
 };
 
 struct Vsa::Node {
   int id = 0;
-  std::vector<Worker*> workers;
   std::unordered_map<std::uint64_t, Channel*> route;  ///< (src, tag) -> channel
   bool has_remote = false;
   std::thread proxy;
 
   // Work-stealing executor state: a shared pool of fire candidates for
-  // this node's workers. pool_epoch/parked mirror the Worker wake
-  // protocol so idle workers can spin outside the lock before parking.
+  // this node's workers, and the VDPs not yet dead.
+  Parker parker;
   std::mutex pool_mu;
-  std::condition_variable pool_cv;
-  std::deque<Vdp*> pool;
-  std::atomic<std::uint64_t> pool_epoch{0};
-  std::atomic<int> parked{0};
+  std::deque<Vdp*> pool;  ///< guarded by pool_mu
   std::atomic<int> alive{0};
 
-  // Outgoing inter-node queue used in work-stealing mode. Consecutive
-  // firings of one VDP may run on different workers there; per-worker
-  // queues would let the proxy reorder packets of a single channel, so
-  // stealing funnels sends through one per-node FIFO (claim
-  // serialization makes the enqueue order the channel order).
+  // Outgoing inter-node packets, drained by this node's proxy. Figure 4
+  // draws one queue per worker; one per node keeps channel order under
+  // work stealing, where consecutive firings of one VDP may run on
+  // different workers and per-worker queues would let the proxy reorder
+  // a channel's packets (claim serialization makes the enqueue order the
+  // channel order).
   std::mutex omu;
-  std::deque<OutMsg> outq;
-
-  /// Seconds the proxy spent on transport work (written by the proxy
-  /// thread, read by run() after joining it).
-  double proxy_busy = 0.0;
+  std::deque<OutMsg> outq;  ///< guarded by omu
 
   void enqueue(Vdp* v) {
     {
       std::lock_guard<std::mutex> lock(pool_mu);
       pool.push_back(v);
     }
-    pool_epoch.fetch_add(1, std::memory_order_seq_cst);
-    if (parked.load(std::memory_order_seq_cst) > 0) {
-      pool_cv.notify_one();
-    }
+    parker.wake();
+  }
+
+  Vdp* take() {
+    std::lock_guard<std::mutex> lock(pool_mu);
+    if (pool.empty()) return nullptr;
+    Vdp* v = pool.front();
+    pool.pop_front();
+    return v;
   }
 };
 
@@ -273,8 +271,6 @@ void Vsa::validate_and_wire() {
     auto w = std::make_unique<Worker>();
     w->global_id = t;
     w->node_id = t / cfg_.workers_per_node;
-    w->local_id = t % cfg_.workers_per_node;
-    nodes_[w->node_id]->workers.push_back(w.get());
     workers_.push_back(std::move(w));
   }
   for (Vdp* v : creation_order_) {
@@ -364,35 +360,23 @@ void Vsa::validate_and_wire() {
 
   // Attach wakers now that ownership is final. With the sweep executor a
   // packet wakes the destination VDP's bound worker; with work stealing
-  // it makes the VDP a fire candidate for its whole node.
-  if (cfg_.work_stealing) {
-    for (Vdp* v : creation_order_) {
-      Node* node = nodes_[v->global_thread_ / cfg_.workers_per_node].get();
-      node->alive.fetch_add(1, std::memory_order_relaxed);
-      auto waker = std::make_unique<PoolWaker>();
-      waker->node = node;
-      waker->vdp = v;
-      for (auto& ch : v->inputs_) ch->set_waker(waker.get());
-      // Backpressure liveness: a pop on a bounded local output of v frees
-      // room, so v (stalled by its firing rule) becomes a candidate again.
-      for (OutputRef& out : v->outputs_) {
-        if (out.local != nullptr && out.local->bounded()) {
-          out.local->set_pop_waker(waker.get());
-        }
-      }
-      pool_wakers_.push_back(std::move(waker));
+  // it makes the VDP a fire candidate for its whole node. A pop on a
+  // bounded local output of v frees room, so the same waker also serves
+  // backpressure liveness for v's stalled firing rule.
+  for (Vdp* v : creation_order_) {
+    Waker* waker = &workers_[v->global_thread_]->parker;
+    if (cfg_.work_stealing) {
+      auto pw = std::make_unique<PoolWaker>();
+      pw->node = nodes_[v->global_thread_ / cfg_.workers_per_node].get();
+      pw->node->alive.fetch_add(1, std::memory_order_relaxed);
+      pw->vdp = v;
+      waker = pw.get();
+      pool_wakers_.push_back(std::move(pw));
     }
-  } else {
-    for (Vdp* v : creation_order_) {
-      for (auto& ch : v->inputs_) {
-        ch->set_waker(workers_[v->global_thread_].get());
-      }
-      // Backpressure liveness (sweep executor): wake the producer's bound
-      // worker when the consumer pops a bounded local channel.
-      for (OutputRef& out : v->outputs_) {
-        if (out.local != nullptr && out.local->bounded()) {
-          out.local->set_pop_waker(workers_[v->global_thread_].get());
-        }
+    for (auto& ch : v->inputs_) ch->set_waker(waker);
+    for (OutputRef& out : v->outputs_) {
+      if (out.local != nullptr && out.local->bounded()) {
+        out.local->set_pop_waker(waker);
       }
     }
   }
@@ -410,16 +394,12 @@ void Vsa::push_from(VdpContext& ctx, int slot, Packet p) {
     out.local->push(std::move(p));
     return;
   }
-  // Inter-node: hand the packet to the outgoing queue and wake the
-  // node's proxy through its mailbox (MPI-progress style).
-  if (cfg_.work_stealing) {
-    Node& n = *nodes_[ctx.node];
+  // Inter-node: hand the packet to the node's outgoing queue and wake its
+  // proxy through its mailbox (MPI-progress style).
+  Node& n = *nodes_[ctx.node];
+  {
     std::lock_guard<std::mutex> lock(n.omu);
     n.outq.push_back({out.dst_node, out.tag, std::move(p)});
-  } else {
-    Worker& w = *workers_[ctx.global_thread];
-    std::lock_guard<std::mutex> lock(w.omu);
-    w.outq.push_back({out.dst_node, out.tag, std::move(p)});
   }
   comm_->interrupt(ctx.node);
 }
@@ -450,106 +430,71 @@ void Vsa::fire(Vdp& v, Worker& w) {
   fires_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Vsa::worker_loop(Worker& w) {
-  while (!cancelled_.load(std::memory_order_relaxed) && w.alive > 0) {
-    // Sample the wake epoch BEFORE the scan: a packet arriving for a VDP
-    // the scan already passed bumps the epoch and voids the wait below.
-    const std::uint64_t seen = w.wake_epoch.load(std::memory_order_acquire);
-    bool fired = false;
-    for (Vdp* v : w.vdps) {
-      if (v->dead()) continue;
-      while (v->ready()) {
-        fire(*v, w);
-        fired = true;
-        if (v->dead()) {
-          --w.alive;
-          break;
-        }
-        if (cfg_.scheduling == Scheduling::Lazy) break;
-      }
-      if (cancelled_.load(std::memory_order_relaxed)) break;
-    }
-    if (w.alive == 0) break;
-    if (!fired) {
-      w.wait_for_wake(seen, spin_us_, [this] {
-        return cancelled_.load(std::memory_order_relaxed);
-      });
-    }
+bool Vsa::fire_ready(Vdp& v, Worker& w) {
+  bool fired = false;
+  while (v.ready()) {
+    fire(v, w);
+    fired = true;
+    if (v.dead() || cfg_.scheduling == Scheduling::Lazy) break;
   }
-  workers_running_.fetch_sub(1, std::memory_order_acq_rel);
+  return fired;
 }
 
-void Vsa::worker_loop_stealing(Worker& w, Node& n) {
-  while (!cancelled_.load(std::memory_order_relaxed) &&
-         n.alive.load(std::memory_order_acquire) > 0) {
-    // Sampled before the pool check so an enqueue racing with an empty
-    // verdict cuts the wait short (same protocol as Worker::wait_for_wake).
-    const std::uint64_t seen = n.pool_epoch.load(std::memory_order_acquire);
-    Vdp* v = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(n.pool_mu);
-      if (!n.pool.empty()) {
-        v = n.pool.front();
-        n.pool.pop_front();
-      }
+bool Vsa::sweep(Worker& w) {
+  bool fired = false;
+  for (Vdp* v : w.vdps) {
+    if (v->dead()) continue;
+    fired |= fire_ready(*v, w);
+    if (v->dead()) --w.alive;
+    if (cancelled_.load(std::memory_order_relaxed)) break;
+  }
+  return fired;
+}
+
+bool Vsa::steal_one(Worker& w, Node& n) {
+  Vdp* v = n.take();
+  if (v == nullptr) return false;
+  if (v->dead() || !v->ready()) return true;  // stale candidate
+  bool expected = false;
+  if (!v->running_.compare_exchange_strong(expected, true)) {
+    return true;  // another worker holds it; it re-enqueues if still ready
+  }
+  if (v->dead()) {
+    v->running_.store(false);
+    return true;
+  }
+  fire_ready(*v, w);
+  const bool died = v->dead();
+  v->running_.store(false, std::memory_order_release);
+  if (died) {
+    // Node done: release the idle workers.
+    if (n.alive.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      n.parker.broadcast();
     }
-    if (v == nullptr) {
-      auto stop = [&] {
-        return cancelled_.load(std::memory_order_relaxed) ||
-               n.alive.load(std::memory_order_acquire) <= 0;
-      };
-      if (spin_us_ > 0) {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(spin_us_);
-        int iter = 0;
-        while (n.pool_epoch.load(std::memory_order_acquire) == seen) {
-          cpu_relax();
-          if ((++iter & 63) == 0 &&
-              (stop() || std::chrono::steady_clock::now() >= deadline)) {
-            break;
-          }
-        }
-      }
-      if (n.pool_epoch.load(std::memory_order_acquire) == seen && !stop()) {
-        std::unique_lock<std::mutex> lock(n.pool_mu);
-        n.parked.fetch_add(1, std::memory_order_seq_cst);
-        n.pool_cv.wait_for(lock, 10ms, [&] {
-          return !n.pool.empty() ||
-                 n.pool_epoch.load(std::memory_order_seq_cst) != seen ||
-                 stop();
-        });
-        n.parked.fetch_sub(1, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    if (v->dead() || !v->ready()) continue;  // stale candidate
-    bool expected = false;
-    if (!v->running_.compare_exchange_strong(expected, true)) {
-      continue;  // another worker holds it; it re-enqueues if still ready
-    }
-    if (v->dead()) {
-      v->running_.store(false);
-      continue;
-    }
-    while (v->ready()) {
-      fire(*v, w);
-      if (v->dead() || cfg_.scheduling == Scheduling::Lazy) break;
-    }
-    const bool died = v->dead();
-    v->running_.store(false, std::memory_order_release);
-    if (died) {
-      if (n.alive.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Node done: release idle workers. Locking pairs with the parked
-        // predicate so the last notification cannot slip between its
-        // evaluation and the park.
-        std::lock_guard<std::mutex> lock(n.pool_mu);
-        n.pool_cv.notify_all();
-      }
-    } else if (v->ready()) {
-      // Re-check AFTER unclaiming: a packet that arrived while we held
-      // the claim may have had its candidate dropped by another worker
-      // (claim failure), so this VDP's wakeup is now our responsibility.
-      n.enqueue(v);
+  } else if (v->ready()) {
+    // Re-check AFTER unclaiming: a packet that arrived while we held the
+    // claim may have had its candidate dropped by another worker (claim
+    // failure), so this VDP's wakeup is now our responsibility.
+    n.enqueue(v);
+  }
+  return true;
+}
+
+void Vsa::worker_loop(Worker& w) {
+  Node& n = *nodes_[w.node_id];
+  const bool stealing = cfg_.work_stealing;
+  Parker& parker = stealing ? n.parker : w.parker;
+  auto stop = [&] {
+    return cancelled_.load(std::memory_order_relaxed) ||
+           (stealing ? n.alive.load(std::memory_order_acquire) : w.alive) <= 0;
+  };
+  while (!stop()) {
+    // Sample the wake epoch BEFORE looking for work: a packet arriving
+    // for a VDP the look already passed bumps the epoch and voids the
+    // wait below.
+    const std::uint64_t seen = parker.epoch.load(std::memory_order_acquire);
+    if (!(stealing ? steal_one(w, n) : sweep(w))) {
+      parker.wait(seen, spin_us_, stop);
     }
   }
   workers_running_.fetch_sub(1, std::memory_order_acq_rel);
@@ -749,18 +694,7 @@ void Vsa::proxy_loop(Node& n) {
     return static_cast<int>(best);
   };
 
-  // Batched outgoing drain: swap the whole queue out under one lock
-  // instead of one lock round-trip per message, then stage lock-free.
   std::deque<OutMsg> batch;
-  auto send_all = [&](std::mutex& mu, std::deque<OutMsg>& q) {
-    batch.clear();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      batch.swap(q);
-    }
-    for (OutMsg& m : batch) send_one(m);
-    return !batch.empty();
-  };
   for (;;) {
     const auto t0 = Clock::now();
     bool any = false;
@@ -790,12 +724,16 @@ void Vsa::proxy_loop(Node& n) {
         }
       }
     }
-    // Serve the outgoing queues of this node's workers (and the node
-    // queue used by the work-stealing executor).
-    for (Worker* w : n.workers) {
-      any |= send_all(w->omu, w->outq);
+    // Serve the node's outgoing queue: swap the whole queue out under one
+    // lock instead of one lock round-trip per message, then stage
+    // lock-free.
+    batch.clear();
+    {
+      std::lock_guard<std::mutex> lock(n.omu);
+      batch.swap(n.outq);
     }
-    any |= send_all(n.omu, n.outq);
+    for (OutMsg& m : batch) send_one(m);
+    any |= !batch.empty();
     // Drain all queued incoming messages in one mailbox swap.
     for (auto& m : comm_->drain(n.id)) {
       accept(std::move(m));
@@ -842,38 +780,40 @@ void Vsa::proxy_loop(Node& n) {
       }
     }
   }
-  n.proxy_busy = busy;
-  total_remote_msgs_.fetch_add(frames, std::memory_order_relaxed);
-  total_remote_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);
-  total_coalesced_.fetch_add(coalesced, std::memory_order_relaxed);
-  total_aggregates_.fetch_add(aggregates, std::memory_order_relaxed);
+  // Publish this proxy's totals (and, on a failed run, its link
+  // snapshots); run_local joins the proxies before reading them.
+  std::lock_guard<std::mutex> lock(exit_mu_);
+  stats_.proxy_busy_per_node[n.id] = busy;
+  stats_.remote_messages += frames;
+  stats_.remote_bytes += frame_bytes;
+  stats_.coalesced_frames += coalesced;
+  stats_.aggregates_sent += aggregates;
   if (rel) {
-    // Publish endpoint totals (and, on a failed run, link snapshots) for
-    // RunStats / the RunReport; run() joins proxies before reading them.
-    total_retransmits_.fetch_add(rel->retransmits(),
-                                 std::memory_order_relaxed);
-    total_dups_suppressed_.fetch_add(rel->duplicates_suppressed(),
-                                     std::memory_order_relaxed);
-    total_acks_sent_.fetch_add(rel->acks_sent(), std::memory_order_relaxed);
-    total_replayed_.fetch_add(rel->replayed(), std::memory_order_relaxed);
+    stats_.retransmits += rel->retransmits();
+    stats_.duplicates_suppressed += rel->duplicates_suppressed();
+    stats_.acks_sent += rel->acks_sent();
+    stats_.replayed_frames += rel->replayed();
     if (cancelled_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(fail_mu_);
       for (auto& g : rel->gaps()) link_gaps_.push_back(std::move(g));
     }
+  }
+}
+
+void Vsa::wake_all() {
+  for (auto& w : workers_) w->parker.wake();
+  for (auto& n : nodes_) n->parker.broadcast();
+  // Proxies blocked in recv_wait. A socket node process interrupts only
+  // its own mailbox: interrupting a peer rank would put a frame on the
+  // wire.
+  for (int r = 0; r < cfg_.nodes; ++r) {
+    if (sock_comm_ == nullptr || r == sock_comm_->rank()) comm_->interrupt(r);
   }
 }
 
 void Vsa::cancel_run_from_transport() {
   if (transport_failed_.exchange(true, std::memory_order_acq_rel)) return;
   cancelled_.store(true, std::memory_order_release);
-  // Same wake fan-out as the shutdown path in run(): parked workers,
-  // work-stealing pools, and proxies blocked in recv_wait.
-  for (auto& w : workers_) w->wake();
-  for (auto& node : nodes_) {
-    std::lock_guard<std::mutex> lock(node->pool_mu);
-    node->pool_cv.notify_all();
-  }
-  for (int r = 0; r < cfg_.nodes; ++r) comm_->interrupt(r);
+  wake_all();
 }
 
 Vsa::RunStats Vsa::run() {
@@ -917,6 +857,21 @@ Vsa::RunStats Vsa::run() {
 
   comm_ = std::make_unique<net::MailboxComm>(cfg_.nodes);
   if (cfg_.fault_plan.any()) comm_->set_fault_plan(cfg_.fault_plan);
+  RunStats stats = run_local(-1);
+  if (cancelled_.load()) {
+    // Workers and proxies are already joined: the teardown is complete
+    // and the error below is the only thing that escapes.
+    RunReport report = make_run_report();
+    std::string header = failure_header(report.reason);
+    throw RunError(std::move(header), std::move(report));
+  }
+  return stats;
+}
+
+Vsa::RunStats Vsa::run_local(int only_node,
+                             const std::function<long long()>& tick,
+                             const std::function<void()>& workers_done) {
+  auto local = [&](int node) { return only_node < 0 || node == only_node; };
   // Pool counters are process-global; snapshot them so RunStats reports
   // this run's delta (a warmed pool shows zero misses here).
   const PacketPool::Stats pool0 = PacketPool::stats();
@@ -924,50 +879,55 @@ Vsa::RunStats Vsa::run() {
   recorder_ = std::make_unique<trace::Recorder>(total_threads(), cfg_.trace,
                                                 cfg_.nodes);
   recorder_->start_clock();
+  stats_.proxy_busy_per_node.assign(cfg_.nodes, 0.0);
 
-  workers_running_.store(static_cast<int>(workers_.size()));
+  std::vector<Worker*> workers;
+  for (auto& w : workers_) {
+    if (local(w->node_id)) workers.push_back(w.get());
+  }
+  workers_running_.store(static_cast<int>(workers.size()));
   const auto t_start = std::chrono::steady_clock::now();
   if (cfg_.work_stealing) {
-    // Seed every VDP as an initial fire candidate on its node.
+    // Seed this process's VDPs as the initial fire candidates; under the
+    // socket transport the rest of the graph belongs to sibling processes.
     for (Vdp* v : creation_order_) {
-      nodes_[v->global_thread_ / cfg_.workers_per_node]->enqueue(v);
+      const int node = v->global_thread_ / cfg_.workers_per_node;
+      if (local(node)) nodes_[node]->enqueue(v);
     }
   }
-  for (auto& w : workers_) {
-    w->thread = std::thread([this, wp = w.get()] {
-      if (cfg_.work_stealing) {
-        worker_loop_stealing(*wp, *nodes_[wp->node_id]);
-      } else {
-        worker_loop(*wp);
-      }
-    });
+  for (Worker* w : workers) {
+    w->thread = std::thread([this, w] { worker_loop(*w); });
   }
-  bool any_proxy = false;
   for (auto& n : nodes_) {
-    if (n->has_remote) {
+    // With a respawn budget a socket node needs its proxy even with no
+    // remote channels today: a rejoining replacement may need its acks
+    // and replays served.
+    if (local(n->id) && (n->has_remote || cfg_.max_respawns > 0)) {
       n->proxy = std::thread([this, np = n.get()] { proxy_loop(*np); });
-      any_proxy = true;
     }
   }
 
   // Watchdog: progress is any completed fire, any fire START since the
-  // last check, or a firing currently in flight (odd per-worker
-  // heartbeat). A single kernel outliving watchdog_seconds is therefore
-  // never a false deadlock; only "no VDP can fire anywhere" trips it.
-  long long last_fires = -1;
-  std::vector<std::uint64_t> last_heartbeat(workers_.size(), 0);
+  // last check, a firing currently in flight (odd per-worker heartbeat),
+  // or a move of the tick's progress count (a socket node whose VDPs
+  // all wait on remote input is not deadlocked while its peers talk to
+  // it). A single kernel outliving watchdog_seconds is therefore never a
+  // false deadlock; only "no VDP can fire anywhere" trips it.
+  long long last_count = -1;
+  std::vector<std::uint64_t> last_heartbeat(workers.size(), 0);
   auto last_progress = std::chrono::steady_clock::now();
   while (workers_running_.load(std::memory_order_acquire) > 0) {
     std::this_thread::sleep_for(1ms);
     bool progress = false;
-    const long long f = fires_.load(std::memory_order_relaxed);
-    if (f != last_fires) {
-      last_fires = f;
+    const long long extra = tick ? tick() : 0;
+    const long long count = extra + fires_.load(std::memory_order_relaxed);
+    if (count != last_count) {
+      last_count = count;
       progress = true;
     }
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
+    for (std::size_t i = 0; i < workers.size(); ++i) {
       const std::uint64_t hb =
-          workers_[i]->fire_epoch.load(std::memory_order_relaxed);
+          workers[i]->fire_epoch.load(std::memory_order_relaxed);
       if (hb != last_heartbeat[i]) {
         last_heartbeat[i] = hb;
         progress = true;
@@ -986,976 +946,45 @@ Vsa::RunStats Vsa::run() {
     }
   }
 
-  // Shut down: wake everything, join workers, then proxies.
-  for (auto& w : workers_) w->wake();
-  for (auto& n : nodes_) {
-    std::lock_guard<std::mutex> lock(n->pool_mu);
-    n->pool_cv.notify_all();
-  }
-  for (auto& w : workers_) w->thread.join();
+  // Shut down: wake everything, join workers, then proxies — which keep
+  // serving late acks and retransmits until done_.
+  wake_all();
+  for (Worker* w : workers) w->thread.join();
+  if (workers_done) workers_done();
   done_.store(true, std::memory_order_release);
-  if (any_proxy) {
-    for (int r = 0; r < cfg_.nodes; ++r) comm_->interrupt(r);
-    for (auto& n : nodes_) {
-      if (n->proxy.joinable()) n->proxy.join();
-    }
+  wake_all();
+  for (auto& n : nodes_) {
+    if (n->proxy.joinable()) n->proxy.join();
   }
 
-  if (cancelled_.load()) {
-    // Workers and proxies are already joined: the teardown is complete
-    // and the error below is the only thing that escapes.
-    RunReport report = make_run_report();
-    std::string header;
-    if (report.reason == "transport") {
-      header =
-          "PRT transport: reliable delivery failed (retransmit limit "
-          "reached after " +
-          std::to_string(cfg_.max_retransmits) +
-          " attempts); tearing the run down.\n";
-    } else {
-      header = "PRT watchdog: no VDP fired for " +
-               std::to_string(cfg_.watchdog_seconds) +
-               "s; the VSA is deadlocked.\n";
-    }
-    throw RunError(header, std::move(report));
-  }
-
-  RunStats stats;
-  stats.seconds =
+  RunStats s = stats_;
+  s.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
           .count();
-  stats.fires = fires_.load();
-  stats.remote_messages = total_remote_msgs_.load(std::memory_order_relaxed);
-  stats.remote_bytes = total_remote_bytes_.load(std::memory_order_relaxed);
-  stats.wire_offered = comm_->messages_offered();
-  stats.wire_messages = comm_->messages_sent();
-  stats.wire_bytes = comm_->bytes_sent();
-  stats.fault_streams = static_cast<long long>(comm_->fault_streams());
-  stats.coalesced_frames = total_coalesced_.load(std::memory_order_relaxed);
-  stats.aggregates_sent = total_aggregates_.load(std::memory_order_relaxed);
+  s.fires = fires_.load();
+  s.wire_offered = comm_->messages_offered();
+  s.wire_messages = comm_->messages_sent();
+  s.wire_bytes = comm_->bytes_sent();
+  s.fault_streams = static_cast<long long>(comm_->fault_streams());
+  s.faults = comm_->fault_counters();
   const PacketPool::Stats pool1 = PacketPool::stats();
-  stats.pool_hits = pool1.hits - pool0.hits;
-  stats.pool_misses = pool1.misses - pool0.misses;
-  stats.faults = comm_->fault_counters();
-  stats.retransmits = total_retransmits_.load(std::memory_order_relaxed);
-  stats.duplicates_suppressed =
-      total_dups_suppressed_.load(std::memory_order_relaxed);
-  stats.acks_sent = total_acks_sent_.load(std::memory_order_relaxed);
-  for (auto& w : workers_) stats.busy_per_thread.push_back(w->busy);
-  for (auto& node : nodes_) {
-    stats.proxy_busy_per_node.push_back(node->proxy_busy);
-  }
+  s.pool_hits = pool1.hits - pool0.hits;
+  s.pool_misses = pool1.misses - pool0.misses;
+  for (auto& w : workers_) s.busy_per_thread.push_back(w->busy);
   for (Vdp* v : creation_order_) {
-    for (auto& ch : v->inputs_) stats.leftover_packets += ch->size();
+    if (!local(v->global_thread_ / cfg_.workers_per_node)) continue;
+    for (auto& ch : v->inputs_) s.leftover_packets += ch->size();
   }
   for (int r = 0; r < cfg_.nodes; ++r) {
+    if (!local(r)) continue;
     while (auto m = comm_->try_recv(r)) {
       // Protocol frames lingering in a mailbox after a successful run
       // (late pure acks, retransmitted copies of already-delivered data)
       // are expected residue, not lost application packets.
-      if (!m->is_ack && m->seq < 0) ++stats.leftover_packets;
+      if (!m->is_ack && m->seq < 0) ++s.leftover_packets;
     }
   }
-  return stats;
-}
-
-// ---- socket transport: one process per node ---------------------------------
-//
-// run_socket() forks after the graph is built and wired but before any
-// thread exists, so every node process inherits an identical copy-on-write
-// image of the VSA (VDPs, channels, feeds, globals). Each child runs ONLY
-// its own node's workers and proxy over a SocketComm wired into a
-// pre-opened socketpair mesh; the parent runs no VDPs at all — it is the
-// control plane. Per-child results and stats travel back over a dedicated
-// control socketpair as little-endian blobs (wire.hpp).
-//
-// Control protocol (child c <-> parent):
-//   c -> p  'D'                    local workers finished cleanly
-//   p -> c  'G'                    every node finished; tear down
-//   p -> c  'C'                    another node failed; abandon the run
-//   c -> p  'E' u64 len  blob      success epilogue (stats + app blob)
-//   c -> p  'F' u64 len  blob      serialized RunReport (local failure)
-// A child that gets 'C' (or loses the parent) exits silently with
-// status 1; a child EOF without 'E'/'F' means it crashed outright.
-
-namespace {
-
-bool fd_send_all(int fd, const void* buf, std::size_t n) {
-  const char* p = static_cast<const char*>(buf);
-  while (n > 0) {
-    const ssize_t k = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-bool fd_read_exact(int fd, void* buf, std::size_t n) {
-  char* p = static_cast<char*>(buf);
-  while (n > 0) {
-    const ssize_t k = ::recv(fd, p, n, 0);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (k == 0) return false;  // EOF
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-/// Bounded counterpart of fd_read_exact: poll before every recv and give
-/// up (returning false) once `deadline` passes. Control-plane reads in
-/// the parent must never block indefinitely on a wedged child — the
-/// caller escalates to the SIGKILL backstop instead.
-bool fd_read_deadline(int fd, void* buf, std::size_t n,
-                      std::chrono::steady_clock::time_point deadline) {
-  char* p = static_cast<char*>(buf);
-  while (n > 0) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left < 0) return false;
-    pollfd pfd{fd, POLLIN, 0};
-    const int pn = ::poll(&pfd, 1, static_cast<int>(std::min<long long>(
-                                       left, 100)));
-    if (pn < 0 && errno != EINTR) return false;
-    if (pn <= 0) continue;
-    const ssize_t k = ::recv(fd, p, n, 0);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (k == 0) return false;  // EOF
-    p += k;
-    n -= static_cast<std::size_t>(k);
-  }
-  return true;
-}
-
-/// Read one control byte, keeping room for an SCM_RIGHTS descriptor: the
-/// rejoin handshake rides its fd on the first byte of the 'R' message,
-/// and a plain read() at that moment would silently discard it.
-/// Returns 1 on success, 0 on EOF, -1 on error; *out_fd receives the
-/// passed descriptor (or stays -1).
-int ctl_read_byte(int fd, char* c, int* out_fd) {
-  *out_fd = -1;
-  iovec iov{c, 1};
-  alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int))];
-  msghdr msg{};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  msg.msg_control = cbuf;
-  msg.msg_controllen = sizeof cbuf;
-  for (;;) {
-    const ssize_t k = ::recvmsg(fd, &msg, 0);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (k == 0) return 0;
-    break;
-  }
-  for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
-       cm = CMSG_NXTHDR(&msg, cm)) {
-    if (cm->cmsg_level == SOL_SOCKET && cm->cmsg_type == SCM_RIGHTS) {
-      std::memcpy(out_fd, CMSG_DATA(cm), sizeof(int));
-    }
-  }
-  return 1;
-}
-
-/// Send a small control message with one descriptor attached to its
-/// first byte (SCM_RIGHTS). The kernel duplicates the fd into the
-/// receiver at delivery, so the caller may close its copy on return.
-bool ctl_send_fd(int fd, const std::byte* hdr, std::size_t n, int pass_fd) {
-  iovec iov{const_cast<std::byte*>(hdr), n};
-  alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int))];
-  std::memset(cbuf, 0, sizeof cbuf);
-  msghdr msg{};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  msg.msg_control = cbuf;
-  msg.msg_controllen = sizeof cbuf;
-  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
-  cm->cmsg_level = SOL_SOCKET;
-  cm->cmsg_type = SCM_RIGHTS;
-  cm->cmsg_len = CMSG_LEN(sizeof(int));
-  std::memcpy(CMSG_DATA(cm), &pass_fd, sizeof(int));
-  for (;;) {
-    const ssize_t k = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    // A socketpair takes the whole few-byte message atomically; finish a
-    // (theoretical) short write without re-sending the ancillary data.
-    if (static_cast<std::size_t>(k) < n) {
-      return fd_send_all(fd, hdr + k, n - static_cast<std::size_t>(k));
-    }
-    return true;
-  }
-}
-
-bool ctl_send_blob(int fd, char type, const net::wire::Blob& b) {
-  std::byte hdr[9];
-  hdr[0] = static_cast<std::byte>(type);
-  net::wire::put_u64(hdr + 1, b.size());
-  if (!fd_send_all(fd, hdr, sizeof hdr)) return false;
-  return b.size() == 0 || fd_send_all(fd, b.data(), b.size());
-}
-
-void serialize_report(net::wire::Blob& b, const Vsa::RunReport& r) {
-  b.str(r.reason);
-  b.u32(static_cast<std::uint32_t>(r.stuck_vdps.size()));
-  for (const auto& s : r.stuck_vdps) b.str(s);
-  b.i32(r.vdps_alive);
-  b.u32(static_cast<std::uint32_t>(r.links.size()));
-  for (const auto& g : r.links) {
-    b.i32(g.src);
-    b.i32(g.dst);
-    b.i64(g.next_seq);
-    b.i64(g.acked);
-    b.i64(g.expected);
-    b.i32(g.unacked);
-    b.i32(g.buffered_out_of_order);
-    b.u32(g.exhausted ? 1 : 0);
-    b.u32(static_cast<std::uint32_t>(g.pending_tags.size()));
-    for (int t : g.pending_tags) b.i32(t);
-  }
-  b.i64(r.faults.dropped);
-  b.i64(r.faults.duplicated);
-  b.i64(r.faults.delayed);
-  b.i64(r.faults.reordered);
-  b.i64(r.retransmits);
-  b.u32(static_cast<std::uint32_t>(r.dead_ranks.size()));
-  for (int d : r.dead_ranks) b.i32(d);
-}
-
-Vsa::RunReport deserialize_report(const std::byte* p, std::size_t n) {
-  net::wire::BlobReader br(p, n);
-  Vsa::RunReport r;
-  r.reason = br.str();
-  const std::uint32_t ns = br.u32();
-  for (std::uint32_t i = 0; i < ns; ++i) r.stuck_vdps.push_back(br.str());
-  r.vdps_alive = br.i32();
-  const std::uint32_t nl = br.u32();
-  for (std::uint32_t i = 0; i < nl; ++i) {
-    net::LinkGap g;
-    g.src = br.i32();
-    g.dst = br.i32();
-    g.next_seq = br.i64();
-    g.acked = br.i64();
-    g.expected = br.i64();
-    g.unacked = br.i32();
-    g.buffered_out_of_order = br.i32();
-    g.exhausted = br.u32() != 0;
-    const std::uint32_t nt = br.u32();
-    for (std::uint32_t t = 0; t < nt; ++t) g.pending_tags.push_back(br.i32());
-    r.links.push_back(std::move(g));
-  }
-  r.faults.dropped = br.i64();
-  r.faults.duplicated = br.i64();
-  r.faults.delayed = br.i64();
-  r.faults.reordered = br.i64();
-  r.retransmits = br.i64();
-  const std::uint32_t nd = br.u32();
-  for (std::uint32_t i = 0; i < nd; ++i) r.dead_ranks.push_back(br.i32());
-  return r;
-}
-
-std::string failure_header(const std::string& reason, const Vsa::Config& cfg) {
-  if (reason == "transport") {
-    return "PRT transport: reliable delivery failed (retransmit limit "
-           "reached after " +
-           std::to_string(cfg.max_retransmits) +
-           " attempts); tearing the run down.\n";
-  }
-  if (reason == "watchdog") {
-    return "PRT watchdog: no VDP fired for " +
-           std::to_string(cfg.watchdog_seconds) +
-           "s; the VSA is deadlocked.\n";
-  }
-  return "PRT socket transport: a node process exited without a report "
-         "(crash or abort in a forked node) and the respawn budget was "
-         "exhausted or recovery is off (Config::max_respawns); tearing the "
-         "run down.\n";
-}
-
-}  // namespace
-
-void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
-                     std::uint32_t incarnation,
-                     std::vector<std::uint32_t> peer_epochs) {
-  auto sock_comm = std::make_unique<net::SocketComm>(
-      cfg_.nodes, rank, std::move(peer_fds), incarnation,
-      std::move(peer_epochs));
-  net::SocketComm* sock = sock_comm.get();
-  sock_comm_ = sock;
-  comm_ = std::move(sock_comm);
-  if (cfg_.fault_plan.any()) comm_->set_fault_plan(cfg_.fault_plan);
-  const PacketPool::Stats pool0 = PacketPool::stats();
-  recorder_ = std::make_unique<trace::Recorder>(total_threads(), cfg_.trace,
-                                                cfg_.nodes);
-  recorder_->start_clock();
-
-  Node& node = *nodes_[rank];
-  std::vector<Worker*> local;
-  for (auto& w : workers_) {
-    if (w->node_id == rank) local.push_back(w.get());
-  }
-  workers_running_.store(static_cast<int>(local.size()));
-  if (cfg_.work_stealing) {
-    // Seed only OUR node's VDPs as fire candidates; the rest of the graph
-    // belongs to sibling processes.
-    for (Vdp* v : creation_order_) {
-      if (v->global_thread_ / cfg_.workers_per_node == rank) node.enqueue(v);
-    }
-  }
-  for (Worker* w : local) {
-    w->thread = std::thread([this, w, &node] {
-      if (cfg_.work_stealing) {
-        worker_loop_stealing(*w, node);
-      } else {
-        worker_loop(*w);
-      }
-    });
-  }
-  if (node.has_remote || cfg_.max_respawns > 0) {
-    // With a respawn budget the proxy must exist even on a node with no
-    // remote channels today: a rejoining replacement may need its acks
-    // and replays served.
-    node.proxy = std::thread([this, &node] { proxy_loop(node); });
-  }
-
-  bool parent_cancel = false;
-  auto cancel_locally = [&] {
-    cancelled_.store(true, std::memory_order_release);
-    for (Worker* w : local) w->wake();
-    {
-      std::lock_guard<std::mutex> lock(node.pool_mu);
-      node.pool_cv.notify_all();
-    }
-    comm_->interrupt(rank);
-  };
-  // Dispatch one pending control byte. Returns 0 when handled ('R'
-  // rejoin, stray bytes), 1 on cancel ('C', EOF, parent death), 2 on 'G'.
-  auto handle_ctl = [&]() -> int {
-    char c = 0;
-    int rfd = -1;
-    const int k = ctl_read_byte(control_fd, &c, &rfd);
-    if (k <= 0) {
-      if (rfd >= 0) ::close(rfd);
-      return 1;
-    }
-    if (c == 'R') {
-      // Peer rejoin: the fresh socket fd rides the first byte of the
-      // handshake (see wire::RejoinHdr). Queue it for the proxy thread.
-      std::byte rest[net::wire::kRejoinBodyBytes];
-      if (!fd_read_exact(control_fd, rest, sizeof rest)) {
-        if (rfd >= 0) ::close(rfd);
-        return 1;
-      }
-      const net::wire::RejoinHdr rj = net::wire::get_rejoin_body(rest);
-      if (rfd >= 0 && rj.rank >= 0 && rj.rank < cfg_.nodes &&
-          rj.rank != rank) {
-        sock->rejoin_peer(rj.rank, rfd, rj.epoch);
-      } else if (rfd >= 0) {
-        ::close(rfd);
-      }
-      return 0;
-    }
-    if (rfd >= 0) ::close(rfd);
-    if (c == 'G') return 2;
-    return 1;  // 'C' or garbage: the run is over
-  };
-  // Liveness heartbeat to the parent (~5/s): its control plane SIGKILLs a
-  // child it has not heard from in heartbeat_timeout_seconds.
-  auto last_hb_sent = std::chrono::steady_clock::now();
-  auto send_heartbeat = [&] {
-    const auto now = std::chrono::steady_clock::now();
-    if (now - last_hb_sent < 200ms) return;
-    last_hb_sent = now;
-    const char h = 'H';
-    (void)fd_send_all(control_fd, &h, 1);
-  };
-  auto check_parent = [&] {
-    pollfd pfd{control_fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 0) <= 0 ||
-        (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-      return;
-    }
-    if (handle_ctl() == 1) {
-      parent_cancel = true;
-      cancel_locally();
-    }
-  };
-
-  // Per-process watchdog: local progress is a completed or in-flight
-  // firing OR any frame accepted off the wire — a node whose VDPs are all
-  // blocked on remote input is not deadlocked while its peers talk to it.
-  long long last_fires = -1;
-  long long last_rx = -1;
-  std::vector<std::uint64_t> last_hb(local.size(), 0);
-  auto last_progress = std::chrono::steady_clock::now();
-  while (workers_running_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(1ms);
-    check_parent();
-    send_heartbeat();
-    if (incarnation == 0 && cfg_.fault_plan.kill() &&
-        cfg_.fault_plan.kill_rank == rank &&
-        fires_.load(std::memory_order_relaxed) >= cfg_.fault_plan.kill_after) {
-      // Injected crash: die exactly as a real segfault/OOM-kill would —
-      // no unwinding, no 'F' report, sockets torn down by the kernel.
-      // Only the first incarnation self-destructs, or the respawn loop
-      // would never converge.
-      ::kill(::getpid(), SIGKILL);
-    }
-    bool progress = false;
-    const long long f = fires_.load(std::memory_order_relaxed);
-    if (f != last_fires) {
-      last_fires = f;
-      progress = true;
-    }
-    const long long rx = sock->frames_received();
-    if (rx != last_rx) {
-      last_rx = rx;
-      progress = true;
-    }
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      const std::uint64_t hb =
-          local[i]->fire_epoch.load(std::memory_order_relaxed);
-      if (hb != last_hb[i]) {
-        last_hb[i] = hb;
-        progress = true;
-      } else if ((hb & 1u) != 0) {
-        progress = true;
-      }
-    }
-    if (progress) {
-      last_progress = std::chrono::steady_clock::now();
-    } else if (cfg_.watchdog_seconds > 0 &&
-               std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             last_progress)
-                       .count() > cfg_.watchdog_seconds) {
-      cancel_locally();
-      break;
-    }
-  }
-
-  for (Worker* w : local) w->wake();
-  {
-    std::lock_guard<std::mutex> lock(node.pool_mu);
-    node.pool_cv.notify_all();
-  }
-  for (Worker* w : local) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-
-  // Local workers done. Keep the proxy alive (late acks, retransmits for
-  // peers still running) until the parent declares the whole run over.
-  bool ok = !cancelled_.load(std::memory_order_acquire);
-  if (ok) {
-    const char d = 'D';
-    ok = fd_send_all(control_fd, &d, 1);
-  }
-  while (ok) {
-    if (cancelled_.load(std::memory_order_acquire)) {
-      // Transport failure surfaced while waiting (exhausted retransmits
-      // to a peer): downgrade to the failure path below.
-      ok = false;
-      break;
-    }
-    send_heartbeat();
-    pollfd pfd{control_fd, POLLIN, 0};
-    const int pn = ::poll(&pfd, 1, /*ms=*/10);
-    if (pn < 0 && errno != EINTR) {
-      ok = false;
-      parent_cancel = true;
-      break;
-    }
-    if (pn <= 0) continue;
-    const int verdict = handle_ctl();
-    if (verdict == 1) {
-      ok = false;
-      parent_cancel = true;
-      cancelled_.store(true, std::memory_order_release);
-      break;
-    }
-    if (verdict == 2) break;  // 'G': every node is done
-  }
-
-  done_.store(true, std::memory_order_release);
-  comm_->interrupt(rank);
-  if (node.proxy.joinable()) node.proxy.join();
-
-  if (!ok) {
-    // Always ship the local report — even when the parent initiated the
-    // cancel. When a sibling process crashed, the survivors' link gaps
-    // (who was mid-flight to the dead rank, and how far behind) are the
-    // most useful part of the final diagnostic; the parent merges them.
-    net::wire::Blob b;
-    serialize_report(b, make_run_report(rank));
-    (void)ctl_send_blob(control_fd, 'F', b);
-    comm_.reset();  // join the receiver thread before exiting
-    ::_exit(1);
-  }
-
-  // Success epilogue: this node's stats contribution plus the
-  // application blob (collect hook) for the parent to merge.
-  net::wire::Blob b;
-  b.i64(fires_.load(std::memory_order_relaxed));
-  b.u32(static_cast<std::uint32_t>(local.size()));
-  for (Worker* w : local) b.f64(w->busy);
-  b.f64(node.proxy_busy);
-  b.i64(total_remote_msgs_.load(std::memory_order_relaxed));
-  b.i64(total_remote_bytes_.load(std::memory_order_relaxed));
-  b.i64(total_coalesced_.load(std::memory_order_relaxed));
-  b.i64(total_aggregates_.load(std::memory_order_relaxed));
-  b.i64(total_retransmits_.load(std::memory_order_relaxed));
-  b.i64(total_dups_suppressed_.load(std::memory_order_relaxed));
-  b.i64(total_acks_sent_.load(std::memory_order_relaxed));
-  b.i64(comm_->messages_offered());
-  b.i64(comm_->messages_sent());
-  b.i64(comm_->bytes_sent());
-  const net::FaultCounters fc = comm_->fault_counters();
-  b.i64(fc.dropped);
-  b.i64(fc.duplicated);
-  b.i64(fc.delayed);
-  b.i64(fc.reordered);
-  b.u64(comm_->fault_streams());
-  long long leftover = 0;
-  for (Vdp* v : creation_order_) {
-    if (v->global_thread_ / cfg_.workers_per_node != rank) continue;
-    for (auto& ch : v->inputs_) leftover += ch->size();
-  }
-  while (auto m = comm_->try_recv(rank)) {
-    if (!m->is_ack && m->seq < 0) ++leftover;
-  }
-  b.i64(leftover);
-  const PacketPool::Stats pool1 = PacketPool::stats();
-  b.i64(pool1.hits - pool0.hits);
-  b.i64(pool1.misses - pool0.misses);
-  if (collect_hook_) {
-    const Packet app = collect_hook_();
-    b.u64(app.size());
-    if (app.size() > 0) b.bytes(app.bytes(), app.size());
-  } else {
-    b.u64(0);
-  }
-  // Crash-recovery epilogue: which incarnation finished, how many frames
-  // this process replayed for rejoining peers, and (when tracing) the
-  // local events with this process's clock epoch so the parent can
-  // offset-align them onto one timeline.
-  b.u32(incarnation);
-  b.i64(total_replayed_.load(std::memory_order_relaxed));
-  b.i64(recorder_->epoch_ns());
-  const std::vector<trace::Event> events =
-      cfg_.trace ? recorder_->collect() : std::vector<trace::Event>{};
-  b.u64(events.size());
-  for (const trace::Event& ev : events) {
-    b.i32(ev.thread);
-    b.i32(ev.color);
-    b.u32(static_cast<std::uint32_t>(ev.tuple.size()));
-    for (int x : ev.tuple.values()) b.i32(x);
-    b.f64(ev.t0);
-    b.f64(ev.t1);
-  }
-  (void)ctl_send_blob(control_fd, 'E', b);
-  comm_.reset();  // join the receiver thread before exiting
-  ::_exit(0);
-}
-
-Vsa::RunStats Vsa::run_socket() {
-  const int N = cfg_.nodes;
-  // The parent's recorder is purely a merge target: children ship their
-  // events home in the 'E' epilogue together with their clock epoch, and
-  // the parent offset-aligns them onto this recorder's timeline (Linux
-  // CLOCK_MONOTONIC is machine-wide, so epochs are directly comparable).
-  recorder_ = std::make_unique<trace::Recorder>(total_threads(), cfg_.trace,
-                                                cfg_.nodes);
-  recorder_->start_clock();
-  auto mesh = net::SocketComm::socketpair_mesh(N);
-  std::vector<int> ctl_parent(N, -1), ctl_child(N, -1);
-  for (int r = 0; r < N; ++r) {
-    int sv[2];
-    require(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-            "run: control socketpair failed: " +
-                std::string(std::strerror(errno)));
-    ctl_parent[r] = sv[0];
-    ctl_child[r] = sv[1];
-  }
-
-  const auto t_start = std::chrono::steady_clock::now();
-  std::vector<pid_t> pids(N, -1);
-  std::vector<std::uint32_t> incarnation(N, 0);
-  for (int r = 0; r < N; ++r) {
-    const pid_t pid = ::fork();
-    require(pid >= 0,
-            "run: fork failed: " + std::string(std::strerror(errno)));
-    if (pid == 0) {
-      // Node process r: drop every inherited fd that is not ours (other
-      // ranks' mesh rows, their control ends, all parent control ends).
-      for (int a = 0; a < N; ++a) {
-        if (a == r) continue;
-        for (int bfd : mesh[a]) {
-          if (bfd >= 0) ::close(bfd);
-        }
-      }
-      for (int s = 0; s < N; ++s) {
-        if (ctl_parent[s] >= 0) ::close(ctl_parent[s]);
-        if (s != r && ctl_child[s] >= 0) ::close(ctl_child[s]);
-      }
-      child_main(r, std::move(mesh[r]), ctl_child[r], /*incarnation=*/0,
-                 std::vector<std::uint32_t>(N, 0));  // never returns
-    }
-    pids[r] = pid;
-  }
-  for (auto& row : mesh) {
-    for (int fd : row) {
-      if (fd >= 0) ::close(fd);
-    }
-  }
-  for (int r = 0; r < N; ++r) ::close(ctl_child[r]);
-
-  // Control plane: collect 'D' from everyone, broadcast 'G', collect
-  // epilogues. A child that dies without a report (EOF, SIGKILL,
-  // heartbeat silence) is respawned from this process's pristine
-  // pre-thread image while the respawn budget lasts; otherwise — and on
-  // any 'F' — broadcast 'C' and re-throw the merged failure after
-  // reaping every child.
-  enum ChildState { kRunning, kDone, kEnded, kFailed };
-  std::vector<int> state(N, kRunning);
-  std::vector<std::vector<std::byte>> epilogue(N);
-  std::vector<char> reaped(N, 0);
-  bool go_sent = false, cancel_sent = false, failed = false;
-  int respawns_used = 0;
-  RunReport fail_report;
-  const bool bounded = cfg_.watchdog_seconds > 0;
-  // Generous backstop over the children's own watchdogs: if it trips,
-  // a child is wedged beyond reporting (SIGKILL is all that is left).
-  const auto kill_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(cfg_.watchdog_seconds + 120.0));
-  // Per-child liveness: children heartbeat ('H') about five times a
-  // second; silence past this deadline means a wedged (not merely slow —
-  // the heartbeat loop runs regardless of kernel durations) process and
-  // is escalated to SIGKILL, which then takes the dead-child path below.
-  const bool hb_bounded = cfg_.heartbeat_timeout_seconds > 0;
-  const auto hb_timeout =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              hb_bounded ? cfg_.heartbeat_timeout_seconds : 0.0));
-  std::vector<std::chrono::steady_clock::time_point> last_heard(
-      N, std::chrono::steady_clock::now());
-  auto fail_with = [&](RunReport r) {
-    if (!failed) {
-      failed = true;
-      fail_report = std::move(r);
-      return;
-    }
-    // Later reports refine rather than replace the first: survivors' link
-    // gaps and any additional dead ranks accumulate onto it.
-    for (auto& g : r.links) fail_report.links.push_back(std::move(g));
-    for (int d : r.dead_ranks) {
-      if (std::find(fail_report.dead_ranks.begin(),
-                    fail_report.dead_ranks.end(),
-                    d) == fail_report.dead_ranks.end()) {
-        fail_report.dead_ranks.push_back(d);
-      }
-    }
-  };
-  auto read_blob = [&](int fd, std::vector<std::byte>& out) {
-    // Bounded: a child wedged mid-blob must not hang the control plane
-    // past the liveness deadline it would otherwise be judged by.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        (hb_bounded ? hb_timeout
-                    : std::chrono::steady_clock::duration(
-                          std::chrono::hours(24)));
-    std::byte len8[8];
-    if (!fd_read_deadline(fd, len8, 8, deadline)) return false;
-    const std::uint64_t len = net::wire::get_u64(len8);
-    out.resize(len);
-    return len == 0 || fd_read_deadline(fd, out.data(), len, deadline);
-  };
-
-  auto respawn = [&](int r) {
-    ++respawns_used;
-    ++incarnation[r];
-    // Fresh socketpairs replacement <-> every survivor plus a new control
-    // pair; the old descriptors died with the old process.
-    std::vector<int> child_row(N, -1);
-    std::vector<int> surv_fd(N, -1);
-    for (int s = 0; s < N; ++s) {
-      if (s == r) continue;
-      int sv[2];
-      require(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-              "run: respawn socketpair failed: " +
-                  std::string(std::strerror(errno)));
-      child_row[s] = sv[0];
-      surv_fd[s] = sv[1];
-    }
-    int ctl[2];
-    require(::socketpair(AF_UNIX, SOCK_STREAM, 0, ctl) == 0,
-            "run: respawn control socketpair failed: " +
-                std::string(std::strerror(errno)));
-    // The parent runs no threads, so fork here is as safe as the initial
-    // fork loop: the replacement inherits the same pristine
-    // copy-on-write image of the unrun graph (VDPs, channels, feeds) and
-    // will re-fire its node from the start.
-    const pid_t pid = ::fork();
-    require(pid >= 0,
-            "run: respawn fork failed: " + std::string(std::strerror(errno)));
-    if (pid == 0) {
-      for (int s = 0; s < N; ++s) {
-        if (surv_fd[s] >= 0) ::close(surv_fd[s]);
-        if (ctl_parent[s] >= 0) ::close(ctl_parent[s]);
-      }
-      ::close(ctl[0]);
-      child_main(r, std::move(child_row), ctl[1], incarnation[r],
-                 incarnation);  // never returns
-    }
-    pids[r] = pid;
-    reaped[r] = 0;
-    ctl_parent[r] = ctl[0];
-    ::close(ctl[1]);
-    for (int s = 0; s < N; ++s) {
-      if (child_row[s] >= 0) ::close(child_row[s]);
-    }
-    // Hand every survivor its end of the fresh link: a wire::RejoinHdr
-    // with the descriptor riding the first byte (SCM_RIGHTS duplicates
-    // it into the survivor at delivery, so our copy closes).
-    for (int s = 0; s < N; ++s) {
-      if (surv_fd[s] < 0) continue;
-      std::byte hdr[net::wire::kRejoinHdrBytes];
-      net::wire::put_rejoin_hdr(
-          hdr, net::wire::RejoinHdr{r, incarnation[r]});
-      if (state[s] != kFailed && ctl_parent[s] >= 0) {
-        (void)ctl_send_fd(ctl_parent[s], hdr, sizeof hdr, surv_fd[s]);
-      }
-      ::close(surv_fd[s]);
-    }
-    // The replacement must re-finish its node: re-gate 'G' on it.
-    state[r] = kRunning;
-    last_heard[r] = std::chrono::steady_clock::now();
-  };
-
-  auto handle_child_death = [&](int r) {
-    if (!reaped[r]) {
-      int st = 0;
-      ::waitpid(pids[r], &st, 0);
-      reaped[r] = 1;
-    }
-    if (ctl_parent[r] >= 0) {
-      ::close(ctl_parent[r]);
-      ctl_parent[r] = -1;
-    }
-    if (state[r] == kEnded) return;  // epilogue already delivered
-    if (!failed && !go_sent && respawns_used < cfg_.max_respawns) {
-      respawn(r);
-      return;
-    }
-    // No budget left, or the run is past the point of recovery (once 'G'
-    // is out, survivors tear their protocol state down and the dead
-    // rank's epilogue may be gone with it): structured failure naming
-    // the dead rank and — from this process's pristine image — the VDP
-    // tuples that died with it.
-    state[r] = kFailed;
-    RunReport rep = make_run_report(r);
-    rep.reason = "process";
-    rep.dead_ranks.push_back(r);
-    fail_with(std::move(rep));
-  };
-
-  for (;;) {
-    int terminal = 0;
-    bool all_past_running = true;
-    for (int r = 0; r < N; ++r) {
-      if (state[r] == kEnded || state[r] == kFailed) ++terminal;
-      if (state[r] == kRunning) all_past_running = false;
-    }
-    if (terminal == N) break;
-    if (failed && !cancel_sent) {
-      const char c = 'C';
-      for (int r = 0; r < N; ++r) {
-        if (state[r] == kRunning || state[r] == kDone) {
-          (void)fd_send_all(ctl_parent[r], &c, 1);
-        }
-      }
-      cancel_sent = true;
-    }
-    if (!go_sent && !failed && all_past_running) {
-      const char g = 'G';
-      for (int r = 0; r < N; ++r) (void)fd_send_all(ctl_parent[r], &g, 1);
-      go_sent = true;
-    }
-
-    std::vector<pollfd> pfds;
-    std::vector<int> owners;
-    for (int r = 0; r < N; ++r) {
-      if (state[r] == kEnded || state[r] == kFailed) continue;
-      pfds.push_back({ctl_parent[r], POLLIN, 0});
-      owners.push_back(r);
-    }
-    const int pn = ::poll(pfds.data(), pfds.size(), /*ms=*/100);
-    const auto now = std::chrono::steady_clock::now();
-    if (bounded && now > kill_deadline) {
-      for (int r = 0; r < N; ++r) {
-        if (!reaped[r]) ::kill(pids[r], SIGKILL);
-      }
-      for (int r = 0; r < N; ++r) {
-        if (!reaped[r]) {
-          int st = 0;
-          ::waitpid(pids[r], &st, 0);
-        }
-        if (ctl_parent[r] >= 0) ::close(ctl_parent[r]);
-      }
-      throw RunError(
-          "PRT socket transport: node processes stopped responding; "
-          "killed.\n",
-          make_run_report());
-    }
-    // Heartbeat deadline: a child silent past the timeout is wedged.
-    // SIGKILL it and take the normal dead-child path (respawn or fail).
-    if (hb_bounded) {
-      for (int r = 0; r < N; ++r) {
-        if (state[r] == kEnded || state[r] == kFailed) continue;
-        if (now - last_heard[r] > hb_timeout) {
-          ::kill(pids[r], SIGKILL);
-          handle_child_death(r);
-        }
-      }
-    }
-    if (pn <= 0) continue;
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const int r = owners[i];
-      // Skip entries whose fd was closed or replaced since the poll (a
-      // heartbeat kill or an earlier death in this same sweep respawned
-      // the rank): the snapshot no longer describes this child.
-      if (ctl_parent[r] != pfds[i].fd) continue;
-      char t = 0;
-      if (!fd_read_exact(pfds[i].fd, &t, 1)) {
-        handle_child_death(r);  // EOF without 'E'/'F': crashed outright
-        continue;
-      }
-      last_heard[r] = std::chrono::steady_clock::now();
-      if (t == 'H') {
-        // Liveness heartbeat only.
-      } else if (t == 'D') {
-        state[r] = kDone;
-      } else if (t == 'E') {
-        if (read_blob(pfds[i].fd, epilogue[r])) {
-          state[r] = kEnded;
-        } else {
-          ::kill(pids[r], SIGKILL);
-          handle_child_death(r);
-        }
-      } else if (t == 'F') {
-        std::vector<std::byte> blob;
-        state[r] = kFailed;
-        if (read_blob(pfds[i].fd, blob)) {
-          fail_with(deserialize_report(blob.data(), blob.size()));
-        } else {
-          RunReport rep;
-          rep.reason = "process";
-          fail_with(std::move(rep));
-        }
-      } else {
-        // Protocol violation: treat it as a crash of the child.
-        ::kill(pids[r], SIGKILL);
-        handle_child_death(r);
-      }
-    }
-  }
-
-  for (int r = 0; r < N; ++r) {
-    if (!reaped[r]) {
-      int st = 0;
-      ::waitpid(pids[r], &st, 0);
-    }
-    if (ctl_parent[r] >= 0) ::close(ctl_parent[r]);
-  }
-  if (failed) {
-    // Header first: argument evaluation is unsequenced, so reading
-    // fail_report.reason inline could see the already-moved-from report.
-    std::string header = failure_header(fail_report.reason, cfg_);
-    throw RunError(std::move(header), std::move(fail_report));
-  }
-
-  RunStats stats;
-  stats.respawns = respawns_used;
-  stats.busy_per_thread.assign(total_threads(), 0.0);
-  stats.proxy_busy_per_node.assign(N, 0.0);
-  const std::int64_t parent_epoch_ns = recorder_->epoch_ns();
-  for (int r = 0; r < N; ++r) {
-    net::wire::BlobReader br(epilogue[r].data(), epilogue[r].size());
-    const long long child_fires = br.i64();
-    stats.fires += child_fires;
-    const std::uint32_t nw = br.u32();
-    for (std::uint32_t l = 0; l < nw; ++l) {
-      stats.busy_per_thread[r * cfg_.workers_per_node + l] = br.f64();
-    }
-    stats.proxy_busy_per_node[r] = br.f64();
-    stats.remote_messages += br.i64();
-    stats.remote_bytes += br.i64();
-    stats.coalesced_frames += br.i64();
-    stats.aggregates_sent += br.i64();
-    stats.retransmits += br.i64();
-    stats.duplicates_suppressed += br.i64();
-    stats.acks_sent += br.i64();
-    stats.wire_offered += br.i64();
-    stats.wire_messages += br.i64();
-    stats.wire_bytes += br.i64();
-    stats.faults.dropped += br.i64();
-    stats.faults.duplicated += br.i64();
-    stats.faults.delayed += br.i64();
-    stats.faults.reordered += br.i64();
-    stats.fault_streams += static_cast<long long>(br.u64());
-    stats.leftover_packets += static_cast<int>(br.i64());
-    stats.pool_hits += br.i64();
-    stats.pool_misses += br.i64();
-    const std::uint64_t app_len = br.u64();
-    Packet app;
-    if (app_len > 0) {
-      app = Packet::make(app_len);
-      std::memcpy(app.bytes(), br.take(app_len), app_len);
-    }
-    if (merge_hook_) merge_hook_(r, app);
-    // Crash-recovery tail of the epilogue: incarnation, replay work, and
-    // (when tracing) the child's events offset-aligned onto the parent's
-    // clock so the merged timeline is coherent across processes.
-    const std::uint32_t child_incarnation = br.u32();
-    if (child_incarnation > 0) stats.refired_fires += child_fires;
-    stats.replayed_frames += br.i64();
-    const std::int64_t child_epoch_ns = br.i64();
-    const double off =
-        static_cast<double>(child_epoch_ns - parent_epoch_ns) * 1e-9;
-    const std::uint64_t nev = br.u64();
-    for (std::uint64_t e = 0; e < nev; ++e) {
-      trace::Event ev;
-      ev.thread = br.i32();
-      ev.color = br.i32();
-      const std::uint32_t tn = br.u32();
-      std::vector<int> vals(tn);
-      for (std::uint32_t x = 0; x < tn; ++x) vals[x] = br.i32();
-      ev.tuple = Tuple(std::move(vals));
-      ev.t0 = br.f64() + off;
-      ev.t1 = br.f64() + off;
-      recorder_->inject(ev);
-    }
-  }
-  stats.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
-  return stats;
+  return s;
 }
 
 Vsa::RunReport Vsa::make_run_report(int only_node) const {
@@ -1979,9 +1008,9 @@ Vsa::RunReport Vsa::make_run_report(int only_node) const {
   // comm_ is null in the socket-transport parent (the control plane never
   // opens a communicator); its report carries no fault totals.
   if (comm_) r.faults = comm_->fault_counters();
-  r.retransmits = total_retransmits_.load(std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(fail_mu_);
+    std::lock_guard<std::mutex> lock(exit_mu_);
+    r.retransmits = stats_.retransmits;
     for (const auto& g : link_gaps_) {
       // Keep only links with something actually in flight or broken —
       // naming every idle link would bury the culprit.
@@ -2010,6 +1039,24 @@ std::string Vsa::RunReport::to_string() const {
   }
   if (retransmits > 0) os << "\n  retransmits=" << retransmits;
   return os.str();
+}
+
+std::string Vsa::failure_header(const std::string& reason) const {
+  if (reason == "transport") {
+    return "PRT transport: reliable delivery failed (retransmit limit "
+           "reached after " +
+           std::to_string(cfg_.max_retransmits) +
+           " attempts); tearing the run down.\n";
+  }
+  if (reason == "watchdog") {
+    return "PRT watchdog: no VDP fired for " +
+           std::to_string(cfg_.watchdog_seconds) +
+           "s; the VSA is deadlocked.\n";
+  }
+  return "PRT socket transport: a node process exited without a report "
+         "(crash or abort in a node process) and the respawn budget was "
+         "exhausted or recovery is off (Config::max_respawns); tearing the "
+         "run down.\n";
 }
 
 }  // namespace pulsarqr::prt

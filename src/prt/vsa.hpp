@@ -25,7 +25,11 @@ namespace pulsarqr::prt {
 
 namespace net {
 class SocketComm;
-}
+namespace wire {
+class Blob;
+class BlobReader;
+}  // namespace wire
+}  // namespace net
 
 /// Lazy fires a ready VDP once then moves on (encourages lookahead; the
 /// paper's best scheme for tree QR); Aggressive re-fires while ready.
@@ -302,16 +306,39 @@ class Vsa {
   friend class GraphCheck;  ///< read-only static analysis of the graph
 
   void validate_and_wire();
+  /// Per-node worker loop. The executor picks the ready source: the
+  /// worker's own VDP list (sweep), or its node's shared pool plus the
+  /// per-VDP running_ claim (work stealing). Both park on one Parker.
   void worker_loop(Worker& w);
-  void worker_loop_stealing(Worker& w, Node& n);
+  bool sweep(Worker& w);
+  bool steal_one(Worker& w, Node& n);
+  /// Fire `v` while it stays ready (once under Lazy scheduling); returns
+  /// whether it fired at all.
+  bool fire_ready(Vdp& v, Worker& w);
   void proxy_loop(Node& n);
   void fire(Vdp& v, Worker& w);
+  /// The node engine: run node `only_node` (every node when -1) in this
+  /// process on comm_ — spawn its workers and proxies, watch progress,
+  /// shut down through wake_all() and return this process's RunStats. A
+  /// cancelled run returns normally with cancelled_ set. A socket node
+  /// process passes `tick`, run every watchdog period (control plane,
+  /// heartbeat, kill injection) and returning an extra progress count
+  /// (frames received), and `workers_done`, run between joining the
+  /// workers and stopping the proxies (the done/go handshake).
+  RunStats run_local(int only_node,
+                     const std::function<long long()>& tick = nullptr,
+                     const std::function<void()>& workers_done = nullptr);
+  /// Wake every parked worker, stealing pool and proxy of this process.
+  void wake_all();
   /// `only_node` >= 0 restricts the stuck-VDP census to that node — a
   /// forked node process reports only what it was responsible for.
   RunReport make_run_report(int only_node = -1) const;
-  /// Socket transport: fork one process per node, run the control plane
-  /// (heartbeats, death detection, respawn + rejoin orchestration), merge
-  /// child epilogues into RunStats (or re-throw a child failure).
+  /// First line of a RunError for a RunReport::reason.
+  std::string failure_header(const std::string& reason) const;
+  /// Socket transport (vsa_socket.cpp): fork one process per node, run
+  /// the control plane (heartbeats, death detection, respawn + rejoin
+  /// orchestration), merge child epilogues into RunStats (or re-throw a
+  /// child failure).
   RunStats run_socket();
   /// Body of one forked node process; never returns (always _exit).
   /// `incarnation` is 0 for the original fork, bumped per respawn;
@@ -320,7 +347,7 @@ class Vsa {
                                int control_fd, std::uint32_t incarnation,
                                std::vector<std::uint32_t> peer_epochs);
   /// First-failure path (called from a proxy): mark the run failed and
-  /// wake every worker and proxy so the shutdown join in run() completes.
+  /// wake every worker and proxy so the shutdown join completes.
   void cancel_run_from_transport();
 
   Config cfg_;
@@ -363,24 +390,13 @@ class Vsa {
   bool ran_ = false;
   int spin_us_ = 0;  ///< Config::spin_us with the auto default resolved
 
-  // Transport-health state, published by proxies (Reliable endpoints are
-  // proxy-local; gaps and totals are deposited here at detection/exit so
-  // run() can build the RunReport after joining them).
   std::atomic<bool> transport_failed_{false};
-  // Egress accounting, published by proxies at exit: application frames
-  // and payload bytes sent, and how many went inside aggregates.
-  std::atomic<long long> total_remote_msgs_{0};
-  std::atomic<long long> total_remote_bytes_{0};
-  std::atomic<long long> total_coalesced_{0};
-  std::atomic<long long> total_aggregates_{0};
-  std::atomic<long long> total_retransmits_{0};
-  std::atomic<long long> total_dups_suppressed_{0};
-  std::atomic<long long> total_acks_sent_{0};
-  /// Frames this process requeued from the replay log when a crashed
-  /// peer's replacement rejoined (published by the proxy at exit).
-  std::atomic<long long> total_replayed_{0};
-  mutable std::mutex fail_mu_;
-  std::vector<net::LinkGap> link_gaps_;  ///< guarded by fail_mu_
+  /// What proxies publish at exit (after which run_local joins them and
+  /// completes this process's RunStats): egress, protocol and replay
+  /// counters, proxy busy time, and on a failed run the link gaps.
+  mutable std::mutex exit_mu_;
+  RunStats stats_;                       ///< guarded by exit_mu_
+  std::vector<net::LinkGap> link_gaps_;  ///< guarded by exit_mu_
 
   /// Non-owning view of comm_ as the socket backend. Set only inside
   /// socket node processes (child_main) so the proxy can fence frames
@@ -392,6 +408,16 @@ class Vsa {
   std::function<Packet()> collect_hook_;
   std::function<void(int, const Packet&)> merge_hook_;
 };
+
+/// Control-plane codec of a RunStats (vsa_socket.cpp): a socket node
+/// process ships its stats home in the run epilogue and the parent merges
+/// each into its total — counters add, `seconds` takes the max, and the
+/// per-thread and per-node vectors add element by element. The decoder
+/// checks every count against the blob and against `total`'s vector sizes
+/// (the run topology), and throws pulsarqr::Error on a malformed blob
+/// without touching `total`.
+void encode_run_stats(net::wire::Blob& b, const Vsa::RunStats& s);
+void merge_run_stats(net::wire::BlobReader& br, Vsa::RunStats& total);
 
 template <class T>
 T& VdpContext::global() const {

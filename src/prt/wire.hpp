@@ -148,7 +148,8 @@ class BlobReader {
     return std::string(reinterpret_cast<const char*>(p), len);
   }
   const std::byte* take(std::size_t n) {
-    require(off_ + n <= n_, "wire::BlobReader: truncated blob");
+    // Never off_ + n: a huge n would wrap past the check.
+    require(n <= n_ - off_, "wire::BlobReader: truncated blob");
     const std::byte* p = p_ + off_;
     off_ += n;
     return p;

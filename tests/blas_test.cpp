@@ -1,6 +1,7 @@
 // Unit tests for the from-scratch BLAS subset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -168,6 +169,41 @@ Matrix make_triangular(int n, Uplo uplo, std::uint64_t seed) {
 
 class TriParam
     : public ::testing::TestWithParam<std::tuple<Side, Uplo, Trans, Diag>> {};
+
+// A product must not depend on where its operands sit in memory. GCC
+// vectorized scalar loops of the -O3 kernel tables behind a runtime alias
+// check and, with its default FMA contraction, rounded the vector and the
+// scalar copy differently, so C placed right after A moved in the last bit
+// (the ChaosTest.CoalescedAggregatesSurviveChaos flake: heap-allocated
+// reference tiles sometimes sat that close).
+TEST(Level3, GemmIsIndependentOfOperandPlacement) {
+  IsaGuard guard;
+  const int n = 5;
+  Matrix a(n, n), b(n, n), c(n, n);
+  fill_random(a.view(), 61);
+  fill_random(b.view(), 62);
+  fill_random(c.view(), 63);
+  for (blas::simd::Isa isa : supported_isas()) {
+    SCOPED_TRACE(blas::simd::isa_name(isa));
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    std::vector<double> first;
+    // C starts `gap` doubles after A in one buffer; 512 keeps them apart.
+    for (int gap : {512, n * n, n * n + 1, n * n + 2, n * n + 3}) {
+      std::vector<double> buf(1024, 0.0);
+      std::copy(a.data(), a.data() + n * n, buf.data());
+      std::copy(c.data(), c.data() + n * n, buf.data() + gap);
+      blas::gemm(Trans::No, Trans::No, -1.0,
+                 ConstMatrixView(buf.data(), n, n, n), b.view(), 1.0,
+                 MatrixView(buf.data() + gap, n, n, n));
+      const std::vector<double> out(buf.data() + gap, buf.data() + gap + n * n);
+      if (first.empty()) {
+        first = out;
+      } else {
+        ASSERT_EQ(out, first) << "C placed " << gap << " doubles after A";
+      }
+    }
+  }
+}
 
 TEST_P(TriParam, TrmmMatchesGemm) {
   const auto [side, uplo, trans, diag] = GetParam();

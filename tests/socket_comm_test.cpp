@@ -16,6 +16,7 @@
 #include "prt/transport.hpp"
 #include "prt/socket_comm.hpp"
 #include "prt/vsa.hpp"
+#include "prt/wire.hpp"
 #include "ref/reference_qr.hpp"
 #include "vsaqr/tree_qr.hpp"
 
@@ -223,19 +224,51 @@ TEST(SocketVsaTest, FactorizationMatchesTheReferenceBitwise) {
   fill_random(a0.view(), 17);
   const auto reference = ref::tree_qr(TileMatrix::from_dense(a0.view(), 5), 2,
                                       socket_qr_options(2, 2).tree);
-  TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
-  auto run = vsaqr::tree_qr(a, socket_qr_options(2, 2));
-  EXPECT_GT(run.stats.fires, 0);
-  EXPECT_GT(run.stats.remote_messages, 0);
-  // Clean fabric, no cancels: everything offered went out.
-  EXPECT_EQ(run.stats.wire_messages, run.stats.wire_offered);
-  EXPECT_EQ(run.stats.fault_streams, 0);
-  EXPECT_EQ(run.stats.leftover_packets, 0);
-  for (int j = 0; j < reference.a.cols(); ++j) {
-    for (int i = 0; i < reference.a.rows(); ++i) {
-      ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
-          << "factors differ at (" << i << "," << j << ")";
+  // Both executors run inside each node process; under work stealing the
+  // node pool is seeded with this rank's VDPs only, and remote packets
+  // leave through the node's one outgoing queue in claim order.
+  for (const bool stealing : {false, true}) {
+    SCOPED_TRACE(stealing ? "work stealing" : "sweep");
+    TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
+    auto opt = socket_qr_options(2, 2);
+    opt.work_stealing = stealing;
+    auto run = vsaqr::tree_qr(a, opt);
+    EXPECT_GT(run.stats.fires, 0);
+    EXPECT_GT(run.stats.remote_messages, 0);
+    // Clean fabric, no cancels: everything offered went out.
+    EXPECT_EQ(run.stats.wire_messages, run.stats.wire_offered);
+    EXPECT_EQ(run.stats.fault_streams, 0);
+    EXPECT_EQ(run.stats.leftover_packets, 0);
+    for (int j = 0; j < reference.a.cols(); ++j) {
+      for (int i = 0; i < reference.a.rows(); ++i) {
+        ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
+            << "factors differ at (" << i << "," << j << ")";
+      }
     }
+  }
+}
+
+TEST(SocketVsaTest, BothTransportsReportTheSameStats) {
+  // One node engine serves both transports: the same graph reports the
+  // same firing and traffic totals whether its nodes are thread groups
+  // or forked processes whose epilogues the parent merges.
+  Matrix a0(40, 10);
+  fill_random(a0.view(), 22);
+  auto opt = socket_qr_options(2, 2);
+  TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
+  const auto sock = vsaqr::tree_qr(a, opt).stats;
+  opt.transport = prt::Transport::InProcess;
+  const auto inproc = vsaqr::tree_qr(a, opt).stats;
+  EXPECT_GT(inproc.fires, 0);
+  EXPECT_EQ(sock.fires, inproc.fires);
+  EXPECT_EQ(sock.remote_messages, inproc.remote_messages);
+  EXPECT_EQ(sock.remote_bytes, inproc.remote_bytes);
+  for (const auto* s : {&sock, &inproc}) {
+    EXPECT_EQ(s->leftover_packets, 0);
+    EXPECT_EQ(s->busy_per_thread.size(),
+              static_cast<std::size_t>(opt.nodes * opt.workers_per_node));
+    EXPECT_EQ(s->proxy_busy_per_node.size(),
+              static_cast<std::size_t>(opt.nodes));
   }
 }
 
@@ -348,6 +381,158 @@ TEST(SocketVsaTest, SolveRunsOverTheSocketBackend) {
     blas::gemv(blas::Trans::Yes, 1.0, a0.view(), res.data(), 0.0, atr.data());
     EXPECT_LT(blas::nrm2(n, atr.data()), 1e-9 * m) << "rhs " << r;
   }
+}
+
+// ---- control-plane codecs ---------------------------------------------------
+
+using prt::net::wire::Blob;
+using prt::net::wire::BlobReader;
+using RunStats = prt::Vsa::RunStats;
+
+/// A RunStats with a distinct value in every field and vectors sized for
+/// `threads` workers on `nodes` nodes.
+RunStats distinct_stats(int threads, int nodes) {
+  RunStats s;
+  long long v = 100;
+  s.seconds = 1.5;
+  for (long long* c :
+       {&s.fires, &s.remote_messages, &s.remote_bytes, &s.wire_offered,
+        &s.wire_messages, &s.wire_bytes, &s.fault_streams,
+        &s.coalesced_frames, &s.aggregates_sent, &s.pool_hits,
+        &s.pool_misses, &s.faults.dropped, &s.faults.duplicated,
+        &s.faults.delayed, &s.faults.reordered, &s.retransmits,
+        &s.duplicates_suppressed, &s.acks_sent, &s.respawns,
+        &s.replayed_frames, &s.refired_fires}) {
+    *c = ++v;
+  }
+  s.leftover_packets = static_cast<int>(++v);
+  for (int t = 0; t < threads; ++t) s.busy_per_thread.push_back(0.25 * t + 1);
+  for (int n = 0; n < nodes; ++n) s.proxy_busy_per_node.push_back(0.5 * n + 3);
+  return s;
+}
+
+RunStats empty_total(int threads, int nodes) {
+  RunStats s;
+  s.busy_per_thread.assign(threads, 0.0);
+  s.proxy_busy_per_node.assign(nodes, 0.0);
+  return s;
+}
+
+TEST(RunStatsCodec, RoundTripsEveryField) {
+  const RunStats in = distinct_stats(4, 2);
+  Blob b;
+  prt::encode_run_stats(b, in);
+  BlobReader br(b.data(), b.size());
+  RunStats out = empty_total(4, 2);
+  prt::merge_run_stats(br, out);
+  EXPECT_TRUE(br.done());
+  EXPECT_EQ(out.seconds, in.seconds);
+  EXPECT_EQ(out.fires, in.fires);
+  EXPECT_EQ(out.remote_messages, in.remote_messages);
+  EXPECT_EQ(out.remote_bytes, in.remote_bytes);
+  EXPECT_EQ(out.wire_offered, in.wire_offered);
+  EXPECT_EQ(out.wire_messages, in.wire_messages);
+  EXPECT_EQ(out.wire_bytes, in.wire_bytes);
+  EXPECT_EQ(out.fault_streams, in.fault_streams);
+  EXPECT_EQ(out.coalesced_frames, in.coalesced_frames);
+  EXPECT_EQ(out.aggregates_sent, in.aggregates_sent);
+  EXPECT_EQ(out.pool_hits, in.pool_hits);
+  EXPECT_EQ(out.pool_misses, in.pool_misses);
+  EXPECT_EQ(out.leftover_packets, in.leftover_packets);
+  EXPECT_EQ(out.busy_per_thread, in.busy_per_thread);
+  EXPECT_EQ(out.proxy_busy_per_node, in.proxy_busy_per_node);
+  EXPECT_EQ(out.faults.dropped, in.faults.dropped);
+  EXPECT_EQ(out.faults.duplicated, in.faults.duplicated);
+  EXPECT_EQ(out.faults.delayed, in.faults.delayed);
+  EXPECT_EQ(out.faults.reordered, in.faults.reordered);
+  EXPECT_EQ(out.retransmits, in.retransmits);
+  EXPECT_EQ(out.duplicates_suppressed, in.duplicates_suppressed);
+  EXPECT_EQ(out.acks_sent, in.acks_sent);
+  EXPECT_EQ(out.respawns, in.respawns);
+  EXPECT_EQ(out.replayed_frames, in.replayed_frames);
+  EXPECT_EQ(out.refired_fires, in.refired_fires);
+}
+
+TEST(RunStatsCodec, MergingTwoNodesAddsCountersAndVectors) {
+  RunStats a = empty_total(4, 2), b = empty_total(4, 2);
+  a.fires = 3;
+  a.seconds = 2.0;
+  a.busy_per_thread = {1, 2, 0, 0};
+  a.proxy_busy_per_node = {0.5, 0};
+  b.fires = 4;
+  b.seconds = 1.0;
+  b.busy_per_thread = {0, 0, 3, 4};
+  b.proxy_busy_per_node = {0, 0.25};
+  RunStats total = empty_total(4, 2);
+  for (const RunStats* s : {&a, &b}) {
+    Blob blob;
+    prt::encode_run_stats(blob, *s);
+    BlobReader br(blob.data(), blob.size());
+    prt::merge_run_stats(br, total);
+  }
+  EXPECT_EQ(total.fires, 7);
+  EXPECT_EQ(total.seconds, 2.0);
+  EXPECT_EQ(total.busy_per_thread, (std::vector<double>{1, 2, 3, 4}));
+  EXPECT_EQ(total.proxy_busy_per_node, (std::vector<double>{0.5, 0.25}));
+}
+
+/// `blob` must be rejected with pulsarqr::Error and leave `total` as it was.
+void expect_rejected(const std::vector<std::byte>& blob) {
+  RunStats total = empty_total(4, 2);
+  total.fires = 9;
+  BlobReader br(blob.data(), blob.size());
+  EXPECT_THROW(prt::merge_run_stats(br, total), Error);
+  EXPECT_EQ(total.fires, 9);
+  EXPECT_EQ(total.busy_per_thread, std::vector<double>(4, 0.0));
+}
+
+std::vector<std::byte> bytes_of(const Blob& b) {
+  return std::vector<std::byte>(b.data(), b.data() + b.size());
+}
+
+TEST(RunStatsCodec, RejectsTruncatedBlobs) {
+  Blob b;
+  prt::encode_run_stats(b, distinct_stats(4, 2));
+  const auto full = bytes_of(b);
+  for (std::size_t n = 0; n < full.size(); n += 3) {
+    expect_rejected(std::vector<std::byte>(full.begin(), full.begin() + n));
+  }
+}
+
+TEST(RunStatsCodec, RejectsAWorkerCountThatDoesNotMatchTheTopology) {
+  // A node process reporting more workers than workers_per_node must not
+  // write past the parent's per-thread vector.
+  Blob b;
+  prt::encode_run_stats(b, distinct_stats(6, 2));
+  expect_rejected(bytes_of(b));
+  Blob fewer;
+  prt::encode_run_stats(fewer, distinct_stats(4, 1));
+  expect_rejected(bytes_of(fewer));
+}
+
+TEST(RunStatsCodec, RejectsAnInflatedVectorCount) {
+  Blob b;
+  prt::encode_run_stats(b, distinct_stats(4, 2));
+  auto blob = bytes_of(b);
+  // The per-thread count follows seconds, leftovers and the 21 counters.
+  const std::size_t at = 8 + 8 + 21 * 8;
+  ASSERT_EQ(prt::net::wire::get_u64(blob.data() + at), 4u);
+  prt::net::wire::put_u64(blob.data() + at, std::uint64_t{1} << 40);
+  expect_rejected(blob);
+}
+
+TEST(WireBlobReader, HugeLengthDoesNotWrapPastTheBoundsCheck) {
+  // A string length near 2^64 made off + n wrap to a small value and pass
+  // the old bounds check, reading far outside the blob.
+  Blob b;
+  b.u64(~std::uint64_t{0} - 3);
+  b.u32(7);
+  BlobReader br(b.data(), b.size());
+  EXPECT_THROW(br.str(), Error);
+  BlobReader again(b.data(), b.size());
+  again.u64();
+  EXPECT_THROW(again.take(~std::size_t{0}), Error);
+  EXPECT_EQ(again.u32(), 7u);
 }
 
 }  // namespace
