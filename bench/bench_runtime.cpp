@@ -116,10 +116,14 @@ void BM_channel_ping_internode(benchmark::State& state) {
 // The same inter-node ping over the out-of-process Socket backend: one
 // forked OS process per node, frames over Unix-domain sockets. Measures
 // the full fork + mesh + run + epilogue cycle per iteration — the honest
-// cost of process isolation against the in-process rows above.
+// cost of process isolation against the in-process rows above. The
+// argument is the packet size: 64 bytes (coalesced small frames) or
+// 32 KiB, a qr_socket tile (nb 64), which takes the direct large-frame
+// path.
 void BM_channel_ping_internode_socket(benchmark::State& state) {
   const int length = 8;
   const int packets = 256;
+  const auto bytes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
     Vsa::Config cfg;
@@ -139,16 +143,18 @@ void BM_channel_ping_internode_socket(benchmark::State& state) {
       vsa.map_vdp(prt::tuple2(2, i), i % 2);
     }
     std::vector<Packet> init;
-    for (int k = 0; k < packets; ++k) init.push_back(Packet::make(64));
-    vsa.feed(prt::tuple2(2, 0), 0, 64, std::move(init));
+    for (int k = 0; k < packets; ++k) init.push_back(Packet::make(bytes));
+    vsa.feed(prt::tuple2(2, 0), 0, bytes, std::move(init));
     for (int i = 0; i + 1 < length; ++i) {
-      vsa.connect(prt::tuple2(2, i), 0, prt::tuple2(2, i + 1), 0, 64);
+      vsa.connect(prt::tuple2(2, i), 0, prt::tuple2(2, i + 1), 0, bytes);
     }
     state.ResumeTiming();
     auto stats = vsa.run();
     benchmark::DoNotOptimize(stats.remote_messages);
   }
   state.SetItemsProcessed(state.iterations() * length * packets);
+  state.SetBytesProcessed(state.iterations() * length * packets *
+                          static_cast<long long>(bytes));
   state.SetLabel("socket/fork-per-node");
 }
 
@@ -283,6 +289,7 @@ BENCHMARK(BM_channel_ping_internode)
     ->Args({1, 0, 0})->Args({0, 0, 0})  // pool off, coalesce A/B
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode_socket)
+    ->Arg(64)->Arg(32 * 1024)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_qr_small_nb)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_packet_alloc)

@@ -51,10 +51,12 @@ bool cpu_has(Isa isa) {
 }
 
 // Publish the tables for `isa` (caller holds g_select_mutex and has
-// checked isa_supported).
+// checked isa_supported). The release stores pair with the acquire loads
+// of the lock-free fast path (simd.hpp kernels<T>()), so a thread that
+// sees a table pointer also sees the table's entries.
 void publish(Isa isa) {
-  detail::table_f64.store(&kernels_f64(isa), std::memory_order_relaxed);
-  detail::table_f32.store(&kernels_f32(isa), std::memory_order_relaxed);
+  detail::table_f64.store(&kernels_f64(isa), std::memory_order_release);
+  detail::table_f32.store(&kernels_f32(isa), std::memory_order_release);
   g_active = isa;
 }
 
@@ -62,7 +64,7 @@ void publish(Isa isa) {
 // Bad env values warn and fall back rather than abort — the env path has
 // no good place to report errors, unlike `pqr --kernel-isa`.
 void resolve_locked() {
-  if (detail::table_f64.load(std::memory_order_relaxed) != nullptr) return;
+  if (detail::table_f64.load(std::memory_order_acquire) != nullptr) return;
   Isa choice = detect_isa();
   if (const char* env = std::getenv("PQR_KERNEL_ISA")) {
     Isa parsed;
@@ -172,13 +174,13 @@ namespace detail {
 const KernelTable<double>* resolve_f64() {
   std::lock_guard<std::mutex> lock(g_select_mutex);
   resolve_locked();
-  return table_f64.load(std::memory_order_relaxed);
+  return table_f64.load(std::memory_order_acquire);
 }
 
 const KernelTable<float>* resolve_f32() {
   std::lock_guard<std::mutex> lock(g_select_mutex);
   resolve_locked();
-  return table_f32.load(std::memory_order_relaxed);
+  return table_f32.load(std::memory_order_acquire);
 }
 
 }  // namespace detail

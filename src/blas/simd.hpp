@@ -105,22 +105,24 @@ const KernelTable<float>* resolve_f32();
 }  // namespace detail
 
 /// The active ISA's kernel table for T (T = double or float). The atomic
-/// load is relaxed: tables are immutable once published and the selection
-/// is a process-wide knob.
+/// load is an acquire, paired with the release store that publishes the
+/// table: a thread's first kernel call must see the entries another
+/// thread initialized before publishing (function-local statics in
+/// kernels_f64/f32). Tables are immutable once published.
 template <class T>
 inline const KernelTable<T>& kernels();
 
 template <>
 inline const KernelTable<double>& kernels<double>() {
   const KernelTable<double>* t =
-      detail::table_f64.load(std::memory_order_relaxed);
+      detail::table_f64.load(std::memory_order_acquire);
   return t ? *t : *detail::resolve_f64();
 }
 
 template <>
 inline const KernelTable<float>& kernels<float>() {
   const KernelTable<float>* t =
-      detail::table_f32.load(std::memory_order_relaxed);
+      detail::table_f32.load(std::memory_order_acquire);
   return t ? *t : *detail::resolve_f32();
 }
 

@@ -2,8 +2,10 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -15,17 +17,28 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Write exactly n bytes (blocking, no SIGPIPE). False on any error —
-/// the peer is gone; the caller treats the frame as dropped on the wire.
-bool send_all(int fd, const std::byte* p, std::size_t n) {
+/// Write every byte of `iov[0..n)` (blocking, no SIGPIPE), resuming after
+/// short writes. False on any error — the peer is gone; the caller treats
+/// the frame as dropped on the wire. Consumes `iov`.
+bool send_all(int fd, iovec* iov, int n) {
   while (n > 0) {
-    const ssize_t k = ::send(fd, p, n, MSG_NOSIGNAL);
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(n);
+    ssize_t k = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (k < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    p += k;
-    n -= static_cast<std::size_t>(k);
+    while (n > 0 && static_cast<std::size_t>(k) >= iov->iov_len) {
+      k -= static_cast<ssize_t>(iov->iov_len);
+      ++iov;
+      --n;
+    }
+    if (n > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + k;
+      iov->iov_len -= static_cast<std::size_t>(k);
+    }
   }
   return true;
 }
@@ -149,8 +162,11 @@ bool SocketComm::write_frame(int dst, std::uint32_t kind, std::uint32_t flags,
   std::lock_guard<std::mutex> lock(*wmu_[dst]);
   const int fd = peer_fds_[dst].load(std::memory_order_acquire);
   if (fd < 0) return false;
-  if (!send_all(fd, hdr, kFrameHeaderBytes) ||
-      (len > 0 && !send_all(fd, payload, len))) {
+  // Header and payload leave in one gather write straight from the
+  // caller's buffer: no staging copy, one syscall for a whole frame.
+  iovec iov[2] = {{hdr, kFrameHeaderBytes},
+                  {const_cast<std::byte*>(payload), len}};
+  if (!send_all(fd, iov, len > 0 ? 2 : 1)) {
     // The peer's process is gone (or its socket is); freeze the link
     // until a replacement rejoins.
     peer_down_[dst].store(true, std::memory_order_release);
@@ -199,6 +215,9 @@ int SocketComm::isend(int src, int dst, int tag, const Packet& payload,
   } else if (tag != kAggregateTag) {
     require_user_tag(tag, "isend");
   }
+  require(payload.size() <= kMaxPayloadBytes,
+          "isend: payload of " + std::to_string(payload.size()) +
+              " bytes exceeds the socket protocol maximum");
   offered_.fetch_add(1, std::memory_order_relaxed);
   // The wire write below serializes the bytes out of the caller's buffer
   // either way, so `shared` needs no deep copy here; the flag only
@@ -380,60 +399,142 @@ void SocketComm::interrupt(int rank) {
   (void)write_frame(rank, kInterrupt, 0, rank_, 0, 0, nullptr, 0, -1, -1);
 }
 
-void SocketComm::parse_frames(int peer, std::vector<std::byte>& buf) {
-  std::size_t off = 0;
-  while (buf.size() - off >= kFrameHeaderBytes) {
-    const std::byte* h = buf.data() + off;
-    const std::uint32_t kind = wire::get_u32(h);
-    const std::uint32_t flags = wire::get_u32(h + 4);
-    const int source = wire::get_i32(h + 8);
-    const int tag = wire::get_i32(h + 12);
-    const int meta = wire::get_i32(h + 16);
-    const std::size_t len = static_cast<std::size_t>(wire::get_u64(h + 20));
-    const long long seq = wire::get_i64(h + 28);
-    const long long ack = wire::get_i64(h + 36);
-    const std::uint32_t epoch = wire::get_u32(h + 44);
-    if (buf.size() - off < kFrameHeaderBytes + len) break;  // partial frame
-    const std::byte* body = h + kFrameHeaderBytes;
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    switch (kind) {
-      case kData: {
-        // Pooled receive buffer: the payload is copied off the stream
-        // buffer into a fresh PacketPool allocation the channels adopt.
-        Packet p = Packet::make(len, meta);
-        if (len > 0) std::memcpy(p.bytes(), body, len);
-        (void)local_enqueue(Message{source, tag, meta, seq, ack,
-                                    (flags & 1u) != 0, std::move(p), epoch});
-        break;
+/// One decoded 48-byte frame header (layout in socket_comm.hpp).
+struct SocketComm::FrameHeader {
+  std::uint32_t kind = 0;
+  std::uint32_t flags = 0;
+  int source = 0;
+  int tag = 0;
+  int meta = 0;
+  std::uint64_t len = 0;
+  long long seq = -1;
+  long long ack = -1;
+  std::uint32_t epoch = 0;
+
+  explicit FrameHeader(const std::byte* h)
+      : kind(wire::get_u32(h)), flags(wire::get_u32(h + 4)),
+        source(wire::get_i32(h + 8)), tag(wire::get_i32(h + 12)),
+        meta(wire::get_i32(h + 16)), len(wire::get_u64(h + 20)),
+        seq(wire::get_i64(h + 28)), ack(wire::get_i64(h + 36)),
+        epoch(wire::get_u32(h + 44)) {}
+  FrameHeader() = default;
+
+  /// Data frames carry at most kMaxPayloadBytes; control frames none.
+  bool valid() const {
+    return kind == kData ? len <= kMaxPayloadBytes
+                         : kind <= kInterrupt && len == 0;
+  }
+};
+
+/// The receiver thread's state for one peer stream. Headers and frames
+/// that arrive whole sit in a small stage; a payload that runs past the
+/// staged bytes is read straight into its own pooled packet (`body`),
+/// which the proxy then adopts. Of a tile-sized frame, only the bytes
+/// that landed in the stage with its header (at most kStageBytes) are
+/// copied again.
+struct SocketComm::RxStream {
+  static constexpr std::size_t kStageBytes = 2048;
+  std::vector<std::byte> stage = std::vector<std::byte>(kStageBytes);
+  std::size_t fill = 0;   ///< staged bytes, at the front of `stage`
+  FrameHeader hdr;        ///< header of the frame `body` belongs to
+  Packet body;            ///< payload in flight (empty: none)
+  std::size_t body_have = 0;
+};
+
+void SocketComm::dispatch(int peer, const FrameHeader& h, Packet payload) {
+  frames_received_.fetch_add(1, std::memory_order_relaxed);
+  switch (h.kind) {
+    case kData:
+      (void)local_enqueue(Message{h.source, h.tag, h.meta, h.seq, h.ack,
+                                  (h.flags & 1u) != 0, std::move(payload),
+                                  h.epoch});
+      break;
+    case kBarrier: {
+      {
+        std::lock_guard<std::mutex> lock(bmu_);
+        if (h.seq > barrier_seen_[peer]) barrier_seen_[peer] = h.seq;
       }
-      case kBarrier: {
-        {
-          std::lock_guard<std::mutex> lock(bmu_);
-          if (seq > barrier_seen_[peer]) barrier_seen_[peer] = seq;
-        }
-        bcv_.notify_all();
-        break;
-      }
-      case kInterrupt: {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          wake_pending_ = true;
-        }
-        cv_.notify_all();
-        break;
-      }
-      default:
-        PQR_ASSERT(false, "SocketComm: unknown frame kind " +
-                              std::to_string(kind) + " from rank " +
-                              std::to_string(peer));
+      bcv_.notify_all();
+      break;
     }
+    default: {  // kInterrupt (consume() admits no other kind)
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        wake_pending_ = true;
+      }
+      cv_.notify_all();
+      break;
+    }
+  }
+}
+
+bool SocketComm::consume(int peer, RxStream& rx) {
+  std::size_t off = 0;
+  while (rx.fill - off >= kFrameHeaderBytes) {
+    const FrameHeader h(rx.stage.data() + off);
+    // Checked before anything is allocated: a hostile or corrupt length
+    // must neither wrap the arithmetic below nor size an allocation.
+    if (!h.valid()) return false;
+    const std::byte* body = rx.stage.data() + off + kFrameHeaderBytes;
+    const std::size_t have = rx.fill - off - kFrameHeaderBytes;
+    const auto len = static_cast<std::size_t>(h.len);
+    Packet p = h.kind == kData ? Packet::make(len, h.meta) : Packet();
+    if (have < len) {
+      // The payload runs past the stage: keep what arrived, read the rest
+      // straight into the packet.
+      if (have > 0) std::memcpy(p.bytes(), body, have);
+      rx.hdr = h;
+      rx.body = std::move(p);
+      rx.body_have = have;
+      off = rx.fill;
+      break;
+    }
+    if (len > 0) std::memcpy(p.bytes(), body, len);
+    dispatch(peer, h, std::move(p));
     off += kFrameHeaderBytes + len;
   }
-  if (off > 0) buf.erase(buf.begin(), buf.begin() + static_cast<long>(off));
+  // Keep a partial header at the front for the next read.
+  if (off > 0) {
+    std::memmove(rx.stage.data(), rx.stage.data() + off, rx.fill - off);
+    rx.fill -= off;
+  }
+  return true;
+}
+
+bool SocketComm::receive(int peer, int fd, RxStream& rx) {
+  iovec iov[2];
+  int n = 0;
+  const std::size_t want = static_cast<std::size_t>(rx.hdr.len) - rx.body_have;
+  if (!rx.body.empty()) iov[n++] = {rx.body.bytes() + rx.body_have, want};
+  iov[n++] = {rx.stage.data() + rx.fill, rx.stage.size() - rx.fill};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = static_cast<std::size_t>(n);
+  const ssize_t k = ::recvmsg(fd, &msg, MSG_DONTWAIT);
+  if (k < 0) return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  if (k == 0) return false;  // EOF: the peer process exited
+  auto got = static_cast<std::size_t>(k);
+  if (!rx.body.empty()) {
+    const std::size_t b = std::min(got, want);
+    rx.body_have += b;
+    got -= b;
+    if (b == want) {
+      dispatch(peer, rx.hdr, std::move(rx.body));
+      rx.body = Packet();
+      rx.body_have = 0;
+    }
+  }
+  rx.fill += got;
+  if (consume(peer, rx)) return true;
+  // A malformed header: the stream can no longer be framed. Shut the
+  // socket so our own writes to this peer fail fast too, and take the
+  // dead-peer path.
+  ::shutdown(fd, SHUT_RDWR);
+  return false;
 }
 
 void SocketComm::receiver_loop() {
-  std::vector<std::vector<std::byte>> bufs(size());
+  std::vector<RxStream> rx(size());
   std::vector<char> dead(size(), 0);
   // The receiver's own view of each peer fd. When install_rejoin swaps a
   // peer's fd, the receiver — the only thread that might still be polling
@@ -443,7 +544,6 @@ void SocketComm::receiver_loop() {
   for (int r = 0; r < size(); ++r) {
     cur[r] = peer_fds_[r].load(std::memory_order_acquire);
   }
-  std::vector<std::byte> chunk(64 * 1024);
   while (!stop_.load(std::memory_order_acquire)) {
     std::vector<pollfd> pfds;
     std::vector<int> owners;
@@ -453,7 +553,7 @@ void SocketComm::receiver_loop() {
       if (fd != cur[r]) {  // a replacement rejoined on a fresh socket
         if (cur[r] >= 0) ::close(cur[r]);
         cur[r] = fd;
-        bufs[r].clear();  // partial frame bytes of the dead incarnation
+        rx[r] = RxStream{};  // partial frame bytes of the dead incarnation
         dead[r] = 0;
       }
       if (fd < 0 || dead[r] != 0) continue;
@@ -471,14 +571,8 @@ void SocketComm::receiver_loop() {
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const int peer = owners[i];
       if (pfds[i].fd != cur[peer]) continue;  // swapped mid-iteration
-      const ssize_t k =
-          ::recv(pfds[i].fd, chunk.data(), chunk.size(), MSG_DONTWAIT);
-      if (k > 0) {
-        bufs[peer].insert(bufs[peer].end(), chunk.data(), chunk.data() + k);
-        parse_frames(peer, bufs[peer]);
-      } else if (k == 0 || (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                            errno != EINTR)) {
-        dead[peer] = 1;  // peer process exited; normal during teardown
+      if (!receive(peer, pfds[i].fd, rx[peer])) {
+        dead[peer] = 1;  // peer process exited (normal during teardown)
         peer_down_[peer].store(true, std::memory_order_release);
       }
     }

@@ -27,6 +27,15 @@
 // socket buffer across a rejoin would otherwise trim frames the replay
 // path just requeued.
 //
+// Data path. A frame leaves in one gather write (sendmsg) of header and
+// payload straight from the sender's packet buffer. The receiver thread
+// stages headers and frames that arrive whole in a small per-peer buffer;
+// a payload that runs past the staged bytes is read straight into a
+// pooled packet of the header's length, which the proxy adopts without a
+// copy. Every header is checked before anything is allocated: a payload
+// longer than kMaxPayloadBytes, an unknown kind, or a control frame with
+// a payload marks the peer down exactly like a dead peer process.
+//
 // Data frames carry the full Message header, so the Reliable layer and
 // the proxy's aggregate split run unchanged over either backend. Barrier
 // frames carry the sender's barrier generation in `seq` (dissemination
@@ -54,6 +63,11 @@ class SocketComm : public Comm {
   /// Frame kinds on the wire (header field 0).
   enum : std::uint32_t { kData = 0, kBarrier = 1, kInterrupt = 2 };
   static constexpr std::size_t kFrameHeaderBytes = 48;
+  /// Protocol maximum of one data frame's payload. The receiver checks
+  /// every header against it before allocating: a longer (or wrapping)
+  /// length is a corrupt or hostile stream, and the peer is marked down
+  /// exactly as if its process had died.
+  static constexpr std::size_t kMaxPayloadBytes = std::size_t{64} << 20;
 
   /// Build the full nranks x nranks socketpair mesh (AF_UNIX,
   /// SOCK_STREAM). mesh[a][b] is the fd rank `a` uses to talk to rank
@@ -153,10 +167,18 @@ class SocketComm : public Comm {
   std::optional<std::chrono::steady_clock::time_point> flush_due_limbo();
   /// Transmit limbo messages held "until the next send" to dst.
   void flush_after_next(int dst);
+  struct FrameHeader;
+  struct RxStream;
   void receiver_loop();
-  /// Parse and dispatch every complete frame at the front of a peer's
-  /// receive buffer, compacting it afterwards.
-  void parse_frames(int peer, std::vector<std::byte>& buf);
+  /// One non-blocking read from a peer into its stream state, then
+  /// dispatch of every frame it completed. False when the peer is gone
+  /// (EOF, socket error) or sent a malformed header; the caller marks it
+  /// down either way.
+  bool receive(int peer, int fd, RxStream& rx);
+  /// Dispatch every whole frame in the stage and start the payload read
+  /// of a frame that runs past it. False on a malformed header.
+  bool consume(int peer, RxStream& rx);
+  void dispatch(int peer, const FrameHeader& h, Packet payload);
 
   int rank_;
   std::uint32_t epoch_ = 0;  ///< this process's incarnation, stamped on frames

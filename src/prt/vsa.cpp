@@ -616,8 +616,11 @@ void Vsa::proxy_loop(Node& n) {
   // Outbound frames are gather-copied into one pooled wire buffer per
   // destination and shipped as a single aggregate message (one fault-plan
   // decision, one sequence number) when the stage fills, its deadline
-  // expires, or the run winds down. Frames that could never fit are sent
-  // directly — after flushing the stage, so per-destination order holds.
+  // expires, or the run winds down. A frame so large that two of its size
+  // could not share a stage would only ever travel as a one-frame
+  // aggregate, so copying it in and splitting it out again batches
+  // nothing: such frames are sent directly from their own buffer — after
+  // flushing the stage, so per-destination order holds.
   using Clock = std::chrono::steady_clock;
   const std::size_t cap = cfg_.coalesce_bytes;
   const auto flush_window = std::chrono::microseconds(
@@ -659,7 +662,7 @@ void Vsa::proxy_loop(Node& n) {
       return;
     }
     Egress& e = egress.try_emplace(m.dst_node, cap).first->second;
-    if (net::FrameStager::wire_size(m.p.size()) > cap) {
+    if (2 * net::FrameStager::wire_size(m.p.size()) > cap) {
       flush(m.dst_node, e);  // preserve per-destination order
       wire_send(m.dst_node, m.tag, m.p, m.p.meta(), /*shared=*/false);
       return;

@@ -98,8 +98,9 @@ class Vsa {
     /// Per-destination egress coalescing: each proxy stages outbound
     /// frames per destination rank and ships them as one aggregate wire
     /// message of up to this many bytes (one fault-plan decision and, under
-    /// reliable_transport, one sequence number per aggregate). Frames too
-    /// large to ever fit are sent directly, after flushing the stage to
+    /// reliable_transport, one sequence number per aggregate). A frame
+    /// larger than half the stage (two of its size could not share one)
+    /// is sent directly from its own buffer, after flushing the stage to
     /// preserve per-destination order. 0 disables coalescing (every frame
     /// is its own wire message, as before).
     std::size_t coalesce_bytes = 64 * 1024;
@@ -279,11 +280,13 @@ class Vsa {
   /// Socket-transport result plumbing. Each node process runs with a
   /// copy-on-write copy of the whole application state; whatever its
   /// VDPs computed dies with it unless shipped back. `collect` runs in
-  /// each child after a clean local finish and returns an opaque blob
-  /// (the child's contribution — e.g. serialized result tiles); `merge`
-  /// runs in the parent once per child, with the child's rank and blob.
-  /// Unused (and unnecessary) under the in-process transport.
-  void set_process_hooks(std::function<Packet()> collect,
+  /// each child after the whole run finished, with the child's rank, and
+  /// returns a small opaque blob that rides the run epilogue (the deposit
+  /// shipping of vsaqr/deposit_log.hpp writes its results into pre-fork
+  /// shared memory and returns only their byte count); `merge` runs in
+  /// the parent once per child, with the child's rank and blob. Unused
+  /// (and unnecessary) under the in-process transport.
+  void set_process_hooks(std::function<Packet(int)> collect,
                          std::function<void(int, const Packet&)> merge) {
     collect_hook_ = std::move(collect);
     merge_hook_ = std::move(merge);
@@ -405,7 +408,7 @@ class Vsa {
   net::SocketComm* sock_comm_ = nullptr;
 
   // Socket-transport result plumbing (set_process_hooks).
-  std::function<Packet()> collect_hook_;
+  std::function<Packet(int)> collect_hook_;
   std::function<void(int, const Packet&)> merge_hook_;
 };
 

@@ -8,8 +8,11 @@
 // image of the VSA (VDPs, channels, feeds, globals). Each child runs ONLY
 // its own node's workers and proxy over a SocketComm wired into a
 // pre-opened socketpair mesh; the parent runs no VDPs at all — it is the
-// control plane. Per-child results and stats travel back over a dedicated
-// control socketpair as little-endian blobs (wire.hpp).
+// control plane. Per-child stats travel back over a dedicated control
+// socketpair as little-endian blobs (wire.hpp). Result data does not: an
+// application's collect hook writes it into memory shared since before
+// the fork (vsaqr::DepositArena) and ships only a small blob, such as the
+// byte count written, in the epilogue.
 //
 // Control protocol (child c <-> parent):
 //   c -> p  'H'                    liveness heartbeat
@@ -17,7 +20,9 @@
 //   p -> c  'G'                    every node finished; tear down
 //   p -> c  'C'                    another node failed; abandon the run
 //   p -> c  'R' RejoinHdr + fd     a peer was respawned (crash recovery)
-//   c -> p  'E' u64 len  blob      success epilogue (stats + app blob)
+//   c -> p  'E' u64 len  blob      success epilogue: stats, the collect
+//                                  hook's blob (a deposit byte count, not
+//                                  the deposits) and trace events
 //   c -> p  'F' u64 len  blob      serialized RunReport (local failure)
 // A child that gets 'C' (or loses the parent) ships its 'F' report and
 // exits with status 1; a child EOF without 'E'/'F' means it crashed
@@ -433,13 +438,21 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
     ::_exit(1);
   }
 
-  // Success epilogue: this node's RunStats, the application blob (collect
-  // hook) for the parent to merge, and (when tracing) the local events
+  // Success epilogue: this node's RunStats, the collect hook's blob for
+  // the parent's merge hook, and (when tracing) the local events
   // with this process's clock epoch so the parent can offset-align them
   // onto one timeline.
+  Packet app;
+  try {
+    if (collect_hook_) app = collect_hook_(rank);
+  } catch (...) {
+    // Never unwind out of the forked child into the caller's code: exit
+    // without an epilogue, which the parent reports as a dead node.
+    comm_.reset();
+    ::_exit(1);
+  }
   if (incarnation > 0) stats.refired_fires = stats.fires;
   encode_run_stats(b, stats);
-  const Packet app = collect_hook_ ? collect_hook_() : Packet();
   b.u64(app.size());
   if (app.size() > 0) b.bytes(app.bytes(), app.size());
   b.i64(recorder_->epoch_ns());

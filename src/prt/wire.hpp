@@ -1,14 +1,15 @@
 // Explicit little-endian wire codec shared by every byte format the
 // transport puts on (or prepares for) a wire: the aggregate frame headers
 // of FrameStager/FrameCursor, the socket transport's frame headers, and
-// the control-plane blobs (stats epilogues, failure reports, result
-// deposits) exchanged between node processes.
+// the control-plane blobs (stats epilogues, failure reports) exchanged
+// between node processes, and the result-deposit slices they share.
 //
 // Every value is written byte-by-byte in little-endian order, never by
 // memcpy of a host integer, so two heterogeneous hosts (or a host and a
 // recorded golden frame) always agree on the encoding. Signed values
 // travel as their two's-complement unsigned image; doubles as their
-// IEEE-754 bit pattern.
+// IEEE-754 bit pattern. Bulk double arrays (put_f64s/get_f64s) are the
+// one memcpy, and only where the host image already is little-endian.
 #pragma once
 
 #include <bit>
@@ -70,6 +71,26 @@ inline double get_f64(const std::byte* p) {
   return std::bit_cast<double>(get_u64(p));
 }
 
+/// `n` doubles as consecutive little-endian bit patterns. On a
+/// little-endian host that image is the in-memory one, so the column
+/// travels as one memcpy; elsewhere each value is encoded byte by byte.
+inline void put_f64s(std::byte* p, const double* v, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n > 0) std::memcpy(p, v, 8 * n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) put_f64(p + 8 * i, v[i]);
+  }
+}
+
+/// Inverse of put_f64s.
+inline void get_f64s(const std::byte* p, double* v, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n > 0) std::memcpy(v, p, 8 * n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) v[i] = get_f64(p + 8 * i);
+  }
+}
+
 /// Control-plane rejoin handshake of the socket transport's crash
 /// recovery: 'R' {rank i32, epoch u32}, sent parent -> survivor with the
 /// replacement's fresh socket descriptor riding the first byte via
@@ -109,12 +130,6 @@ class Blob {
   }
   void bytes(const std::byte* p, std::size_t n) {
     buf_.insert(buf_.end(), p, p + n);
-  }
-  /// Column-major doubles of a matrix view, each as its LE bit pattern.
-  void f64s(const double* p, std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + 8 * n);
-    for (std::size_t i = 0; i < n; ++i) put_f64(buf_.data() + at + 8 * i, p[i]);
   }
 
   const std::byte* data() const { return buf_.data(); }

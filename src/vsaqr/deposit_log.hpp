@@ -3,12 +3,27 @@
 // Under the socket backend each node process deposits into its own
 // copy-on-write copy of the store, so the parent's copy stays empty.
 // With the log enabled (pre-fork), each first write of a slot also
-// records its (kind, i, j); serialize_deposits() re-reads the recorded
-// slots into one little-endian blob the child ships home in its run
-// epilogue, and apply_deposits() replays a child's blob into the
-// parent's store through the same put the VDPs use, so whatever
-// discipline the store enforces (exactly-once flags, bitwise dedup)
-// applies to shipped slots too.
+// records its (kind, i, j). Results travel home through a DepositArena:
+// one MAP_SHARED|MAP_ANONYMOUS mapping made before the fork, with one
+// slice per node rank, each sized to hold every slot of the store.
+//
+//   child   after the run, encode_deposits() writes the logged slots
+//           straight into the rank's slice and the run epilogue ('E')
+//           carries only the byte count written;
+//   parent  bounds-checks the count against the slice and replays the
+//           slice bytes through apply_deposits(), the one decoder, into
+//           its own store through the same put the VDPs use, so whatever
+//           discipline the store enforces (exactly-once flags, bitwise
+//           dedup) applies to shipped slots too.
+//
+// A crash-respawned rank reuses its slice: the dead incarnation is
+// reaped before the replacement forks, and only a run that every node
+// finished (after the parent's 'G') writes a slice at all.
+//
+// Slice layout, little-endian:
+//   [magic u32 | rank i32 | count u32 |
+//    count x (kind u32, i i32, j i32, rows i32, cols i32,
+//             column-major f64 data)]
 //
 // A store plugs in by providing
 //   DepositLog& log();
@@ -63,41 +78,100 @@ class DepositLog {
   std::vector<Entry> log_;  ///< guarded by mu_
 };
 
-/// Little-endian blob of every slot `store`'s log recorded, re-read from
-/// the store: [count | (kind, i, j, rows, cols, column-major data) per
-/// slot].
+inline constexpr std::uint32_t kDepositSliceMagic = 0x50515244;  // "DRQP"
+inline constexpr std::size_t kDepositSliceHeaderBytes = 12;
+inline constexpr std::size_t kDepositEntryHeaderBytes = 20;
+
+/// Process-shared memory for deposit shipping: `slices` slices of
+/// `slice_bytes` each, in one MAP_SHARED|MAP_ANONYMOUS mapping. Construct
+/// it before the fork so every node process shares the same pages; pages
+/// are allocated only as a slice is written.
+class DepositArena {
+ public:
+  DepositArena(int slices, std::size_t slice_bytes);
+  ~DepositArena();
+  DepositArena(const DepositArena&) = delete;
+  DepositArena& operator=(const DepositArena&) = delete;
+
+  int slices() const { return slices_; }
+  std::size_t slice_bytes() const { return slice_bytes_; }
+  std::byte* slice(int rank) const;
+
+ private:
+  int slices_;
+  std::size_t slice_bytes_;
+  std::size_t stride_;  ///< slice_bytes_ rounded up to whole pages
+  std::byte* base_ = nullptr;
+};
+
+/// Bytes of a slice holding every slot of `store` once: the bound of any
+/// one rank's deposits.
 template <class Store>
-prt::Packet serialize_deposits(Store& store) {
-  namespace wire = prt::net::wire;
-  const std::vector<DepositLog::Entry> log = store.log().entries();
-  wire::Blob b;
-  b.u32(static_cast<std::uint32_t>(log.size()));
-  for (const DepositLog::Entry& e : log) {
-    const ConstMatrixView v = store.slot(e.kind, e.i, e.j);
-    b.u32(static_cast<std::uint32_t>(e.kind));
-    b.i32(e.i);
-    b.i32(e.j);
-    b.i32(v.rows);
-    b.i32(v.cols);
-    for (int c = 0; c < v.cols; ++c) b.f64s(v.col(c), v.rows);
+std::size_t deposit_bytes_bound(const Store& store) {
+  std::size_t n = kDepositSliceHeaderBytes;
+  for (int kind = 0; kind < Store::kDepositKinds; ++kind) {
+    for (int i = 0; i < store.mt(); ++i) {
+      for (int j = 0; j < store.nt(); ++j) {
+        const ConstMatrixView v = store.slot(kind, i, j);
+        n += kDepositEntryHeaderBytes +
+             sizeof(double) * static_cast<std::size_t>(v.rows) * v.cols;
+      }
+    }
   }
-  prt::Packet out = prt::Packet::make(b.size());
-  if (b.size() > 0) std::memcpy(out.bytes(), b.data(), b.size());
-  return out;
+  return n;
 }
 
-/// Replay one child's blob into `store` through store.put. The blob
-/// comes from another process, so it is decoded twice: the first pass
-/// checks every header against the store (known kind, slot in range,
-/// shape equal to the slot's) and that the blob holds the data, the
-/// second copies. A corrupt blob throws pulsarqr::Error before anything
-/// is allocated or written.
+/// Encode every slot `store`'s log recorded, re-read from the store, into
+/// `out` (capacity `cap`) stamped with `rank`. Returns the bytes written;
+/// throws pulsarqr::Error if they would not fit.
 template <class Store>
-void apply_deposits(const prt::Packet& blob, Store& store) {
+std::size_t encode_deposits(Store& store, int rank, std::byte* out,
+                            std::size_t cap) {
+  namespace wire = prt::net::wire;
+  const std::vector<DepositLog::Entry> log = store.log().entries();
+  std::size_t at = 0;
+  auto take = [&](std::size_t n) {
+    require(n <= cap - at, "deposit encoder: slice too small");
+    std::byte* p = out + at;
+    at += n;
+    return p;
+  };
+  std::byte* h = take(kDepositSliceHeaderBytes);
+  wire::put_u32(h, kDepositSliceMagic);
+  wire::put_i32(h + 4, rank);
+  wire::put_u32(h + 8, static_cast<std::uint32_t>(log.size()));
+  for (const DepositLog::Entry& e : log) {
+    const ConstMatrixView v = store.slot(e.kind, e.i, e.j);
+    std::byte* eh = take(kDepositEntryHeaderBytes);
+    wire::put_u32(eh, static_cast<std::uint32_t>(e.kind));
+    wire::put_i32(eh + 4, e.i);
+    wire::put_i32(eh + 8, e.j);
+    wire::put_i32(eh + 12, v.rows);
+    wire::put_i32(eh + 16, v.cols);
+    for (int c = 0; c < v.cols; ++c) {
+      wire::put_f64s(take(sizeof(double) * v.rows), v.col(c), v.rows);
+    }
+  }
+  return at;
+}
+
+/// Replay the `n` deposit bytes rank `rank` wrote into `store` through
+/// store.put. The bytes come from another process, so they are decoded
+/// twice: the first pass checks the slice header (magic, rank), every
+/// entry header against the store (known kind, slot in range, shape
+/// equal to the slot's) and that the bytes hold the data, the second
+/// copies. Corrupt bytes throw pulsarqr::Error before anything is
+/// allocated or written.
+template <class Store>
+void apply_deposits(const std::byte* bytes, std::size_t n, int rank,
+                    Store& store) {
   namespace wire = prt::net::wire;
   std::vector<double> buf;
   for (const bool write : {false, true}) {
-    wire::BlobReader br(blob.bytes(), blob.size());
+    wire::BlobReader br(bytes, n);
+    require(br.u32() == kDepositSliceMagic,
+            "deposit slice: missing header (not a deposit slice)");
+    require(br.i32() == rank, "deposit slice: written by another rank");
     const std::uint32_t count = br.u32();
     for (std::uint32_t k = 0; k < count; ++k) {
       const std::uint32_t kind = br.u32();
@@ -106,36 +180,63 @@ void apply_deposits(const prt::Packet& blob, Store& store) {
       const int rows = br.i32();
       const int cols = br.i32();
       require(kind < static_cast<std::uint32_t>(Store::kDepositKinds),
-              "deposit blob: unknown deposit kind");
+              "deposit slice: unknown deposit kind");
       require(i >= 0 && i < store.mt() && j >= 0 && j < store.nt(),
-              "deposit blob: slot index out of range");
+              "deposit slice: slot index out of range");
       const ConstMatrixView dst = store.slot(static_cast<int>(kind), i, j);
       require(rows == dst.rows && cols == dst.cols,
-              "deposit blob: slot shape mismatch");
-      const std::size_t n = static_cast<std::size_t>(rows) * cols;
-      const std::byte* data = br.take(n * sizeof(double));  // bounds-checked
+              "deposit slice: slot shape mismatch");
+      const std::size_t len = static_cast<std::size_t>(rows) * cols;
+      const std::byte* data = br.take(len * sizeof(double));  // bounds-checked
       if (!write) continue;
-      buf.resize(n);
-      for (std::size_t e = 0; e < n; ++e) buf[e] = wire::get_f64(data + 8 * e);
+      buf.resize(len);
+      wire::get_f64s(data, buf.data(), len);
       store.put(static_cast<int>(kind), i, j,
                 ConstMatrixView(buf.data(), rows, cols, rows));
     }
-    require(br.done(), "deposit blob: trailing bytes");
+    require(br.done(), "deposit slice: trailing bytes");
   }
 }
 
+/// Replay rank `rank`'s slice of `arena`, of which the child reported
+/// writing `nbytes`, into `store`. A count beyond the slice throws
+/// pulsarqr::Error before anything is read.
+template <class Store>
+void apply_slice(const DepositArena& arena, int rank, std::uint64_t nbytes,
+                 Store& store) {
+  require(rank >= 0 && rank < arena.slices(),
+          "deposit arena: rank out of range");
+  require(nbytes <= arena.slice_bytes(),
+          "deposit arena: byte count exceeds the slice");
+  apply_deposits(arena.slice(rank), static_cast<std::size_t>(nbytes), rank,
+                 store);
+}
+
 /// Ship `store`'s deposits home when `vsa` runs over the socket transport:
-/// enable its log and install the Vsa process hooks (each child
-/// serializes its log, the parent replays every child's blob). A no-op
-/// in-process, where every VDP already writes the one shared store. Call
-/// before run().
+/// enable its log, map the arena (this call must precede run(), and so the
+/// fork) and install the Vsa process hooks. Each child encodes its log
+/// into its slice and returns the byte count as its epilogue blob (u64);
+/// the parent replays every child's slice. A no-op in-process, where
+/// every VDP already writes the one shared store.
 template <class Store>
 void ship_deposits(prt::Vsa& vsa, std::shared_ptr<Store> store) {
+  namespace wire = prt::net::wire;
   if (vsa.config().transport != prt::Transport::Socket) return;
   store->log().enable();
+  auto arena = std::make_shared<DepositArena>(vsa.config().nodes,
+                                              deposit_bytes_bound(*store));
   vsa.set_process_hooks(
-      [store] { return serialize_deposits(*store); },
-      [store](int, const prt::Packet& blob) { apply_deposits(blob, *store); });
+      [store, arena](int rank) {
+        const std::size_t n = encode_deposits(*store, rank, arena->slice(rank),
+                                              arena->slice_bytes());
+        prt::Packet count = prt::Packet::make(8);
+        wire::put_u64(count.bytes(), n);
+        return count;
+      },
+      [store, arena](int rank, const prt::Packet& count) {
+        require(count.size() == 8, "deposit epilogue: expected a byte count");
+        apply_slice(*arena, rank, wire::get_u64(count.bytes()), *store);
+      });
 }
 
 /// Collection point for one TileMatrix of final tiles (Cholesky's L, LU's

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -54,6 +55,30 @@ double max_diff(const Matrix& a, const Matrix& b) {
     }
   }
   return d;
+}
+
+// The first kernel call of a process resolves and publishes the SIMD
+// kernel tables; other threads read them through a lock-free load. Here
+// several threads race that first call (ctest runs each case in a fresh
+// process, so it is the process's first use). Under TSan this pins the
+// release/acquire pairing of the publication: with a relaxed pair a
+// thread could read a table's entries before their initialization by the
+// publishing thread is visible to it.
+TEST(SimdDispatch, ConcurrentFirstKernelCallsAreRaceFree) {
+  std::vector<double> sums(4, 0.0);
+  std::vector<float> fsums(4, 0.0f);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const std::vector<double> x(16, 1.0);
+      const std::vector<float> xf(16, 1.0f);
+      sums[t] = blas::dot(16, x.data(), x.data());
+      fsums[t] = blas::dot(16, xf.data(), xf.data());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (double s : sums) EXPECT_EQ(s, 16.0);
+  for (float s : fsums) EXPECT_EQ(s, 16.0f);
 }
 
 TEST(Level1, AxpyScalDotCopy) {

@@ -135,16 +135,18 @@ TEST(ResultStoreDedupTest, ReplayedDepositsAreVerifiedAndSkipped) {
   src.put_tile(1, 0, tile.view());
   src.put_tg(0, 0, t.view());
   src.put_tt(1, 0, t.view());
-  const Packet blob = vsaqr::serialize_deposits(src);
+  vsaqr::DepositArena arena(2, vsaqr::deposit_bytes_bound(src));
+  const std::size_t n =
+      vsaqr::encode_deposits(src, 0, arena.slice(0), arena.slice_bytes());
 
   vsaqr::ResultStore dst(10, 5, 5, 2);
   dst.log().enable();
   dst.enable_dedup();
-  vsaqr::apply_deposits(blob, dst);
-  vsaqr::apply_deposits(blob, dst);  // the replay: verified, then skipped
-  const Packet once = vsaqr::serialize_deposits(dst);
-  EXPECT_EQ(once.size(), blob.size())
-      << "replayed deposits leaked into the deposit log";
+  vsaqr::apply_slice(arena, 0, n, dst);
+  vsaqr::apply_slice(arena, 0, n, dst);  // the replay: verified, then skipped
+  const std::size_t once =
+      vsaqr::encode_deposits(dst, 1, arena.slice(1), arena.slice_bytes());
+  EXPECT_EQ(once, n) << "replayed deposits leaked into the deposit log";
 }
 
 TEST(ResultStoreDedupTest, WithoutDedupADoubleDepositStillAborts) {

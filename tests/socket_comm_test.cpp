@@ -4,10 +4,16 @@
 // (the mesh does not care which side of a socketpair lives where); the
 // end-to-end tests fork real node processes through Vsa::run().
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,6 +212,195 @@ TEST(SocketCommTest, FaultScheduleMatchesTheInProcessBackend) {
   EXPECT_EQ(p.a->messages_offered(), mc.messages_offered());
 }
 
+// ---- the receiver against raw streams ---------------------------------------
+//
+// Rank 0 here is a raw socket end written byte for byte by the test, so
+// a frame can be split anywhere or carry a header no SocketComm would
+// send. Every stream either reassembles bitwise or takes the structured
+// peer-down path (peer_alive() false, as for a dead peer process); none
+// may crash the receiver thread.
+
+/// Rank 1 as a SocketComm, rank 0 as the raw socket end talking to it.
+struct RawPeer {
+  int fd = -1;
+  std::unique_ptr<SocketComm> b;
+  RawPeer() {
+    auto mesh = SocketComm::socketpair_mesh(2);
+    fd = mesh[0][1];
+    b = std::make_unique<SocketComm>(2, 1, mesh[1]);
+  }
+  ~RawPeer() {
+    b.reset();
+    ::close(fd);
+  }
+  void write(const std::byte* p, std::size_t n) const {
+    while (n > 0) {
+      const ssize_t k = ::send(fd, p, n, MSG_NOSIGNAL);
+      ASSERT_GT(k, 0) << std::strerror(errno);
+      p += k;
+      n -= static_cast<std::size_t>(k);
+    }
+  }
+  void write(const std::vector<std::byte>& bytes) const {
+    write(bytes.data(), bytes.size());
+  }
+  /// Whether rank 1 marked rank 0 down within a few seconds.
+  bool goes_down() const {
+    for (int i = 0; i < 500 && b->peer_alive(0); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return !b->peer_alive(0);
+  }
+};
+
+/// One wire frame (socket_comm.hpp layout) from rank 0 with the given
+/// header fields; `len` is what the header claims, whatever `payload` is.
+std::vector<std::byte> raw_frame(std::uint32_t kind, int tag, int meta,
+                                 std::uint64_t len,
+                                 const std::vector<std::byte>& payload) {
+  namespace wire = prt::net::wire;
+  std::vector<std::byte> f(SocketComm::kFrameHeaderBytes + payload.size());
+  wire::put_u32(f.data(), kind);
+  wire::put_u32(f.data() + 4, 0);
+  wire::put_i32(f.data() + 8, 0);
+  wire::put_i32(f.data() + 12, tag);
+  wire::put_i32(f.data() + 16, meta);
+  wire::put_u64(f.data() + 20, len);
+  wire::put_i64(f.data() + 28, -1);
+  wire::put_i64(f.data() + 36, -1);
+  wire::put_u32(f.data() + 44, 0);
+  if (!payload.empty()) {
+    std::memcpy(f.data() + SocketComm::kFrameHeaderBytes, payload.data(),
+                payload.size());
+  }
+  return f;
+}
+
+std::vector<std::byte> pattern(std::size_t n, int salt) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>((i * 131 + static_cast<std::size_t>(salt)) & 0xff);
+  }
+  return v;
+}
+
+/// Receive one data message and check its tag, meta and payload bitwise.
+void expect_frame(SocketComm& c, int tag, int meta,
+                  const std::vector<std::byte>& payload) {
+  auto m = c.recv_wait(1, 5'000'000);
+  ASSERT_TRUE(m.has_value()) << "frame meta " << meta << " never arrived";
+  EXPECT_EQ(m->source, 0);
+  EXPECT_EQ(m->tag, tag);
+  EXPECT_EQ(m->meta, meta);
+  ASSERT_EQ(m->payload.size(), payload.size());
+  if (!payload.empty()) {
+    EXPECT_EQ(std::memcmp(m->payload.bytes(), payload.data(), payload.size()),
+              0)
+        << "payload of frame meta " << meta << " differs";
+  }
+}
+
+TEST(SocketCommTest, HostileHeadersTakeThePeerDownPath) {
+  struct Case {
+    const char* what;
+    std::uint32_t kind;
+    std::uint64_t len;
+  };
+  const Case cases[] = {
+      // Header plus payload length wraps past 2^64.
+      {"wrapping length", SocketComm::kData, ~std::uint64_t{0} - 8},
+      // No wrap, but unbounded buffering for as long as the peer sends.
+      {"oversized length", SocketComm::kData,
+       std::uint64_t{SocketComm::kMaxPayloadBytes} + 1},
+      {"unknown kind", 7, 0},
+      {"control frame with a payload", SocketComm::kBarrier, 16},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    RawPeer p;
+    // A valid frame ahead of the bad header is still delivered.
+    const std::vector<std::byte> good = pattern(40, 1);
+    std::vector<std::byte> bytes = raw_frame(SocketComm::kData, 3, 9, 40, good);
+    const std::vector<std::byte> bad = raw_frame(c.kind, 3, 10, c.len, {});
+    bytes.insert(bytes.end(), bad.begin(), bad.end());
+    p.write(bytes);
+    expect_frame(*p.b, 3, 9, good);
+    EXPECT_TRUE(p.goes_down());
+    EXPECT_FALSE(p.b->recv_wait(1, 20'000).has_value());
+    // The socket is shut, so rank 1's own sends to the peer fail fast
+    // instead of filling a buffer nobody reads.
+    std::byte probe;
+    EXPECT_EQ(::recv(p.fd, &probe, 1, 0), 0);
+  }
+}
+
+TEST(SocketCommTest, AFrameWrittenOneByteAtATimeReassemblesBitwise) {
+  RawPeer p;
+  // Larger than the receiver's stage (its payload is read straight into
+  // a packet), then one that fits it.
+  const std::vector<std::byte> big = pattern(5000, 2);
+  const std::vector<std::byte> small = pattern(24, 3);
+  std::vector<std::byte> bytes = raw_frame(SocketComm::kData, 4, 1, 5000, big);
+  const std::vector<std::byte> tail =
+      raw_frame(SocketComm::kData, 4, 2, 24, small);
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  for (const std::byte& b : bytes) p.write(&b, 1);
+  expect_frame(*p.b, 4, 1, big);
+  expect_frame(*p.b, 4, 2, small);
+  EXPECT_TRUE(p.b->peer_alive(0));
+}
+
+TEST(SocketCommTest, SplitHeaderThenASmallFrameBurstReassembles) {
+  RawPeer p;
+  // A tile-sized frame whose header arrives in two reads, the second
+  // carrying the rest of it and a burst of small frames behind it.
+  const std::vector<std::byte> tile = pattern(32784, 4);
+  const std::vector<std::byte> first =
+      raw_frame(SocketComm::kData, 5, 0, tile.size(), tile);
+  p.write(first.data(), 20);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::vector<std::byte> rest(first.begin() + 20, first.end());
+  std::vector<std::vector<std::byte>> smalls;
+  for (int i = 1; i <= 100; ++i) {
+    smalls.push_back(pattern(static_cast<std::size_t>(8 * (i % 5)), i));
+    const std::vector<std::byte> f =
+        raw_frame(SocketComm::kData, 5, i, smalls.back().size(), smalls.back());
+    rest.insert(rest.end(), f.begin(), f.end());
+  }
+  p.write(rest);
+  expect_frame(*p.b, 5, 0, tile);
+  for (int i = 1; i <= 100; ++i) expect_frame(*p.b, 5, i, smalls[i - 1]);
+  EXPECT_TRUE(p.b->peer_alive(0));
+}
+
+TEST(SocketCommTest, TileFramesRoundTripBothWays) {
+  // Gather-written frames (one sendmsg of header + payload) larger than
+  // a socket buffer's worth in flight, both directions at once.
+  Pair p;
+  std::vector<Packet> sent;
+  for (int i = 0; i < 64; ++i) {
+    Packet t = Packet::make(32784 + 8 * static_cast<std::size_t>(i));
+    const std::vector<std::byte> v = pattern(t.size(), i);
+    std::memcpy(t.bytes(), v.data(), v.size());
+    sent.push_back(t);
+  }
+  std::thread back([&] {
+    for (int i = 0; i < 64; ++i) p.b->isend(1, 0, 6, sent[i], i);
+  });
+  for (int i = 0; i < 64; ++i) p.a->isend(0, 1, 6, sent[i], i);
+  for (int i = 0; i < 64; ++i) {
+    const std::vector<std::byte> v(sent[i].bytes(),
+                                   sent[i].bytes() + sent[i].size());
+    expect_frame(*p.b, 6, i, v);
+    auto m = p.a->recv_wait(0, 5'000'000);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->meta, i);
+    ASSERT_EQ(m->payload.size(), v.size());
+    EXPECT_EQ(std::memcmp(m->payload.bytes(), v.data(), v.size()), 0);
+  }
+  back.join();
+}
+
 // ---- end to end through Vsa::run() ------------------------------------------
 
 vsaqr::TreeQrOptions socket_qr_options(int nodes, int workers) {
@@ -381,6 +576,134 @@ TEST(SocketVsaTest, SolveRunsOverTheSocketBackend) {
     blas::gemv(blas::Trans::Yes, 1.0, a0.view(), res.data(), 0.0, atr.data());
     EXPECT_LT(blas::nrm2(n, atr.data()), 1e-9 * m) << "rhs " << r;
   }
+}
+
+/// Every element of the two views is bitwise equal.
+void expect_bitwise(ConstMatrixView got, ConstMatrixView want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows, want.rows) << what;
+  ASSERT_EQ(got.cols, want.cols) << what;
+  for (int c = 0; c < got.cols; ++c) {
+    ASSERT_EQ(std::memcmp(got.col(c), want.col(c), sizeof(double) * got.rows),
+              0)
+        << what << " column " << c;
+  }
+}
+
+/// The referenced part of two ib-by-w T tiles is bitwise equal: the upper
+/// triangle of each ib-column block (the kernels leave the rest as they
+/// found it, which depends on buffer reuse).
+void expect_t_bitwise(ConstMatrixView got, ConstMatrixView want, int ib,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows, want.rows) << what;
+  ASSERT_EQ(got.cols, want.cols) << what;
+  for (int c = 0; c < got.cols; ++c) {
+    const int rows = std::min(c % ib + 1, got.rows);
+    ASSERT_EQ(std::memcmp(got.col(c), want.col(c), sizeof(double) * rows), 0)
+        << what << " column " << c;
+  }
+}
+
+TEST(SocketVsaTest, EveryDepositKindShipsBitwiseThroughTheSharedArena) {
+  // Three node processes, each returning its deposits through its own
+  // arena slice: the QR ResultStore's factor tiles, geqrt T and tree T
+  // factors, then apply_qt's result tiles through a TileStore. Each must
+  // equal the in-process run of the same array bit for bit.
+  Matrix a0(48, 12);
+  fill_random(a0.view(), 25);
+  Matrix b0(48, 3);
+  fill_random(b0.view(), 26);
+  const auto opt = socket_qr_options(3, 1);
+  auto inproc = opt;
+  inproc.transport = prt::Transport::InProcess;
+  const auto want = vsaqr::tree_qr(TileMatrix::from_dense(a0.view(), 6), inproc);
+  const auto got = vsaqr::tree_qr(TileMatrix::from_dense(a0.view(), 6), opt);
+  const TileMatrix& wa = want.factors.a;
+  for (int i = 0; i < wa.mt(); ++i) {
+    for (int j = 0; j < wa.nt(); ++j) {
+      expect_bitwise(got.factors.a.tile(i, j), wa.tile(i, j),
+                     "tile (" + std::to_string(i) + "," + std::to_string(j) +
+                         ")");
+    }
+  }
+  // The T slots the plan's factor ops wrote.
+  for (const plan::Op& op : want.factors.plan.ops()) {
+    const std::string at = std::to_string(op.i) + "," +
+                           std::to_string(op.k) + "," + std::to_string(op.j);
+    if (op.kind == plan::OpKind::Geqrt) {
+      expect_t_bitwise(got.factors.tg.t(op.i, op.j),
+                       want.factors.tg.t(op.i, op.j), opt.ib, "geqrt T " + at);
+    } else if (op.kind == plan::OpKind::Tsqrt ||
+               op.kind == plan::OpKind::Ttqrt) {
+      expect_t_bitwise(got.factors.tt.t(op.k, op.j),
+                       want.factors.tt.t(op.k, op.j), opt.ib, "tree T " + at);
+    }
+  }
+  const TileMatrix b = TileMatrix::from_dense(b0.view(), 6);
+  const TileMatrix qtb = vsaqr::apply_qt(got.factors, b, opt);
+  const TileMatrix qtb_want = vsaqr::apply_qt(want.factors, b, inproc);
+  for (int i = 0; i < qtb_want.mt(); ++i) {
+    for (int j = 0; j < qtb_want.nt(); ++j) {
+      expect_bitwise(qtb.tile(i, j), qtb_want.tile(i, j),
+                     "Q^T B tile (" + std::to_string(i) + "," +
+                         std::to_string(j) + ")");
+    }
+  }
+}
+
+TEST(SocketVsaTest, AThrowingCollectHookFailsItsNodeStructurally) {
+  // A collect hook that throws in a node process (say, a deposit slice
+  // too small) must not unwind into the caller's code inside the forked
+  // child; the node exits without an epilogue and the parent reports it.
+  prt::Vsa::Config cfg;
+  cfg.nodes = 2;
+  cfg.workers_per_node = 1;
+  cfg.watchdog_seconds = 60.0;
+  cfg.transport = prt::Transport::Socket;
+  prt::Vsa vsa(cfg);
+  for (int i = 0; i < 2; ++i) {
+    const bool last = i == 1;
+    vsa.add_vdp(
+        prt::tuple2(3, i), 1,
+        [last](prt::VdpContext& ctx) {
+          Packet p = ctx.pop(0);
+          if (!last) ctx.push(0, std::move(p));
+        },
+        1, last ? 0 : 1);
+    vsa.map_vdp(prt::tuple2(3, i), i);
+  }
+  std::vector<Packet> init;
+  init.push_back(Packet::make(64));
+  vsa.feed(prt::tuple2(3, 0), 0, 64, std::move(init));
+  vsa.connect(prt::tuple2(3, 0), 0, prt::tuple2(3, 1), 0, 64);
+  vsa.set_process_hooks(
+      [](int rank) -> Packet {
+        if (rank == 1) throw Error("collect failed");
+        return Packet();
+      },
+      [](int, const Packet&) {});
+  // A node process that unwound out of run() would be back in this test
+  // body; it reports so through a pipe every process inherits, then exits.
+  int escaped[2];
+  ASSERT_EQ(::pipe(escaped), 0);
+  const pid_t self = ::getpid();
+  std::vector<int> dead;
+  try {
+    vsa.run();
+  } catch (const prt::Vsa::RunError& e) {
+    dead = e.report().dead_ranks;
+  } catch (const Error&) {
+  }
+  if (::getpid() != self) {
+    (void)!::write(escaped[1], "x", 1);
+    ::_exit(0);
+  }
+  ::close(escaped[1]);
+  char c;
+  EXPECT_EQ(::read(escaped[0], &c, 1), 0)
+      << "a node process unwound into the caller's code";
+  ::close(escaped[0]);
+  EXPECT_EQ(dead, std::vector<int>{1});
 }
 
 // ---- control-plane codecs ---------------------------------------------------
