@@ -166,17 +166,20 @@ void BM_ttmqr(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
-// Left trmm W := op(T) W on an ib-by-nb W, the T-multiply of the tile
-// kernels. range(2) picks the shape: 0 = Upper/Trans/NonUnit (the T^T W of
-// tsmqr/ttmqr), 1 = Lower/Trans/Unit (the V1^T C1 of larfb_left, hence
-// geqrt/ormqr). Each iteration first restores W from a pristine copy (the
-// lacpy the tile kernels also run before their trmm), so repeated products
-// neither overflow nor decay into subnormals. Rated at the nominal
-// ib*ib*nb flops of a left trmm.
+// Left trmm W := op(A) W on an ib-by-nb W, every T- and V1-multiply of
+// the tile kernels. range(2) picks the shape: 0 = Upper/Trans/NonUnit (the
+// T^T W of Q^T applies), 1 = Lower/Trans/Unit (the V1^T C1 of larfb_left,
+// hence geqrt/ormqr), 2 = Upper/NoTrans/NonUnit (the T W of Q applies),
+// 3 = Lower/NoTrans/Unit (larfb_left's V1 W). Each iteration first
+// restores W from a pristine copy (the lacpy the tile kernels also run
+// before their trmm), so repeated products neither overflow nor decay into
+// subnormals. Rated at the nominal ib*ib*nb flops of a left trmm.
 void BM_trmm(benchmark::State& state) {
   const int nb = static_cast<int>(state.range(0));
   const int ib = static_cast<int>(state.range(1));
-  const bool larfb = state.range(2) != 0;
+  const bool larfb = state.range(2) % 2 != 0;
+  const blas::Trans trans =
+      state.range(2) < 2 ? blas::Trans::Yes : blas::Trans::No;
   const blas::Uplo uplo = larfb ? blas::Uplo::Lower : blas::Uplo::Upper;
   const blas::Diag diag = larfb ? blas::Diag::Unit : blas::Diag::NonUnit;
   const Matrix t = random_matrix(ib, ib, 16);
@@ -184,8 +187,7 @@ void BM_trmm(benchmark::State& state) {
   Matrix w(ib, nb);
   for (auto _ : state) {
     blas::lacpy_all(w0.view(), w.view());
-    blas::trmm(blas::Side::Left, uplo, blas::Trans::Yes, diag, 1.0, t.view(),
-               w.view());
+    blas::trmm(blas::Side::Left, uplo, trans, diag, 1.0, t.view(), w.view());
     benchmark::DoNotOptimize(w.data());
   }
   state.counters["Gflop/s"] = benchmark::Counter(
@@ -344,9 +346,11 @@ BENCHMARK(BM_tsmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ttmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
-// The T-multiply at the stacked_apply and larfb_left shapes.
+// The T- and V1-multiplies at the stacked_apply and larfb_left shapes.
 BENCHMARK(BM_trmm)->Args({64, 16, 0})->Args({128, 32, 0})
-    ->Args({64, 16, 1})->Args({128, 32, 1})->Unit(benchmark::kMillisecond);
+    ->Args({64, 16, 1})->Args({128, 32, 1})->Args({64, 16, 2})
+    ->Args({128, 32, 2})->Args({64, 16, 3})->Args({128, 32, 3})
+    ->Unit(benchmark::kMillisecond);
 // Single-precision path: packed float gemm and the float stacked kernels
 // (double-width SIMD lanes; compare against the f64 rows above).
 BENCHMARK(BM_gemm_f32)->Arg(128)->Arg(192)->Unit(benchmark::kMillisecond);

@@ -66,12 +66,15 @@ void scal(int n, float a, float* x) { scal_t(n, a, x); }
 double nrm2(int n, const double* x) { return nrm2_t(n, x); }
 float nrm2(int n, const float* x) { return nrm2_t(n, x); }
 
+// std::copy_n lowers to memmove: the element loop compiled to one scalar
+// load/store pair per element, and lacpy (the W and trmm operand copies of
+// every block reflector apply) runs through here.
 void copy(int n, const double* x, double* y) {
-  for (int i = 0; i < n; ++i) y[i] = x[i];
+  if (n > 0) std::copy_n(x, n, y);
 }
 
 void copy(int n, const float* x, float* y) {
-  for (int i = 0; i < n; ++i) y[i] = x[i];
+  if (n > 0) std::copy_n(x, n, y);
 }
 
 // ---- Level 2 -------------------------------------------------------------
@@ -486,44 +489,74 @@ void gemm(Trans ta, Trans tb, float alpha, ConstMatrixViewF a,
 
 namespace {
 
-// B := alpha * op(A) * B as a row sweep. Row i of the product is its
-// diagonal term plus one bounded dot of op(A)'s row i against the rows of
-// B that row references, swept across all columns of B four at a time by
-// the active table's dot_cols. When op(A) is upper, row i reads only rows
-// below it, so rows go in ascending order; when it is lower, row i reads
-// only rows above it, so they go in descending order. Either way every row
-// read still holds its input and the sweep runs in place. Only the
-// referenced triangle of A is read, and Diag::Unit never reads the
-// diagonal. op(A)'s row i (a column of A under Trans::Yes, a strided row
-// under Trans::No) is gathered in fixed-size chunks into a stack buffer,
-// so the dot operand is contiguous and nothing is allocated.
+// Largest triangle trmm packs whole: op(A) with its rows padded to mr
+// fills at most kTrmmPackDim^2 elements (32 KiB of doubles on the stack);
+// every table's mr divides kTrmmPackDim.
+constexpr int kTrmmPackDim = 64;
+
+// B := alpha * op(A) * B for an op(A) small enough to pack: op(A) is
+// copied column-major into a stack buffer with its rows padded to the
+// table's mr, and the table's register-tiled kernel multiplies in place.
+// Only op(A)'s triangle is read from A; under Diag::Unit the diagonal is
+// packed as 1 instead. The other slots are zeroed only so no register
+// ever loads indeterminate memory: the kernel keeps them out of every sum.
+template <class T>
+void trmm_left_packed(bool lower, Trans trans, Diag diag, T alpha,
+                      ConstMatrixViewT<T> a, MatrixViewT<T> b) {
+  const simd::KernelTable<T>& kt = simd::kernels<T>();
+  const int m = b.rows;
+  const int mp = (m + kt.mr - 1) / kt.mr * kt.mr;
+  PQR_ASSERT(mp <= kTrmmPackDim, "trmm: triangle exceeds the pack buffer");
+  alignas(64) T ap[kTrmmPackDim * kTrmmPackDim];
+  for (int k = 0; k < m; ++k) {
+    T* col = ap + static_cast<std::ptrdiff_t>(k) * mp;
+    const int lo = lower ? k : 0;
+    const int hi = lower ? m : k + 1;
+    std::fill(col, col + lo, T(0));
+    for (int i = lo; i < hi; ++i) {
+      col[i] = trans == Trans::No ? a(i, k) : a(k, i);
+    }
+    std::fill(col + hi, col + mp, T(0));
+    if (diag == Diag::Unit) col[k] = T(1);
+  }
+  kt.trmm(m, b.cols, alpha, ap, lower, b.data, b.ld);
+}
+
+// Left trmm for any m: a triangle too large to pack splits into two
+// halves plus one gemm for the off-diagonal block, ordered so each step
+// still reads the rows of B it needs as input.
 template <class T>
 void trmm_left(Uplo uplo, Trans trans, Diag diag, T alpha,
                ConstMatrixViewT<T> a, MatrixViewT<T> b) {
   const int m = b.rows;
   const int n = b.cols;
-  const simd::KernelTable<T>& kt = simd::kernels<T>();
-  const bool upper_effect = (uplo == Uplo::Upper) == (trans == Trans::No);
-  constexpr int kChunk = 128;
-  T row[kChunk];
-  for (int s = 0; s < m; ++s) {
-    const int i = upper_effect ? s : m - 1 - s;
-    T* bi = b.data + i;  // row i of B, stride b.ld
-    const T d = diag == Diag::Unit ? alpha : alpha * a(i, i);
-    if (d != T(1)) {
-      for (int j = 0; j < n; ++j) {
-        bi[static_cast<std::ptrdiff_t>(j) * b.ld] *= d;
-      }
-    }
-    const int k0 = upper_effect ? i + 1 : 0;
-    const int k1 = upper_effect ? m : i;
-    for (int c0 = k0; c0 < k1; c0 += kChunk) {
-      const int len = std::min(kChunk, k1 - c0);
-      for (int p = 0; p < len; ++p) {
-        row[p] = trans == Trans::No ? a(i, c0 + p) : a(c0 + p, i);
-      }
-      kt.dot_cols(len, alpha, row, b.data + c0, b.ld, n, bi, b.ld);
-    }
+  if (m == 0 || n == 0) return;
+  const bool lower = (uplo == Uplo::Lower) == (trans == Trans::No);
+  if (m <= kTrmmPackDim) {
+    trmm_left_packed(lower, trans, diag, alpha, a, b);
+    return;
+  }
+  const int h = m / 2;
+  ConstMatrixViewT<T> a11 = a.block(0, 0, h, h);
+  ConstMatrixViewT<T> a22 = a.block(h, h, m - h, m - h);
+  MatrixViewT<T> b1 = b.block(0, 0, h, n);
+  MatrixViewT<T> b2 = b.block(h, 0, m - h, n);
+  // op(A)'s referenced off-diagonal block: rows [0, h) x cols [h, m) when
+  // it is upper, rows [h, m) x cols [0, h) when lower, stored transposed
+  // in A under Trans::Yes.
+  const bool off_top = !lower == (trans == Trans::No);
+  ConstMatrixViewT<T> off =
+      off_top ? a.block(0, h, h, m - h) : a.block(h, 0, m - h, h);
+  if (!lower) {
+    // B1 := O11 B1 + O12 B2, then B2 := O22 B2.
+    trmm_left(uplo, trans, diag, alpha, a11, b1);
+    gemm_t(trans, Trans::No, alpha, off, ConstMatrixViewT<T>(b2), T(1), b1);
+    trmm_left(uplo, trans, diag, alpha, a22, b2);
+  } else {
+    // B2 := O22 B2 + O21 B1, then B1 := O11 B1.
+    trmm_left(uplo, trans, diag, alpha, a22, b2);
+    gemm_t(trans, Trans::No, alpha, off, ConstMatrixViewT<T>(b1), T(1), b2);
+    trmm_left(uplo, trans, diag, alpha, a11, b1);
   }
 }
 

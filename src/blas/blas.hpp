@@ -86,8 +86,11 @@ long long gemm_small_max_work_f32();
 
 /// B := alpha * op(A) * B (Side::Left) or alpha * B * op(A) (Side::Right),
 /// A triangular. Only the referenced triangle of A is read; with
-/// Diag::Unit the diagonal is not read either. Side::Left is an in-place
-/// row sweep through the active SIMD table's dot_cols.
+/// Diag::Unit the diagonal is not read either, and no product with an
+/// unread entry enters any sum (an Inf in B reaches exactly the rows op(A)
+/// couples it to). Side::Left packs op(A) and runs the active SIMD table's
+/// register-tiled trmm kernel; triangles over 64 rows split in halves
+/// around one gemm.
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b);
 

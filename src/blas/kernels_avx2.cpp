@@ -31,6 +31,15 @@ struct Avx2D {
     const __m128d s = _mm_add_pd(lo, hi);
     return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
   }
+  // Blend the full-width FMA into c on lanes lo <= lane < hi.
+  static reg fma_lanes(reg a, reg b, reg c, int lo, int hi) {
+    const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+    const __m256i in = _mm256_andnot_si256(
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(lo), lane),
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(hi), lane));
+    return _mm256_blendv_pd(c, _mm256_fmadd_pd(a, b, c),
+                            _mm256_castsi256_pd(in));
+  }
 };
 
 struct Avx2F {
@@ -51,6 +60,14 @@ struct Avx2F {
     s = _mm_add_ps(s, _mm_movehl_ps(s, s));
     s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
     return _mm_cvtss_f32(s);
+  }
+  static reg fma_lanes(reg a, reg b, reg c, int lo, int hi) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i in = _mm256_andnot_si256(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(lo), lane),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane));
+    return _mm256_blendv_ps(c, _mm256_fmadd_ps(a, b, c),
+                            _mm256_castsi256_ps(in));
   }
 };
 

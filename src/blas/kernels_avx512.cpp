@@ -33,6 +33,10 @@ struct Avx512D {
   static reg add(reg a, reg b) { return _mm512_add_pd(a, b); }
   static reg fma(reg a, reg b, reg c) { return _mm512_fmadd_pd(a, b, c); }
   static T hsum(reg v) { return _mm512_reduce_add_pd(v); }
+  static reg fma_lanes(reg a, reg b, reg c, int lo, int hi) {
+    const auto m = static_cast<__mmask8>((1u << hi) - (1u << lo));
+    return _mm512_mask3_fmadd_pd(a, b, c, m);
+  }
 };
 
 struct Avx512F {
@@ -47,6 +51,10 @@ struct Avx512F {
   static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
   static reg fma(reg a, reg b, reg c) { return _mm512_fmadd_ps(a, b, c); }
   static T hsum(reg v) { return _mm512_reduce_add_ps(v); }
+  static reg fma_lanes(reg a, reg b, reg c, int lo, int hi) {
+    const auto m = static_cast<__mmask16>((1u << hi) - (1u << lo));
+    return _mm512_mask3_fmadd_ps(a, b, c, m);
+  }
 };
 
 }  // namespace

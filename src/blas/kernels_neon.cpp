@@ -12,6 +12,8 @@
 
 #include <arm_neon.h>
 
+#include <cstdint>
+
 namespace pulsarqr::blas::simd {
 namespace {
 
@@ -27,6 +29,14 @@ struct NeonD {
   static reg add(reg a, reg b) { return vaddq_f64(a, b); }
   static reg fma(reg a, reg b, reg c) { return vfmaq_f64(c, a, b); }
   static T hsum(reg v) { return vaddvq_f64(v); }
+  // Bit-select the full-width FMA into c on lanes lo <= lane < hi.
+  static reg fma_lanes(reg a, reg b, reg c, int lo, int hi) {
+    const uint64x2_t lane = {0, 1};
+    const uint64x2_t in = vandq_u64(
+        vcgeq_u64(lane, vdupq_n_u64(static_cast<std::uint64_t>(lo))),
+        vcltq_u64(lane, vdupq_n_u64(static_cast<std::uint64_t>(hi))));
+    return vbslq_f64(in, vfmaq_f64(c, a, b), c);
+  }
 };
 
 struct NeonF {
@@ -41,6 +51,13 @@ struct NeonF {
   static reg add(reg a, reg b) { return vaddq_f32(a, b); }
   static reg fma(reg a, reg b, reg c) { return vfmaq_f32(c, a, b); }
   static T hsum(reg v) { return vaddvq_f32(v); }
+  static reg fma_lanes(reg a, reg b, reg c, int lo, int hi) {
+    const uint32x4_t lane = {0, 1, 2, 3};
+    const uint32x4_t in = vandq_u32(
+        vcgeq_u32(lane, vdupq_n_u32(static_cast<std::uint32_t>(lo))),
+        vcltq_u32(lane, vdupq_n_u32(static_cast<std::uint32_t>(hi))));
+    return vbslq_f32(in, vfmaq_f32(c, a, b), c);
+  }
 };
 
 }  // namespace

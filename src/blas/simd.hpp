@@ -14,10 +14,11 @@
 //
 // Each ISA exports one KernelTable<T> per scalar type (double and float):
 // the packed-gemm micro-kernel with its MR x NR register-tile footprint
-// (packing in gemm_packed.cpp obeys the active table's mr/nr), plus the
+// (packing in gemm_packed.cpp obeys the active table's mr/nr), the left
+// triangular multiply on the same register tile (blas::trmm), plus the
 // vector level-1 primitives (axpy/dot) and the multi-column fused sweeps
-// (dot_cols/ger_cols/axpy_cols) that back blas::gemv/ger and the
-// triangular fringe updates of the tsmqr/ttmqr stacked cores. The scalar
+// (dot_cols/ger_cols/axpy_cols) that back blas::gemv/ger, small gemms and
+// the tsqrt/ttqrt panel sweep. The scalar
 // table is the always-correct fallback: plain templated loops, compiled
 // with the host-tuning flags when PULSARQR_NATIVE_KERNELS is ON so the
 // autovectorized PR 3 baseline is preserved exactly.
@@ -73,6 +74,14 @@ struct KernelTable {
   /// pair (full-width accumulation, edge-bounded writeback).
   void (*gemm_micro)(int kc, T alpha, const T* ap, const T* bp, T* c, int ldc,
                      int mr_eff, int nr_eff) = nullptr;
+  /// B(0:m, 0:n) := alpha * op(A) * B in place (B has leading dimension
+  /// ldb), op(A) an m-by-m triangle, lower or upper. ap holds op(A) packed
+  /// column-major with its rows padded to a multiple of mr: op(A)(i, k) at
+  /// ap[k * mp + i], mp = m rounded up to mr (a unit diagonal is packed as
+  /// 1). Slots outside the triangle are loaded but never part of any sum,
+  /// so whatever they hold cannot reach B.
+  void (*trmm)(int m, int n, T alpha, const T* ap, bool lower, T* b,
+               int ldb) = nullptr;
   /// y += a * x.
   void (*axpy)(int n, T a, const T* x, T* y) = nullptr;
   /// dot(x, y).

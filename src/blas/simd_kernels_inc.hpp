@@ -4,15 +4,20 @@
 // traits struct — register type, lane count, load/store/fma/hsum — and
 // instantiates Kernels<Traits, AR, NR> from this header, so the micro-kernel
 // schedule (full-width register accumulation over zero-padded packed panels,
-// 4-way unrolled level-1 sweeps, 4-column fused multi-sweeps) is written
-// once and compiled per-ISA with that TU's target flags.
+// the masked-diagonal triangular multiply, 4-way unrolled level-1 sweeps,
+// 4-column fused multi-sweeps) is written once and compiled per-ISA with
+// that TU's target flags.
 //
 // Traits contract (see ScalarTraits for the reference shape):
 //   using T            — scalar type (double or float)
 //   using reg          — vector register holding W lanes of T
 //   static constexpr int W
 //   zero(), set1(a), load(p) [64-byte-aligned p], loadu(p), storeu(p, v),
-//   add(a, b), fma(a, b, c) -> c + a * b, hsum(v) -> sum of lanes
+//   add(a, b), fma(a, b, c) -> c + a * b, hsum(v) -> sum of lanes,
+//   fma_lanes(a, b, c, lo, hi) -> c + a * b in lanes [lo, hi) and c
+//     unchanged in every other lane (0 <= lo < hi <= W); the product of an
+//     excluded lane must not reach the result, so a NaN or an Inf there
+//     leaves c as it was
 //
 // Kernels<VT, AR, NR> yields a gemm micro-tile of MR = AR * W rows by NR
 // columns: AR accumulator registers per C column, NR columns resident, so
@@ -20,6 +25,7 @@
 // (15 of 16 ymm for AVX2 8x6 doubles; 11 of 32 zmm for AVX-512 16x4).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "blas/simd.hpp"
@@ -43,6 +49,9 @@ struct ScalarTraits {
   static reg add(reg a, reg b) { return a + b; }
   static reg fma(reg a, reg b, reg c) { return c + a * b; }
   static T hsum(reg v) { return v; }
+  static reg fma_lanes(reg a, reg b, reg c, int lo, int hi) {
+    return lo <= 0 && 0 < hi ? c + a * b : c;
+  }
 };
 
 template <class VT, int AR, int NRK>
@@ -89,6 +98,114 @@ struct Kernels {
       for (int j = 0; j < nr; ++j) {
         T* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
         for (int i = 0; i < mr; ++i) cj[i] += alpha * tmp[j][i];
+      }
+    }
+  }
+
+  // B(0:m, 0:n) := alpha * op(A) * B in place, op(A) an m-by-m triangle
+  // packed column-major with its rows padded to MR (see KernelTable::trmm).
+  // Each MR-by-NRK tile of the product lives in registers, as in
+  // gemm_micro. Against op(A)'s columns strictly off the tile's diagonal
+  // block every row of the tile is coupled, so those run full-width FMAs;
+  // inside the MR-by-MR diagonal block each column couples only the rows on
+  // its side of the diagonal, and fma_lanes keeps every other row's product
+  // out of the sum (a zero there would turn an Inf of B into a NaN). Tiles
+  // run top-down when op(A) is upper (a row reads only rows at or below
+  // it), bottom-up when it is lower, so every row of B a tile reads still
+  // holds its input.
+  static void trmm(int m, int n, T alpha, const T* ap, bool lower, T* b,
+                   int ldb) {
+    const int nblk = (m + MR - 1) / MR;
+    for (int j = 0; j < n; j += NRK) {
+      T* bj = b + static_cast<std::ptrdiff_t>(j) * ldb;
+      for (int s = 0; s < nblk; ++s) {
+        const int i0 = (lower ? nblk - 1 - s : s) * MR;
+        trmm_cols<NRK>(std::min(NRK, n - j), m, alpha, ap, lower, i0, bj, ldb);
+      }
+    }
+  }
+
+  // Dispatch a column tile of nc <= NC columns to the kernel compiled for
+  // exactly that width, so a column's arithmetic never depends on how many
+  // neighbours share its tile.
+  template <int NC>
+  static void trmm_cols(int nc, int m, T alpha, const T* ap, bool lower,
+                        int i0, T* b, int ldb) {
+    if constexpr (NC > 1) {
+      if (nc < NC) {
+        trmm_cols<NC - 1>(nc, m, alpha, ap, lower, i0, b, ldb);
+        return;
+      }
+    }
+    trmm_tile<NC>(m, alpha, ap, lower, i0, b, ldb);
+  }
+
+  // Rows [i0, min(i0 + MR, m)) of NC columns of the product.
+  template <int NC>
+  static void trmm_tile(int m, T alpha, const T* ap, bool lower, int i0, T* b,
+                        int ldb) {
+    const std::ptrdiff_t mp = (m + MR - 1) / MR * MR;
+    const int d1 = std::min(i0 + MR, m);  // end of the diagonal block
+    const T* bc[NC];
+    for (int j = 0; j < NC; ++j) {
+      bc[j] = b + static_cast<std::ptrdiff_t>(j) * ldb;
+    }
+    reg acc[NC][AR];
+    for (int j = 0; j < NC; ++j) {
+      for (int r = 0; r < AR; ++r) acc[j][r] = VT::zero();
+    }
+    // Columns of op(A) every row of the tile is coupled to.
+    const int k0 = lower ? 0 : d1;
+    const int k1 = lower ? i0 : m;
+    for (int k = k0; k < k1; ++k) {
+      const T* ak = ap + k * mp + i0;
+      reg a[AR];
+      for (int r = 0; r < AR; ++r) a[r] = VT::loadu(ak + r * W);
+      for (int j = 0; j < NC; ++j) {
+        const reg bv = VT::set1(bc[j][k]);
+        for (int r = 0; r < AR; ++r) acc[j][r] = VT::fma(a[r], bv, acc[j][r]);
+      }
+    }
+    // Diagonal block. Its column c = rc * W + cw meets the diagonal in
+    // register rc, lane cw: that register couples lanes [0, cw] (upper) or
+    // [cw, W) (lower); the registers on the triangle's side of it are
+    // fully coupled and the others not at all.
+    for (int rc = 0; rc < AR; ++rc) {
+      for (int cw = 0; cw < W && i0 + rc * W + cw < d1; ++cw) {
+        const int k = i0 + rc * W + cw;
+        const T* ak = ap + k * mp + i0;
+        reg bv[NC];
+        for (int j = 0; j < NC; ++j) bv[j] = VT::set1(bc[j][k]);
+        for (int r = 0; r < AR; ++r) {
+          if (r == rc) {
+            const reg a = VT::loadu(ak + r * W);
+            const int lo = lower ? cw : 0;
+            const int hi = lower ? W : cw + 1;
+            for (int j = 0; j < NC; ++j) {
+              acc[j][r] = VT::fma_lanes(a, bv[j], acc[j][r], lo, hi);
+            }
+          } else if ((r < rc) != lower) {
+            const reg a = VT::loadu(ak + r * W);
+            for (int j = 0; j < NC; ++j) {
+              acc[j][r] = VT::fma(a, bv[j], acc[j][r]);
+            }
+          }
+        }
+      }
+    }
+    if (d1 - i0 == MR && alpha == T(1)) {
+      for (int j = 0; j < NC; ++j) {
+        T* cj = b + static_cast<std::ptrdiff_t>(j) * ldb + i0;
+        for (int r = 0; r < AR; ++r) VT::storeu(cj + r * W, acc[j][r]);
+      }
+    } else {
+      alignas(64) T tmp[NC][MR];
+      for (int j = 0; j < NC; ++j) {
+        for (int r = 0; r < AR; ++r) VT::storeu(&tmp[j][r * W], acc[j][r]);
+      }
+      for (int j = 0; j < NC; ++j) {
+        T* cj = b + static_cast<std::ptrdiff_t>(j) * ldb + i0;
+        for (int i = 0; i < d1 - i0; ++i) cj[i] = alpha * tmp[j][i];
       }
     }
   }
@@ -310,6 +427,7 @@ struct Kernels {
     t.mr = MR;
     t.nr = NRK;
     t.gemm_micro = &gemm_micro;
+    t.trmm = &trmm;
     t.axpy = &axpy;
     t.dot = &dot;
     t.dot_cols = &dot_cols;

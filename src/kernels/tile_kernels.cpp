@@ -60,16 +60,76 @@ inline int row_bound(bool tri, int c, int m2) {
   return tri ? std::min(c + 1, m2) : m2;
 }
 
+// One inner block of the stacked apply, C := op(H) C with the block
+// reflector H = I - V T V^T, V = [I; V2b], V2b = V2(:, jb:jb+kb):
+//   W = C1b + V2b^T C2 ;  W := op(Tb) W ;  C1b -= W ;  C2 -= V2b W.
+// C1b is kb-by-nc, C2 is m2-by-nc, work holds kb*nc elements. Dense V2
+// (tri=false) is one gemm per product. With triangular V2 (tri=true) rows
+// [0, jb) of V2b are dense for every panel column and go to the same gemm,
+// while rows [jb, jb+kb) form V2's kb-by-kb upper-triangular diagonal
+// block U — a trapezoid when m2 < jb+kb: a triangle plus dense columns on
+// its right. Each product with U's triangle copies its operand into
+// scratch (kb*nc elements) and makes one trmm call, which reads only the
+// triangle; the dense columns go to gemm. Nothing below V2's diagonal is
+// read, and C2 rows past the block's support are untouched.
+template <class T>
+void apply_block(Trans trans, ConstMatrixViewT<T> v2, int jb, int kb,
+                 ConstMatrixViewT<T> tb, MatrixViewT<T> c1b,
+                 MatrixViewT<T> c2, T* work, T* scratch, bool tri) {
+  const int m2 = v2.rows;
+  const int nc = c1b.cols;
+  const int r0 = tri ? std::min(jb, m2) : m2;  // V2b rows dense in every column
+  const int mt = tri ? std::clamp(m2 - jb, 0, kb) : 0;  // U's row count
+  MatrixViewT<T> w(work, kb, nc, kb);
+  blas::lacpy_all(c1b, w);
+  if (r0 > 0) {
+    blas::gemm(Trans::Yes, Trans::No, T(1), v2.block(0, jb, r0, kb),
+               ConstMatrixViewT<T>(c2.block(0, 0, r0, nc)), T(1), w);
+  }
+  ConstMatrixViewT<T> u, u_right;
+  MatrixViewT<T> c2b, x;
+  if (mt > 0) {
+    u = v2.block(jb, jb, mt, mt);
+    u_right = v2.block(jb, jb + mt, mt, kb - mt);
+    c2b = c2.block(jb, 0, mt, nc);
+    x = MatrixViewT<T>(scratch, mt, nc, mt);
+    // W += U^T C2b: the triangle's rows of W through trmm, the rest gemm.
+    blas::lacpy_all(c2b, x);
+    blas::trmm(Side::Left, Uplo::Upper, Trans::Yes, Diag::NonUnit, T(1), u,
+               x);
+    for (int j = 0; j < nc; ++j) blas::axpy(mt, T(1), x.col(j), w.col(j));
+    if (kb > mt) {
+      blas::gemm(Trans::Yes, Trans::No, T(1), u_right,
+                 ConstMatrixViewT<T>(c2b), T(1), w.block(mt, 0, kb - mt, nc));
+    }
+  }
+  blas::trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1), tb, w);
+  for (int j = 0; j < nc; ++j) blas::axpy(kb, T(-1), w.col(j), c1b.col(j));
+  if (r0 > 0) {
+    blas::gemm(Trans::No, Trans::No, T(-1), v2.block(0, jb, r0, kb),
+               ConstMatrixViewT<T>(w), T(1), c2.block(0, 0, r0, nc));
+  }
+  if (mt > 0) {
+    // C2b -= U W.
+    blas::lacpy_all(ConstMatrixViewT<T>(w.block(0, 0, mt, nc)), x);
+    blas::trmm(Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit, T(1), u, x);
+    for (int j = 0; j < nc; ++j) blas::axpy(mt, T(-1), x.col(j), c2b.col(j));
+    if (kb > mt) {
+      blas::gemm(Trans::No, Trans::No, T(-1), u_right,
+                 ConstMatrixViewT<T>(w.block(mt, 0, kb - mt, nc)), T(1), c2b);
+    }
+  }
+}
+
 // Shared "triangle on top of block" QR core: factorizes [A1; A2] where A1
 // is n-by-n upper triangular and A2 is m2-by-n dense (tri=false) or upper
 // triangular (tri=true, per-column row bounds). Householder vector j is
 // [e_j; V2(:, j)] (identity top), so only row j of A1 is touched when
 // eliminating column j, and the block T recurrence reduces to dot products
-// over V2 columns. For the triangular case the block update splits each
-// panel into the rectangle of rows valid for every panel column (handled
-// by gemm) and a fringe of at most ib-1 rows per panel column, swept with
-// the multi-column fused kernels (dot_cols/ger_cols) from the active SIMD
-// table — one pass of the V2 column feeds four trailing columns at a time.
+// over V2 columns. Each panel is factored one reflector at a time with one
+// dot_cols and one ger_cols sweep over the reflector's rows; the trailing
+// columns then take the panel's block reflector through apply_block, the
+// same inner step tsmqr/ttmqr run.
 template <class T>
 void stacked_qrt(MatrixViewT<T> a1, MatrixViewT<T> a2, int ib,
                  MatrixViewT<T> t, Workspace& ws, bool tri) {
@@ -86,6 +146,8 @@ void stacked_qrt(MatrixViewT<T> a1, MatrixViewT<T> a2, int ib,
   const int ibk = std::min(ib, n);
   T* tau = ws.alloc_as<T>(ibk);
   T* workbuf = ws.alloc_as<T>(static_cast<std::size_t>(ibk) * n);
+  T* scratch =
+      tri ? ws.alloc_as<T>(static_cast<std::size_t>(ibk) * n) : nullptr;
 
   for (int jb = 0; jb < n; jb += ib) {
     const int kb = std::min(ib, n - jb);
@@ -125,62 +187,20 @@ void stacked_qrt(MatrixViewT<T> a1, MatrixViewT<T> a2, int ib,
                    ConstMatrixViewT<T>(tb.data, i, i, tb.ld), tb.col(i));
       }
     }
-    // Block update of the trailing columns: with V = [I; V2b],
-    //   W  = A1(jb:jb+kb, rest) + V2b^T A2(:, rest)
-    //   W := T^T W
-    //   A1(jb:jb+kb, rest) -= W ;  A2(:, rest) -= V2b W.
+    // Block update of the trailing columns with Q_panel^T.
     const int rest = n - (jb + kb);
     if (rest > 0) {
-      MatrixViewT<T> w(workbuf, kb, rest, kb);
-      blas::lacpy_all(a1.block(jb, jb + kb, kb, rest), w);
-      // Rows [0, r0) are valid for every panel column; the per-column
-      // fringe [r0, row_bound(c)) is at most kb-1 rows deep.
-      const int r0 = row_bound(tri, jb, m2);
-      if (r0 > 0) {
-        ConstMatrixViewT<T> v2b(a2.col(jb), r0, kb, a2.ld);
-        blas::gemm(Trans::Yes, Trans::No, T(1), v2b,
-                   ConstMatrixViewT<T>(a2.col(jb + kb), r0, rest, a2.ld),
-                   T(1), w);
-      }
-      if (tri) {
-        // Fringe of W = V2b^T A2: row i2 of W gains the bounded dot of
-        // V2 column jb+i2 against every trailing column — one fused sweep.
-        for (int i2 = 0; i2 < kb; ++i2) {
-          const int hi = row_bound(true, jb + i2, m2);
-          if (hi <= r0) continue;
-          kt.dot_cols(hi - r0, T(1), a2.col(jb + i2) + r0,
-                      a2.col(jb + kb) + r0, a2.ld, rest, &w(i2, 0), w.ld);
-        }
-      }
-      blas::trmm(Side::Left, Uplo::Upper, Trans::Yes, Diag::NonUnit, T(1),
-                 ConstMatrixViewT<T>(tb), w);
-      for (int j2 = 0; j2 < rest; ++j2) {
-        blas::axpy(kb, T(-1), w.col(j2), a1.col(jb + kb + j2) + jb);
-      }
-      if (r0 > 0) {
-        ConstMatrixViewT<T> v2b(a2.col(jb), r0, kb, a2.ld);
-        blas::gemm(Trans::No, Trans::No, T(-1), v2b, ConstMatrixViewT<T>(w),
-                   T(1), MatrixViewT<T>(a2.col(jb + kb), r0, rest, a2.ld));
-      }
-      if (tri) {
-        // Fringe of A2 -= V2b W: rank-1 fan-out of V2 column jb+i2 into
-        // the trailing columns, coefficients from row i2 of W.
-        for (int i2 = 0; i2 < kb; ++i2) {
-          const int hi = row_bound(true, jb + i2, m2);
-          if (hi <= r0) continue;
-          kt.ger_cols(hi - r0, T(-1), a2.col(jb + i2) + r0, &w(i2, 0), w.ld,
-                      a2.col(jb + kb) + r0, a2.ld, rest);
-        }
-      }
+      apply_block<T>(Trans::Yes, a2, jb, kb, tb,
+                     a1.block(jb, jb + kb, kb, rest),
+                     a2.block(0, jb + kb, m2, rest), workbuf, scratch, tri);
     }
   }
 }
 
-// Shared apply core for tsmqr/ttmqr: C := op(Q) C with Q from stacked_qrt.
-// With tri=true, v2 is read through the same per-column row bounds, so the
-// raw ttqrt output tile (upper triangle = V2, strict lower = foreign data)
-// can be passed directly; C2 rows at or above every column's bound are
-// untouched, matching the reflectors' support.
+// Shared apply core for tsmqr/ttmqr: C := op(Q) C with Q from stacked_qrt,
+// one apply_block per inner block. With tri=true, v2 is read through the
+// same triangular support, so the raw ttqrt output tile (upper triangle =
+// V2, strict lower = foreign data) can be passed directly.
 template <class T>
 void stacked_apply(Trans trans, ConstMatrixViewT<T> v2, ConstMatrixViewT<T> t,
                    int ib, MatrixViewT<T> c1, MatrixViewT<T> c2, Workspace& ws,
@@ -193,55 +213,18 @@ void stacked_apply(Trans trans, ConstMatrixViewT<T> v2, ConstMatrixViewT<T> t,
   require(ib >= 1, "tsmqr: ib must be positive");
   if (n == 0 || nc == 0) return;
 
-  const auto& kt = blas::simd::kernels<T>();
   WsFrame frame(ws);
-  T* workbuf = ws.alloc_as<T>(static_cast<std::size_t>(std::min(ib, n)) * nc);
+  const std::size_t wsize = static_cast<std::size_t>(std::min(ib, n)) * nc;
+  T* workbuf = ws.alloc_as<T>(wsize);
+  T* scratch = tri ? ws.alloc_as<T>(wsize) : nullptr;
   const int nblocks = (n + ib - 1) / ib;
   // Q^T applies inner blocks first-to-last (with T^T), Q last-to-first.
   for (int bi = 0; bi < nblocks; ++bi) {
     const int b = trans == Trans::Yes ? bi : nblocks - 1 - bi;
     const int jb = b * ib;
     const int kb = std::min(ib, n - jb);
-    const int r0 = row_bound(tri, jb, m2);
-    ConstMatrixViewT<T> tb = t.block(0, jb, kb, kb);
-    MatrixViewT<T> w(workbuf, kb, nc, kb);
-    // W = C1(jb:jb+kb, :) + V2b^T C2
-    blas::lacpy_all(c1.block(jb, 0, kb, nc), w);
-    if (r0 > 0) {
-      ConstMatrixViewT<T> v2b(v2.col(jb), r0, kb, v2.ld);
-      blas::gemm(Trans::Yes, Trans::No, T(1), v2b,
-                 ConstMatrixViewT<T>(c2.data, r0, nc, c2.ld), T(1), w);
-    }
-    if (tri) {
-      // Triangular fringe of V2b^T C2, one fused multi-column sweep per
-      // panel row (ISA dot_cols kernel; depth at most ib-1 rows).
-      for (int i2 = 0; i2 < kb; ++i2) {
-        const int hi = row_bound(true, jb + i2, m2);
-        if (hi <= r0) continue;
-        kt.dot_cols(hi - r0, T(1), v2.col(jb + i2) + r0, c2.col(0) + r0,
-                    c2.ld, nc, &w(i2, 0), w.ld);
-      }
-    }
-    // W := op(T) W
-    blas::trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1), tb, w);
-    // C1(jb:jb+kb, :) -= W ;  C2 -= V2b W
-    for (int j2 = 0; j2 < nc; ++j2) {
-      blas::axpy(kb, T(-1), w.col(j2), c1.col(j2) + jb);
-    }
-    if (r0 > 0) {
-      ConstMatrixViewT<T> v2b(v2.col(jb), r0, kb, v2.ld);
-      blas::gemm(Trans::No, Trans::No, T(-1), v2b, ConstMatrixViewT<T>(w),
-                 T(1), MatrixViewT<T>(c2.data, r0, nc, c2.ld));
-    }
-    if (tri) {
-      // Triangular fringe of C2 -= V2b W (ISA ger_cols kernel).
-      for (int i2 = 0; i2 < kb; ++i2) {
-        const int hi = row_bound(true, jb + i2, m2);
-        if (hi <= r0) continue;
-        kt.ger_cols(hi - r0, T(-1), v2.col(jb + i2) + r0, &w(i2, 0), w.ld,
-                    c2.col(0) + r0, c2.ld, nc);
-      }
-    }
+    apply_block<T>(trans, v2, jb, kb, t.block(0, jb, kb, kb),
+                   c1.block(jb, 0, kb, nc), c2, workbuf, scratch, tri);
   }
 }
 

@@ -133,7 +133,10 @@ void SocketComm::install_rejoin(const Rejoin& rj) {
     peer_fds_[rj.rank].store(rj.fd, std::memory_order_release);
     peer_epoch_[rj.rank].store(rj.epoch, std::memory_order_release);
   }
-  peer_down_[rj.rank].store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(downmu_);
+    peer_down_[rj.rank].store(false, std::memory_order_release);
+  }
   // Wake the receiver so it reconciles (closes the replaced fd, discards
   // the dead incarnation's partial stream, and starts polling the new fd).
   const char b = 'w';
@@ -533,6 +536,20 @@ bool SocketComm::receive(int peer, int fd, RxStream& rx) {
   return false;
 }
 
+// The receiver polls a snapshot of the peer fds, so the EOF of a dead
+// incarnation can surface after install_rejoin has already swapped in the
+// replacement and cleared peer_down_. Marking the link down then would
+// freeze it for good: Reliable::poll defers retransmits to a down peer,
+// so one lost frame to the live replacement would never be resent and
+// the run would wedge. Only the current fd's EOF marks the peer down;
+// downmu_ makes the fd check and the store one step against the clear.
+void SocketComm::mark_down_if_current(int peer, int fd) {
+  std::lock_guard<std::mutex> lock(downmu_);
+  if (peer_fds_[peer].load(std::memory_order_acquire) == fd) {
+    peer_down_[peer].store(true, std::memory_order_release);
+  }
+}
+
 void SocketComm::receiver_loop() {
   std::vector<RxStream> rx(size());
   std::vector<char> dead(size(), 0);
@@ -573,7 +590,7 @@ void SocketComm::receiver_loop() {
       if (pfds[i].fd != cur[peer]) continue;  // swapped mid-iteration
       if (!receive(peer, pfds[i].fd, rx[peer])) {
         dead[peer] = 1;  // peer process exited (normal during teardown)
-        peer_down_[peer].store(true, std::memory_order_release);
+        mark_down_if_current(peer, pfds[i].fd);
       }
     }
     if ((pfds.back().revents & POLLIN) != 0) {

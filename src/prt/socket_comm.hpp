@@ -178,6 +178,7 @@ class SocketComm : public Comm {
   /// Dispatch every whole frame in the stage and start the payload read
   /// of a frame that runs past it. False on a malformed header.
   bool consume(int peer, RxStream& rx);
+  void mark_down_if_current(int peer, int fd);
   void dispatch(int peer, const FrameHeader& h, Packet payload);
 
   int rank_;
@@ -188,6 +189,9 @@ class SocketComm : public Comm {
   std::vector<std::atomic<int>> peer_fds_;
   std::vector<std::atomic<std::uint32_t>> peer_epoch_;
   std::vector<std::atomic<bool>> peer_down_;
+  /// Orders the receiver's EOF check-and-mark against install_rejoin's
+  /// clear of peer_down_ (see mark_down_if_current).
+  std::mutex downmu_;
   std::vector<std::unique_ptr<std::mutex>> wmu_;  ///< per-peer write lock
   int wake_pipe_[2] = {-1, -1};  ///< receiver-thread shutdown nudge
 

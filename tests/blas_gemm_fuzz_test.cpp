@@ -11,11 +11,13 @@
 // AVX2, AVX-512, NEON — whatever this binary and host have) is checked
 // against the plain-loop scalar reference, in double and float. The tile
 // kernel leg does the same for the tsqrt/tsmqr/ttqrt/ttmqr stacked cores,
-// whose triangular fringes use the dot_cols/ger_cols fused kernels.
+// whose panel loops use the dot_cols/ger_cols fused kernels and whose
+// triangles go through the trmm kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -256,14 +258,17 @@ TEST(GemmFuzzF32, EveryIsaMatchesScalarReference) {
 
 // ---- Tile-kernel ISA cross-check ------------------------------------------
 //
-// Runs the four stacked kernels (the TT pair exercises the triangular
-// fringe dot_cols/ger_cols sweeps) under each ISA and compares against the
-// scalar run. Odd nb/ib make the fringes as deep and ragged as possible.
+// Runs the four stacked kernels under each ISA and compares against the
+// scalar run. The TT pair multiplies by each inner block's V2 triangle
+// through the left trmm kernel; odd nb/ib leave a short last block, and a
+// TT loser with m2 < nb rows ends V2 in a trapezoid, so every ISA's
+// masked diagonal tiles and the trapezoid's gemm columns are checked.
 template <class T>
-std::vector<T> run_stacked_kernels(int nb, int ib, std::uint64_t seed) {
+std::vector<T> run_stacked_kernels(int nb, int ib, int m2,
+                                   std::uint64_t seed) {
   kernels::Workspace ws;
   MatrixT<T> a1(nb, nb), a2(nb, nb), t(ib, nb), c1(nb, nb), c2(nb, nb);
-  MatrixT<T> a3(nb, nb), t3(ib, nb), c3(nb, nb);
+  MatrixT<T> a3(m2, nb), t3(ib, nb), c3(m2, nb);
   Rng rng(seed);
   for (MatrixT<T>* m : {&a1, &a2, &c1, &c2, &a3, &c3}) {
     for (int j = 0; j < m->cols(); ++j) {
@@ -292,18 +297,19 @@ std::vector<T> run_stacked_kernels(int nb, int ib, std::uint64_t seed) {
 template <class T>
 void stacked_isa_cross_check(T tol) {
   IsaGuard guard;
-  const std::pair<int, int> shapes[] = {{40, 8}, {37, 7}, {24, 5}};
-  for (const auto& shape : shapes) {
-    const int nb = shape.first;
-    const int ib = shape.second;
+  // (nb, ib, m2 of the TT loser)
+  const std::tuple<int, int, int> shapes[] = {
+      {40, 8, 40}, {37, 7, 37}, {24, 5, 24}, {37, 7, 18}};
+  for (const auto& [nb, ib, m2] : shapes) {
     ASSERT_TRUE(blas::simd::set_isa(Isa::Scalar));
-    const std::vector<T> ref = run_stacked_kernels<T>(nb, ib, 97);
+    const std::vector<T> ref = run_stacked_kernels<T>(nb, ib, m2, 97);
     for (Isa isa : supported_isas()) {
       if (isa == Isa::Scalar) continue;
       SCOPED_TRACE(::testing::Message() << blas::simd::isa_name(isa)
-                                        << " nb=" << nb << " ib=" << ib);
+                                        << " nb=" << nb << " ib=" << ib
+                                        << " m2=" << m2);
       ASSERT_TRUE(blas::simd::set_isa(isa));
-      const std::vector<T> got = run_stacked_kernels<T>(nb, ib, 97);
+      const std::vector<T> got = run_stacked_kernels<T>(nb, ib, m2, 97);
       ASSERT_EQ(ref.size(), got.size());
       for (std::size_t i = 0; i < ref.size(); ++i) {
         const T scale = std::fmax(T(1), std::fabs(ref[i]));

@@ -355,8 +355,12 @@ void trmm_nan_case(Side side, Uplo uplo, Trans trans, Diag diag, int k,
 template <class T>
 void trmm_nan_sweep() {
   IsaGuard guard;
-  const int ks[] = {1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 64, 128};
-  const int others[] = {1, 3, 7, 13};
+  // 97, 128 and 200 exceed the 64-row pack buffer of the left trmm, so
+  // they run its split path (200 twice over). The column counts cover
+  // every kernel's NR-wide tiles and their tails.
+  const int ks[] = {1,  2,  3,  4,  5,  7,  8,  15, 16,
+                    17, 31, 32, 33, 64, 97, 128, 200};
+  const int others[] = {1, 3, 4, 7, 13, 64, 130};
   for (blas::simd::Isa isa : supported_isas()) {
     SCOPED_TRACE(blas::simd::isa_name(isa));
     ASSERT_TRUE(blas::simd::set_isa(isa));
@@ -367,7 +371,7 @@ void trmm_nan_sweep() {
           for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
             for (int k : ks) {
               const T alpha = idx % 2 == 0 ? T(-0.75) : T(1.5);
-              trmm_nan_case<T>(side, uplo, trans, diag, k, others[idx % 4],
+              trmm_nan_case<T>(side, uplo, trans, diag, k, others[idx % 7],
                                1 + idx % 3, alpha, 900 + idx);
               ++idx;
             }
@@ -381,6 +385,67 @@ void trmm_nan_sweep() {
 TEST(TrmmFuzz, ReadsOnlyReferencedTriangleF64) { trmm_nan_sweep<double>(); }
 
 TEST(TrmmFuzz, ReadsOnlyReferencedTriangleF32) { trmm_nan_sweep<float>(); }
+
+// An Inf in row r of B must reach exactly the rows of the left product
+// that op(A) couples to r — rows i <= r when op(A) is upper, i >= r when
+// it is lower — and no others. A kernel that let an entry outside the
+// triangle into a sum, even as an explicit zero, would turn 0 * Inf into
+// a NaN in an uncoupled row. Every entry of op(A)'s triangle is nonzero,
+// so every coupled row goes non-finite.
+template <class T>
+void trmm_inf_sweep() {
+  IsaGuard guard;
+  const T inf = std::numeric_limits<T>::infinity();
+  const int ks[] = {1, 5, 16, 17, 33, 70};
+  const int n = 13;
+  for (blas::simd::Isa isa : supported_isas()) {
+    SCOPED_TRACE(blas::simd::isa_name(isa));
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+      for (Trans trans : {Trans::No, Trans::Yes}) {
+        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          const bool lower = (uplo == Uplo::Lower) == (trans == Trans::No);
+          for (int k : ks) {
+            Rng rng(1000 + k);
+            MatrixT<T> a(k, k);
+            for (int j = 0; j < k; ++j) {
+              for (int i = 0; i < k; ++i) {
+                a(i, j) = static_cast<T>(0.5 + std::fabs(rng.next_symmetric()));
+              }
+            }
+            for (int r = 0; r < k; r += k > 33 ? 7 : 1) {
+              SCOPED_TRACE(::testing::Message()
+                           << "uplo=" << (uplo == Uplo::Upper ? "U" : "L")
+                           << " trans=" << (trans == Trans::No ? "N" : "T")
+                           << " diag=" << (diag == Diag::Unit ? "U" : "N")
+                           << " k=" << k << " r=" << r);
+              MatrixT<T> b(k, n);
+              for (int j = 0; j < n; ++j) {
+                for (int i = 0; i < k; ++i) {
+                  b(i, j) = static_cast<T>(rng.next_symmetric());
+                }
+                b(r, j) = j % 2 == 0 ? inf : -inf;
+              }
+              blas::trmm(Side::Left, uplo, trans, diag, T(-1.25), a.view(),
+                         b.view());
+              for (int j = 0; j < n; ++j) {
+                for (int i = 0; i < k; ++i) {
+                  const bool coupled = lower ? i >= r : i <= r;
+                  ASSERT_EQ(!std::isfinite(b(i, j)), coupled)
+                      << "row " << i << " col " << j << " = " << b(i, j);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TrmmFuzz, InfReachesExactlyTheCoupledRowsF64) { trmm_inf_sweep<double>(); }
+
+TEST(TrmmFuzz, InfReachesExactlyTheCoupledRowsF32) { trmm_inf_sweep<float>(); }
 
 TEST(Level2, TrsvSolves) {
   Matrix a = make_triangular(8, Uplo::Upper, 41);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -243,13 +244,14 @@ TEST(GeqrtTile, ApplyTransposeYieldsR) {
   }
 }
 
-// ---- T-block and V1 poison ---------------------------------------------------
+// ---- T-block, V1 and V2 poison ---------------------------------------------
 //
 // The apply kernels multiply by each ib-by-ib T block as an upper triangle
 // and by V1 as a unit lower triangle, so neither the strict-lower part of
-// a T block nor anything on or above V1's diagonal may be read. Each test
-// runs a kernel twice, once with those entries zeroed and once holding
-// NaN, and requires bitwise-identical outputs.
+// a T block nor anything on or above V1's diagonal may be read; the TT
+// kernels read their triangular V2 only on and above its diagonal. Each
+// test runs a kernel twice, once with the unread entries zeroed and once
+// holding NaN, and requires bitwise-identical outputs.
 
 bool same_bits(const Matrix& x, const Matrix& y) {
   return x.rows() == y.rows() && x.cols() == y.cols() &&
@@ -318,6 +320,59 @@ TEST(KernelPoison, StackedApplyIgnoresTStrictLower) {
         EXPECT_TRUE(same_bits(out[0][0], out[1][0]));
         EXPECT_TRUE(same_bits(out[0][1], out[1][1]));
       }
+    }
+  }
+}
+
+// Copy of a TT loser tile with its strict lower part set to `fill`. In a
+// tree that part holds the flat phase's Householder vectors, never V2.
+Matrix poison_below_diag(const Matrix& a, double fill) {
+  Matrix out = a;
+  for (int j = 0; j < out.cols(); ++j) {
+    for (int i = j + 1; i < out.rows(); ++i) out(i, j) = fill;
+  }
+  return out;
+}
+
+// ttqrt and ttmqr read the loser tile only on and above its diagonal: with
+// its strict lower part zero in one run and NaN in the other, R1, V2, T and
+// the updated C1/C2 must be bitwise identical, and ttqrt must leave that
+// part as it found it. The short losers (m2 < n) end in a trapezoidal V2
+// block.
+TEST(KernelPoison, TtKernelsNeverReadBelowV2Diagonal) {
+  std::vector<std::tuple<int, int, int>> shapes;  // (n, ib, m2)
+  for (const auto& [n, ib] : kPoisonShapes) shapes.emplace_back(n, ib, n);
+  shapes.emplace_back(13, 5, 7);
+  shapes.emplace_back(40, 16, 21);
+  for (const auto& [n, ib, m2] : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << n << " ib=" << ib << " m2=" << m2);
+    const Matrix r1 = upper_square(random_matrix(n, n, 391), n);
+    const Matrix a2 = random_matrix(m2, n, 392);
+    Matrix r[2], v[2], t[2];
+    for (int p = 0; p < 2; ++p) {
+      const double fill = p == 0 ? 0.0 : kNan;
+      r[p] = r1;
+      v[p] = poison_below_diag(a2, fill);
+      t[p] = Matrix(ib, n);
+      kernels::ttqrt(r[p].view(), v[p].view(), ib, t[p].view());
+      EXPECT_TRUE(same_bits(v[p], poison_below_diag(v[p], fill)));
+    }
+    EXPECT_TRUE(same_bits(r[0], r[1]));
+    EXPECT_TRUE(same_bits(t[0], t[1]));
+    EXPECT_TRUE(same_bits(v[0], poison_below_diag(v[1], 0.0)));
+    for (Trans trans : {Trans::Yes, Trans::No}) {
+      SCOPED_TRACE(trans == Trans::No ? "ttmqr N" : "ttmqr T");
+      Matrix out[2][2];
+      for (int p = 0; p < 2; ++p) {
+        const Matrix vp = poison_below_diag(v[0], p == 0 ? 0.0 : kNan);
+        out[p][0] = random_matrix(n, 9, 393);
+        out[p][1] = random_matrix(m2, 9, 394);
+        kernels::ttmqr(trans, vp.view(), t[0].view(), ib, out[p][0].view(),
+                       out[p][1].view());
+      }
+      EXPECT_TRUE(same_bits(out[0][0], out[1][0]));
+      EXPECT_TRUE(same_bits(out[0][1], out[1][1]));
     }
   }
 }
