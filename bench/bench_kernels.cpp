@@ -2,9 +2,18 @@
 // building blocks. These numbers calibrate the simulator's kernel
 // efficiency model for *this* host; the Kraken model in sim/machine.hpp
 // uses the paper's platform instead.
+//
+// The run's context names the dispatched ISA and each kernel table's
+// register tile (kernel_isa, tile_f64, tile_f32), so a saved JSON report
+// says which micro-kernel produced its numbers.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <new>
+#include <string>
+
 #include "blas/blas.hpp"
+#include "blas/simd.hpp"
 #include "chol/reference_chol.hpp"
 #include "common/rng.hpp"
 #include "kernels/tile_kernels.hpp"
@@ -45,6 +54,56 @@ void BM_gemm(benchmark::State& state) {
   }
   state.counters["Gflop/s"] = benchmark::Counter(
       2.0 * nb * nb * nb * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+// The gemm products the tile kernels actually issue, C(m x n) += op(A)
+// op(B) with inner dimension k: range(0)/range(1) the Trans of A/B, then
+// m, n, k. TN 32x128x128 and NN 128x128x32 are tsmqr's W = V2b^T C2 and
+// C2 -= V2b W at nb/ib 128/32 (16x64x64, 64x64x16 at 64/16); NT
+// 128x128x128 is the Cholesky tile update. Through blas::gemm, so the
+// small-shape crossover applies as it does in the kernels.
+void BM_gemm_shape(benchmark::State& state) {
+  const blas::Trans ta = state.range(0) ? blas::Trans::Yes : blas::Trans::No;
+  const blas::Trans tb = state.range(1) ? blas::Trans::Yes : blas::Trans::No;
+  const int m = static_cast<int>(state.range(2));
+  const int n = static_cast<int>(state.range(3));
+  const int k = static_cast<int>(state.range(4));
+  Matrix a = ta == blas::Trans::No ? random_matrix(m, k, 33)
+                                   : random_matrix(k, m, 33);
+  Matrix b = tb == blas::Trans::No ? random_matrix(k, n, 34)
+                                   : random_matrix(n, k, 34);
+  Matrix c = random_matrix(m, n, 35);
+  for (auto _ : state) {
+    blas::gemm(ta, tb, 1.0, a.view(), b.view(), 1.0, c.view());
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      2.0 * m * n * k * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+// One register tile of the active f64 table over an L1-resident panel
+// pair: a packed mr x kc A panel and an in-place kc x nr NoTrans B. The
+// ceiling the other gemm rows are read against. range(0) = kc.
+void BM_gemm_micro(benchmark::State& state) {
+  const int kc = static_cast<int>(state.range(0));
+  const blas::simd::KernelTable<double>& kt = blas::simd::kernels<double>();
+  const std::size_t ap_len = static_cast<std::size_t>(kt.mr) * kc;
+  auto* ap = static_cast<double*>(
+      ::operator new(ap_len * sizeof(double), std::align_val_t(64)));
+  Rng rng(36);
+  for (std::size_t i = 0; i < ap_len; ++i) ap[i] = rng.next_symmetric();
+  const Matrix b = random_matrix(kc, kt.nr, 37);
+  Matrix c = random_matrix(kt.mr, kt.nr, 38);
+  for (auto _ : state) {
+    kt.gemm_micro(kc, 1.0, ap, b.data(), 1, b.rows(), c.data(), c.rows(),
+                  kt.mr, kt.nr);
+    benchmark::DoNotOptimize(c.data());
+  }
+  ::operator delete(ap, std::align_val_t(64));
+  state.counters["Gflop/s"] = benchmark::Counter(
+      2.0 * kt.mr * kt.nr * kc * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }
 
@@ -333,6 +392,14 @@ static void GemmArgs(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_gemm)->Apply(GemmArgs)->Unit(benchmark::kMillisecond);
 
+// {ta, tb, m, n, k}: tsmqr's two products at 128/32 and 64/16, then the
+// Cholesky NT update.
+BENCHMARK(BM_gemm_shape)->Args({1, 0, 32, 128, 128})
+    ->Args({0, 0, 128, 128, 32})->Args({1, 0, 16, 64, 64})
+    ->Args({0, 0, 64, 64, 16})->Args({0, 1, 128, 128, 128})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_gemm_micro)->Arg(128)->Unit(benchmark::kNanosecond);
+
 // Paper tile sizes: nb in {192, 240}, ib = 48; smaller sizes for context.
 BENCHMARK(BM_geqrt)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
@@ -362,3 +429,22 @@ BENCHMARK(BM_potrf_tile)->Arg(64)->Arg(192)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_getrf_tile)->Arg(64)->Arg(192)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_dense_geqrf)->Args({768, 192})->Args({1024, 64})
     ->Unit(benchmark::kMillisecond);
+
+// google-benchmark's stock main plus the kernel context: the ISA the
+// dispatch picked and each table's register tile.
+int main(int argc, char** argv) {
+  namespace simd = pulsarqr::blas::simd;
+  const auto& kt64 = simd::kernels<double>();
+  const auto& kt32 = simd::kernels<float>();
+  benchmark::AddCustomContext("kernel_isa",
+                              simd::isa_name(simd::active_isa()));
+  benchmark::AddCustomContext(
+      "tile_f64", std::to_string(kt64.mr) + "x" + std::to_string(kt64.nr));
+  benchmark::AddCustomContext(
+      "tile_f32", std::to_string(kt32.mr) + "x" + std::to_string(kt32.nr));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -378,12 +378,12 @@ void gemm_ref_t(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
 }
 
 // Crossover between the direct small path and the packed loop nest,
-// derived from the active table's register tile: packing (two streaming
-// copies plus zero padding) starts paying for itself once the product
-// covers roughly 64 micro-tile volumes. For the AVX-512 f64 tile (16x4)
-// this reproduces the old hard-coded 4096 cutoff; smaller tiles (scalar
-// 8x4, NEON 4x4) amortize packing sooner and now get a lower threshold
-// instead of inheriting a constant tuned on the widest ISA.
+// derived from the active table's register tile: packing op(A) plus the
+// tile setup and edge writebacks start paying for themselves once the
+// product covers roughly 64 micro-tile volumes. For the AVX-512 f64 tile
+// (16x8) that is 8192; smaller tiles (scalar 8x4, NEON 4x4) amortize
+// sooner and get a lower threshold instead of inheriting a constant tuned
+// on the widest ISA.
 template <class T>
 long long gemm_small_max_work_t() {
   const simd::KernelTable<T>& kt = simd::kernels<T>();
@@ -393,7 +393,7 @@ long long gemm_small_max_work_t() {
 // Direct small-shape gemm: every column of C is produced by one fused
 // table sweep over the operands in place — no packing, and (unlike the
 // packed path) no thread_local pack-buffer touch, so a tiny product never
-// faults in the MC*KC/KC*NC panel pages. TT is the one combination with
+// faults in the MC*KC panel pages. TT is the one combination with
 // no contiguous fused sweep (both operands would be row-strided); it is
 // rare in the QR kernels and falls back to the reference sweep.
 template <class T>

@@ -54,8 +54,9 @@ void trsv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView a, double* x);
 // ---- Level 3 -------------------------------------------------------------
 
 /// C := alpha * op(A) * op(B) + beta * C. Products large enough to
-/// amortize packing run the cache-blocked MC/KC/NC loop nest over packed
-/// A/B panels (gemm_packed); smaller ones the direct small tier.
+/// amortize packing run the cache-blocked MC/KC loop nest over packed op(A)
+/// panels and an in-place op(B) (gemm_packed); smaller ones the direct
+/// small tier. C must not share elements with op(A) or op(B).
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c);
 

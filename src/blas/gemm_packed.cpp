@@ -2,28 +2,34 @@
 //
 // C += alpha * op(A) * op(B) is computed as
 //
-//   for jc in steps of NC:                 (B column block   -> stays in L3)
-//     for pc in steps of KC:               (k block; pack B  -> Bp, row panels)
-//       for ic in steps of MC:             (A row block; pack A -> Ap, col panels)
-//         for jr in steps of NR:           (macro kernel over the packed panels)
-//           for ir in steps of MR:
-//             micro_kernel: MR x NR register tile, contiguous FMA loop over k
+//   for pc in steps of KC:                 (k block)
+//     for ic in steps of MC:               (A row block; pack A -> Ap, col panels)
+//       for jr in steps of NR:             (macro kernel, op(B) read in place)
+//         for ir in steps of MR:
+//           micro_kernel: MR x NR register tile, FMA loop over k
 //
-// Packing rewrites op(A) into MR-row column panels (Ap[p][k][r], r fastest)
-// and op(B) into NR-column row panels (Bp[q][k][c], c fastest), so the
-// micro-kernel streams both operands with unit stride regardless of the
-// Trans flags, and edge tiles are zero-padded to full MR/NR width so the
-// inner loop has a single fixed-trip-count form.
+// Only op(A) is packed: it is rewritten into MR-row column panels
+// (Ap[p][k][r], r fastest), zero-padded to full MR height, so the
+// micro-kernel streams it with unit stride regardless of the Trans flag.
+// op(B) is read where it lies through two strides, op(B)(k, j) at
+// b[k * bk + j * bj], and edge tiles alias their missing columns to
+// column 0 instead of padding (simd.hpp, KernelTable::gemm_micro). With no
+// B copy there is no NC column block: a KC x NR sliver of op(B) is reused
+// across the MC / MR A panels of one block while it is L1-resident.
 //
 // The micro-kernel and its MR x NR footprint come from the runtime-dispatched
-// SIMD kernel table (blas/simd.hpp): 8x6 AVX2, 16x4 AVX-512, 4x4 NEON, 8x4
-// scalar for doubles, double the rows for floats. Packing reads mr/nr from
-// the table at call time, and the pack buffers are 64-byte aligned so every
-// A panel k-step starts on a cache-line boundary (mr * sizeof(T) is a
+// SIMD kernel table (blas/simd.hpp): 8x6 AVX2, 16x8 AVX-512, 4x4 NEON, 8x4
+// scalar for doubles, double the rows for floats. Packing reads mr from the
+// table at call time, and the pack buffer is 64-byte aligned so every A
+// panel k-step starts on a cache-line boundary (mr * sizeof(T) is a
 // multiple of 64 for the x86 tiles), which lets the kernels use aligned
 // vector loads on the packed operand.
 //
-// The packing buffers are thread_local and grow-only: steady-state calls
+// A C element sums its k blocks in order, each block's FMAs into a
+// zero-started accumulator, so its value depends neither on the tile
+// width nor on which tile it lands in.
+//
+// The packing buffer is thread_local and grow-only: steady-state calls
 // perform no heap allocation (same discipline as kernels::Workspace).
 #include <algorithm>
 #include <cstddef>
@@ -37,12 +43,11 @@ namespace pulsarqr::blas {
 
 namespace {
 
-// Cache blocking, in elements. Ap is MC*KC doubles (256 KiB, ~L2), one Bp
-// row panel is KC*NR doubles (~L1), Bp in total KC*NC doubles (1 MiB, ~LLC).
-// Floats reuse the same element counts (half the bytes — comfortably cached).
+// Cache blocking, in elements. Ap is MC*KC doubles (256 KiB, ~L2); one
+// op(B) sliver is KC*NR doubles (~L1). Floats reuse the same element counts
+// (half the bytes — comfortably cached).
 constexpr int MC = 128;
 constexpr int KC = 256;
-constexpr int NC = 512;
 
 // Grow-only 64-byte-aligned buffer for the packed panels. std::vector is
 // not used because its allocator only guarantees alignof(T).
@@ -72,15 +77,9 @@ class AlignedVec {
 };
 
 template <class T>
-struct PackBuffers {
-  AlignedVec<T> a;  // MC x KC, MR-row panels
-  AlignedVec<T> b;  // KC x NC, NR-column panels
-};
-
-template <class T>
-PackBuffers<T>& pack_buffers() {
-  thread_local PackBuffers<T> bufs;
-  return bufs;
+AlignedVec<T>& pack_buffer() {
+  thread_local AlignedVec<T> buf;  // MC x KC, MR-row panels
+  return buf;
 }
 
 // Pack op(A)(ic:ic+mc, pc:pc+kc) into mr-row panels:
@@ -112,35 +111,6 @@ void pack_a(Trans ta, ConstMatrixViewT<T> a, int ic, int pc, int mc, int kc,
   }
 }
 
-// Pack op(B)(pc:pc+kc, jc:jc+nc) into nr-column panels:
-// dst[q * (nr*kc) + k * nr + c] = op(B)(pc + k, jc + q*nr + c),
-// zero-padded in c for the last partial panel.
-template <class T>
-void pack_b(Trans tb, ConstMatrixViewT<T> b, int pc, int jc, int kc, int nc,
-            int nr, T* dst) {
-  for (int q = 0; q < nc; q += nr) {
-    const int qc = std::min(nr, nc - q);
-    if (tb == Trans::No) {
-      // op(B) columns are B columns: k runs down each column.
-      for (int c = 0; c < qc; ++c) {
-        const T* src = b.col(jc + q + c) + pc;
-        for (int k = 0; k < kc; ++k) dst[k * nr + c] = src[k];
-      }
-      for (int c = qc; c < nr; ++c) {
-        for (int k = 0; k < kc; ++k) dst[k * nr + c] = T(0);
-      }
-    } else {
-      // op(B)(k, j) = B(j, k): k walks B's columns, contiguous in j.
-      for (int k = 0; k < kc; ++k) {
-        const T* src = b.col(pc + k) + jc + q;
-        for (int c = 0; c < qc; ++c) dst[k * nr + c] = src[c];
-        for (int c = qc; c < nr; ++c) dst[k * nr + c] = T(0);
-      }
-    }
-    dst += static_cast<std::ptrdiff_t>(nr) * kc;
-  }
-}
-
 template <class T>
 void gemm_packed_t(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
                    ConstMatrixViewT<T> b, T beta, MatrixViewT<T> c) {
@@ -164,39 +134,35 @@ void gemm_packed_t(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
   const simd::KernelTable<T>& kt = simd::kernels<T>();
   const int mr = kt.mr;
   const int nr = kt.nr;
+  // op(B)(k, j) sits at b.data[k * bk + j * bj].
+  const int bk = tb == Trans::No ? 1 : b.ld;
+  const int bj = tb == Trans::No ? b.ld : 1;
 
-  PackBuffers<T>& bufs = pack_buffers<T>();
-  // Panel footprints for THIS problem, capped by the cache blocking and
-  // rounded up to whole mr/nr panels. Sizing to the problem (instead of
-  // the worst-case MC*KC / KC*NC) keeps sub-block products from faulting
-  // in megabytes of thread_local pack pages they will never use; the
-  // buffers remain grow-only, so steady-state calls still allocate
-  // nothing once a thread has seen its largest shape.
+  // Panel footprint for THIS problem, capped by the cache blocking and
+  // rounded up to whole mr panels. Sizing to the problem (instead of the
+  // worst-case MC*KC) keeps sub-block products from faulting in pack
+  // pages they will never use; the buffer remains grow-only, so
+  // steady-state calls still allocate nothing once a thread has seen its
+  // largest shape.
+  AlignedVec<T>& ap_buf = pack_buffer<T>();
   const int kc_max = std::min(KC, k);
   const int mc_max =
       std::min(((m + mr - 1) / mr) * mr, ((MC + mr - 1) / mr) * mr);
-  const int nc_max =
-      std::min(((n + nr - 1) / nr) * nr, ((NC + nr - 1) / nr) * nr);
-  bufs.a.reserve(static_cast<std::size_t>(mc_max) * kc_max);
-  bufs.b.reserve(static_cast<std::size_t>(kc_max) * nc_max);
+  ap_buf.reserve(static_cast<std::size_t>(mc_max) * kc_max);
 
-  for (int jc = 0; jc < n; jc += NC) {
-    const int nc = std::min(NC, n - jc);
-    for (int pc = 0; pc < k; pc += KC) {
-      const int kc = std::min(KC, k - pc);
-      pack_b(tb, b, pc, jc, kc, nc, nr, bufs.b.data());
-      for (int ic = 0; ic < m; ic += MC) {
-        const int mc = std::min(MC, m - ic);
-        pack_a(ta, a, ic, pc, mc, kc, mr, bufs.a.data());
-        for (int jr = 0; jr < nc; jr += nr) {
-          const T* bp =
-              bufs.b.data() + static_cast<std::ptrdiff_t>(jr / nr) * nr * kc;
-          for (int ir = 0; ir < mc; ir += mr) {
-            const T* ap =
-                bufs.a.data() + static_cast<std::ptrdiff_t>(ir / mr) * mr * kc;
-            kt.gemm_micro(kc, alpha, ap, bp, c.col(jc + jr) + ic + ir, c.ld,
-                          std::min(mr, mc - ir), std::min(nr, nc - jr));
-          }
+  for (int pc = 0; pc < k; pc += KC) {
+    const int kc = std::min(KC, k - pc);
+    for (int ic = 0; ic < m; ic += MC) {
+      const int mc = std::min(MC, m - ic);
+      pack_a(ta, a, ic, pc, mc, kc, mr, ap_buf.data());
+      for (int jr = 0; jr < n; jr += nr) {
+        const T* bp = b.data + static_cast<std::ptrdiff_t>(pc) * bk +
+                      static_cast<std::ptrdiff_t>(jr) * bj;
+        for (int ir = 0; ir < mc; ir += mr) {
+          const T* ap =
+              ap_buf.data() + static_cast<std::ptrdiff_t>(ir / mr) * mr * kc;
+          kt.gemm_micro(kc, alpha, ap, bp, bk, bj, c.col(jr) + ic + ir, c.ld,
+                        std::min(mr, mc - ir), std::min(nr, n - jr));
         }
       }
     }

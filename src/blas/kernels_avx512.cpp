@@ -1,11 +1,21 @@
 // AVX-512 kernel tables. Compiled with -mavx512f regardless of the build
 // host; only reachable through the runtime dispatch in simd.cpp.
 //
-// Micro-tile: 16x4 doubles — 4 C columns x 2 zmm accumulators = 8 of the
+// Micro-tile: 16x8 doubles — 8 C columns x 2 zmm accumulators = 16 of the
 // 32 zmm registers, plus 2 for the A column and 1 for the B broadcast.
-// 16x4 beats 8x8 here because each A load is amortized over two FMAs per
-// broadcast and the writeback stays two stores per column. Floats double
-// the lane count to 32x4.
+// Floats double the lane count to 32x8. With op(B) read in place, the
+// three widths that fit were A/B-tested on a 4-vCPU AVX-512 Xeon VM (GCC
+// 12, medians of 5 interleaved bench_kernels runs, Gflop/s, 16x4 / 16x8 /
+// 16x12):
+//   one tile, kc 128, L1-resident   57 / 67 / 61
+//   gemm TN 32x128x128 (tsmqr W)    44 / 52 / 50
+//   gemm NN 128x128x32 (tsmqr C2)   44 / 50 / 42
+//   gemm NT 128x128x128 (chol)      43 / 55 / 55
+//   tsmqr 64/16, 128/32 (us)        45, 254 / 31, 200 / 49, 230
+// 16x8 halves the A loads per FMA against 16x4 and still divides the 16-,
+// 32-, 64- and 128-column tiles the kernels issue; 16x12 (27 zmm) leaves a
+// ragged 8-column edge at n 128 and is slower than 16x8 on 11 of the 12
+// tile-kernel rows at 64/16 and 128/32.
 #include "blas/simd_kernels_inc.hpp"
 #include "blas/simd_tables.hpp"
 
@@ -60,12 +70,12 @@ struct Avx512F {
 }  // namespace
 
 const KernelTable<double>& avx512_table_f64() {
-  static const KernelTable<double> t = Kernels<Avx512D, 2, 4>::table();
+  static const KernelTable<double> t = Kernels<Avx512D, 2, 8>::table();
   return t;
 }
 
 const KernelTable<float>& avx512_table_f32() {
-  static const KernelTable<float> t = Kernels<Avx512F, 2, 4>::table();
+  static const KernelTable<float> t = Kernels<Avx512F, 2, 8>::table();
   return t;
 }
 

@@ -13,8 +13,8 @@
 //     falling back).
 //
 // Each ISA exports one KernelTable<T> per scalar type (double and float):
-// the packed-gemm micro-kernel with its MR x NR register-tile footprint
-// (packing in gemm_packed.cpp obeys the active table's mr/nr), the left
+// the gemm micro-kernel with its MR x NR register-tile footprint (the
+// op(A) packing in gemm_packed.cpp obeys the active table's mr), the left
 // triangular multiply on the same register tile (blas::trmm), plus the
 // vector level-1 primitives (axpy/dot) and the multi-column fused sweeps
 // (dot_cols/ger_cols/axpy_cols) that back blas::gemv/ger, small gemms and
@@ -65,15 +65,29 @@ bool parse_isa(std::string_view name, Isa* out);
 /// non-null in every table.
 template <class T>
 struct KernelTable {
-  /// Register micro-tile of the packed gemm kernel; pack_a/pack_b pad
-  /// panels to these sizes, and every A panel is 64-byte aligned so the
-  /// kernel may use aligned vector loads on the packed operand.
+  /// Register micro-tile of the gemm kernel; pack_a pads op(A)'s row
+  /// panels to mr, and every A panel is 64-byte aligned so the kernel may
+  /// use aligned vector loads on the packed operand.
   int mr = 0;
   int nr = 0;
-  /// C(0:mr_eff, 0:nr_eff) += alpha * Ap * Bp over a kc-deep packed panel
-  /// pair (full-width accumulation, edge-bounded writeback).
-  void (*gemm_micro)(int kc, T alpha, const T* ap, const T* bp, T* c, int ldc,
-                     int mr_eff, int nr_eff) = nullptr;
+  /// C(0:mr_eff, 0:nr_eff) += alpha * Ap * op(B) over a kc-deep panel: Ap
+  /// is one packed mr-row panel of op(A), and op(B) is read in place,
+  /// op(B)(k, j) at b[k * bk + j * bj] — (bk, bj) = (1, ldb) for a
+  /// NoTrans B, (ldb, 1) for a Trans B. Columns j >= nr_eff are never
+  /// read past column 0 (the kernel aliases them to it and discards their
+  /// accumulators), so an edge tile loads only elements of op(B). Each
+  /// accumulator starts at 0, takes one FMA per k in order, and enters C
+  /// as c + alpha * acc.
+  ///
+  /// C must not share elements with op(B): the kernel reads B while the
+  /// writes of earlier tiles land in C. (B packing used to hide such an
+  /// alias within one KC block.) Audited callers, none of which alias C
+  /// with B: larfb_left (W = VᵀC into a work block, C -= V W), the tile
+  /// kernels' apply_block (W and the C2 rows are distinct buffers),
+  /// getrf_nopiv/potrf (A22 is disjoint from U12 / L21), the chol and lu
+  /// tile updates and their reference executors (distinct tiles).
+  void (*gemm_micro)(int kc, T alpha, const T* ap, const T* b, int bk, int bj,
+                     T* c, int ldc, int mr_eff, int nr_eff) = nullptr;
   /// B(0:m, 0:n) := alpha * op(A) * B in place (B has leading dimension
   /// ldb), op(A) an m-by-m triangle, lower or upper. ap holds op(A) packed
   /// column-major with its rows padded to a multiple of mr: op(A)(i, k) at

@@ -3,10 +3,10 @@
 // kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp) defines a thin
 // traits struct — register type, lane count, load/store/fma/hsum — and
 // instantiates Kernels<Traits, AR, NR> from this header, so the micro-kernel
-// schedule (full-width register accumulation over zero-padded packed panels,
-// the masked-diagonal triangular multiply, 4-way unrolled level-1 sweeps,
-// 4-column fused multi-sweeps) is written once and compiled per-ISA with
-// that TU's target flags.
+// schedule (full-width register accumulation over a zero-padded packed A
+// panel and an in-place op(B), the masked-diagonal triangular multiply,
+// 4-way unrolled level-1 sweeps, 4-column fused multi-sweeps) is written
+// once and compiled per-ISA with that TU's target flags.
 //
 // Traits contract (see ScalarTraits for the reference shape):
 //   using T            — scalar type (double or float)
@@ -21,14 +21,32 @@
 //
 // Kernels<VT, AR, NR> yields a gemm micro-tile of MR = AR * W rows by NR
 // columns: AR accumulator registers per C column, NR columns resident, so
-// AR * NR accumulators + AR operand registers must fit the register file
-// (15 of 16 ymm for AVX2 8x6 doubles; 11 of 32 zmm for AVX-512 16x4).
+// AR * NR accumulators + AR operand registers + one broadcast must fit the
+// register file (15 of 16 ymm for AVX2 8x6 doubles; 19 of 32 zmm for
+// AVX-512 16x8).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 
 #include "blas/simd.hpp"
+
+// Fully unroll a register-tile loop (trip count NRK, NC or AR, at most
+// 16) early enough that the accumulator arrays become registers. Left to
+// itself GCC keeps them in a stack array, zeroed on entry and stored and
+// reloaded around the k loop, which a short-k tile pays for on every call.
+#define PQR_UNROLL_TILE _Pragma("GCC unroll 16")
+
+// GCC's loop vectorizer turns the k loop of a one-lane (ScalarTraits) gemm
+// tile into in-order reductions over strided op(B) loads: 2x slower than
+// the register tile on a portable build, 6x with -march=native. The SIMD
+// tiles give it nothing to vectorize. Clang does not vectorize in-order
+// floating-point reductions.
+#if defined(__GNUC__) && !defined(__clang__)
+#define PQR_NO_LOOP_VECTORIZE __attribute__((optimize("no-tree-loop-vectorize")))
+#else
+#define PQR_NO_LOOP_VECTORIZE
+#endif
 
 namespace pulsarqr::blas::simd {
 
@@ -61,30 +79,46 @@ struct Kernels {
   static constexpr int W = VT::W;
   static constexpr int MR = AR * W;
 
-  // C(0:mr, 0:nr) += alpha * Ap * Bp over packed panels: Ap streams MR
-  // contiguous (and 64-byte-aligned) rows per k step, Bp NRK contiguous
-  // columns. Accumulation is always full-width — edges are zero-padded by
-  // the packing — and only the writeback is bounded.
-  static void gemm_micro(int kc, T alpha, const T* ap, const T* bp, T* c,
-                         int ldc, int mr, int nr) {
-    reg acc[NRK][AR];
+  // C(0:mr, 0:nr) += alpha * Ap * op(B) over a kc-deep panel. Ap streams MR
+  // contiguous (and 64-byte-aligned) rows per k step, zero-padded past mr
+  // by the packing; op(B)(k, j) is read in place at b[k * bk + j * bj].
+  // Columns past nr alias column 0, so every load stays inside op(B), and
+  // their accumulators are never written back. Accumulation is always
+  // full-width; only the writeback is bounded.
+  PQR_NO_LOOP_VECTORIZE
+  static void gemm_micro(int kc, T alpha, const T* ap, const T* b, int bk,
+                         int bj, T* c, int ldc, int mr, int nr) {
+    // Column offsets from one k-row pointer: a single pointer steps down
+    // op(B), and each broadcast is an indexed load off it.
+    std::ptrdiff_t off[NRK];
     for (int j = 0; j < NRK; ++j) {
+      off[j] = static_cast<std::ptrdiff_t>(j < nr ? j : 0) * bj;
+    }
+    reg acc[NRK][AR];
+    PQR_UNROLL_TILE
+    for (int j = 0; j < NRK; ++j) {
+      PQR_UNROLL_TILE
       for (int r = 0; r < AR; ++r) acc[j][r] = VT::zero();
     }
     for (int k = 0; k < kc; ++k) {
       reg a[AR];
+      PQR_UNROLL_TILE
       for (int r = 0; r < AR; ++r) a[r] = VT::load(ap + r * W);
+      PQR_UNROLL_TILE
       for (int j = 0; j < NRK; ++j) {
-        const reg b = VT::set1(bp[j]);
-        for (int r = 0; r < AR; ++r) acc[j][r] = VT::fma(a[r], b, acc[j][r]);
+        const reg bv = VT::set1(b[off[j]]);
+        PQR_UNROLL_TILE
+        for (int r = 0; r < AR; ++r) acc[j][r] = VT::fma(a[r], bv, acc[j][r]);
       }
       ap += MR;
-      bp += NRK;
+      b += bk;
     }
     if (mr == MR && nr == NRK) {
       const reg va = VT::set1(alpha);
+      PQR_UNROLL_TILE
       for (int j = 0; j < NRK; ++j) {
         T* cj = c + static_cast<std::ptrdiff_t>(j) * ldc;
+        PQR_UNROLL_TILE
         for (int r = 0; r < AR; ++r) {
           VT::storeu(cj + r * W,
                      VT::fma(va, acc[j][r], VT::loadu(cj + r * W)));
@@ -92,7 +126,9 @@ struct Kernels {
       }
     } else {
       alignas(64) T tmp[NRK][MR];
+      PQR_UNROLL_TILE
       for (int j = 0; j < NRK; ++j) {
+        PQR_UNROLL_TILE
         for (int r = 0; r < AR; ++r) VT::storeu(&tmp[j][r * W], acc[j][r]);
       }
       for (int j = 0; j < nr; ++j) {
@@ -146,12 +182,15 @@ struct Kernels {
                         int ldb) {
     const std::ptrdiff_t mp = (m + MR - 1) / MR * MR;
     const int d1 = std::min(i0 + MR, m);  // end of the diagonal block
-    const T* bc[NC];
-    for (int j = 0; j < NC; ++j) {
-      bc[j] = b + static_cast<std::ptrdiff_t>(j) * ldb;
-    }
+    // Column offsets from B's row k, as in gemm_micro: one pointer per
+    // k instead of one per column.
+    std::ptrdiff_t off[NC];
+    PQR_UNROLL_TILE
+    for (int j = 0; j < NC; ++j) off[j] = static_cast<std::ptrdiff_t>(j) * ldb;
     reg acc[NC][AR];
+    PQR_UNROLL_TILE
     for (int j = 0; j < NC; ++j) {
+      PQR_UNROLL_TILE
       for (int r = 0; r < AR; ++r) acc[j][r] = VT::zero();
     }
     // Columns of op(A) every row of the tile is coupled to.
@@ -160,9 +199,12 @@ struct Kernels {
     for (int k = k0; k < k1; ++k) {
       const T* ak = ap + k * mp + i0;
       reg a[AR];
+      PQR_UNROLL_TILE
       for (int r = 0; r < AR; ++r) a[r] = VT::loadu(ak + r * W);
+      PQR_UNROLL_TILE
       for (int j = 0; j < NC; ++j) {
-        const reg bv = VT::set1(bc[j][k]);
+        const reg bv = VT::set1(b[k + off[j]]);
+        PQR_UNROLL_TILE
         for (int r = 0; r < AR; ++r) acc[j][r] = VT::fma(a[r], bv, acc[j][r]);
       }
     }
@@ -170,22 +212,27 @@ struct Kernels {
     // register rc, lane cw: that register couples lanes [0, cw] (upper) or
     // [cw, W) (lower); the registers on the triangle's side of it are
     // fully coupled and the others not at all.
+    PQR_UNROLL_TILE
     for (int rc = 0; rc < AR; ++rc) {
       for (int cw = 0; cw < W && i0 + rc * W + cw < d1; ++cw) {
         const int k = i0 + rc * W + cw;
         const T* ak = ap + k * mp + i0;
         reg bv[NC];
-        for (int j = 0; j < NC; ++j) bv[j] = VT::set1(bc[j][k]);
+        PQR_UNROLL_TILE
+        for (int j = 0; j < NC; ++j) bv[j] = VT::set1(b[k + off[j]]);
+        PQR_UNROLL_TILE
         for (int r = 0; r < AR; ++r) {
           if (r == rc) {
             const reg a = VT::loadu(ak + r * W);
             const int lo = lower ? cw : 0;
             const int hi = lower ? W : cw + 1;
+            PQR_UNROLL_TILE
             for (int j = 0; j < NC; ++j) {
               acc[j][r] = VT::fma_lanes(a, bv[j], acc[j][r], lo, hi);
             }
           } else if ((r < rc) != lower) {
             const reg a = VT::loadu(ak + r * W);
+            PQR_UNROLL_TILE
             for (int j = 0; j < NC; ++j) {
               acc[j][r] = VT::fma(a, bv[j], acc[j][r]);
             }
@@ -194,15 +241,20 @@ struct Kernels {
       }
     }
     if (d1 - i0 == MR && alpha == T(1)) {
+      PQR_UNROLL_TILE
       for (int j = 0; j < NC; ++j) {
         T* cj = b + static_cast<std::ptrdiff_t>(j) * ldb + i0;
+        PQR_UNROLL_TILE
         for (int r = 0; r < AR; ++r) VT::storeu(cj + r * W, acc[j][r]);
       }
     } else {
       alignas(64) T tmp[NC][MR];
+      PQR_UNROLL_TILE
       for (int j = 0; j < NC; ++j) {
+        PQR_UNROLL_TILE
         for (int r = 0; r < AR; ++r) VT::storeu(&tmp[j][r * W], acc[j][r]);
       }
+      PQR_UNROLL_TILE
       for (int j = 0; j < NC; ++j) {
         T* cj = b + static_cast<std::ptrdiff_t>(j) * ldb + i0;
         for (int i = 0; i < d1 - i0; ++i) cj[i] = alpha * tmp[j][i];

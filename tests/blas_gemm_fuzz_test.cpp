@@ -1,7 +1,7 @@
 // Randomized equivalence testing of the packed, cache-blocked gemm against
 // the reference implementation: all four Trans combinations, shapes that
 // straddle every blocking boundary (0, 1, odd, multiples of and beyond
-// MR/NR/MC/KC/NC), non-tight leading dimensions, and the alpha/beta special
+// MR/NR/MC/KC), non-tight leading dimensions, and the alpha/beta special
 // cases. The packed path accumulates in a different order than the
 // reference, so comparisons use a tolerance scaled by the reduction depth.
 //
@@ -15,7 +15,10 @@
 // triangles go through the trmm kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <tuple>
 #include <utility>
@@ -37,7 +40,8 @@ using blas::Trans;
 // shapes below are chosen to land on and beyond these boundaries.
 constexpr int kMC = 128;
 constexpr int kKC = 256;
-constexpr int kNC = 512;
+// A wide n: many column tiles read in place against one packed A block.
+constexpr int kWideN = 512;
 
 struct Case {
   int m, n, k;
@@ -107,7 +111,7 @@ void run_case(const Case& cs) {
 
 TEST(GemmFuzz, BlockingBoundaries) {
   const int ms[] = {0, 1, 3, 7, 8, 9, 17, kMC, kMC + 5};
-  const int ns[] = {0, 1, 3, 4, 5, 13, kNC / 8, kNC / 4 + 3};
+  const int ns[] = {0, 1, 3, 4, 5, 13, kWideN / 8, kWideN / 4 + 3};
   const int ks[] = {0, 1, 2, 9, 31, kKC, kKC + 7};
   const Trans ts[] = {Trans::No, Trans::Yes};
   int idx = 0;
@@ -144,10 +148,11 @@ TEST(GemmFuzz, RandomizedShapes) {
   }
 }
 
-// One shape past NC so the jc loop takes more than one trip.
+// A wide n with a ragged last column tile: the op(B) slivers of every
+// column tile are read in place against the same packed A block.
 TEST(GemmFuzz, WideN) {
-  run_case({33, kNC + 9, 21, 1, 0, 2, Trans::No, Trans::Yes, 1.0, 1.0});
-  run_case({9, kNC + 9, 40, 0, 1, 0, Trans::Yes, Trans::No, -1.0, 0.0});
+  run_case({33, kWideN + 9, 21, 1, 0, 2, Trans::No, Trans::Yes, 1.0, 1.0});
+  run_case({9, kWideN + 9, 40, 0, 1, 0, Trans::Yes, Trans::No, -1.0, 0.0});
 }
 
 // ---- Per-ISA cross-checks -------------------------------------------------
@@ -254,6 +259,175 @@ TEST(GemmFuzzF32, EveryIsaMatchesScalarReference) {
       }
     }
   }
+}
+
+// ---- op(B) read in place --------------------------------------------------
+
+template <class T>
+MatrixT<T> random_matrix_t(int rows, int cols, std::uint64_t seed) {
+  MatrixT<T> a(rows, cols);
+  Rng rng(seed);
+  for (int j = 0; j < cols; ++j) {
+    for (int i = 0; i < rows; ++i) {
+      a(i, j) = static_cast<T>(rng.next_symmetric());
+    }
+  }
+  return a;
+}
+
+template <class T>
+bool bitwise_equal(const MatrixT<T>& x, const MatrixT<T>& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     sizeof(T) * static_cast<std::size_t>(x.rows()) *
+                         x.cols()) == 0;
+}
+
+// The micro-kernel reads op(B) where it lies, and an edge tile aliases its
+// missing columns to column 0 instead of reading past the last one. B sits
+// in a buffer with three padding rows under it and two whole columns after
+// it; the padding holds NaN in one run and zero in the other. If any load
+// left op(B), the NaN would reach C, so C must be bitwise equal across the
+// two fills and match the reference.
+template <class T>
+void in_place_b_case(Trans ta, Trans tb, int m, int n, int k) {
+  SCOPED_TRACE(::testing::Message()
+               << "m=" << m << " n=" << n << " k=" << k
+               << " ta=" << (ta == Trans::No ? "N" : "T")
+               << " tb=" << (tb == Trans::No ? "N" : "T"));
+  constexpr int kPadRows = 3;
+  constexpr int kPadCols = 2;
+  const std::uint64_t seed = (static_cast<std::uint64_t>(m) << 40) ^
+                             (static_cast<std::uint64_t>(n) << 20) ^
+                             static_cast<std::uint64_t>(k);
+  const MatrixT<T> a = ta == Trans::No ? random_matrix_t<T>(m, k, seed + 1)
+                                       : random_matrix_t<T>(k, m, seed + 1);
+  const int b_rows = tb == Trans::No ? k : n;
+  const int b_cols = tb == Trans::No ? n : k;
+  const MatrixT<T> b_vals = random_matrix_t<T>(b_rows, b_cols, seed + 2);
+  const MatrixT<T> c0 = random_matrix_t<T>(m, n, seed + 3);
+  const T alpha = T(-0.75);
+  const T beta = T(0.5);
+
+  MatrixT<T> c_fill[2];
+  const T fills[2] = {std::numeric_limits<T>::quiet_NaN(), T(0)};
+  for (int f = 0; f < 2; ++f) {
+    MatrixT<T> buf(b_rows + kPadRows, b_cols + kPadCols);
+    for (int j = 0; j < buf.cols(); ++j) {
+      for (int i = 0; i < buf.rows(); ++i) {
+        buf(i, j) = i < b_rows && j < b_cols ? b_vals(i, j) : fills[f];
+      }
+    }
+    c_fill[f] = c0;
+    blas::gemm_packed(ta, tb, alpha, a.view(),
+                      ConstMatrixViewT<T>(buf.data(), b_rows, b_cols,
+                                          buf.rows()),
+                      beta, c_fill[f].view());
+  }
+  ASSERT_TRUE(bitwise_equal(c_fill[0], c_fill[1]))
+      << "C depends on what lies outside op(B)";
+
+  MatrixT<T> c_ref = c0;
+  blas::gemm_ref(ta, tb, alpha, a.view(), b_vals.view(), beta, c_ref.view());
+  const T tol = (sizeof(T) == sizeof(double) ? T(1e-13) : T(2e-6)) *
+                static_cast<T>(k + 8);
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < m; ++i) {
+      const T scale = std::max(T(1), std::fabs(c_ref(i, j)));
+      ASSERT_NEAR(c_ref(i, j), c_fill[1](i, j), tol * scale)
+          << "mismatch at (" << i << ", " << j << ")";
+    }
+  }
+}
+
+template <class T>
+void in_place_b_sweep() {
+  IsaGuard guard;
+  for (Isa isa : supported_isas()) {
+    SCOPED_TRACE(blas::simd::isa_name(isa));
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    const blas::simd::KernelTable<T>& kt = blas::simd::kernels<T>();
+    std::vector<int> ns;
+    for (int n = 1; n <= kt.nr + 1; ++n) ns.push_back(n);
+    ns.push_back(2 * kt.nr + 3);
+    int idx = 0;
+    for (Trans tb : {Trans::No, Trans::Yes}) {
+      for (int n : ns) {
+        for (int k : {1, kKC, kKC + 7}) {
+          for (int m : {1, kt.mr + 1, kMC + 5}) {
+            const Trans ta = idx++ % 2 == 0 ? Trans::No : Trans::Yes;
+            in_place_b_case<T>(ta, tb, m, n, k);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmFuzz, InPlaceBNeverReadOutsideOpB) { in_place_b_sweep<double>(); }
+
+TEST(GemmFuzzF32, InPlaceBNeverReadOutsideOpB) { in_place_b_sweep<float>(); }
+
+// A column of C sums the same products in the same order whatever tile it
+// lands in and however wide the tile is: each column of a gemm_packed
+// product is bitwise equal to that column computed alone (n = 1, always an
+// edge tile). The n values are multiples of no register-tile width in use
+// (4, 6 and 8 columns), and k crosses a KC block.
+template <class T>
+void column_independence_sweep() {
+  IsaGuard guard;
+  const T alpha = T(1.25);
+  const T beta = T(-0.5);
+  for (Isa isa : supported_isas()) {
+    SCOPED_TRACE(blas::simd::isa_name(isa));
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    int idx = 0;
+    for (Trans ta : {Trans::No, Trans::Yes}) {
+      for (Trans tb : {Trans::No, Trans::Yes}) {
+        for (int n : {7, 13, 23}) {
+          const int m = 33 + 14 * (idx % 3);
+          const int k = idx % 2 == 0 ? 19 : kKC + 5;
+          SCOPED_TRACE(::testing::Message()
+                       << "m=" << m << " n=" << n << " k=" << k
+                       << " ta=" << (ta == Trans::No ? "N" : "T")
+                       << " tb=" << (tb == Trans::No ? "N" : "T"));
+          const std::uint64_t seed = 0x5eed0000ull + idx++;
+          const MatrixT<T> a = ta == Trans::No
+                                   ? random_matrix_t<T>(m, k, seed + 1)
+                                   : random_matrix_t<T>(k, m, seed + 1);
+          const MatrixT<T> b = tb == Trans::No
+                                   ? random_matrix_t<T>(k, n, seed + 2)
+                                   : random_matrix_t<T>(n, k, seed + 2);
+          const MatrixT<T> c0 = random_matrix_t<T>(m, n, seed + 3);
+          MatrixT<T> c_all = c0;
+          blas::gemm_packed(ta, tb, alpha, a.view(), b.view(), beta,
+                            c_all.view());
+          MatrixT<T> c_col = c0;
+          for (int j = 0; j < n; ++j) {
+            const ConstMatrixViewT<T> bj =
+                tb == Trans::No
+                    ? ConstMatrixViewT<T>(b.data() + j * b.rows(), k, 1,
+                                          b.rows())
+                    : ConstMatrixViewT<T>(b.data() + j, 1, k, b.rows());
+            blas::gemm_packed(ta, tb, alpha, a.view(), bj, beta,
+                              MatrixViewT<T>(c_col.data() + j * c_col.rows(),
+                                             m, 1, c_col.rows()));
+          }
+          ASSERT_TRUE(bitwise_equal(c_all, c_col))
+              << "a column's result depends on the tile width";
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmFuzz, ColumnResultIndependentOfTileWidth) {
+  column_independence_sweep<double>();
+}
+
+TEST(GemmFuzzF32, ColumnResultIndependentOfTileWidth) {
+  column_independence_sweep<float>();
 }
 
 // ---- Tile-kernel ISA cross-check ------------------------------------------
