@@ -15,8 +15,6 @@ namespace pulsarqr::prt::net {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Write every byte of `iov[0..n)` (blocking, no SIGPIPE), resuming after
 /// short writes. False on any error — the peer is gone; the caller treats
 /// the frame as dropped on the wire. Consumes `iov`.
@@ -63,8 +61,8 @@ std::vector<std::vector<int>> SocketComm::socketpair_mesh(int nranks) {
 SocketComm::SocketComm(int nranks, int rank, std::vector<int> peer_fds,
                        std::uint32_t epoch,
                        std::vector<std::uint32_t> peer_epochs)
-    : Comm(nranks), rank_(rank), epoch_(epoch), peer_fds_(nranks),
-      peer_epoch_(nranks), peer_down_(nranks) {
+    : Comm(nranks, /*receiver=*/rank), rank_(rank), epoch_(epoch),
+      peer_fds_(nranks), peer_epoch_(nranks), peer_down_(nranks) {
   require(rank_ >= 0 && rank_ < nranks, "SocketComm: rank out of range");
   require(static_cast<int>(peer_fds.size()) == nranks,
           "SocketComm: need one fd per rank");
@@ -82,7 +80,6 @@ SocketComm::SocketComm(int nranks, int rank, std::vector<int> peer_fds,
   peer_epoch_[rank_].store(epoch_, std::memory_order_relaxed);
   wmu_.reserve(nranks);
   for (int r = 0; r < nranks; ++r) wmu_.push_back(std::make_unique<std::mutex>());
-  cancelled_to_.assign(nranks, 0);
   barrier_seen_.assign(nranks, 0);
   require(::pipe(wake_pipe_) == 0, "SocketComm: pipe failed: " +
                                        std::string(std::strerror(errno)));
@@ -178,170 +175,28 @@ bool SocketComm::write_frame(int dst, std::uint32_t kind, std::uint32_t flags,
   return true;
 }
 
-bool SocketComm::local_enqueue(Message m) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cancelled_self_) return false;
-    q_.push_back(std::move(m));
+bool SocketComm::transmit(int dst, Message m, bool shared) {
+  if (dst != rank_) {
+    // Serialized straight out of the caller's buffer: no copy to take.
+    return write_frame(dst, kData, m.is_ack ? 1u : 0u, m.source, m.tag,
+                       m.meta, m.payload.bytes(), m.payload.size(), m.seq,
+                       m.ack);
   }
-  cv_.notify_one();
-  return true;
-}
-
-bool SocketComm::transmit(int dst, const Message& m) {
-  bool ok;
-  if (dst == rank_) {
-    Message self = m;
-    self.epoch = epoch_;  // self-delivery is always the live incarnation
-    ok = local_enqueue(std::move(self));
-  } else {
-    ok = write_frame(dst, kData, m.is_ack ? 1u : 0u, m.source, m.tag, m.meta,
-                     m.payload.bytes(), m.payload.size(), m.seq, m.ack);
-  }
-  if (ok) {
-    sent_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(static_cast<long long>(m.payload.size()),
-                     std::memory_order_relaxed);
-  }
-  return ok;
+  // Self-delivery: the receiver adopts the buffer, so copy unless shared,
+  // and stamp the live incarnation.
+  if (!shared) m.payload = m.payload.clone();
+  m.epoch = epoch_;
+  return deliver(rank_, std::move(m));
 }
 
 int SocketComm::isend(int src, int dst, int tag, const Packet& payload,
                       int meta, long long seq, long long ack, bool is_ack,
                       bool shared) {
-  PQR_ASSERT(dst >= 0 && dst < size(), "isend: bad destination rank");
   PQR_ASSERT(src == rank_, "SocketComm::isend: src must be the owning rank");
-  if (is_ack) {
-    require(tag == kPureAckTag,
-            "isend: an ack frame must use the reserved pure-ack tag " +
-                std::to_string(kPureAckTag) + ", got " + std::to_string(tag));
-  } else if (tag != kAggregateTag) {
-    require_user_tag(tag, "isend");
-  }
   require(payload.size() <= kMaxPayloadBytes,
           "isend: payload of " + std::to_string(payload.size()) +
               " bytes exceeds the socket protocol maximum");
-  offered_.fetch_add(1, std::memory_order_relaxed);
-  // The wire write below serializes the bytes out of the caller's buffer
-  // either way, so `shared` needs no deep copy here; the flag only
-  // matters for the local (dst == rank_) delivery, where the receiver
-  // adopts the buffer. Local delivery of a non-shared payload clones to
-  // preserve the separate-address-space emulation of the base contract.
-  Message m{src, tag, meta, seq, ack, is_ack,
-            (dst == rank_ && !shared) ? payload.clone() : payload};
-  if (!oracle_.active()) {
-    (void)transmit(dst, m);
-    return 0;
-  }
-  bool held = false;
-  bool dup = false;
-  {
-    std::lock_guard<std::mutex> lock(lmu_);
-    if (cancelled_to_[dst] != 0) return 0;  // offered, never sent
-    const FaultFate f = oracle_.decide(src, dst, tag);
-    if (f.drop) return 0;
-    dup = f.dup;
-    held = f.delay || f.reorder;
-    if (held) {
-      Limbo l;
-      l.release = Clock::now() + std::chrono::microseconds(oracle_.delay_us());
-      l.after_next = f.reorder;
-      l.dst = dst;
-      l.m = dup ? Message{m.source, m.tag, m.meta, m.seq,
-                          m.ack,    m.is_ack, m.payload}
-                : std::move(m);
-      limbo_.push_back(std::move(l));
-    }
-  }
-  if (held && !dup) return 0;
-  if (dup && !held) (void)transmit(dst, m);
-  if (transmit(dst, m)) flush_after_next(dst);
-  return 0;
-}
-
-std::optional<Clock::time_point> SocketComm::flush_due_limbo() {
-  std::vector<Limbo> due;
-  std::optional<Clock::time_point> earliest;
-  {
-    std::lock_guard<std::mutex> lock(lmu_);
-    if (limbo_.empty()) return std::nullopt;
-    const auto now = Clock::now();
-    for (auto it = limbo_.begin(); it != limbo_.end();) {
-      if (it->release <= now) {
-        due.push_back(std::move(*it));
-        it = limbo_.erase(it);
-      } else {
-        if (!earliest || it->release < *earliest) earliest = it->release;
-        ++it;
-      }
-    }
-  }
-  for (auto& l : due) (void)transmit(l.dst, l.m);
-  return earliest;
-}
-
-void SocketComm::flush_after_next(int dst) {
-  std::vector<Limbo> held;
-  {
-    std::lock_guard<std::mutex> lock(lmu_);
-    for (auto it = limbo_.begin(); it != limbo_.end();) {
-      if (it->after_next && it->dst == dst) {
-        held.push_back(std::move(*it));
-        it = limbo_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& l : held) (void)transmit(l.dst, l.m);
-}
-
-std::optional<Message> SocketComm::try_recv(int rank) {
-  PQR_ASSERT(rank == rank_, "SocketComm: can only receive for the owning rank");
-  if (oracle_.active()) flush_due_limbo();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (q_.empty()) return std::nullopt;
-  Message m = std::move(q_.front());
-  q_.pop_front();
-  return m;
-}
-
-std::deque<Message> SocketComm::drain(int rank) {
-  PQR_ASSERT(rank == rank_, "SocketComm: can only receive for the owning rank");
-  if (oracle_.active()) flush_due_limbo();
-  std::deque<Message> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  out.swap(q_);
-  return out;
-}
-
-std::optional<Message> SocketComm::recv_wait(int rank, int timeout_us) {
-  PQR_ASSERT(rank == rank_, "SocketComm: can only receive for the owning rank");
-  const auto deadline = Clock::now() + std::chrono::microseconds(timeout_us);
-  for (;;) {
-    // Flush due limbo traffic first, and cap this round's sleep at the
-    // next pending release: a delayed outbound message must not wait for
-    // the caller's full timeout (the sender is its only flusher).
-    auto until = deadline;
-    if (oracle_.active()) {
-      if (auto next = flush_due_limbo(); next && *next < until) until = *next;
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_until(lock, until,
-                     [&] { return !q_.empty() || wake_pending_; });
-      if (wake_pending_) {
-        wake_pending_ = false;  // consume the latched interrupt
-        if (q_.empty()) return std::nullopt;
-      }
-      if (!q_.empty()) {
-        Message m = std::move(q_.front());
-        q_.pop_front();
-        return m;
-      }
-    }
-    if (Clock::now() >= deadline) return std::nullopt;
-  }
+  return Comm::isend(src, dst, tag, payload, meta, seq, ack, is_ack, shared);
 }
 
 void SocketComm::barrier() {
@@ -369,37 +224,12 @@ void SocketComm::barrier() {
   });
 }
 
-void SocketComm::cancel(int rank) {
-  {
-    std::lock_guard<std::mutex> lock(lmu_);
-    cancelled_to_[rank] = 1;
-    for (auto it = limbo_.begin(); it != limbo_.end();) {
-      if (it->dst == rank) {
-        it = limbo_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (rank == rank_) {
-    // Our own mailbox: clear what arrived and latch so frames the
-    // receiver thread delivers later are discarded too.
-    std::lock_guard<std::mutex> lock(mu_);
-    cancelled_self_ = true;
-    q_.clear();
-  }
-}
-
 void SocketComm::interrupt(int rank) {
   if (rank == rank_) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      wake_pending_ = true;  // latch: idempotent, never lost
-    }
-    cv_.notify_all();
-    return;
+    Comm::interrupt(rank);
+  } else {
+    (void)write_frame(rank, kInterrupt, 0, rank_, 0, 0, nullptr, 0, -1, -1);
   }
-  (void)write_frame(rank, kInterrupt, 0, rank_, 0, 0, nullptr, 0, -1, -1);
 }
 
 /// One decoded 48-byte frame header (layout in socket_comm.hpp).
@@ -448,9 +278,9 @@ void SocketComm::dispatch(int peer, const FrameHeader& h, Packet payload) {
   frames_received_.fetch_add(1, std::memory_order_relaxed);
   switch (h.kind) {
     case kData:
-      (void)local_enqueue(Message{h.source, h.tag, h.meta, h.seq, h.ack,
-                                  (h.flags & 1u) != 0, std::move(payload),
-                                  h.epoch});
+      (void)deliver(rank_, Message{h.source, h.tag, h.meta, h.seq, h.ack,
+                                   (h.flags & 1u) != 0, std::move(payload),
+                                   h.epoch});
       break;
     case kBarrier: {
       {
@@ -460,14 +290,9 @@ void SocketComm::dispatch(int peer, const FrameHeader& h, Packet payload) {
       bcv_.notify_all();
       break;
     }
-    default: {  // kInterrupt (consume() admits no other kind)
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        wake_pending_ = true;
-      }
-      cv_.notify_all();
+    default:  // kInterrupt (consume() admits no other kind)
+      Comm::interrupt(rank_);
       break;
-    }
   }
 }
 

@@ -1,9 +1,9 @@
 // Out-of-process transport backend: Unix-domain stream sockets between
 // one real OS process per node (the paper's §IV-B MPI process model made
-// concrete). One SocketComm instance lives in each node process and
-// implements the same six-call Comm surface as the in-process
-// MailboxComm; the Vsa run path forks the node processes and hands each
-// one its row of a pre-opened socketpair mesh.
+// concrete). One SocketComm instance lives in each node process and runs
+// the same six-call Comm core as the in-process MailboxComm; the Vsa run
+// path forks the node processes and hands each one its row of a
+// pre-opened socketpair mesh.
 //
 // Wire format — one frame per message, fixed 48-byte little-endian
 // header (wire.hpp codec, never host-endian memcpy) followed by the
@@ -43,13 +43,15 @@
 // it has seen its own generation from every peer). Interrupt frames wake
 // a peer blocked in recv_wait.
 //
-// Fault injection happens on the SEND side, before any bytes hit the
-// wire, using the same FaultOracle pure-hash decisions as MailboxComm —
-// a chaos seed therefore replays the identical drop/dup/delay/reorder
-// schedule on both backends. Delayed/reordered messages wait in a
-// sender-side limbo and are flushed opportunistically by the sending
-// process's own transport calls. Barrier and interrupt frames bypass the
-// fault plan (they are control, not data).
+// Everything above the wire is net::Comm's: the tag gate, the fault fate
+// and its sender-side limbo, the mailbox and the counters, the same code
+// MailboxComm runs — a chaos seed therefore replays the identical
+// drop/dup/delay/reorder schedule on both backends. This class supplies
+// transmit() (a frame write, or self-delivery) and barrier(); it receives
+// only for its own rank, into the Comm mailbox its receiver thread
+// delivers to. Held messages are released by this process's own receive
+// calls. Barrier and interrupt frames bypass the fault plan (they are
+// control, not data).
 #pragma once
 
 #include <thread>
@@ -126,14 +128,13 @@ class SocketComm : public Comm {
     return !peer_down_[rank].load(std::memory_order_acquire);
   }
 
+  /// Checks this backend's preconditions — `src` is the owning rank and
+  /// the payload fits one frame — before Comm::isend counts the message.
   int isend(int src, int dst, int tag, const Packet& payload, int meta,
             long long seq = -1, long long ack = -1, bool is_ack = false,
             bool shared = false) override;
-  std::optional<Message> try_recv(int rank) override;
-  std::deque<Message> drain(int rank) override;
-  std::optional<Message> recv_wait(int rank, int timeout_us) override;
   void barrier() override;
-  void cancel(int rank) override;
+  /// A remote rank's interrupt travels as a control frame.
   void interrupt(int rank) override;
 
   /// Frames of any kind accepted by the receiver thread — a liveness
@@ -144,29 +145,13 @@ class SocketComm : public Comm {
   }
 
  private:
-  /// A message held back by the send-side fault plan.
-  struct Limbo {
-    std::chrono::steady_clock::time_point release;
-    bool after_next = false;  ///< reorder: release on the next send to dst
-    int dst = -1;
-    Message m;
-  };
-
-  /// Serialize + write one data frame to dst (or deliver locally when
-  /// dst == rank_). Returns false when the destination is unreachable
-  /// (peer gone, mailbox cancelled) — the frame is silently dropped, as
-  /// a real wire would; the Reliable layer repairs or reports it.
-  bool transmit(int dst, const Message& m);
+  /// Write one data frame to dst straight from the message's buffer, or
+  /// deliver it into this process's own mailbox when dst == rank_ (a
+  /// copy unless `shared`).
+  bool transmit(int dst, Message m, bool shared) override;
   bool write_frame(int dst, std::uint32_t kind, std::uint32_t flags,
                    int source, int tag, int meta, const std::byte* payload,
                    std::size_t len, long long seq, long long ack);
-  /// Deliver one message into this process's own mailbox.
-  bool local_enqueue(Message m);
-  /// Transmit limbo messages whose release time has passed (any dst);
-  /// returns the earliest release still pending.
-  std::optional<std::chrono::steady_clock::time_point> flush_due_limbo();
-  /// Transmit limbo messages held "until the next send" to dst.
-  void flush_after_next(int dst);
   struct FrameHeader;
   struct RxStream;
   void receiver_loop();
@@ -198,18 +183,6 @@ class SocketComm : public Comm {
   // Pending rejoins queued by the control thread for the proxy.
   std::mutex rjmu_;
   std::vector<Rejoin> rejoins_;
-
-  // This process's own mailbox (the only receivable rank).
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Message> q_;
-  bool wake_pending_ = false;   ///< latched interrupt (guarded by mu_)
-  bool cancelled_self_ = false; ///< latched cancel of our own rank
-
-  // Send-side fault limbo + per-destination cancel latches.
-  std::mutex lmu_;
-  std::vector<Limbo> limbo_;
-  std::vector<char> cancelled_to_;
 
   // Dissemination-barrier state.
   std::mutex bmu_;

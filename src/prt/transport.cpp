@@ -115,10 +115,14 @@ std::size_t FaultOracle::streams() const {
   return stream_idx_.size();
 }
 
-// ---- Comm (shared surface) --------------------------------------------------
+// ---- Comm (the core both backends share) ------------------------------------
 
-Comm::Comm(int nranks) : nranks_(nranks) {
+Comm::Comm(int nranks, int receiver) : nranks_(nranks), receiver_(receiver) {
   require(nranks >= 1, "Comm: need at least one rank");
+  boxes_.reserve(nranks);
+  for (int r = 0; r < nranks; ++r) boxes_.push_back(std::make_unique<Mailbox>());
+  limbo_.resize(nranks);
+  cancelled_.assign(nranks, 0);
 }
 
 Comm::~Comm() = default;
@@ -139,150 +143,114 @@ void check_send_tag(int tag, bool is_ack) {
 }
 }  // namespace
 
-// ---- MailboxComm ------------------------------------------------------------
-
-MailboxComm::MailboxComm(int nranks) : Comm(nranks) {
-  boxes_.reserve(nranks);
-  for (int r = 0; r < nranks; ++r) boxes_.push_back(std::make_unique<Mailbox>());
-  limbo_.resize(nranks);
-  cancelled_.assign(nranks, 0);
+void Comm::check_receiver(int rank) const {
+  PQR_ASSERT(receiver_ < 0 ? rank >= 0 && rank < nranks_ : rank == receiver_,
+             "Comm: cannot receive for this rank");
 }
 
-bool MailboxComm::enqueue(int dst, Message m) {
-  auto& box = *boxes_[dst];
+void Comm::count(long long copies, long long bytes) {
+  sent_.fetch_add(copies, std::memory_order_relaxed);
+  bytes_.fetch_add(copies * bytes, std::memory_order_relaxed);
+}
+
+int Comm::isend(int src, int dst, int tag, const Packet& payload, int meta,
+                long long seq, long long ack, bool is_ack, bool shared) {
+  PQR_ASSERT(dst >= 0 && dst < size(), "isend: bad destination rank");
+  check_send_tag(tag, is_ack);
+  offered_.fetch_add(1, std::memory_order_relaxed);
+  const auto bytes = static_cast<long long>(payload.size());
+  Message m{src, tag, meta, seq, ack, is_ack, payload};
+  if (!oracle_.active()) {
+    // Fate first, count second: a message the cancel latch (or a dead
+    // peer) discards is offered but never sent.
+    if (transmit(dst, std::move(m), shared)) count(1, bytes);
+    return 0;  // request handle; completion is immediate
+  }
+  // Fault plan: every decision is a pure function of (seed, stream,
+  // message index) — deterministic per seed, independent per fault kind.
+  // The cancel latch, the decision, the limbo and the accounting all
+  // happen under lmu_ (the oracle's own lock nests inside it, never the
+  // reverse); transmit happens strictly after lmu_ is released.
+  bool dup = false;
+  bool held = false;
+  {
+    std::lock_guard<std::mutex> lock(lmu_);
+    if (cancelled_[dst] != 0) return 0;  // latched: discard, don't decide
+    const FaultFate f = oracle_.decide(src, dst, tag);
+    if (f.drop) return 0;  // vanished on the wire: offered, never sent
+    dup = f.dup;
+    held = f.delay || f.reorder;
+    count(dup ? 2 : 1, bytes);
+    if (held) {
+      // The limbo owns what it holds: the caller may reuse its buffer.
+      Message h = m;
+      if (!shared) h.payload = payload.clone();
+      limbo_[dst].push_back(
+          Held{Clock::now() + std::chrono::microseconds(oracle_.delay_us()),
+               f.reorder, std::move(h)});
+    }
+  }
+  if (held && !dup) return 0;
+  // A duplicate travels now, twice if nothing of it is held back.
+  if (dup && !held) (void)transmit(dst, m, shared);
+  if (transmit(dst, std::move(m), shared)) release_after_next(dst);
+  return 0;
+}
+
+std::optional<Comm::Clock::time_point> Comm::release_due() {
+  std::vector<std::pair<int, Message>> due;
+  std::optional<Clock::time_point> earliest;
+  {
+    std::lock_guard<std::mutex> lock(lmu_);
+    const auto now = Clock::now();
+    for (int dst = 0; dst < nranks_; ++dst) {
+      auto& limbo = limbo_[dst];
+      for (auto it = limbo.begin(); it != limbo.end();) {
+        if (it->release <= now) {
+          due.emplace_back(dst, std::move(it->m));
+          it = limbo.erase(it);
+        } else {
+          if (!earliest || it->release < *earliest) earliest = it->release;
+          ++it;
+        }
+      }
+    }
+  }
+  for (auto& [dst, m] : due) (void)transmit(dst, std::move(m), /*shared=*/true);
+  return earliest;
+}
+
+void Comm::release_after_next(int dst) {
+  std::vector<Message> held;
+  {
+    std::lock_guard<std::mutex> lock(lmu_);
+    auto& limbo = limbo_[dst];
+    for (auto it = limbo.begin(); it != limbo.end();) {
+      if (it->after_next) {
+        held.push_back(std::move(it->m));
+        it = limbo.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  for (auto& m : held) (void)transmit(dst, std::move(m), /*shared=*/true);
+}
+
+bool Comm::deliver(int rank, Message m) {
+  auto& box = *boxes_[rank];
   {
     std::lock_guard<std::mutex> lock(box.mu);
     if (box.cancelled) return false;  // latched: post-cancel sends vanish
     box.q.push_back(std::move(m));
   }
   box.cv.notify_one();
-  if (oracle_.active()) {
-    // A delivery landed: release any reorder-held message for this rank
-    // (it now sits BEHIND the newer one — the reordering happened).
-    std::vector<Message> held;
-    {
-      std::lock_guard<std::mutex> lock(fmu_);
-      auto& limbo = limbo_[dst];
-      for (auto it = limbo.begin(); it != limbo.end();) {
-        if (it->after_next) {
-          held.push_back(std::move(it->m));
-          it = limbo.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (!held.empty()) {
-      std::lock_guard<std::mutex> lock(box.mu);
-      if (!box.cancelled) {
-        for (auto& h : held) box.q.push_back(std::move(h));
-        box.cv.notify_one();
-      }
-    }
-  }
   return true;
 }
 
-int MailboxComm::isend(int src, int dst, int tag, const Packet& payload,
-                       int meta, long long seq, long long ack, bool is_ack,
-                       bool shared) {
-  PQR_ASSERT(dst >= 0 && dst < size(), "isend: bad destination rank");
-  check_send_tag(tag, is_ack);
-  offered_.fetch_add(1, std::memory_order_relaxed);
-  // Default: deep copy, emulating separate address spaces. `shared` hands
-  // over a reference for payloads immutable on both sides (coalesced wire
-  // buffers, retransmissions) — see the declaration for the contract.
-  Message m{src, tag, meta, seq, ack, is_ack,
-            shared ? payload : payload.clone()};
-  if (!oracle_.active()) {
-    // Fate first, count second: a message the cancel latch discards is
-    // offered but never sent.
-    if (enqueue(dst, std::move(m))) {
-      sent_.fetch_add(1, std::memory_order_relaxed);
-      bytes_.fetch_add(static_cast<long long>(payload.size()),
-                       std::memory_order_relaxed);
-    }
-    return 0;  // request handle; completion is immediate
-  }
-  // Fault plan: every decision is a pure function of (seed, stream,
-  // message index) — deterministic per seed, independent per fault kind.
-  // The cancel latch, the decision, limbo bookkeeping and the post-fate
-  // accounting all happen under fmu_ (the oracle's own lock nests inside
-  // it, never the reverse); mailbox delivery (box.mu) happens strictly
-  // after fmu_ is released — box.mu and fmu_ never nest, in either order.
-  bool dup = false;
-  bool held = false;
-  {
-    std::lock_guard<std::mutex> lock(fmu_);
-    if (cancelled_[dst] != 0) return 0;  // latched: discard, don't decide
-    const FaultFate f = oracle_.decide(src, dst, tag);
-    if (f.drop) return 0;  // vanished on the wire: offered, never sent
-    dup = f.dup;
-    held = f.delay || f.reorder;
-    // Post-fate accounting: what actually goes toward a mailbox — twice
-    // for a duplicate, zero for a drop (satellite invariant:
-    // sent == offered - dropped + duplicated, absent cancels).
-    const long long copies = dup ? 2 : 1;
-    sent_.fetch_add(copies, std::memory_order_relaxed);
-    bytes_.fetch_add(copies * static_cast<long long>(payload.size()),
-                     std::memory_order_relaxed);
-    if (held) {
-      Limbo l;
-      l.release =
-          Clock::now() + std::chrono::microseconds(oracle_.delay_us());
-      l.after_next = f.reorder;
-      if (dup) {
-        // The duplicate travels normally (below) while the original waits.
-        Message copy = m;
-        copy.payload = m.payload.clone();
-        l.m = std::move(copy);
-      } else {
-        l.m = std::move(m);
-      }
-      limbo_[dst].push_back(std::move(l));
-    }
-  }
-  if (held && !dup) return 0;
-  if (dup && !held) {
-    Message copy = m;
-    copy.payload = m.payload.clone();
-    enqueue(dst, std::move(copy));
-  }
-  enqueue(dst, std::move(m));
-  return 0;
-}
-
-std::optional<Clock::time_point> MailboxComm::release_due(int rank) {
-  std::vector<Message> due;
-  std::optional<Clock::time_point> earliest;
-  {
-    std::lock_guard<std::mutex> lock(fmu_);
-    auto& limbo = limbo_[rank];
-    if (limbo.empty()) return std::nullopt;
-    const auto now = Clock::now();
-    for (auto it = limbo.begin(); it != limbo.end();) {
-      if (it->release <= now) {
-        due.push_back(std::move(it->m));
-        it = limbo.erase(it);
-      } else {
-        if (!earliest || it->release < *earliest) earliest = it->release;
-        ++it;
-      }
-    }
-  }
-  if (!due.empty()) {
-    auto& box = *boxes_[rank];
-    std::lock_guard<std::mutex> lock(box.mu);
-    if (!box.cancelled) {
-      for (auto& m : due) box.q.push_back(std::move(m));
-      box.cv.notify_one();
-    }
-  }
-  return earliest;
-}
-
-std::optional<Message> MailboxComm::try_recv(int rank) {
-  if (oracle_.active()) release_due(rank);
+std::optional<Message> Comm::try_recv(int rank) {
+  check_receiver(rank);
+  if (oracle_.active()) release_due();
   auto& box = *boxes_[rank];
   std::lock_guard<std::mutex> lock(box.mu);
   if (box.q.empty()) return std::nullopt;
@@ -291,8 +259,9 @@ std::optional<Message> MailboxComm::try_recv(int rank) {
   return m;
 }
 
-std::deque<Message> MailboxComm::drain(int rank) {
-  if (oracle_.active()) release_due(rank);
+std::deque<Message> Comm::drain(int rank) {
+  check_receiver(rank);
+  if (oracle_.active()) release_due();
   auto& box = *boxes_[rank];
   std::deque<Message> out;
   std::lock_guard<std::mutex> lock(box.mu);
@@ -300,17 +269,17 @@ std::deque<Message> MailboxComm::drain(int rank) {
   return out;
 }
 
-std::optional<Message> MailboxComm::recv_wait(int rank, int timeout_us) {
+std::optional<Message> Comm::recv_wait(int rank, int timeout_us) {
+  check_receiver(rank);
   auto& box = *boxes_[rank];
   const auto deadline = Clock::now() + std::chrono::microseconds(timeout_us);
   for (;;) {
     // Release due limbo traffic first and cap this round's sleep at the
-    // next pending release, so a delayed message never waits for the
-    // caller's full timeout. Computed BEFORE taking box.mu (never nest
-    // box.mu under fmu_ or vice versa).
+    // next pending release, so a held message never waits for the
+    // caller's full timeout (this Comm is its only releaser).
     auto until = deadline;
     if (oracle_.active()) {
-      if (auto next = release_due(rank); next && *next < until) until = *next;
+      if (auto next = release_due(); next && *next < until) until = *next;
     }
     {
       std::unique_lock<std::mutex> lock(box.mu);
@@ -334,6 +303,41 @@ std::optional<Message> MailboxComm::recv_wait(int rank, int timeout_us) {
   }
 }
 
+void Comm::cancel(int rank) {
+  // Latch BOTH sides of the race: the per-rank flag under lmu_ stops a
+  // concurrent isend from re-populating the limbo after the clear below,
+  // and the mailbox flag under box.mu stops a concurrent delivery from
+  // re-populating the queue. Either the racing send wins its lock first
+  // (and its message is cleared here) or cancel does (and the send sees
+  // the latch and discards) — nothing survives.
+  {
+    std::lock_guard<std::mutex> lock(lmu_);
+    cancelled_[rank] = 1;
+    limbo_[rank].clear();
+  }
+  auto& box = *boxes_[rank];
+  std::lock_guard<std::mutex> lock(box.mu);
+  box.cancelled = true;
+  box.q.clear();
+}
+
+void Comm::interrupt(int rank) {
+  auto& box = *boxes_[rank];
+  {
+    std::lock_guard<std::mutex> lock(box.mu);
+    box.wake_pending = true;  // latch: idempotent, never lost
+  }
+  box.cv.notify_all();
+}
+
+// ---- MailboxComm ------------------------------------------------------------
+
+bool MailboxComm::transmit(int dst, Message m, bool shared) {
+  // Deep copy unless shared: emulates separate address spaces.
+  if (!shared) m.payload = m.payload.clone();
+  return deliver(dst, std::move(m));
+}
+
 void MailboxComm::barrier() {
   std::unique_lock<std::mutex> lock(bmu_);
   const std::uint64_t gen = barrier_gen_;
@@ -344,33 +348,6 @@ void MailboxComm::barrier() {
   } else {
     bcv_.wait(lock, [&] { return barrier_gen_ != gen; });
   }
-}
-
-void MailboxComm::cancel(int rank) {
-  // Latch BOTH sides of the race: the per-rank flag under fmu_ stops a
-  // concurrent isend from re-populating the limbo after the clear below,
-  // and the mailbox flag under box.mu stops a concurrent enqueue from
-  // re-populating the queue. Either the racing send wins its lock first
-  // (and its message is cleared here) or cancel does (and the send sees
-  // the latch and discards) — nothing survives.
-  {
-    std::lock_guard<std::mutex> lock(fmu_);
-    cancelled_[rank] = 1;
-    limbo_[rank].clear();
-  }
-  auto& box = *boxes_[rank];
-  std::lock_guard<std::mutex> lock(box.mu);
-  box.cancelled = true;
-  box.q.clear();
-}
-
-void MailboxComm::interrupt(int rank) {
-  auto& box = *boxes_[rank];
-  {
-    std::lock_guard<std::mutex> lock(box.mu);
-    box.wake_pending = true;  // latch: idempotent, never lost
-  }
-  box.cv.notify_all();
 }
 
 // ---- Reliable ---------------------------------------------------------------
@@ -620,12 +597,15 @@ Packet FrameStager::take() {
 
 bool FrameCursor::next(WireFrame& out) {
   if (off_ >= size_) return false;
-  PQR_ASSERT(off_ + 16 <= size_, "FrameCursor: truncated frame header");
+  const std::size_t left = size_ - off_;
+  PQR_ASSERT(left >= 16, "FrameCursor: truncated frame header");
   out.tag = wire::get_i32(data_ + off_);
   out.meta = wire::get_i32(data_ + off_ + 4);
   out.size = static_cast<std::size_t>(wire::get_u64(data_ + off_ + 8));
   out.data = data_ + off_ + 16;
-  PQR_ASSERT(off_ + FrameStager::wire_size(out.size) <= size_,
+  // The claimed size is checked against the bytes left before any
+  // arithmetic on it: a size near 2^64 would wrap wire_size().
+  PQR_ASSERT(out.size <= left && FrameStager::wire_size(out.size) <= left,
              "FrameCursor: truncated frame payload");
   off_ += FrameStager::wire_size(out.size);
   return true;

@@ -1,11 +1,15 @@
-// In-process message-passing transport — the repo's MPI substitution.
+// Message-passing transport — the repo's MPI substitution.
 //
 // The paper's proxy uses exactly six MPI calls (Isend, Irecv, Test,
-// Get_count, Barrier, Cancel) between one MPI process per node. This shim
-// provides the same nonblocking six-call surface over per-rank mailboxes.
-// Payloads are deep-copied on send, emulating separate address spaces, so
-// aliasing bugs that MPI would expose are exposed here too. Tag routing is
-// numbered independently per (source, destination) pair, as in the paper.
+// Get_count, Barrier, Cancel) between one MPI process per node. net::Comm
+// provides the same nonblocking six-call surface over per-rank mailboxes,
+// written once for both backends; a backend only transmits a message
+// toward a mailbox (MailboxComm below: in-process threads; SocketComm in
+// socket_comm.hpp: one process per node). Payloads reach the receiver as
+// independent copies unless the sender opts out, emulating separate
+// address spaces, so aliasing bugs that MPI would expose are exposed here
+// too. Tag routing is numbered independently per (source, destination)
+// pair, as in the paper.
 //
 // On top of the paper's reliable-fabric assumption, this file adds the
 // chaos machinery the paper never needed:
@@ -148,21 +152,33 @@ class FaultOracle {
 
 /// Abstract "communicator" over nranks ranks — the six-call MPI surface of
 /// the paper (Isend/Test, Irecv as try_recv/drain/recv_wait, Get_count,
-/// Barrier, Cancel) plus the chaos and accounting hooks every backend
-/// shares. Backends: MailboxComm (in-process per-rank mailboxes, the
-/// original thread-emulated transport) and net::SocketComm
+/// Barrier, Cancel) plus the chaos and accounting hooks. Everything above
+/// the wire lives here, once: the tag gate, the send-side fault fate and
+/// its limbo, the per-rank mailboxes with their latched interrupt and
+/// cancel, the receive calls and the counters. A backend supplies only
+/// transmit() — how one message reaches a rank's mailbox — and barrier():
+/// MailboxComm (threads of one process) and net::SocketComm
 /// (socket_comm.hpp — Unix-domain stream sockets between real processes).
+///
+/// Fault plan. isend decides each message's fate before transmit() sees
+/// it. A delayed or reorder-held message waits in one sender-side limbo
+/// keyed by destination and owns its payload (a clone, unless the caller
+/// passed `shared`). This Comm's own receive calls release the due ones —
+/// recv_wait caps its sleep at the next release — and a reorder-held one
+/// is also released right after the next transmit to its destination,
+/// landing behind it.
 ///
 /// Accounting contract (chaos-invariant, asserted in chaos_test):
 ///   messages_offered  = isend calls accepted from callers
-///   messages_sent     = what actually went to a mailbox/wire — dropped
-///                       messages count zero, duplicated messages twice,
+///   messages_sent     = without a fault plan, what transmit() accepted;
+///                       with one, counted at fate under the cancel latch —
+///                       dropped messages count zero, duplicated twice,
 ///   so  sent == offered - dropped + duplicated
 /// in the absence of cancel (sends to a cancelled rank are discarded after
-/// being offered, without counting as sent).
+/// being offered, without counting as sent; a message already held in
+/// limbo when its destination is cancelled stays counted).
 class Comm {
  public:
-  explicit Comm(int nranks);
   virtual ~Comm();
 
   Comm(const Comm&) = delete;
@@ -170,23 +186,23 @@ class Comm {
 
   int size() const { return nranks_; }
 
-  /// Nonblocking send: copies the payload and delivers it to dst's mailbox
-  /// (through the fault plan, if one is set). Returns a request handle;
-  /// completion is immediate in this transport but callers must still
-  /// test() it (MPI discipline). The trailing seq/ack/is_ack header is
-  /// used by the Reliable layer and defaults to "no header".
+  /// Nonblocking send: decides the message's fate (if a fault plan is
+  /// set) and hands it to the backend's transmit(). Returns a request
+  /// handle; completion is immediate in both backends but callers must
+  /// still test() it (MPI discipline). The trailing seq/ack/is_ack header
+  /// is used by the Reliable layer and defaults to "no header".
   ///
-  /// `shared` skips the deep copy and hands the receiver a reference to
-  /// the caller's buffer. Only for payloads that are immutable for the
-  /// rest of their life on BOTH sides: the proxy's gather-coalesced wire
-  /// buffers (the gather is the address-space copy; the receiver splits
-  /// into fresh buffers) and Reliable retransmissions (a retransmitted
-  /// frame is either the only copy ever delivered or suppressed unread by
-  /// the receiver's sequence dedup). The default path keeps the deep copy
-  /// that emulates separate address spaces.
+  /// By default the receiver gets an independent copy of the payload,
+  /// emulating separate address spaces. `shared` lets the receiver adopt a
+  /// reference to the caller's buffer instead. Only for payloads that are
+  /// immutable for the rest of their life on BOTH sides: the proxy's
+  /// gather-coalesced wire buffers (the gather is the address-space copy;
+  /// the receiver splits into fresh buffers) and Reliable retransmissions
+  /// (a retransmitted frame is either the only copy ever delivered or
+  /// suppressed unread by the receiver's sequence dedup).
   virtual int isend(int src, int dst, int tag, const Packet& payload, int meta,
                     long long seq = -1, long long ack = -1, bool is_ack = false,
-                    bool shared = false) = 0;
+                    bool shared = false);
 
   /// MPI_Test equivalent: true once the send completed. Both backends
   /// complete sends synchronously (mailbox enqueue / blocking write).
@@ -194,18 +210,18 @@ class Comm {
 
   /// MPI_Irecv+Test pattern collapsed into a non-blocking poll of the
   /// rank's mailbox. Empty optional when nothing has arrived.
-  virtual std::optional<Message> try_recv(int rank) = 0;
+  std::optional<Message> try_recv(int rank);
 
   /// Batch receive: every queued message for the rank in arrival order,
   /// taken in a single mailbox swap (one lock round-trip total — the
   /// proxy's bulk path). Empty deque when nothing has arrived.
-  virtual std::deque<Message> drain(int rank) = 0;
+  std::deque<Message> drain(int rank);
 
   /// Blocking receive with a deadline; used by proxies to idle
   /// efficiently. The deadline is absolute: spurious condition-variable
   /// wakeups never extend the effective timeout. Returns early (empty)
   /// when an interrupt is pending for the rank.
-  virtual std::optional<Message> recv_wait(int rank, int timeout_us) = 0;
+  std::optional<Message> recv_wait(int rank, int timeout_us);
 
   /// MPI_Get_count equivalent.
   static std::size_t get_count(const Message& m) { return m.payload.size(); }
@@ -217,13 +233,13 @@ class Comm {
   /// (including ones held back by the fault plan), and latch the rank as
   /// cancelled — later sends to it are discarded instead of re-filling
   /// the mailbox or limbo a racing isend could otherwise repopulate.
-  virtual void cancel(int rank) = 0;
+  void cancel(int rank);
 
   /// Wake a rank blocked in recv_wait (used for shutdown and to nudge an
   /// idle proxy). The wake is latched: an interrupt delivered while no
   /// one waits makes the next recv_wait return immediately instead of
   /// being lost. Idempotent — repeated interrupts collapse into one latch.
-  virtual void interrupt(int rank) = 0;
+  virtual void interrupt(int rank);
 
   /// Install the fault plan. Must be called before any traffic; a plan
   /// with all probabilities zero leaves the fast path untouched.
@@ -239,34 +255,23 @@ class Comm {
   std::size_t fault_streams() const { return oracle_.streams(); }
 
  protected:
-  int nranks_;
-  FaultOracle oracle_;
-  std::atomic<long long> offered_{0};
-  std::atomic<long long> sent_{0};
-  std::atomic<long long> bytes_{0};
-};
+  /// `receiver` >= 0 restricts the receive calls to that one rank (a
+  /// backend living in that rank's process); -1 lets them name any rank.
+  explicit Comm(int nranks, int receiver = -1);
 
-/// The in-process backend: per-rank mailboxes between threads of one
-/// process, deep-copying payloads to emulate separate address spaces.
-class MailboxComm : public Comm {
- public:
-  explicit MailboxComm(int nranks);
+  /// Carry one message toward dst's mailbox. Without `shared` the backend
+  /// must not let the receiver adopt the caller's buffer (see isend).
+  /// False when it did not get there (cancelled mailbox, dead peer) — the
+  /// message is lost as on a real wire; the Reliable layer repairs or
+  /// reports it. Called with no Comm lock held.
+  virtual bool transmit(int dst, Message m, bool shared) = 0;
 
-  int isend(int src, int dst, int tag, const Packet& payload, int meta,
-            long long seq = -1, long long ack = -1, bool is_ack = false,
-            bool shared = false) override;
-  std::optional<Message> try_recv(int rank) override;
-  std::deque<Message> drain(int rank) override;
-  std::optional<Message> recv_wait(int rank, int timeout_us) override;
-
-  /// The generation counter is 64-bit and monotone, so a rank re-entering
-  /// the barrier immediately can never alias a generation an earlier
-  /// waiter is still testing.
-  void barrier() override;
-  void cancel(int rank) override;
-  void interrupt(int rank) override;
+  /// Append to a rank's mailbox and wake its receiver. False (message
+  /// discarded) once the rank is cancelled.
+  bool deliver(int rank, Message m);
 
  private:
+  using Clock = std::chrono::steady_clock;
   struct Mailbox {
     std::mutex mu;
     std::condition_variable cv;
@@ -275,30 +280,55 @@ class MailboxComm : public Comm {
     bool cancelled = false;     ///< latched cancel (guarded by mu)
   };
   /// A message held back by the fault plan.
-  struct Limbo {
-    std::chrono::steady_clock::time_point release;
-    bool after_next = false;  ///< reorder: also release on the next delivery
+  struct Held {
+    Clock::time_point release;
+    bool after_next = false;  ///< reorder: also release after the next transmit
     Message m;
   };
 
-  /// Returns false when the destination rank is cancelled (the message is
-  /// discarded under the same lock that latched the cancel — no race).
-  bool enqueue(int dst, Message m);
-  /// Move due limbo messages of the rank into its mailbox; returns the
-  /// earliest release time still pending (if any).
-  std::optional<std::chrono::steady_clock::time_point> release_due(int rank);
+  void check_receiver(int rank) const;
+  void count(long long copies, long long bytes);
+  /// Transmit every limbo message whose release time has passed; returns
+  /// the earliest release still pending (if any).
+  std::optional<Clock::time_point> release_due();
+  /// Transmit the reorder-held messages to dst (they land behind the
+  /// message just transmitted there).
+  void release_after_next(int dst);
 
+  const int nranks_;
+  const int receiver_;
+  FaultOracle oracle_;
+  std::atomic<long long> offered_{0};
+  std::atomic<long long> sent_{0};
+  std::atomic<long long> bytes_{0};
   std::vector<std::unique_ptr<Mailbox>> boxes_;
-  // Barrier state.
+  // Limbo + send-side cancel latch (guarded by lmu_; the fault-free fast
+  // path never takes this lock — its cancel check rides the mailbox lock
+  // of the receiving end). lmu_ and a mailbox lock never nest.
+  std::mutex lmu_;
+  std::vector<std::vector<Held>> limbo_;  ///< per destination rank
+  std::vector<char> cancelled_;           ///< per-rank latched cancel
+};
+
+/// The in-process backend: per-rank mailboxes between threads of one
+/// process; transmit deep-copies each payload unless `shared`, emulating
+/// separate address spaces.
+class MailboxComm : public Comm {
+ public:
+  explicit MailboxComm(int nranks) : Comm(nranks) {}
+
+  /// The generation counter is 64-bit and monotone, so a rank re-entering
+  /// the barrier immediately can never alias a generation an earlier
+  /// waiter is still testing.
+  void barrier() override;
+
+ private:
+  bool transmit(int dst, Message m, bool shared) override;
+
   std::mutex bmu_;
   std::condition_variable bcv_;
   int barrier_count_ = 0;
   std::uint64_t barrier_gen_ = 0;
-  // Limbo + cancel-latch state (guarded by fmu_; the fault-free fast path
-  // never takes this lock — its cancel check rides the mailbox lock).
-  mutable std::mutex fmu_;
-  std::vector<std::vector<Limbo>> limbo_;  ///< per destination rank
-  std::vector<char> cancelled_;            ///< per-rank latched cancel
 };
 
 /// Reliable-delivery endpoint for one rank: per-(src,dst) monotone
@@ -414,9 +444,7 @@ class Reliable {
     /// put this same buffer on the wire (isend `shared`). Safe because
     /// payloads are immutable once handed to the transport (the same
     /// contract intra-node zero-copy channels already rely on) and the
-    /// receiver's sequence dedup discards late duplicates unread; the only
-    /// place an independent copy is still taken is the fault plan's
-    /// duplicate injection, which is the one point that mutates fate.
+    /// receiver's sequence dedup discards late duplicates unread.
     Packet payload;
     std::chrono::steady_clock::time_point deadline;
     long long rto_us = 0;

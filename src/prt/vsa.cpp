@@ -623,8 +623,11 @@ void Vsa::proxy_loop(Node& n) {
   // flushing the stage, so per-destination order holds.
   using Clock = std::chrono::steady_clock;
   const std::size_t cap = cfg_.coalesce_bytes;
-  const auto flush_window = std::chrono::microseconds(
-      cfg_.coalesce_flush_us > 0 ? cfg_.coalesce_flush_us : 0);
+  // Deadline of a non-full stage: a destination is flushed once its oldest
+  // staged frame has waited this long. At nb 16 over sockets it sends
+  // about a fifth fewer wire messages than flushing at once, with a little
+  // less system time (EXPERIMENTS.md).
+  constexpr auto kFlushWindow = std::chrono::microseconds(50);
   struct Egress {
     net::FrameStager stager;
     Clock::time_point deadline{};  ///< flush-by time of the oldest frame
@@ -668,7 +671,7 @@ void Vsa::proxy_loop(Node& n) {
       return;
     }
     if (!e.stager.fits(m.p.size())) flush(m.dst_node, e);
-    if (e.stager.empty()) e.deadline = Clock::now() + flush_window;
+    if (e.stager.empty()) e.deadline = Clock::now() + kFlushWindow;
     e.stager.add(m.tag, m.p.meta(), m.p);
   };
   auto flush_due = [&](Clock::time_point now) {

@@ -104,9 +104,6 @@ class Vsa {
     /// preserve per-destination order. 0 disables coalescing (every frame
     /// is its own wire message, as before).
     std::size_t coalesce_bytes = 64 * 1024;
-    /// Deadline for a non-full staged aggregate: a proxy flushes any
-    /// destination whose oldest staged frame has waited this long.
-    int coalesce_flush_us = 50;
     /// Transport backend for inter-node traffic (see prt::Transport).
     /// Socket mode forks one process per node at run(); for results to
     /// reach the parent it needs process hooks (set_process_hooks) or

@@ -3,6 +3,7 @@
 // codec that rides on pooled wire buffers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -219,6 +220,28 @@ TEST(FrameCodecTest, GoldenFrameBytesAreLittleEndian) {
   };
   // Compare header + payload only; the pad bytes are uninitialized.
   EXPECT_EQ(std::memcmp(wire.bytes(), golden, sizeof(golden)), 0);
+}
+
+// A frame header whose size is within 16 of 2^64 once wrapped the
+// cursor's bounds sum: next() returned true and the proxy went on to
+// allocate that size. The size is now checked against the bytes left
+// first, so the named assertion fires instead.
+TEST(FrameCodecTest, HugeFrameSizeFailsTheBoundsCheck) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  for (const std::uint64_t claimed : {max - 7, max}) {
+    SCOPED_TRACE(claimed);
+    Packet agg = Packet::make(64);
+    std::memset(agg.bytes(), 0, agg.size());
+    prt::net::wire::put_i32(agg.bytes(), /*tag=*/1);
+    prt::net::wire::put_u64(agg.bytes() + 8, claimed);
+    EXPECT_DEATH(
+        {
+          prt::net::FrameCursor cursor(agg);
+          prt::net::WireFrame wf;
+          (void)cursor.next(wf);
+        },
+        "FrameCursor: truncated frame payload");
+  }
 }
 
 // The shared scalar codec the aggregate header and the socket frame

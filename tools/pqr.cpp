@@ -15,7 +15,7 @@
 // batch):
 //   --nodes 1 --workers 2 --sched lazy|aggressive --graph-check 1
 //   --spin-us -1|0|50 --transport inproc|socket
-//   --coalesce-bytes 65536 --flush-us 50
+//   --coalesce-bytes 65536
 //   --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1 --delay 0.1
 //   --delay-us 200 --reliable --rto-us 2000 --max-retransmits 10
 //   --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
@@ -176,7 +176,6 @@ void runtime_options(prt::Vsa::Config& opt, const Args& a) {
   // Egress coalescing (--coalesce-bytes 0 turns it off).
   opt.coalesce_bytes = static_cast<std::size_t>(
       a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes)));
-  opt.coalesce_flush_us = a.geti("flush-us", opt.coalesce_flush_us);
   // Chaos engineering: a seeded deterministic fault schedule plus the
   // reliable-delivery protocol that tolerates it.
   opt.fault_plan.seed = static_cast<std::uint64_t>(a.geti("chaos-seed", 0));
