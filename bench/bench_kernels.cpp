@@ -254,6 +254,36 @@ void BM_trmm(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+// The per-tile panel solve of the factorization arrays: X * op(A) = B on
+// one nb x nb tile. range(1) 0 is Cholesky's (Right, Lower, Trans,
+// NonUnit) against a potf2 factor, 1 is LU's (Right, Upper, NoTrans,
+// NonUnit) against a getf2 factor. Each iteration restores B from a
+// pristine copy (an nb*nb lacpy inside the timing). Rated at the nominal
+// nb^3 flops of a right trsm.
+void BM_trsm(benchmark::State& state) {
+  const int nb = static_cast<int>(state.range(0));
+  const bool lu = state.range(1) != 0;
+  Matrix a = lu ? pulsarqr::lu::random_diag_dominant(nb, nb, 18)
+                : pulsarqr::chol::random_spd(nb, 18);
+  if (lu) {
+    lapack::getf2_nopiv(a.view());
+  } else {
+    lapack::potf2(a.view());
+  }
+  const Matrix b0 = random_matrix(nb, nb, 19);
+  Matrix b(nb, nb);
+  for (auto _ : state) {
+    blas::lacpy_all(b0.view(), b.view());
+    blas::trsm(blas::Side::Right, lu ? blas::Uplo::Upper : blas::Uplo::Lower,
+               lu ? blas::Trans::No : blas::Trans::Yes, blas::Diag::NonUnit,
+               1.0, a.view(), b.view());
+    benchmark::DoNotOptimize(b.data());
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      static_cast<double>(nb) * nb * nb * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 // ---- Single-precision rows (templated kernel path) ------------------------
 
 MatrixF random_matrix_f(int m, int n, std::uint64_t seed) {
@@ -425,6 +455,9 @@ BENCHMARK(BM_tsmqr_f32)->Args({128, 32})->Args({192, 48})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ttmqr_f32)->Args({128, 32})->Args({192, 48})
     ->Unit(benchmark::kMillisecond);
+// The Cholesky (0) and LU (1) panel solves at the tile sizes they run.
+BENCHMARK(BM_trsm)->Args({64, 0})->Args({128, 0})->Args({64, 1})
+    ->Args({128, 1})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_potrf_tile)->Arg(64)->Arg(192)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_getrf_tile)->Arg(64)->Arg(192)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_dense_geqrf)->Args({768, 192})->Args({1024, 64})

@@ -194,16 +194,6 @@ void BM_packet_alloc(benchmark::State& state) {
   prt::PacketPool::set_enabled(true);
 }
 
-void BM_packet_clone(benchmark::State& state) {
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  Packet p = Packet::make(bytes);
-  for (auto _ : state) {
-    Packet c = p.clone();
-    benchmark::DoNotOptimize(c.bytes());
-  }
-  state.SetBytesProcessed(state.iterations() * bytes);
-}
-
 // Firing overhead: a pipeline of trivial VDPs; reported as fires/second.
 void fire_pipeline(benchmark::State& state, int nodes, int workers) {
   const int length = 16;
@@ -295,7 +285,6 @@ BENCHMARK(BM_qr_small_nb)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_packet_alloc)
     ->Args({64, 1})->Args({64, 0})
     ->Args({192 * 192 * 8, 1})->Args({192 * 192 * 8, 0});
-BENCHMARK(BM_packet_clone)->Arg(64)->Arg(192 * 192 * 8);
 BENCHMARK(BM_vdp_fire_local)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_vdp_fire_internode)->Arg(2)->Arg(4)

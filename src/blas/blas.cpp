@@ -610,6 +610,69 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, float alpha,
   trmm_t(side, uplo, trans, diag, alpha, a, b);
 }
 
+namespace {
+
+// Widest right-side solve the column recurrence takes directly; wider
+// ones split their columns in half around one gemm.
+constexpr int kTrsmLeafCols = 16;
+
+// Solve X * op(A) = B in place (X overwrites B). Up to kTrsmLeafCols
+// columns this is the column recurrence; wider, the columns split in
+// half, the half op(A) couples nothing into is solved first, one gemm
+// through the kernel table folds it into the other half's right-hand
+// side, and that half is solved next.
+void trsm_right(Uplo uplo, Trans trans, Diag diag, ConstMatrixView a,
+                MatrixView b) {
+  const int n = b.cols;
+  const bool upper_effect = (uplo == Uplo::Upper) == (trans == Trans::No);
+  auto op = [&](int i, int j) { return trans == Trans::No ? a(i, j) : a(j, i); };
+  if (n <= kTrsmLeafCols) {
+    if (upper_effect) {
+      // op(A) upper: X(:,j) = (B(:,j) - sum_{k<j} X(:,k) op(A)(k,j)) / op(A)(j,j)
+      for (int j = 0; j < n; ++j) {
+        for (int k = 0; k < j; ++k) {
+          const double t = op(k, j);
+          if (t != 0.0) axpy(b.rows, -t, b.col(k), b.col(j));
+        }
+        if (diag == Diag::NonUnit) scal(b.rows, 1.0 / a(j, j), b.col(j));
+      }
+    } else {
+      for (int j = n - 1; j >= 0; --j) {
+        for (int k = j + 1; k < n; ++k) {
+          const double t = op(k, j);
+          if (t != 0.0) axpy(b.rows, -t, b.col(k), b.col(j));
+        }
+        if (diag == Diag::NonUnit) scal(b.rows, 1.0 / a(j, j), b.col(j));
+      }
+    }
+    return;
+  }
+  const int h = n / 2;
+  ConstMatrixView a11 = a.block(0, 0, h, h);
+  ConstMatrixView a22 = a.block(h, h, n - h, n - h);
+  MatrixView b1 = b.block(0, 0, b.rows, h);
+  MatrixView b2 = b.block(0, h, b.rows, n - h);
+  // op(A)'s referenced off-diagonal block: columns [h, n) of rows [0, h)
+  // when it is upper, rows [h, n) x columns [0, h) when lower, stored
+  // transposed in A under Trans::Yes.
+  const bool off_top = upper_effect == (trans == Trans::No);
+  ConstMatrixView off =
+      off_top ? a.block(0, h, h, n - h) : a.block(h, 0, n - h, h);
+  if (upper_effect) {
+    // X1 O11 = B1, then X2 O22 = B2 - X1 O12.
+    trsm_right(uplo, trans, diag, a11, b1);
+    gemm(Trans::No, trans, -1.0, ConstMatrixView(b1), off, 1.0, b2);
+    trsm_right(uplo, trans, diag, a22, b2);
+  } else {
+    // X2 O22 = B2, then X1 O11 = B1 - X2 O21.
+    trsm_right(uplo, trans, diag, a22, b2);
+    gemm(Trans::No, trans, -1.0, ConstMatrixView(b2), off, 1.0, b1);
+    trsm_right(uplo, trans, diag, a11, b1);
+  }
+}
+
+}  // namespace
+
 void trsm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b) {
   if (alpha != 1.0) {
@@ -620,27 +683,7 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
     for (int j = 0; j < b.cols; ++j) trsv(uplo, trans, diag, a, b.col(j));
   } else {
     PQR_ASSERT(a.rows == b.cols && a.cols == b.cols, "trsm: shape mismatch");
-    // Solve X * op(A) = B, i.e. column recurrences over X's columns.
-    const int n = b.cols;
-    const bool upper_effect = (uplo == Uplo::Upper) == (trans == Trans::No);
-    if (upper_effect) {
-      // op(A) upper triangular: X(:,j) = (B(:,j) - sum_{k<j} X(:,k) op(A)(k,j)) / op(A)(j,j)
-      for (int j = 0; j < n; ++j) {
-        for (int k = 0; k < j; ++k) {
-          const double t = trans == Trans::No ? a(k, j) : a(j, k);
-          if (t != 0.0) axpy(b.rows, -t, b.col(k), b.col(j));
-        }
-        if (diag == Diag::NonUnit) scal(b.rows, 1.0 / a(j, j), b.col(j));
-      }
-    } else {
-      for (int j = n - 1; j >= 0; --j) {
-        for (int k = j + 1; k < n; ++k) {
-          const double t = trans == Trans::No ? a(k, j) : a(j, k);
-          if (t != 0.0) axpy(b.rows, -t, b.col(k), b.col(j));
-        }
-        if (diag == Diag::NonUnit) scal(b.rows, 1.0 / a(j, j), b.col(j));
-      }
-    }
+    trsm_right(uplo, trans, diag, a, b);
   }
 }
 

@@ -96,7 +96,9 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b);
 
 /// Solve op(A) * X = alpha * B (Side::Left) or X * op(A) = alpha * B
-/// (Side::Right) in place, A triangular; X overwrites B.
+/// (Side::Right) in place, A triangular; X overwrites B. Side::Left runs
+/// one trsv per column. Side::Right is a column recurrence up to 16
+/// columns; wider solves split their columns in halves around one gemm.
 void trsm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b);
 

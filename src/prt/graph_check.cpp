@@ -433,6 +433,8 @@ GraphReport GraphCheck::check(const Vsa& vsa) {
       const long long cnt = v.counter();
       return (c.delivered + cnt - 1) / cnt;
     };
+    const std::vector<int> threads = vsa.placement();
+    const int wpn = vsa.config().workers_per_node;
     for (Chan& c : chans) {
       ChannelFlow flow;
       flow.src = c.src >= 0 ? vsa.creation_order_[c.src]->tuple() : Tuple{};
@@ -440,6 +442,7 @@ GraphReport GraphCheck::check(const Vsa& vsa) {
       flow.dst = vsa.creation_order_[c.dst]->tuple();
       flow.dst_slot = c.dst_slot;
       flow.from_feed = c.src < 0;
+      flow.remote = c.src >= 0 && threads[c.src] / wpn != threads[c.dst] / wpn;
       flow.fed = c.fed;
       flow.delivered = c.delivered;
       flow.consumed = c.consumed;

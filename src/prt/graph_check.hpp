@@ -105,6 +105,7 @@ struct ChannelFlow {
   Tuple dst;
   int dst_slot = -1;
   bool from_feed = false;
+  bool remote = false;  ///< producer and consumer on different nodes
   long long fed = 0;        ///< packets prefilled by feeds
   long long delivered = 0;  ///< lifetime deliveries: fed + producer total
   long long consumed = 0;   ///< lifetime pops by the consumer

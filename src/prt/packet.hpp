@@ -3,8 +3,9 @@
 // A packet is a reference-counted byte buffer plus a small integer metadata
 // word. Copying a packet shares the buffer — this is the zero-copy
 // shared-memory aliasing the paper relies on for intra-node channels and
-// for the by-pass (forward-before-use) pattern. Inter-node transport
-// deep-copies the bytes, emulating separate address spaces.
+// for the by-pass (forward-before-use) pattern, and in-process between
+// virtual nodes too: a buffer is immutable once pushed or sent, and a
+// consumer mutates only a packet its producer moved out.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +25,8 @@ class Packet {
   /// warmed steady state performs no heap allocation here.
   static Packet make(std::size_t bytes, int meta = 0);
 
-  /// Deep copy (used by the inter-node transport and by VDPs that must
-  /// retain data past forwarding the original).
+  /// Deep copy, for a holder that must write to data it has already
+  /// pushed or sent.
   Packet clone() const;
 
   bool empty() const { return data_ == nullptr; }

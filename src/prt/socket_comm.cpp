@@ -175,28 +175,26 @@ bool SocketComm::write_frame(int dst, std::uint32_t kind, std::uint32_t flags,
   return true;
 }
 
-bool SocketComm::transmit(int dst, Message m, bool shared) {
+bool SocketComm::transmit(int dst, Message m) {
   if (dst != rank_) {
     // Serialized straight out of the caller's buffer: no copy to take.
     return write_frame(dst, kData, m.is_ack ? 1u : 0u, m.source, m.tag,
                        m.meta, m.payload.bytes(), m.payload.size(), m.seq,
                        m.ack);
   }
-  // Self-delivery: the receiver adopts the buffer, so copy unless shared,
-  // and stamp the live incarnation.
-  if (!shared) m.payload = m.payload.clone();
+  // Self-delivery: the receiver adopts the buffer, stamped with the live
+  // incarnation.
   m.epoch = epoch_;
   return deliver(rank_, std::move(m));
 }
 
 int SocketComm::isend(int src, int dst, int tag, const Packet& payload,
-                      int meta, long long seq, long long ack, bool is_ack,
-                      bool shared) {
+                      int meta, long long seq, long long ack, bool is_ack) {
   PQR_ASSERT(src == rank_, "SocketComm::isend: src must be the owning rank");
   require(payload.size() <= kMaxPayloadBytes,
           "isend: payload of " + std::to_string(payload.size()) +
               " bytes exceeds the socket protocol maximum");
-  return Comm::isend(src, dst, tag, payload, meta, seq, ack, is_ack, shared);
+  return Comm::isend(src, dst, tag, payload, meta, seq, ack, is_ack);
 }
 
 void SocketComm::barrier() {

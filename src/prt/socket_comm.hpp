@@ -131,8 +131,8 @@ class SocketComm : public Comm {
   /// Checks this backend's preconditions — `src` is the owning rank and
   /// the payload fits one frame — before Comm::isend counts the message.
   int isend(int src, int dst, int tag, const Packet& payload, int meta,
-            long long seq = -1, long long ack = -1, bool is_ack = false,
-            bool shared = false) override;
+            long long seq = -1, long long ack = -1,
+            bool is_ack = false) override;
   void barrier() override;
   /// A remote rank's interrupt travels as a control frame.
   void interrupt(int rank) override;
@@ -146,9 +146,9 @@ class SocketComm : public Comm {
 
  private:
   /// Write one data frame to dst straight from the message's buffer, or
-  /// deliver it into this process's own mailbox when dst == rank_ (a
-  /// copy unless `shared`).
-  bool transmit(int dst, Message m, bool shared) override;
+  /// deliver the buffer itself into this process's own mailbox when
+  /// dst == rank_.
+  bool transmit(int dst, Message m) override;
   bool write_frame(int dst, std::uint32_t kind, std::uint32_t flags,
                    int source, int tag, int meta, const std::byte* payload,
                    std::size_t len, long long seq, long long ack);

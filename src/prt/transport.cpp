@@ -154,7 +154,7 @@ void Comm::count(long long copies, long long bytes) {
 }
 
 int Comm::isend(int src, int dst, int tag, const Packet& payload, int meta,
-                long long seq, long long ack, bool is_ack, bool shared) {
+                long long seq, long long ack, bool is_ack) {
   PQR_ASSERT(dst >= 0 && dst < size(), "isend: bad destination rank");
   check_send_tag(tag, is_ack);
   offered_.fetch_add(1, std::memory_order_relaxed);
@@ -163,7 +163,7 @@ int Comm::isend(int src, int dst, int tag, const Packet& payload, int meta,
   if (!oracle_.active()) {
     // Fate first, count second: a message the cancel latch (or a dead
     // peer) discards is offered but never sent.
-    if (transmit(dst, std::move(m), shared)) count(1, bytes);
+    if (transmit(dst, std::move(m))) count(1, bytes);
     return 0;  // request handle; completion is immediate
   }
   // Fault plan: every decision is a pure function of (seed, stream,
@@ -182,18 +182,15 @@ int Comm::isend(int src, int dst, int tag, const Packet& payload, int meta,
     held = f.delay || f.reorder;
     count(dup ? 2 : 1, bytes);
     if (held) {
-      // The limbo owns what it holds: the caller may reuse its buffer.
-      Message h = m;
-      if (!shared) h.payload = payload.clone();
       limbo_[dst].push_back(
           Held{Clock::now() + std::chrono::microseconds(oracle_.delay_us()),
-               f.reorder, std::move(h)});
+               f.reorder, m});
     }
   }
   if (held && !dup) return 0;
   // A duplicate travels now, twice if nothing of it is held back.
-  if (dup && !held) (void)transmit(dst, m, shared);
-  if (transmit(dst, std::move(m), shared)) release_after_next(dst);
+  if (dup && !held) (void)transmit(dst, m);
+  if (transmit(dst, std::move(m))) release_after_next(dst);
   return 0;
 }
 
@@ -216,7 +213,7 @@ std::optional<Comm::Clock::time_point> Comm::release_due() {
       }
     }
   }
-  for (auto& [dst, m] : due) (void)transmit(dst, std::move(m), /*shared=*/true);
+  for (auto& [dst, m] : due) (void)transmit(dst, std::move(m));
   return earliest;
 }
 
@@ -234,7 +231,7 @@ void Comm::release_after_next(int dst) {
       }
     }
   }
-  for (auto& m : held) (void)transmit(dst, std::move(m), /*shared=*/true);
+  for (auto& m : held) (void)transmit(dst, std::move(m));
 }
 
 bool Comm::deliver(int rank, Message m) {
@@ -332,9 +329,7 @@ void Comm::interrupt(int rank) {
 
 // ---- MailboxComm ------------------------------------------------------------
 
-bool MailboxComm::transmit(int dst, Message m, bool shared) {
-  // Deep copy unless shared: emulates separate address spaces.
-  if (!shared) m.payload = m.payload.clone();
+bool MailboxComm::transmit(int dst, Message m) {
   return deliver(dst, std::move(m));
 }
 
@@ -364,15 +359,13 @@ long long Reliable::piggyback_ack(int peer) const {
   return it == recv_.end() ? -1 : it->second.expected - 1;
 }
 
-void Reliable::send(int dst, int tag, const Packet& payload, int meta,
-                    bool shared) {
+void Reliable::send(int dst, int tag, const Packet& payload, int meta) {
   // Sequenced frames carry either an application tag or a whole
   // aggregate; anything else in the reserved range is a caller bug.
   if (tag != kAggregateTag) require_user_tag(tag, "Reliable::send");
   auto& link = send_[dst];
   const long long seq = link.next_seq++;
-  comm_.isend(rank_, dst, tag, payload, meta, seq, piggyback_ack(dst), false,
-              shared);
+  comm_.isend(rank_, dst, tag, payload, meta, seq, piggyback_ack(dst));
   if (auto it = recv_.find(dst); it != recv_.end()) {
     it->second.ack_dirty = false;  // the piggyback carried the ack
   }
@@ -504,10 +497,10 @@ bool Reliable::poll(Clock::time_point now) {
       }
       ++u.retries;
       ++retransmits_;
-      // Shared: the retained buffer goes on the wire as-is, no deep copy
-      // per transmission (the receiver's seq dedup discards stale copies).
+      // The retained buffer goes on the wire as-is; the receiver's seq
+      // dedup discards a stale copy unread.
       comm_.isend(rank_, dst, u.tag, u.payload, u.meta, u.seq,
-                  piggyback_ack(dst), false, /*shared=*/true);
+                  piggyback_ack(dst));
       u.rto_us = static_cast<long long>(
           static_cast<double>(u.rto_us) * params_.backoff);
       u.deadline = now + std::chrono::microseconds(u.rto_us);

@@ -5,11 +5,11 @@
 // provides the same nonblocking six-call surface over per-rank mailboxes,
 // written once for both backends; a backend only transmits a message
 // toward a mailbox (MailboxComm below: in-process threads; SocketComm in
-// socket_comm.hpp: one process per node). Payloads reach the receiver as
-// independent copies unless the sender opts out, emulating separate
-// address spaces, so aliasing bugs that MPI would expose are exposed here
-// too. Tag routing is numbered independently per (source, destination)
-// pair, as in the paper.
+// socket_comm.hpp: one process per node). In-process the receiver adopts
+// the sender's buffer, so virtual nodes share memory like the paper's
+// intra-node channels and a buffer is immutable once sent; the socket
+// backend, across real address spaces, is the isolation check. Tag routing
+// is numbered independently per (source, destination) pair, as in the paper.
 //
 // On top of the paper's reliable-fabric assumption, this file adds the
 // chaos machinery the paper never needed:
@@ -50,7 +50,7 @@ struct Message {
   long long seq = -1;  ///< per-(src,dst) data sequence number; -1 = none
   long long ack = -1;  ///< cumulative ack for the reverse link; -1 = none
   bool is_ack = false;  ///< pure ack frame (empty payload, not routed)
-  Packet payload;       ///< already an independent copy on the receive side
+  Packet payload;       ///< the sender's buffer in-process; immutable
   /// Sender incarnation (crash recovery): 0 for the original process of a
   /// rank, bumped per respawn. Receivers fence frames whose epoch is
   /// older than the sender's current incarnation — a stale in-flight
@@ -162,8 +162,9 @@ class FaultOracle {
 ///
 /// Fault plan. isend decides each message's fate before transmit() sees
 /// it. A delayed or reorder-held message waits in one sender-side limbo
-/// keyed by destination and owns its payload (a clone, unless the caller
-/// passed `shared`). This Comm's own receive calls release the due ones —
+/// keyed by destination. A duplicate delivers one buffer twice; Reliable's
+/// sequence dedup drops the second unread. This Comm's own receive calls
+/// release the due ones —
 /// recv_wait caps its sleep at the next release — and a reorder-held one
 /// is also released right after the next transmit to its destination,
 /// landing behind it.
@@ -192,17 +193,11 @@ class Comm {
   /// still test() it (MPI discipline). The trailing seq/ack/is_ack header
   /// is used by the Reliable layer and defaults to "no header".
   ///
-  /// By default the receiver gets an independent copy of the payload,
-  /// emulating separate address spaces. `shared` lets the receiver adopt a
-  /// reference to the caller's buffer instead. Only for payloads that are
-  /// immutable for the rest of their life on BOTH sides: the proxy's
-  /// gather-coalesced wire buffers (the gather is the address-space copy;
-  /// the receiver splits into fresh buffers) and Reliable retransmissions
-  /// (a retransmitted frame is either the only copy ever delivered or
-  /// suppressed unread by the receiver's sequence dedup).
+  /// The payload is immutable once sent: an in-process receiver adopts
+  /// the caller's buffer, as an intra-node channel push does.
   virtual int isend(int src, int dst, int tag, const Packet& payload, int meta,
-                    long long seq = -1, long long ack = -1, bool is_ack = false,
-                    bool shared = false);
+                    long long seq = -1, long long ack = -1,
+                    bool is_ack = false);
 
   /// MPI_Test equivalent: true once the send completed. Both backends
   /// complete sends synchronously (mailbox enqueue / blocking write).
@@ -259,12 +254,11 @@ class Comm {
   /// backend living in that rank's process); -1 lets them name any rank.
   explicit Comm(int nranks, int receiver = -1);
 
-  /// Carry one message toward dst's mailbox. Without `shared` the backend
-  /// must not let the receiver adopt the caller's buffer (see isend).
-  /// False when it did not get there (cancelled mailbox, dead peer) — the
-  /// message is lost as on a real wire; the Reliable layer repairs or
-  /// reports it. Called with no Comm lock held.
-  virtual bool transmit(int dst, Message m, bool shared) = 0;
+  /// Carry one message toward dst's mailbox. False when it did not get
+  /// there (cancelled mailbox, dead peer) — the message is lost as on a
+  /// real wire; the Reliable layer repairs or reports it. Called with no
+  /// Comm lock held.
+  virtual bool transmit(int dst, Message m) = 0;
 
   /// Append to a rank's mailbox and wake its receiver. False (message
   /// discarded) once the rank is cancelled.
@@ -311,8 +305,8 @@ class Comm {
 };
 
 /// The in-process backend: per-rank mailboxes between threads of one
-/// process; transmit deep-copies each payload unless `shared`, emulating
-/// separate address spaces.
+/// process; transmit hands the receiver the sender's buffer (shared
+/// memory between virtual nodes).
 class MailboxComm : public Comm {
  public:
   explicit MailboxComm(int nranks) : Comm(nranks) {}
@@ -323,7 +317,7 @@ class MailboxComm : public Comm {
   void barrier() override;
 
  private:
-  bool transmit(int dst, Message m, bool shared) override;
+  bool transmit(int dst, Message m) override;
 
   std::mutex bmu_;
   std::condition_variable bcv_;
@@ -361,12 +355,8 @@ class Reliable {
   /// Send one data frame to dst: assigns the link's next sequence number,
   /// piggybacks the cumulative ack of the reverse link, and retains a
   /// shared reference to the payload (no copy) for retransmission until
-  /// acked. `shared` is forwarded to Comm::isend for the first
-  /// transmission (see the contract there); retransmissions are always
-  /// sent shared — the staged buffer goes on the wire as-is instead of
-  /// being deep-copied per transmission.
-  void send(int dst, int tag, const Packet& payload, int meta,
-            bool shared = false);
+  /// acked. Every transmission puts that same buffer on the wire.
+  void send(int dst, int tag, const Packet& payload, int meta);
 
   /// Process one raw incoming frame. Data frames that complete the
   /// in-order prefix of their link (including previously buffered
@@ -440,11 +430,10 @@ class Reliable {
     long long seq = 0;
     int tag = -1;
     int meta = 0;
-    /// Shares the sender's buffer — no retention copy, and retransmissions
-    /// put this same buffer on the wire (isend `shared`). Safe because
-    /// payloads are immutable once handed to the transport (the same
-    /// contract intra-node zero-copy channels already rely on) and the
-    /// receiver's sequence dedup discards late duplicates unread.
+    /// Shares the sender's buffer, and retransmissions put it on the wire
+    /// as-is. An in-process receiver may be mutating the buffer it adopted,
+    /// so a retransmit must never reach a channel: on_receive() drops an
+    /// already-accepted seq from its header alone, before any routing.
     Packet payload;
     std::chrono::steady_clock::time_point deadline;
     long long rto_us = 0;

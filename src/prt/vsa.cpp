@@ -240,20 +240,28 @@ void Vsa::set_default_mapping(std::function<int(const Tuple&)> fn) {
 
 // ---- wiring -----------------------------------------------------------------
 
+std::vector<int> Vsa::placement() const {
+  std::vector<int> out;
+  int rr = 0;
+  for (const Vdp* v : creation_order_) {
+    if (auto it = explicit_map_.find(v->tuple_); it != explicit_map_.end()) {
+      out.push_back(it->second);
+    } else {
+      out.push_back(default_map_ ? default_map_(v->tuple_)
+                                 : rr++ % total_threads());
+    }
+  }
+  return out;
+}
+
 void Vsa::validate_and_wire() {
   const int total = total_threads();
 
   // Assign VDPs to threads.
-  int rr = 0;
-  for (Vdp* v : creation_order_) {
-    int t;
-    if (auto it = explicit_map_.find(v->tuple_); it != explicit_map_.end()) {
-      t = it->second;
-    } else if (default_map_) {
-      t = default_map_(v->tuple_);
-    } else {
-      t = rr++ % total;
-    }
+  const std::vector<int> threads = placement();
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    Vdp* v = creation_order_[i];
+    const int t = threads[i];
     require(t >= 0 && t < total,
             "mapping: thread out of range for VDP " + v->tuple_.to_string());
     v->global_thread_ = t;
@@ -580,7 +588,8 @@ void Vsa::proxy_loop(Node& n) {
     if (!should_deliver(m.source, m.tag)) return;
     auto it = n.route.find(route_key(m.source, m.tag));
     PQR_ASSERT(it != n.route.end(), "proxy: unroutable message");
-    // Raw frame: adopt the transport's (pooled) buffer directly.
+    // Raw frame: adopt the transport's buffer directly — in-process the
+    // sender's own, under the intra-node channels' rule (packet.hpp).
     m.payload.set_meta(m.meta);
     it->second->push(std::move(m.payload));
   };
@@ -637,13 +646,11 @@ void Vsa::proxy_loop(Node& n) {
   long long frames = 0, frame_bytes = 0, coalesced = 0, aggregates = 0;
   double busy = 0.0;
 
-  auto wire_send = [&](int dst, int tag, const Packet& p, int meta,
-                       bool shared) {
+  auto wire_send = [&](int dst, int tag, const Packet& p, int meta) {
     if (rel) {
-      rel->send(dst, tag, p, meta, shared);
+      rel->send(dst, tag, p, meta);
     } else {
-      const int req = comm_->isend(n.id, dst, tag, p, meta, /*seq=*/-1,
-                                   /*ack=*/-1, /*is_ack=*/false, shared);
+      const int req = comm_->isend(n.id, dst, tag, p, meta);
       PQR_ASSERT(comm_->test(req), "proxy: isend did not complete");
     }
   };
@@ -652,22 +659,20 @@ void Vsa::proxy_loop(Node& n) {
     coalesced += e.stager.frames();
     ++aggregates;
     const Packet wire = e.stager.take();
-    // Shared: the gather copy above already played the address-space
-    // copy; the receiving proxy splits into fresh pooled packets.
-    wire_send(dst, net::kAggregateTag, wire, wire.meta(), /*shared=*/true);
+    wire_send(dst, net::kAggregateTag, wire, wire.meta());
     return true;
   };
   auto send_one = [&](OutMsg& m) {
     ++frames;
     frame_bytes += static_cast<long long>(m.p.size());
     if (cap == 0) {  // coalescing off: one wire message per frame
-      wire_send(m.dst_node, m.tag, m.p, m.p.meta(), /*shared=*/false);
+      wire_send(m.dst_node, m.tag, m.p, m.p.meta());
       return;
     }
     Egress& e = egress.try_emplace(m.dst_node, cap).first->second;
     if (2 * net::FrameStager::wire_size(m.p.size()) > cap) {
       flush(m.dst_node, e);  // preserve per-destination order
-      wire_send(m.dst_node, m.tag, m.p, m.p.meta(), /*shared=*/false);
+      wire_send(m.dst_node, m.tag, m.p, m.p.meta());
       return;
     }
     if (!e.stager.fits(m.p.size())) flush(m.dst_node, e);

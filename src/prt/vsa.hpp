@@ -306,6 +306,9 @@ class Vsa {
   friend class GraphCheck;  ///< read-only static analysis of the graph
 
   void validate_and_wire();
+  /// Each VDP's global worker thread, in creation order: map_vdp(), else
+  /// the default mapping, else round-robin (range unchecked).
+  std::vector<int> placement() const;
   /// Per-node worker loop. The executor picks the ready source: the
   /// worker's own VDP list (sweep), or its node's shared pool plus the
   /// per-VDP running_ claim (work stealing). Both park on one Parker.

@@ -447,6 +447,125 @@ TEST(TrmmFuzz, InfReachesExactlyTheCoupledRowsF64) { trmm_inf_sweep<double>(); }
 
 TEST(TrmmFuzz, InfReachesExactlyTheCoupledRowsF32) { trmm_inf_sweep<float>(); }
 
+// ---- right-side trsm: the recursion against the column loop --------------
+//
+// A right-side trsm wider than 16 columns splits them in half around one
+// gemm. It must stay as backward stable as the column recurrence it
+// replaced: the residual X op(A) - alpha B, taken componentwise against
+// |X| |op(A)| + |alpha B|, stays within c*n*eps for both. Every
+// uplo/trans/diag combination on every compiled
+// ISA, column counts straddling the 16-column leaf and its halvings, row
+// counts down to none, padded leading dimensions, alpha != 1, and NaN in
+// every entry of A the solve must not read.
+
+// The column recurrence trsm ran for every right-side solve before the
+// recursion (today's leaf).
+void trsm_right_loop(Uplo uplo, Trans trans, Diag diag, double alpha,
+                     ConstMatrixView a, MatrixView b) {
+  const int n = b.cols;
+  for (int j = 0; j < n; ++j) blas::scal(b.rows, alpha, b.col(j));
+  auto op = [&](int i, int j) { return trans == Trans::No ? a(i, j) : a(j, i); };
+  const bool upper = (uplo == Uplo::Upper) == (trans == Trans::No);
+  for (int jj = 0; jj < n; ++jj) {
+    const int j = upper ? jj : n - 1 - jj;
+    const int k0 = upper ? 0 : j + 1;
+    const int k1 = upper ? j : n;
+    for (int k = k0; k < k1; ++k) {
+      const double t = op(k, j);
+      if (t != 0.0) blas::axpy(b.rows, -t, b.col(k), b.col(j));
+    }
+    if (diag == Diag::NonUnit) blas::scal(b.rows, 1.0 / a(j, j), b.col(j));
+  }
+}
+
+// max over entries of |X op(A) - alpha B| / (|X| |op(A)| + |alpha B|),
+// accumulated in long double so the measurement adds no error of its own.
+double trsm_backward_error(Trans trans, double alpha, const Matrix& aeff,
+                           const Matrix& b, const Matrix& x, int m, int n) {
+  double worst = 0.0;
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < m; ++i) {
+      long double r = -static_cast<long double>(alpha) * b(i, j);
+      long double bound = std::fabs(alpha * b(i, j));
+      for (int k = 0; k < n; ++k) {
+        const double opa = trans == Trans::No ? aeff(k, j) : aeff(j, k);
+        r += static_cast<long double>(x(i, k)) * opa;
+        bound += std::fabs(static_cast<long double>(x(i, k)) * opa);
+      }
+      if (bound > 0) {
+        worst = std::fmax(worst, static_cast<double>(std::fabs(r) / bound));
+      }
+    }
+  }
+  return worst;
+}
+
+TEST(TrsmFuzz, RightRecursionMatchesColumnLoop) {
+  IsaGuard guard;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double eps = std::numeric_limits<double>::epsilon();
+  const int ns[] = {1, 15, 16, 17, 33, 128, 130};
+  const int ms[] = {0, 1, 7, 128};
+  for (blas::simd::Isa isa : supported_isas()) {
+    SCOPED_TRACE(blas::simd::isa_name(isa));
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    int idx = 0;
+    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+      for (Trans trans : {Trans::No, Trans::Yes}) {
+        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          for (int n : ns) {
+            for (int m : ms) {
+              ++idx;
+              SCOPED_TRACE(::testing::Message()
+                           << "uplo=" << (uplo == Uplo::Upper ? "U" : "L")
+                           << " trans=" << (trans == Trans::No ? "N" : "T")
+                           << " diag=" << (diag == Diag::Unit ? "U" : "N")
+                           << " n=" << n << " m=" << m);
+              const int pad = 1 + idx % 3;
+              const double alpha = idx % 2 == 0 ? -0.75 : 1.5;
+              Rng rng(5000 + idx);
+              Matrix a(n + pad, n);
+              Matrix aeff(n, n);
+              for (int j = 0; j < n; ++j) {
+                for (int i = 0; i < n + pad; ++i) {
+                  const double v = rng.next_symmetric();
+                  const bool in_tri =
+                      i < n && (uplo == Uplo::Upper ? i <= j : i >= j);
+                  const bool read = in_tri && !(i == j && diag == Diag::Unit);
+                  const double val = i == j ? std::copysign(1.0 + std::fabs(v), v) : v;
+                  a(i, j) = read ? val : nan;
+                  if (i < n) aeff(i, j) = read ? val : (i == j ? 1.0 : 0.0);
+                }
+              }
+              Matrix b(m + pad, n);
+              fill_random(b.view(), 6000 + idx);
+              Matrix x_rec = b;
+              Matrix x_loop = b;
+              const ConstMatrixView av(a.data(), n, n, n + pad);
+              blas::trsm(Side::Right, uplo, trans, diag, alpha, av,
+                         MatrixView(x_rec.data(), m, n, m + pad));
+              trsm_right_loop(uplo, trans, diag, alpha, av,
+                              MatrixView(x_loop.data(), m, n, m + pad));
+              const double tol = 4.0 * n * eps;
+              const double eta_rec =
+                  trsm_backward_error(trans, alpha, aeff, b, x_rec, m, n);
+              const double eta_loop =
+                  trsm_backward_error(trans, alpha, aeff, b, x_loop, m, n);
+              ASSERT_LE(eta_loop, tol);
+              ASSERT_LE(eta_rec, tol);
+              for (int j = 0; j < n; ++j) {
+                for (int i = m; i < m + pad; ++i) {
+                  ASSERT_EQ(x_rec(i, j), b(i, j)) << "padding clobbered";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Level2, TrsvSolves) {
   Matrix a = make_triangular(8, Uplo::Upper, 41);
   std::vector<double> x = {1, 2, 3, 4, 5, 6, 7, 8};

@@ -6,6 +6,7 @@
 
 #include "prt/channel.hpp"
 #include "prt/packet.hpp"
+#include "prt/socket_comm.hpp"
 #include "prt/transport.hpp"
 #include "prt/tuple.hpp"
 
@@ -146,21 +147,50 @@ TEST(Channel, PushWakesOwner) {
   EXPECT_EQ(w.wakes.load(), 2);
 }
 
-TEST(Comm, DeliversWithDeepCopy) {
-  net::MailboxComm comm(2);
+// In-process multi-node models shared memory between virtual nodes: the
+// receiver adopts the sender's refcounted buffer on every path a message
+// can take — plain, held in the fault plan's limbo (delay, reorder) or
+// duplicated — and a SocketComm's self-delivery does the same. A payload
+// is immutable once sent; the socket wire path is the isolation check.
+TEST(Comm, ReceiverAdoptsSenderBuffer) {
   Packet p = Packet::make(2 * sizeof(double), 9);
   p.doubles()[0] = 3.25;
-  comm.isend(0, 1, 5, p, p.meta());
-  p.doubles()[0] = -1.0;  // mutating after send must not affect the message
-  auto m = comm.try_recv(1);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->source, 0);
-  EXPECT_EQ(m->tag, 5);
-  EXPECT_EQ(m->meta, 9);
-  EXPECT_DOUBLE_EQ(m->payload.doubles()[0], 3.25);
-  EXPECT_EQ(net::Comm::get_count(*m), 2 * sizeof(double));
-  EXPECT_FALSE(comm.try_recv(1).has_value());
-  EXPECT_FALSE(comm.try_recv(0).has_value());
+  auto expect_adopted = [&](net::Comm& comm, int dst, int copies) {
+    comm.isend(0, dst, 5, p, p.meta());
+    for (int c = 0; c < copies; ++c) {
+      auto m = comm.recv_wait(dst, 2'000'000);
+      ASSERT_TRUE(m.has_value()) << "delivery " << c;
+      EXPECT_EQ(m->source, 0);
+      EXPECT_EQ(m->tag, 5);
+      EXPECT_EQ(m->meta, 9);
+      EXPECT_EQ(m->payload.bytes(), p.bytes());  // the sender's own buffer
+      EXPECT_EQ(net::Comm::get_count(*m), 2 * sizeof(double));
+    }
+    EXPECT_FALSE(comm.try_recv(dst).has_value());
+  };
+  struct Case {
+    const char* name;
+    double dup, delay, reorder;
+    int copies;
+  };
+  for (const Case& c : {Case{"plain", 0, 0, 0, 1}, Case{"delay", 0, 1, 0, 1},
+                        Case{"reorder", 0, 0, 1, 1}, Case{"dup", 1, 0, 0, 2},
+                        Case{"dup+delay", 1, 1, 0, 2}}) {
+    SCOPED_TRACE(c.name);
+    net::FaultPlan plan;
+    plan.seed = 1;
+    plan.dup = c.dup;
+    plan.delay = c.delay;
+    plan.reorder = c.reorder;
+    plan.delay_us = 100;
+    net::MailboxComm comm(2);
+    comm.set_fault_plan(plan);
+    expect_adopted(comm, 1, c.copies);
+    net::SocketComm self(1, 0, net::SocketComm::socketpair_mesh(1)[0]);
+    self.set_fault_plan(plan);
+    expect_adopted(self, 0, c.copies);
+  }
+  EXPECT_DOUBLE_EQ(p.doubles()[0], 3.25);
 }
 
 TEST(Comm, FifoPerSenderAndCounts) {

@@ -18,7 +18,11 @@
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "chol/reference_chol.hpp"
+#include "chol/vsa_chol.hpp"
 #include "common/rng.hpp"
+#include "lu/reference_lu.hpp"
+#include "lu/vsa_lu.hpp"
 #include "prt/transport.hpp"
 #include "prt/socket_comm.hpp"
 #include "prt/vsa.hpp"
@@ -649,6 +653,38 @@ TEST(SocketVsaTest, EveryDepositKindShipsBitwiseThroughTheSharedArena) {
                          std::to_string(j) + ")");
     }
   }
+}
+
+// In-process multi-node shares every inter-node buffer between the node
+// threads, while the socket backend copies it across real address spaces.
+// An array that wrote to a buffer after pushing it (a consumer mutating a
+// by-passed packet its producer still reads, say) would make the two
+// disagree, so Cholesky and LU must match bit for bit across them.
+TEST(SocketVsaTest, CholeskyAndLuMatchTheInProcessRunBitwise) {
+  prt::Vsa::Config socket;
+  socket.nodes = 3;
+  socket.workers_per_node = 1;
+  socket.watchdog_seconds = 60.0;
+  socket.transport = prt::Transport::Socket;
+  auto inproc = socket;
+  inproc.transport = prt::Transport::InProcess;
+  auto expect_same = [](const TileMatrix& got, const TileMatrix& want,
+                        const std::string& what) {
+    for (int i = 0; i < want.mt(); ++i) {
+      for (int j = 0; j < want.nt(); ++j) {
+        expect_bitwise(got.tile(i, j), want.tile(i, j),
+                       what + " tile (" + std::to_string(i) + "," +
+                           std::to_string(j) + ")");
+      }
+    }
+  };
+  const TileMatrix spd =
+      TileMatrix::from_dense(chol::random_spd(40, 27).view(), 8);
+  expect_same(chol::vsa_cholesky(spd, socket).l,
+              chol::vsa_cholesky(spd, inproc).l, "chol");
+  const TileMatrix dd =
+      TileMatrix::from_dense(lu::random_diag_dominant(40, 32, 28).view(), 8);
+  expect_same(lu::vsa_lu(dd, socket).f, lu::vsa_lu(dd, inproc).f, "lu");
 }
 
 TEST(SocketVsaTest, AThrowingCollectHookFailsItsNodeStructurally) {
