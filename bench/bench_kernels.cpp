@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "blas/blas.hpp"
 #include "blas/simd.hpp"
@@ -222,6 +223,33 @@ void BM_ttmqr(benchmark::State& state) {
   }
   state.counters["Gflop/s"] = benchmark::Counter(
       plan::flops_ttmqr(nb, nb) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+// The Euclidean norm every larfg takes of its reflector's tail: lengths
+// 15, 63 and 127 are the tails of 16-, 64- and 128-row columns. range(1)
+// picks the precision (0 = f64, 1 = f32). Entries are O(1), so the sum of
+// squares takes the one-pass SIMD path; rated in elements per second.
+template <class T>
+void nrm2_loop(benchmark::State& state, int n) {
+  std::vector<T> x(n);
+  Rng rng(15);
+  for (T& v : x) v = static_cast<T>(rng.next_symmetric());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(x.data());
+    benchmark::DoNotOptimize(blas::nrm2(n, x.data()));
+  }
+}
+
+void BM_nrm2(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  if (state.range(1) == 0) {
+    nrm2_loop<double>(state, n);
+  } else {
+    nrm2_loop<float>(state, n);
+  }
+  state.counters["elem/s"] = benchmark::Counter(
+      static_cast<double>(n) * state.iterations(),
       benchmark::Counter::kIsRate);
 }
 
@@ -443,6 +471,9 @@ BENCHMARK(BM_tsmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ttmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
+// larfg's tail norms at the 16-, 64- and 128-row columns, f64 then f32.
+BENCHMARK(BM_nrm2)->ArgsProduct({{15, 63, 127}, {0, 1}})
+    ->Unit(benchmark::kNanosecond);
 // The T- and V1-multiplies at the stacked_apply and larfb_left shapes.
 BENCHMARK(BM_trmm)->Args({64, 16, 0})->Args({128, 32, 0})
     ->Args({64, 16, 1})->Args({128, 32, 1})->Args({64, 16, 2})

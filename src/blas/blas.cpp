@@ -40,7 +40,19 @@ void scal_t(int n, T a, T* x) {
 
 template <class T>
 T nrm2_t(int n, const T* x) {
-  // Scaled sum of squares, as in LAPACK dlassq, to avoid overflow/underflow.
+  // Fast path: one SIMD sum of squares. Kept when it is finite (no square
+  // or partial sum overflowed, no NaN/Inf in x) and at least min/eps: then
+  // even if every square that fell below min had been flushed to zero, the
+  // n absolute errors of at most min each add up to at most n*eps of the
+  // sum, inside the rounding bound of the sum itself.
+  const T ssq_fast = simd::kernels<T>().dot(n, x, x);
+  if (std::isfinite(ssq_fast) &&
+      ssq_fast >= std::numeric_limits<T>::min() /
+                      std::numeric_limits<T>::epsilon()) {
+    return std::sqrt(ssq_fast);
+  }
+  // Fallback (NaN, Inf, zero, overflowing or near-underflow input): the
+  // scaled sum of squares of LAPACK dlassq.
   T scale = T(0);
   T ssq = T(1);
   for (int i = 0; i < n; ++i) {
@@ -112,17 +124,60 @@ void trmv_t(Uplo uplo, Trans trans, Diag diag, ConstMatrixViewT<T> a, T* x) {
   PQR_ASSERT(a.cols == n, "trmv: A must be square");
   const bool unit = diag == Diag::Unit;
   if (trans == Trans::No) {
+    // Column sweeps over contiguous columns, four fused per pass (a row
+    // sweep would read A with stride ld). A block of columns adds them,
+    // times the unscaled x entries they scale, into the rows outside the
+    // block; its diagonal triangle then forms the block's new x entries
+    // from the same saved values. Upper runs the blocks left to right and
+    // Lower right to left, so every x entry a block reads is unscaled.
     if (uplo == Uplo::Upper) {
-      for (int i = 0; i < n; ++i) {
-        T s = unit ? x[i] : a(i, i) * x[i];
-        for (int j = i + 1; j < n; ++j) s += a(i, j) * x[j];
-        x[i] = s;
+      int j = 0;
+      for (; j + 4 <= n; j += 4) {
+        const T x0 = x[j], x1 = x[j + 1], x2 = x[j + 2], x3 = x[j + 3];
+        const T* a0 = a.col(j);
+        const T* a1 = a.col(j + 1);
+        const T* a2 = a.col(j + 2);
+        const T* a3 = a.col(j + 3);
+        for (int i = 0; i < j; ++i) {
+          x[i] += x0 * a0[i] + x1 * a1[i] + x2 * a2[i] + x3 * a3[i];
+        }
+        x[j] = (unit ? x0 : a0[j] * x0) + a1[j] * x1 + a2[j] * x2 +
+               a3[j] * x3;
+        x[j + 1] = (unit ? x1 : a1[j + 1] * x1) + a2[j + 1] * x2 +
+                   a3[j + 1] * x3;
+        x[j + 2] = (unit ? x2 : a2[j + 2] * x2) + a3[j + 2] * x3;
+        x[j + 3] = unit ? x3 : a3[j + 3] * x3;
+      }
+      for (; j < n; ++j) {
+        const T xj = x[j];
+        const T* aj = a.col(j);
+        for (int i = 0; i < j; ++i) x[i] += xj * aj[i];
+        if (!unit) x[j] = aj[j] * xj;
       }
     } else {
-      for (int i = n - 1; i >= 0; --i) {
-        T s = unit ? x[i] : a(i, i) * x[i];
-        for (int j = 0; j < i; ++j) s += a(i, j) * x[j];
-        x[i] = s;
+      int j = n;  // columns [j, n) are done
+      for (; j >= 4; j -= 4) {
+        const int b = j - 4;
+        const T x0 = x[b], x1 = x[b + 1], x2 = x[b + 2], x3 = x[b + 3];
+        const T* a0 = a.col(b);
+        const T* a1 = a.col(b + 1);
+        const T* a2 = a.col(b + 2);
+        const T* a3 = a.col(b + 3);
+        for (int i = j; i < n; ++i) {
+          x[i] += x0 * a0[i] + x1 * a1[i] + x2 * a2[i] + x3 * a3[i];
+        }
+        x[b + 3] = (unit ? x3 : a3[b + 3] * x3) + a0[b + 3] * x0 +
+                   a1[b + 3] * x1 + a2[b + 3] * x2;
+        x[b + 2] = (unit ? x2 : a2[b + 2] * x2) + a0[b + 2] * x0 +
+                   a1[b + 2] * x1;
+        x[b + 1] = (unit ? x1 : a1[b + 1] * x1) + a0[b + 1] * x0;
+        x[b] = unit ? x0 : a0[b] * x0;
+      }
+      for (--j; j >= 0; --j) {
+        const T xj = x[j];
+        const T* aj = a.col(j);
+        for (int i = j + 1; i < n; ++i) x[i] += xj * aj[i];
+        if (!unit) x[j] = aj[j] * xj;
       }
     }
   } else {

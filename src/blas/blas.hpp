@@ -30,7 +30,9 @@ void scal(int n, double a, double* x);
 /// Dot product of two length-n vectors.
 double dot(int n, const double* x, const double* y);
 
-/// Euclidean norm of a length-n vector, with scaling against overflow.
+/// Euclidean norm of a length-n vector: one SIMD sum of squares when it
+/// is finite and at least min/eps, else LAPACK dlassq's scaled loop (NaN,
+/// Inf, zero, overflowing and near-underflow inputs).
 double nrm2(int n, const double* x);
 
 /// y := x (length n).

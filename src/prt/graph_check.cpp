@@ -435,6 +435,11 @@ GraphReport GraphCheck::check(const Vsa& vsa) {
     };
     const std::vector<int> threads = vsa.placement();
     const int wpn = vsa.config().workers_per_node;
+    rep.node_fires.assign(vsa.config().nodes, 0);
+    for (int i = 0; i < n; ++i) {
+      if (threads[i] < 0 || threads[i] >= vsa.total_threads()) continue;
+      rep.node_fires[threads[i] / wpn] += vsa.creation_order_[i]->counter();
+    }
     for (Chan& c : chans) {
       ChannelFlow flow;
       flow.src = c.src >= 0 ? vsa.creation_order_[c.src]->tuple() : Tuple{};

@@ -123,6 +123,10 @@ struct GraphReport {
   /// Per-channel occupancy bounds (one entry per connect or feed whose
   /// endpoints resolved), in declaration order.
   std::vector<ChannelFlow> flows;
+  /// Firings the VDPs' counters declare, per node of the placement: the
+  /// sum of the initial counters of the VDPs mapped to that node. A clean
+  /// run fires exactly their total (Vsa::RunStats::fires).
+  std::vector<long long> node_fires;
 
   int errors() const;
   int warnings() const;

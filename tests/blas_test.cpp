@@ -112,6 +112,163 @@ TEST(Level1, Nrm2AvoidsOverflow) {
               1e-210);
 }
 
+// ---- nrm2: the one-pass sum of squares and its scaled fallback -----------
+//
+// nrm2 keeps one SIMD sum of squares when it is finite and at least
+// min/eps, and otherwise runs the scaled dlassq loop. Every result must
+// lie within 2n*eps of a long double reference (plus the subnormal
+// spacing, which bounds how well a norm below min can be represented at
+// all). Inputs whose true sum of squares overflows, or lies below min/eps
+// by a margin the fast sum cannot bridge, and every input holding a NaN,
+// an Inf or only zeros, must return exactly what the scaled loop returns.
+// Lengths straddle every vector width W and the four-accumulator stride
+// 4W; f64 and f32 on every ISA.
+
+// The scaled loop of LAPACK dlassq, the reference nrm2's fallback must
+// match bit for bit.
+template <class T>
+T nrm2_scaled_loop(int n, const T* x) {
+  T scale = T(0);
+  T ssq = T(1);
+  for (int i = 0; i < n; ++i) {
+    const T ax = std::fabs(x[i]);
+    if (ax == T(0)) continue;
+    if (scale < ax) {
+      const T r = scale / ax;
+      ssq = T(1) + ssq * r * r;
+      scale = ax;
+    } else {
+      const T r = ax / scale;
+      ssq += r * r;
+    }
+  }
+  return scale * std::sqrt(ssq);
+}
+
+template <class T>
+void nrm2_case(const std::vector<T>& x, const char* what) {
+  const int n = static_cast<int>(x.size());
+  SCOPED_TRACE(::testing::Message() << what << " n=" << n);
+  const T got = blas::nrm2(n, x.data());
+  const T old = nrm2_scaled_loop(n, x.data());
+  bool nonfinite = false;
+  T amax = T(0);
+  for (T v : x) {
+    if (!std::isfinite(v)) {
+      nonfinite = true;
+    } else {
+      amax = std::fmax(amax, std::fabs(v));
+    }
+  }
+  if (nonfinite || amax == T(0)) {  // NaN, Inf or all zeros
+    if (std::isnan(old)) {
+      ASSERT_TRUE(std::isnan(got)) << got;
+    } else {
+      ASSERT_EQ(got, old);
+    }
+    return;
+  }
+  // Reference: x scaled by the power of two at amax's exponent, so the
+  // long double sum neither overflows nor underflows on any platform.
+  int e = 0;
+  (void)std::frexp(amax, &e);
+  long double sigma = 0.0L;
+  for (T v : x) {
+    const long double s = std::ldexp(static_cast<long double>(v), -e);
+    sigma += s * s;
+  }
+  const long double ref = std::ldexp(std::sqrt(sigma), e);
+  const long double log2_ssq = 2.0L * e + std::log2(sigma);
+  const long double log2_floor = std::log2(static_cast<long double>(
+      std::numeric_limits<T>::min() / std::numeric_limits<T>::epsilon()));
+  const bool must_fall_back =
+      log2_ssq > std::numeric_limits<T>::max_exponent + 1 ||
+      log2_ssq < log2_floor - 1;
+  if (must_fall_back) {
+    ASSERT_EQ(got, old) << "fallback not taken";
+  }
+  const long double tol =
+      2.0L * std::max(n, 1) * std::numeric_limits<T>::epsilon() * ref +
+      std::numeric_limits<T>::denorm_min();
+  ASSERT_LE(std::fabs(static_cast<long double>(got) - ref), tol)
+      << "got " << got << " ref " << static_cast<double>(ref);
+}
+
+template <class T>
+void nrm2_sweep() {
+  IsaGuard guard;
+  using L = std::numeric_limits<T>;
+  const T nan = L::quiet_NaN();
+  const T inf = L::infinity();
+  const int emax = L::max_exponent;  // 1024 (f64), 128 (f32)
+  for (blas::simd::Isa isa : supported_isas()) {
+    SCOPED_TRACE(blas::simd::isa_name(isa));
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    // W - 1, W, W + 1 and 4W +- 1 for every vector width W in 1..16.
+    const int ns[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,   15,  16,
+                      17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 257};
+    Rng rng(77);
+    auto random_vec = [&](int n, int exponent) {
+      std::vector<T> x(n);
+      for (T& v : x) {
+        v = static_cast<T>(std::ldexp(rng.next_symmetric(), exponent));
+      }
+      return x;
+    };
+    for (int n : ns) {
+      // Magnitudes across the type's range, 2^(f * emax): f = +-0.97 is
+      // about 1e+-300 in f64; f = 0.5 puts the squares at the overflow
+      // threshold and f = -0.5 below min (the fallback's two ends).
+      for (double f : {-0.97, -0.7, -0.5, -0.45, -0.3, -0.1, 0.0, 0.1, 0.3,
+                       0.45, 0.49, 0.5, 0.7, 0.97}) {
+        nrm2_case(random_vec(n, static_cast<int>(f * emax)), "magnitude");
+      }
+      // Subnormal entries only.
+      std::vector<T> sub(n);
+      for (T& v : sub) {
+        v = L::denorm_min() * static_cast<T>(1 + rng.next_u64() % 1000);
+      }
+      nrm2_case(sub, "subnormal");
+      // Tiny entries (squares underflow to zero or a subnormal) mixed with
+      // O(1) ones: the fast sum stays, its lost squares are negligible.
+      std::vector<T> mixed = random_vec(n, 0);
+      for (int i = 0; i < n; i += 3) {
+        mixed[i] = static_cast<T>(std::ldexp(rng.next_symmetric(),
+                                             L::min_exponent / 2 - 8));
+      }
+      nrm2_case(mixed, "tiny among O(1)");
+      // Tiny entries mixed with huge ones whose squares overflow.
+      std::vector<T> huge = random_vec(n, L::min_exponent / 2 - 8);
+      for (int i = 1; i < n; i += 4) {
+        huge[i] = static_cast<T>(std::ldexp(1.0 + rng.next_unit(),
+                                            emax * 3 / 5));
+      }
+      nrm2_case(huge, "tiny among huge");
+      // Every square finite, their sum not.
+      std::vector<T> over(n, static_cast<T>(std::ldexp(1.5, emax / 2 - 1)));
+      nrm2_case(over, "sum overflows");
+      nrm2_case(std::vector<T>(n, T(0)), "all zero");
+      // NaN, +Inf, -Inf in every slot (a sample of slots past 33), alone
+      // and together.
+      for (int slot = 0; slot < n; slot += n > 33 ? 7 : 1) {
+        for (T bad : {nan, inf, -inf}) {
+          std::vector<T> x = random_vec(n, 0);
+          x[slot] = bad;
+          nrm2_case(x, "non-finite slot");
+        }
+        std::vector<T> both = random_vec(n, 0);
+        both[slot] = inf;
+        both[(slot + n / 2) % n] = nan;
+        nrm2_case(both, "Inf and NaN");
+      }
+    }
+  }
+}
+
+TEST(Nrm2Fuzz, FastPathAndFallbackF64) { nrm2_sweep<double>(); }
+
+TEST(Nrm2Fuzz, FastPathAndFallbackF32) { nrm2_sweep<float>(); }
+
 TEST(Level2, GemvBothTrans) {
   Matrix a = random_matrix(5, 3, 11);
   std::vector<double> x = {1.0, -2.0, 0.5};
@@ -446,6 +603,89 @@ void trmm_inf_sweep() {
 TEST(TrmmFuzz, InfReachesExactlyTheCoupledRowsF64) { trmm_inf_sweep<double>(); }
 
 TEST(TrmmFuzz, InfReachesExactlyTheCoupledRowsF32) { trmm_inf_sweep<float>(); }
+
+// ---- trmv: every uplo/trans/diag against the dense product --------------
+//
+// x := op(A) x reads only A's referenced triangle, and under Diag::Unit
+// not its diagonal: every other entry of the padded buffer holds NaN. The
+// expected value is gemm_ref on the dense effective operand (zeros off the
+// triangle, ones on a unit diagonal), within the depth-n bound on the
+// absolute-value product. Every order from 1 to 33, which straddles the
+// four-column blocks of the NoTrans sweeps and their remainders, and 64;
+// padded leading dimensions; f64 and f32. Entries of x past n are
+// sentinels trmv must not touch.
+
+template <class T>
+void trmv_case(Uplo uplo, Trans trans, Diag diag, int n, int pad,
+               std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << "uplo=" << (uplo == Uplo::Upper ? "U" : "L")
+               << " trans=" << (trans == Trans::No ? "N" : "T")
+               << " diag=" << (diag == Diag::Unit ? "U" : "N") << " n=" << n
+               << " pad=" << pad);
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  Rng rng(seed);
+  MatrixT<T> a(n + pad, n);
+  MatrixT<T> aeff(n, n);
+  MatrixT<T> aabs(n, n);
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n + pad; ++i) {
+      const T v = static_cast<T>(rng.next_symmetric());
+      const bool in_tri = i < n && (uplo == Uplo::Upper ? i <= j : i >= j);
+      const bool read = in_tri && !(i == j && diag == Diag::Unit);
+      a(i, j) = read ? v : nan;
+      if (i < n) {
+        aeff(i, j) = read ? v : (i == j ? T(1) : T(0));
+        aabs(i, j) = std::fabs(aeff(i, j));
+      }
+    }
+  }
+  MatrixT<T> x0(n, 1);
+  MatrixT<T> xabs(n, 1);
+  std::vector<T> x(n + pad, T(7));
+  for (int i = 0; i < n; ++i) {
+    x0(i, 0) = static_cast<T>(rng.next_symmetric());
+    xabs(i, 0) = std::fabs(x0(i, 0));
+    x[i] = x0(i, 0);
+  }
+  MatrixT<T> expect(n, 1);
+  MatrixT<T> bound(n, 1);
+  blas::gemm_ref(trans, Trans::No, T(1), aeff.view(), x0.view(), T(0),
+                 expect.view());
+  blas::gemm_ref(trans, Trans::No, T(1), aabs.view(), xabs.view(), T(0),
+                 bound.view());
+  blas::trmv(uplo, trans, diag, ConstMatrixViewT<T>(a.data(), n, n, n + pad),
+             x.data());
+  const T eps = std::numeric_limits<T>::epsilon();
+  for (int i = 0; i < n; ++i) {
+    const T tol =
+        T(4) * T(n + 2) * eps * bound(i, 0) + std::numeric_limits<T>::min();
+    ASSERT_NEAR(x[i], expect(i, 0), tol) << "mismatch at " << i;
+  }
+  for (int i = n; i < n + pad; ++i) ASSERT_EQ(x[i], T(7)) << "x overrun";
+}
+
+template <class T>
+void trmv_sweep() {
+  std::vector<int> ns;
+  for (int n = 1; n <= 33; ++n) ns.push_back(n);
+  ns.push_back(64);
+  int idx = 0;
+  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+    for (Trans trans : {Trans::No, Trans::Yes}) {
+      for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+        for (int n : ns) {
+          trmv_case<T>(uplo, trans, diag, n, 1 + idx % 3, 1300 + idx);
+          ++idx;
+        }
+      }
+    }
+  }
+}
+
+TEST(TrmvFuzz, MatchesDenseProductF64) { trmv_sweep<double>(); }
+
+TEST(TrmvFuzz, MatchesDenseProductF32) { trmv_sweep<float>(); }
 
 // ---- right-side trsm: the recursion against the column loop --------------
 //

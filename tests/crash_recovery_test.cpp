@@ -23,6 +23,7 @@
 #include "chol/vsa_chol.hpp"
 #include "common/rng.hpp"
 #include "lu/vsa_lu.hpp"
+#include "prt/graph_check.hpp"
 #include "prt/transport.hpp"
 #include "prt/vsa.hpp"
 #include "ref/reference_qr.hpp"
@@ -285,13 +286,28 @@ TEST(CrashRecoveryTest, KillSoakRecoversBitwiseAcrossShapesAndSeeds) {
         opt.fault_plan.reorder = 0.05;
       }
 
+      const prt::GraphReport plan_report = vsaqr::lint_tree_qr(a, opt);
       auto run = vsaqr::tree_qr(a, opt);
       total_respawns += run.stats.respawns;
       total_replayed += run.stats.replayed_frames;
+      // Firings: the killed incarnation's count dies with it, and its
+      // replacement re-fires the rank's VDPs from scratch, so the run
+      // reports exactly the firings the counters declare, and those of
+      // the first incarnations are the survivors' share.
+      long long declared = 0;
+      for (long long f : plan_report.node_fires) declared += f;
+      EXPECT_EQ(run.stats.fires, declared)
+          << "shape " << which << " schedule " << s;
       if (run.stats.respawns > 0) {
         EXPECT_GT(run.stats.refired_fires, 0)
             << "shape " << which << " schedule " << s
             << ": a respawned node reported no re-fired work";
+        ASSERT_EQ(run.stats.respawns, 1);
+        EXPECT_EQ(run.stats.fires - run.stats.refired_fires,
+                  declared - plan_report.node_fires[opt.fault_plan.kill_rank])
+            << "shape " << which << " schedule " << s;
+      } else {
+        EXPECT_EQ(run.stats.refired_fires, 0);
       }
       ASSERT_EQ(run.stats.leftover_packets, 0)
           << "shape " << which << " schedule " << s;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -82,6 +83,42 @@ TEST(Larfg, TinyValuesRescale) {
   const double tau = lapack::larfg(2, alpha, v.data() + 1);
   EXPECT_NEAR(alpha, -5e-300, 1e-312);
   EXPECT_TRUE(std::isfinite(tau));
+}
+
+// A graded f32 column whose norm lies below larfg's safmin = min/(eps/2)
+// (2^-102): larfg must enter its rescale loop. The tail's squares
+// underflow in f32, so the first nrm2 takes the scaled fallback; after the
+// rescale by 1/safmin the recomputed norm takes the one-pass sum. Checked
+// in double: |beta| = ||x|| with the sign opposite to x(0), and H x =
+// beta e1 to a few ulps of ||x||.
+TEST(Larfg, GradedFloatColumnRescales) {
+  const int n = 24;
+  std::vector<float> x(n);
+  for (int i = 0; i < n; ++i) {
+    // 1.5 * 2^-104 down to about 2^-127 (the last entries are subnormal).
+    x[i] = std::ldexp((i % 2 == 0 ? 1.5f : -1.25f), -104 - i);
+  }
+  double norm = 0.0;
+  for (float v : x) norm += static_cast<double>(v) * v;
+  norm = std::sqrt(norm);
+  const float safmin = std::numeric_limits<float>::min() /
+                       (std::numeric_limits<float>::epsilon() / 2);
+  ASSERT_LT(norm, safmin);
+  std::vector<float> v = x;
+  float alpha = v[0];
+  const float tau = lapack::larfg(n, alpha, v.data() + 1);
+  const double tol = 8.0 * n * std::numeric_limits<float>::epsilon() * norm;
+  EXPECT_NEAR(alpha, -norm, tol);
+  ASSERT_TRUE(std::isfinite(tau));
+  // H x with H = I - tau w w^T, w = [1, v(1:)].
+  double wx = x[0];
+  for (int i = 1; i < n; ++i) wx += static_cast<double>(v[i]) * x[i];
+  for (int i = 0; i < n; ++i) {
+    const double wi = i == 0 ? 1.0 : v[i];
+    const double hx = x[i] - static_cast<double>(tau) * wx * wi;
+    EXPECT_NEAR(hx, i == 0 ? static_cast<double>(alpha) : 0.0, tol)
+        << "row " << i;
+  }
 }
 
 class DenseQrParam : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -1,11 +1,13 @@
-// The plan predicts the run's traffic. GraphCheck's flow analysis knows,
-// per channel, how many packets the producer delivers and whether its
-// endpoints sit on different nodes; on 2 in-process nodes the frames the
+// The plan predicts the run's traffic and its firings. GraphCheck's flow
+// analysis knows, per channel, how many packets the producer delivers and
+// whether its endpoints sit on different nodes; on 2 nodes the frames the
 // proxies send must equal the packets those remote channels carry, and
-// their payload bytes must fit the channels' declared packet sizes. QR on
-// the flat, binary and hierarchical trees, Cholesky and LU, each with the
-// frame coalescer on and off (coalescing repackages frames, it must not
-// change how many cross).
+// their payload bytes must fit the channels' declared packet sizes. Its
+// per-node firing totals (the VDPs' initial counters) must equal the
+// firings the run reports. QR on the flat, binary and hierarchical trees,
+// Cholesky and LU, each with the frame coalescer on and off (coalescing
+// repackages frames, it must not change how many cross), in process and
+// over the socket transport.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -37,14 +39,21 @@ void expect_predicted(const prt::GraphReport& rep,
   EXPECT_EQ(stats.remote_messages, frames);
   EXPECT_GT(stats.remote_bytes, 0);
   EXPECT_LE(stats.remote_bytes, byte_bound);
+  ASSERT_EQ(rep.node_fires.size(), 2u);
+  EXPECT_GT(rep.node_fires[0], 0);
+  EXPECT_GT(rep.node_fires[1], 0);
+  EXPECT_EQ(stats.fires, rep.node_fires[0] + rep.node_fires[1]);
+  EXPECT_EQ(stats.refired_fires, 0);
 }
 
 template <class Options>
-Options two_nodes(int workers, std::size_t coalesce_bytes) {
+Options two_nodes(int workers, std::size_t coalesce_bytes,
+                  prt::Transport transport = prt::Transport::InProcess) {
   Options opt;
   opt.nodes = 2;
   opt.workers_per_node = workers;
   opt.coalesce_bytes = coalesce_bytes;
+  opt.transport = transport;
   return opt;
 }
 
@@ -98,6 +107,40 @@ TEST(Traffic, LuSendsWhatThePlanPredicts) {
       const auto opt = two_nodes<lu::VsaLuOptions>(workers, coalesce);
       expect_predicted(lu::lint_vsa_lu(a, opt), lu::vsa_lu(a, opt).stats);
     }
+  }
+}
+
+// The same predictions over the socket transport: each node is its own
+// process, and the parent sums the nodes' counters.
+TEST(Traffic, SocketRunsSendAndFireWhatThePlanPredicts) {
+  constexpr prt::Transport kSocket = prt::Transport::Socket;
+  Matrix a0(96, 40);
+  fill_random(a0.view(), 31);
+  const TileMatrix a = TileMatrix::from_dense(a0.view(), 8);
+  for (plan::TreeKind kind : {plan::TreeKind::Flat, plan::TreeKind::Binary,
+                              plan::TreeKind::BinaryOnFlat}) {
+    SCOPED_TRACE("tree " + std::to_string(static_cast<int>(kind)));
+    auto opt = two_nodes<vsaqr::TreeQrOptions>(1, 64 * 1024, kSocket);
+    opt.tree.tree = kind;
+    opt.tree.domain_size = 3;
+    opt.ib = 4;
+    expect_predicted(vsaqr::lint_tree_qr(a, opt),
+                     vsaqr::tree_qr(a, opt).stats);
+  }
+  {
+    SCOPED_TRACE("cholesky");
+    const TileMatrix s =
+        TileMatrix::from_dense(chol::random_spd(56, 5).view(), 8);
+    const auto opt = two_nodes<chol::VsaCholOptions>(1, 64 * 1024, kSocket);
+    expect_predicted(chol::lint_vsa_cholesky(s, opt),
+                     chol::vsa_cholesky(s, opt).stats);
+  }
+  {
+    SCOPED_TRACE("lu");
+    const TileMatrix g =
+        TileMatrix::from_dense(lu::random_diag_dominant(56, 40, 6).view(), 8);
+    const auto opt = two_nodes<lu::VsaLuOptions>(1, 64 * 1024, kSocket);
+    expect_predicted(lu::lint_vsa_lu(g, opt), lu::vsa_lu(g, opt).stats);
   }
 }
 
