@@ -348,7 +348,8 @@ void MailboxComm::barrier() {
 // ---- Reliable ---------------------------------------------------------------
 
 Reliable::Reliable(Comm& comm, int rank, Params params)
-    : comm_(comm), rank_(rank), params_(params) {
+    : comm_(comm), rank_(rank), params_(std::move(params)) {
+  if (!params_.sequenced) return;  // a pass-through reads no timing knob
   require(params_.rto_us > 0, "Reliable: rto_us must be positive");
   require(params_.backoff >= 1.0, "Reliable: backoff must be >= 1");
   require(params_.max_retries >= 0, "Reliable: max_retries must be >= 0");
@@ -360,6 +361,11 @@ long long Reliable::piggyback_ack(int peer) const {
 }
 
 void Reliable::send(int dst, int tag, const Packet& payload, int meta) {
+  if (!params_.sequenced) {
+    const int req = comm_.isend(rank_, dst, tag, payload, meta);
+    PQR_ASSERT(comm_.test(req), "Reliable::send: isend did not complete");
+    return;
+  }
   // Sequenced frames carry either an application tag or a whole
   // aggregate; anything else in the reserved range is a caller bug.
   if (tag != kAggregateTag) require_user_tag(tag, "Reliable::send");
@@ -481,7 +487,7 @@ void Reliable::reset_recv_link(int src) {
 bool Reliable::poll(Clock::time_point now) {
   for (auto& [dst, link] : send_) {
     if (link.exhausted) continue;
-    const bool up = !link_up_ || link_up_(dst);
+    const bool up = !params_.link_up || params_.link_up(dst);
     for (auto& u : link.unacked) {
       if (u.deadline > now) continue;
       if (!up) {
@@ -504,7 +510,7 @@ bool Reliable::poll(Clock::time_point now) {
       u.rto_us = static_cast<long long>(
           static_cast<double>(u.rto_us) * params_.backoff);
       u.deadline = now + std::chrono::microseconds(u.rto_us);
-      if (retransmit_hook_) retransmit_hook_(dst, u.tag, u.seq);
+      if (params_.on_retransmit) params_.on_retransmit(dst, u.tag, u.seq);
     }
   }
   return !failed_;

@@ -338,6 +338,12 @@ class MailboxComm : public Comm {
 class Reliable {
  public:
   struct Params {
+    /// False makes a pass-through endpoint: send() is one raw isend with
+    /// no header, on_receive() passes every frame through, and nothing is
+    /// acked, retransmitted or retained, and the timing fields below are
+    /// neither read nor checked. The node proxies run one when
+    /// Vsa::Config::reliable_transport is off.
+    bool sequenced = true;
     int rto_us = 2000;      ///< initial retransmit timeout
     double backoff = 2.0;   ///< timeout multiplier per retransmission
     int max_retries = 10;   ///< retransmits per frame before giving up
@@ -348,6 +354,14 @@ class Reliable {
     /// the budget overflows, the oldest frames are evicted; a later
     /// replay_link() on a link that evicted reports an unrecoverable gap.
     std::size_t replay_log_bytes = 0;
+    /// Liveness probe consulted by poll(), if set: false for a destination
+    /// means the peer is known down (its process died and has not rejoined
+    /// yet), so timed-out frames have their deadlines pushed instead of
+    /// burning retries — a respawn window must not exhaust the retransmit
+    /// cap.
+    std::function<bool(int)> link_up;
+    /// Invoked (if set) for every retransmission: (dst, tag, seq).
+    std::function<void(int, int, long long)> on_retransmit;
   };
 
   Reliable(Comm& comm, int rank, Params params);
@@ -372,19 +386,6 @@ class Reliable {
   /// `now`. Returns false once any frame has exhausted its retries — the
   /// link is then considered failed and stops retransmitting.
   bool poll(std::chrono::steady_clock::time_point now);
-
-  /// Invoked (if set) for every retransmission: (dst, tag, seq).
-  void set_retransmit_hook(std::function<void(int, int, long long)> hook) {
-    retransmit_hook_ = std::move(hook);
-  }
-
-  /// Liveness probe consulted by poll(): false for a destination means
-  /// the peer is known down (its process died and has not rejoined yet),
-  /// so timed-out frames have their deadlines pushed instead of burning
-  /// retries — a respawn window must not exhaust the retransmit cap.
-  void set_link_up_probe(std::function<bool(int)> probe) {
-    link_up_ = std::move(probe);
-  }
 
   /// Crash recovery, survivor side. Requeue the link's ENTIRE retained
   /// history to dst — the replay log (acked frames) back in front of the
@@ -466,8 +467,6 @@ class Reliable {
   Params params_;
   std::map<int, SendLink> send_;  ///< keyed by destination rank
   std::map<int, RecvLink> recv_;  ///< keyed by source rank
-  std::function<void(int, int, long long)> retransmit_hook_;
-  std::function<bool(int)> link_up_;
   bool failed_ = false;
   long long retransmits_ = 0;
   long long dup_suppressed_ = 0;

@@ -1,17 +1,17 @@
 #include "prt/vsa.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
-#include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "prt/graph_check.hpp"
 #include "prt/packet_pool.hpp"
+#include "prt/proxy.hpp"
 #include "prt/socket_comm.hpp"
 
 namespace pulsarqr::prt {
@@ -19,12 +19,6 @@ namespace pulsarqr::prt {
 using namespace std::chrono_literals;
 
 namespace {
-std::uint64_t route_key(int src_node, int tag) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_node))
-          << 32) |
-         static_cast<std::uint32_t>(tag);
-}
-
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -97,12 +91,6 @@ struct Parker : Waker {
 
 // ---- runtime structures -----------------------------------------------------
 
-struct OutMsg {
-  int dst_node = -1;
-  int tag = -1;
-  Packet p;
-};
-
 struct Vsa::Worker {
   int node_id = 0;
   int global_id = 0;
@@ -120,7 +108,7 @@ struct Vsa::Worker {
 
 struct Vsa::Node {
   int id = 0;
-  std::unordered_map<std::uint64_t, Channel*> route;  ///< (src, tag) -> channel
+  RouteTable routes;  ///< [src node][tag]: inter-node channels into here
   bool has_remote = false;
   std::thread proxy;
 
@@ -273,6 +261,7 @@ void Vsa::validate_and_wire() {
   for (int n = 0; n < cfg_.nodes; ++n) {
     auto node = std::make_unique<Node>();
     node->id = n;
+    node->routes.resize(cfg_.nodes);
     nodes_.push_back(std::move(node));
   }
   for (int t = 0; t < total; ++t) {
@@ -306,7 +295,6 @@ void Vsa::validate_and_wire() {
   }
 
   // Regular edges.
-  std::map<std::pair<int, int>, int> next_tag;  // per (src node, dst node)
   for (auto& e : edges_) {
     Vdp& src = find_vdp(e.src, "connect(src)");
     Vdp& dst = find_vdp(e.dst, "connect(dst)");
@@ -332,10 +320,10 @@ void Vsa::validate_and_wire() {
       out.local = chp;  // zero-copy shared-memory path
       if (chp->bounded()) src.gate_outputs_ = true;
     } else {
-      const int tag = next_tag[{src_node, dst_node}]++;
+      std::vector<Route>& row = nodes_[dst_node]->routes[src_node];
       out.dst_node = dst_node;
-      out.tag = tag;
-      nodes_[dst_node]->route[route_key(src_node, tag)] = chp;
+      out.tag = static_cast<int>(row.size());
+      row.push_back({chp});
       nodes_[src_node]->has_remote = true;
       nodes_[dst_node]->has_remote = true;
     }
@@ -508,305 +496,115 @@ void Vsa::worker_loop(Worker& w) {
   workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-void Vsa::proxy_loop(Node& n) {
-  // Reliable endpoint: proxy-local, created only when the protocol is on,
-  // so the disabled fast path below is byte-for-byte the old raw-frame
-  // proxy (the only addition is a null-pointer test per batch).
-  std::unique_ptr<net::Reliable> rel;
-  // Crash recovery is active only in socket node processes with a respawn
-  // budget: the Reliable endpoint then retains acked frames for replay,
-  // idles retransmits to dead peers instead of exhausting, and the proxy
-  // fences stale incarnations + dedups a replacement's re-sent prefix.
-  const bool recovery = sock_comm_ != nullptr && cfg_.max_respawns > 0;
-  if (cfg_.reliable_transport) {
-    net::Reliable::Params params;
-    params.rto_us = cfg_.retransmit_timeout_us;
-    params.max_retries = cfg_.max_retransmits;
-    if (recovery) params.replay_log_bytes = cfg_.replay_log_bytes;
-    rel = std::make_unique<net::Reliable>(*comm_, n.id, params);
-    if (recovery) {
-      // While a peer's process is down (EOF / write failure seen, no
-      // replacement yet) retransmits to it are deferred, not charged
-      // against the retry budget — the respawn window must not look like
-      // a lossy link that exhausted.
-      rel->set_link_up_probe(
-          [this](int r) { return sock_comm_->peer_alive(r); });
-    }
-    if (recorder_->enabled()) {
-      // Retransmissions show up as zero-width marks on the node's proxy
-      // lane (lane total_threads()+node), tuple = (dst, tag, seq).
-      rel->set_retransmit_hook([this, &n](int dst, int tag, long long seq) {
-        recorder_->record_mark(total_threads() + n.id, trace::kColorTransport,
-                               Tuple{dst, tag, static_cast<int>(seq)},
-                               recorder_->now());
-      });
-    }
+net::Reliable::Params Vsa::endpoint_params(int node, bool recovery) {
+  net::Reliable::Params params;
+  params.sequenced = cfg_.reliable_transport;
+  params.rto_us = cfg_.retransmit_timeout_us;
+  params.max_retries = cfg_.max_retransmits;
+  if (recovery) {
+    params.replay_log_bytes = cfg_.replay_log_bytes;
+    // While a peer's process is down (EOF / write failure seen, no
+    // replacement yet) retransmits to it are deferred, not charged against
+    // the retry budget.
+    params.link_up = [this](int r) { return sock_comm_->peer_alive(r); };
   }
-  // Channel-level exactly-once bookkeeping for crash replay. Wire
-  // sequence numbers cannot dedup a respawned peer's re-sent stream: the
-  // replacement re-coalesces from scratch, so its frame k need not carry
-  // the same application frames as the dead incarnation's frame k. What
-  // IS deterministic is the per-channel order of application frames
-  // (single producer VDP, fixed firing order, in-order delivery under
-  // Reliable) — so we count delivered frames per (source node, tag) route
-  // and, at a rejoin, arrange to drop exactly the already-delivered
-  // prefix of the replacement's fresh stream.
-  std::unordered_map<std::uint64_t, long long> delivered;
-  std::unordered_map<std::uint64_t, long long> replay_skip;
-  auto should_deliver = [&](int src, int tag) {
-    if (!recovery) return true;
-    const std::uint64_t key = route_key(src, tag);
-    if (auto it = replay_skip.find(key);
-        it != replay_skip.end() && it->second > 0) {
-      --it->second;
-      return false;  // re-executed duplicate of a frame we already pushed
-    }
-    ++delivered[key];
-    return true;
-  };
-  auto deliver = [&](net::Message& m) {
-    if (m.tag == net::kAggregateTag) {
-      // Split an aggregate back into its application frames. Each frame
-      // gets a fresh pooled packet: the aggregate buffer is shared with
-      // the sender (and, under Reliable, with its retransmit retention),
-      // so channels must not alias into it.
-      net::FrameCursor cursor(m.payload);
-      net::WireFrame wf;
-      int count = 0;
-      while (cursor.next(wf)) {
-        ++count;
-        if (!should_deliver(m.source, wf.tag)) continue;
-        auto it = n.route.find(route_key(m.source, wf.tag));
-        PQR_ASSERT(it != n.route.end(), "proxy: unroutable coalesced frame");
-        Packet p = Packet::make(wf.size, wf.meta);
-        if (wf.size > 0) std::memcpy(p.bytes(), wf.data, wf.size);
-        it->second->push(std::move(p));
-      }
-      PQR_ASSERT(count == m.meta, "proxy: aggregate frame count mismatch");
-      return;
-    }
-    if (!should_deliver(m.source, m.tag)) return;
-    auto it = n.route.find(route_key(m.source, m.tag));
-    PQR_ASSERT(it != n.route.end(), "proxy: unroutable message");
-    // Raw frame: adopt the transport's buffer directly — in-process the
-    // sender's own, under the intra-node channels' rule (packet.hpp).
-    m.payload.set_meta(m.meta);
-    it->second->push(std::move(m.payload));
-  };
-  // Incoming frames pass through the protocol first (ack processing,
-  // dedup, in-order reassembly); `inbox` holds what it cleared for
-  // delivery. With the protocol off, frames go straight through.
-  std::deque<net::Message> inbox;
-  auto accept = [&](net::Message&& m) {
-    // Fence frames from a dead incarnation of a respawned peer. They can
-    // linger in socket buffers or our mailbox across the rejoin; a stale
-    // cumulative ack in particular would trim frames the replay path just
-    // requeued, deadlocking the replacement. The fence is applied here —
-    // after the mailbox, before the protocol — because the rejoin install
-    // happens on this same thread, so no frame can race past it.
-    if (recovery && m.source != n.id &&
-        m.epoch < sock_comm_->peer_epoch(m.source)) {
-      return;
-    }
-    if (rel) {
-      rel->on_receive(std::move(m), inbox);
-    } else {
-      inbox.push_back(std::move(m));
-    }
-  };
-  auto deliver_inbox = [&] {
-    while (!inbox.empty()) {
-      deliver(inbox.front());
-      inbox.pop_front();
-    }
-  };
-  // ---- egress: per-destination frame coalescing ----
-  //
-  // Outbound frames are gather-copied into one pooled wire buffer per
-  // destination and shipped as a single aggregate message (one fault-plan
-  // decision, one sequence number) when the stage fills, its deadline
-  // expires, or the run winds down. A frame so large that two of its size
-  // could not share a stage would only ever travel as a one-frame
-  // aggregate, so copying it in and splitting it out again batches
-  // nothing: such frames are sent directly from their own buffer — after
-  // flushing the stage, so per-destination order holds.
+  if (recorder_->enabled()) {
+    // Retransmissions show up as zero-width marks on the node's proxy lane
+    // (lane total_threads()+node), tuple = (dst, tag, seq).
+    params.on_retransmit = [this, node](int dst, int tag, long long seq) {
+      recorder_->record_mark(total_threads() + node, trace::kColorTransport,
+                             Tuple{dst, tag, static_cast<int>(seq)},
+                             recorder_->now());
+    };
+  }
+  return params;
+}
+
+void Vsa::proxy_loop(Node& n) {
   using Clock = std::chrono::steady_clock;
-  const std::size_t cap = cfg_.coalesce_bytes;
-  // Deadline of a non-full stage: a destination is flushed once its oldest
-  // staged frame has waited this long. At nb 16 over sockets it sends
-  // about a fifth fewer wire messages than flushing at once, with a little
-  // less system time (EXPERIMENTS.md).
-  constexpr auto kFlushWindow = std::chrono::microseconds(50);
-  struct Egress {
-    net::FrameStager stager;
-    Clock::time_point deadline{};  ///< flush-by time of the oldest frame
-    explicit Egress(std::size_t c) : stager(c) {}
-  };
-  std::map<int, Egress> egress;  // destination rank -> staging buffer
-  long long frames = 0, frame_bytes = 0, coalesced = 0, aggregates = 0;
-  double busy = 0.0;
-
-  auto wire_send = [&](int dst, int tag, const Packet& p, int meta) {
-    if (rel) {
-      rel->send(dst, tag, p, meta);
-    } else {
-      const int req = comm_->isend(n.id, dst, tag, p, meta);
-      PQR_ASSERT(comm_->test(req), "proxy: isend did not complete");
-    }
-  };
-  auto flush = [&](int dst, Egress& e) {
-    if (e.stager.empty()) return false;
-    coalesced += e.stager.frames();
-    ++aggregates;
-    const Packet wire = e.stager.take();
-    wire_send(dst, net::kAggregateTag, wire, wire.meta());
-    return true;
-  };
-  auto send_one = [&](OutMsg& m) {
-    ++frames;
-    frame_bytes += static_cast<long long>(m.p.size());
-    if (cap == 0) {  // coalescing off: one wire message per frame
-      wire_send(m.dst_node, m.tag, m.p, m.p.meta());
-      return;
-    }
-    Egress& e = egress.try_emplace(m.dst_node, cap).first->second;
-    if (2 * net::FrameStager::wire_size(m.p.size()) > cap) {
-      flush(m.dst_node, e);  // preserve per-destination order
-      wire_send(m.dst_node, m.tag, m.p, m.p.meta());
-      return;
-    }
-    if (!e.stager.fits(m.p.size())) flush(m.dst_node, e);
-    if (e.stager.empty()) e.deadline = Clock::now() + kFlushWindow;
-    e.stager.add(m.tag, m.p.meta(), m.p);
-  };
-  auto flush_due = [&](Clock::time_point now) {
-    bool any = false;
-    for (auto& [dst, e] : egress) {
-      if (!e.stager.empty() && now >= e.deadline) any |= flush(dst, e);
-    }
-    return any;
-  };
-  auto flush_all = [&] {
-    bool any = false;
-    for (auto& [dst, e] : egress) any |= flush(dst, e);
-    return any;
-  };
-  /// Microseconds until the earliest staged-frame deadline, capped at
-  /// `cap_us` — bounds the idle recv_wait so a deadline flush is prompt.
-  auto next_flush_in_us = [&](Clock::time_point now, int cap_us) {
-    long long best = cap_us;
-    for (auto& [dst, e] : egress) {
-      if (e.stager.empty()) continue;
-      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                            e.deadline - now)
-                            .count();
-      best = std::min(best, std::max<long long>(left, 0));
-    }
-    return static_cast<int>(best);
-  };
-
+  // Crash recovery is active only in socket node processes with a respawn
+  // budget: the Reliable endpoint then retains acked frames for replay and
+  // idles retransmits to dead peers instead of exhausting, and the ingress
+  // fences stale incarnations and dedups a replacement's re-sent prefix.
+  const bool recovery = sock_comm_ != nullptr && cfg_.max_respawns > 0;
+  // One endpoint for both layers: sequenced under reliable_transport, a
+  // raw pass-through otherwise.
+  net::Reliable rel(*comm_, n.id, endpoint_params(n.id, recovery));
+  Egress egress(rel, cfg_.nodes, cfg_.coalesce_bytes);
+  Ingress::EpochFn fence;  // a peer's current incarnation
+  if (recovery) fence = [this](int r) { return sock_comm_->peer_epoch(r); };
+  Ingress ingress(n.routes, rel, std::move(fence));
+  // An idle proxy re-polls this often, although every push and every
+  // arrival interrupts its wait; the value is not set by measurement yet.
+  constexpr int kIdleWaitUs = 200;
   std::deque<OutMsg> batch;
+  std::optional<net::Message> waited;  // what the idle wait received
+  double busy = 0.0;
   for (;;) {
     const auto t0 = Clock::now();
     bool any = false;
     if (recovery) {
       // Install any peer rejoin queued by the control thread. This thread
-      // owns the Reliable endpoint and the routes, so install + replay +
-      // dedup snapshot are a single atomic step from the proxy's view.
+      // owns the Reliable endpoint and the routes, so install, replay and
+      // dedup snapshot are one atomic step from the proxy's view.
       for (const auto& rj : sock_comm_->take_rejoins()) {
         any = true;
         sock_comm_->install_rejoin(rj);
-        if (rel) {
-          const long long nrep = rel->replay_link(rj.rank, Clock::now());
-          if (nrep < 0) {
-            // The replay log overflowed its byte budget before this crash:
-            // part of the acked history is gone and the replacement can
-            // never be made whole. Tear the run down with a transport
-            // failure instead of silently wedging.
-            cancel_run_from_transport();
-          }
-          rel->reset_recv_link(rj.rank);
-        }
-        // The replacement re-executes its node from the start: arrange to
-        // drop the prefix of each of its channels that this node already
-        // consumed (exactly-once at the channel level).
-        for (const auto& [key, cnt] : delivered) {
-          if (static_cast<int>(key >> 32) == rj.rank) replay_skip[key] = cnt;
-        }
+        // A replay log that overflowed its byte budget before this crash
+        // lost acked history the replacement needs: fail the run instead
+        // of silently wedging it. The replayed frames fall due at t0, so
+        // the next poll() resends them.
+        if (rel.replay_link(rj.rank, t0) < 0) cancel_run_from_transport();
+        ingress.rejoin(rj.rank);
       }
     }
-    // Serve the node's outgoing queue: swap the whole queue out under one
-    // lock instead of one lock round-trip per message, then stage
-    // lock-free.
+    // Swap the whole outgoing queue out under one lock, then stage it
+    // lock-free; drain the mailbox in one swap.
     batch.clear();
     {
       std::lock_guard<std::mutex> lock(n.omu);
       batch.swap(n.outq);
     }
-    for (OutMsg& m : batch) send_one(m);
-    any |= !batch.empty();
-    // Drain all queued incoming messages in one mailbox swap.
-    for (auto& m : comm_->drain(n.id)) {
-      accept(std::move(m));
-      any = true;
-    }
-    deliver_inbox();
-    if (rel) {
-      rel->flush_acks();
-      // Retransmit timed-out frames — but only while the run is live: a
-      // completed or cancelled run must not ping-pong late frames between
-      // exiting proxies, and a post-completion unacked frame (receiver
-      // done, final ack lost) is not a failure.
-      if (!done_.load(std::memory_order_acquire) &&
-          !cancelled_.load(std::memory_order_acquire) &&
-          !rel->poll(Clock::now())) {
-        cancel_run_from_transport();
-      }
-    }
+    for (const OutMsg& m : batch) egress.send(m);
+    std::deque<net::Message> arrived = comm_->drain(n.id);
+    if (waited) arrived.push_front(*std::exchange(waited, std::nullopt));
+    any |= !batch.empty() || !arrived.empty();
+    ingress.receive(std::move(arrived));
     const bool winding_down = done_.load(std::memory_order_acquire) ||
                               cancelled_.load(std::memory_order_acquire);
-    // Ship staged aggregates whose deadline passed — or everything, once
-    // the run winds down (an unflushed stage would strand its frames).
-    any |= winding_down ? flush_all() : flush_due(Clock::now());
+    rel.flush_acks();
+    // Retransmit timed-out frames only while the run is live: a finished
+    // or cancelled run must not ping-pong late frames between exiting
+    // proxies, and an unacked frame after completion (receiver done, final
+    // ack lost) is not a failure.
+    if (!winding_down && !rel.poll(Clock::now())) cancel_run_from_transport();
+    // Ship the stages whose deadline passed. Ship all of them when the run
+    // winds down (an unflushed stage would strand its frames) or when this
+    // pass found nothing to do: the pipeline is then likely stalled on
+    // what is staged, so extra batching would cost latency while idle
+    // (Nagle with an idle bypass).
+    any |= winding_down || !any ? egress.flush_all()
+                                : egress.flush_due(Clock::now());
     busy += std::chrono::duration<double>(Clock::now() - t0).count();
-    if (winding_down) {
-      if (!any) break;
-      continue;
-    }
-    if (!any) {
-      // Idle: no outbound frames queued and the mailbox is dry, so the
-      // pipeline is likely stalled waiting on what we staged. Flush now
-      // instead of holding to the deadline (Nagle with an idle bypass) —
-      // extra batching should cost latency only while the proxy is busy.
-      const auto f0 = Clock::now();
-      if (flush_all()) {
-        busy += std::chrono::duration<double>(Clock::now() - f0).count();
-        continue;
-      }
-      if (auto m = comm_->recv_wait(n.id, next_flush_in_us(Clock::now(), 200))) {
-        const auto r0 = Clock::now();
-        accept(std::move(*m));
-        deliver_inbox();
-        busy += std::chrono::duration<double>(Clock::now() - r0).count();
-      }
-    }
+    if (any) continue;
+    if (winding_down) break;
+    waited = comm_->recv_wait(n.id, kIdleWaitUs);
   }
   // Publish this proxy's totals (and, on a failed run, its link
   // snapshots); run_local joins the proxies before reading them.
+  const Egress::Counters& sent = egress.counters();
   std::lock_guard<std::mutex> lock(exit_mu_);
   stats_.proxy_busy_per_node[n.id] = busy;
-  stats_.remote_messages += frames;
-  stats_.remote_bytes += frame_bytes;
-  stats_.coalesced_frames += coalesced;
-  stats_.aggregates_sent += aggregates;
-  if (rel) {
-    stats_.retransmits += rel->retransmits();
-    stats_.duplicates_suppressed += rel->duplicates_suppressed();
-    stats_.acks_sent += rel->acks_sent();
-    stats_.replayed_frames += rel->replayed();
-    if (cancelled_.load(std::memory_order_acquire)) {
-      for (auto& g : rel->gaps()) link_gaps_.push_back(std::move(g));
-    }
+  stats_.remote_messages += sent.frames;
+  stats_.remote_bytes += sent.bytes;
+  stats_.coalesced_frames += sent.coalesced;
+  stats_.aggregates_sent += sent.aggregates;
+  stats_.retransmits += rel.retransmits();
+  stats_.duplicates_suppressed += rel.duplicates_suppressed();
+  stats_.acks_sent += rel.acks_sent();
+  stats_.replayed_frames += rel.replayed();
+  if (cancelled_.load(std::memory_order_acquire)) {
+    for (auto& g : rel.gaps()) link_gaps_.push_back(std::move(g));
   }
 }
 
@@ -860,6 +658,11 @@ Vsa::RunStats Vsa::run() {
             "reliable_transport — survivors replay a crashed peer's frames "
             "from the protocol's retained send log");
   }
+  // The protocol's timing knobs are read only when it is on. A bad one
+  // fails here, before any thread or fork, not in a proxy thread.
+  require(!cfg_.reliable_transport || (cfg_.retransmit_timeout_us > 0 &&
+                                       cfg_.max_retransmits >= 0),
+          "run: retransmit_timeout_us must be > 0 and max_retransmits >= 0");
   require(!cfg_.fault_plan.kill() || cfg_.transport == Transport::Socket,
           "run: FaultPlan kill faults require the Socket transport (there is "
           "no process to kill in-process)");

@@ -318,7 +318,11 @@ class Vsa {
   /// Fire `v` while it stays ready (once under Lazy scheduling); returns
   /// whether it fired at all.
   bool fire_ready(Vdp& v, Worker& w);
+  /// The node's proxy: a pump over its Egress and Ingress (proxy.hpp).
   void proxy_loop(Node& n);
+  /// Parameters of the Reliable endpoint both proxy layers of `node`
+  /// share (a pass-through one when Config::reliable_transport is off).
+  net::Reliable::Params endpoint_params(int node, bool recovery);
   void fire(Vdp& v, Worker& w);
   /// The node engine: run node `only_node` (every node when -1) in this
   /// process on comm_ — spawn its workers and proxies, watch progress,

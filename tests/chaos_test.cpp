@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -409,14 +410,13 @@ TEST(ReliableTest, RetransmitBackoffIsExponential) {
   prm.rto_us = 1000;
   prm.backoff = 2.0;
   prm.max_retries = 10;
-  Reliable a(comm, 0, prm);
   std::vector<long long> hook_seqs;
-  a.set_retransmit_hook(
-      [&](int dst, int tag, long long seq) {
-        EXPECT_EQ(dst, 1);
-        EXPECT_EQ(tag, 9);
-        hook_seqs.push_back(seq);
-      });
+  prm.on_retransmit = [&](int dst, int tag, long long seq) {
+    EXPECT_EQ(dst, 1);
+    EXPECT_EQ(tag, 9);
+    hook_seqs.push_back(seq);
+  };
+  Reliable a(comm, 0, prm);
   a.send(1, 9, Packet::make(8), 0);
   (void)comm.try_recv(1);  // the wire eats the frame; no ack ever comes
   // Synthetic clock: `base` is past the initial deadline, then each step
@@ -440,6 +440,21 @@ TEST(ReliableTest, RetransmitBackoffIsExponential) {
     ++copies;
   }
   EXPECT_EQ(copies, 3);
+}
+
+TEST(ReliableTest, TimingKnobsAreCheckedOnlyOnASequencedEndpoint) {
+  Comm comm(2);
+  Reliable::Params prm;
+  prm.rto_us = 0;
+  prm.max_retries = -1;
+  EXPECT_THROW(Reliable(comm, 0, prm), Error);
+  prm.sequenced = false;  // a pass-through never times out or retries
+  Reliable raw(comm, 0, prm);
+  raw.send(1, 3, Packet::make(8), 7);
+  auto m = comm.try_recv(1);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->seq, -1);
+  EXPECT_EQ(m->meta, 7);
 }
 
 TEST(ReliableTest, ExhaustedRetriesFailTheLinkAndNameTheStream) {
@@ -560,6 +575,48 @@ TEST(ChaosTest, ReliableTransportIsInertOnACleanFabric) {
     for (int i = 0; i < run.factors.a.rows(); ++i) {
       ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
           << "factors differ at (" << i << "," << j << ")";
+    }
+  }
+}
+
+// The retransmit knobs are read only under reliable_transport: with the
+// protocol off a nonsensical value is ignored, in-process and in socket
+// node processes; with it on, run() rejects it up front as a named Error
+// (not from inside a proxy thread, which would end the process).
+TEST(ChaosTest, RetransmitKnobsAreCheckedOnlyWithTheProtocolOn) {
+  Matrix a0(40, 10);
+  fill_random(a0.view(), 17);
+  auto reference = ref::tree_qr(TileMatrix::from_dense(a0.view(), 5), 2,
+                                chaos_qr_options(2, 2).tree);
+  for (auto transport : {prt::Transport::InProcess, prt::Transport::Socket}) {
+    TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
+    auto opt = chaos_qr_options(2, 2);
+    opt.transport = transport;
+    opt.retransmit_timeout_us = 0;
+    opt.max_retransmits = -1;
+    auto run = vsaqr::tree_qr(a, opt);
+    EXPECT_EQ(run.stats.retransmits, 0);
+    for (int j = 0; j < run.factors.a.cols(); ++j) {
+      for (int i = 0; i < run.factors.a.rows(); ++i) {
+        ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
+            << "factors differ at (" << i << "," << j << ")";
+      }
+    }
+  }
+  for (auto [rto, retries] : {std::pair{0, 10}, std::pair{2000, -1}}) {
+    TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
+    auto opt = chaos_qr_options(2, 2);
+    opt.reliable_transport = true;
+    opt.retransmit_timeout_us = rto;
+    opt.max_retransmits = retries;
+    try {
+      (void)vsaqr::tree_qr(a, opt);
+      ADD_FAILURE() << "rto " << rto << ", retries " << retries
+                    << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("retransmit_timeout_us"),
+                std::string::npos)
+          << e.what();
     }
   }
 }
