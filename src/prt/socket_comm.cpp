@@ -8,19 +8,25 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <tuple>
 
 #include "prt/wire.hpp"
 
 namespace pulsarqr::prt::net {
 
-namespace {
-
-/// Write every byte of `iov[0..n)` (blocking, no SIGPIPE), resuming after
-/// short writes. False on any error — the peer is gone; the caller treats
-/// the frame as dropped on the wire. Consumes `iov`.
-bool send_all(int fd, iovec* iov, int n) {
+bool send_all(int fd, iovec* iov, int n, int pass_fd) {
+  alignas(cmsghdr) char cbuf[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  if (pass_fd >= 0) {
+    msg.msg_control = cbuf;
+    msg.msg_controllen = sizeof cbuf;
+    cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+    cm->cmsg_level = SOL_SOCKET;
+    cm->cmsg_type = SCM_RIGHTS;
+    cm->cmsg_len = CMSG_LEN(sizeof(int));
+    std::memcpy(CMSG_DATA(cm), &pass_fd, sizeof(int));
+  }
   while (n > 0) {
-    msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = static_cast<std::size_t>(n);
     ssize_t k = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
@@ -28,6 +34,10 @@ bool send_all(int fd, iovec* iov, int n) {
       if (errno == EINTR) continue;
       return false;
     }
+    // The descriptor went with the first bytes; a short write's rest
+    // must not send it again.
+    msg.msg_control = nullptr;
+    msg.msg_controllen = 0;
     while (n > 0 && static_cast<std::size_t>(k) >= iov->iov_len) {
       k -= static_cast<ssize_t>(iov->iov_len);
       ++iov;
@@ -41,18 +51,18 @@ bool send_all(int fd, iovec* iov, int n) {
   return true;
 }
 
-}  // namespace
+std::pair<int, int> open_pair(const char* what) {
+  int sv[2];
+  require(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
+          std::string(what) + ": socketpair failed: " + std::strerror(errno));
+  return {sv[0], sv[1]};
+}
 
 std::vector<std::vector<int>> SocketComm::socketpair_mesh(int nranks) {
   std::vector<std::vector<int>> mesh(nranks, std::vector<int>(nranks, -1));
   for (int a = 0; a < nranks; ++a) {
     for (int b = a + 1; b < nranks; ++b) {
-      int sv[2];
-      require(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-              "SocketComm: socketpair failed: " +
-                  std::string(std::strerror(errno)));
-      mesh[a][b] = sv[0];
-      mesh[b][a] = sv[1];
+      std::tie(mesh[a][b], mesh[b][a]) = open_pair("SocketComm");
     }
   }
   return mesh;

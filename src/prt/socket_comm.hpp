@@ -54,11 +54,24 @@
 // control, not data).
 #pragma once
 
+#include <sys/uio.h>
+
 #include <thread>
+#include <utility>
 
 #include "prt/transport.hpp"
 
 namespace pulsarqr::prt::net {
+
+/// Write every byte of `iov[0..n)` (blocking, no SIGPIPE), resuming after
+/// short writes. False on any error — the peer is gone; the caller treats
+/// the frame as dropped on the wire. Consumes `iov`. A `pass_fd` >= 0
+/// rides the first byte as SCM_RIGHTS; the kernel duplicates it into the
+/// receiver at delivery, so the caller may close its copy on return.
+bool send_all(int fd, iovec* iov, int n, int pass_fd = -1);
+
+/// A connected AF_UNIX stream pair, or a thrown Error naming `what`.
+std::pair<int, int> open_pair(const char* what);
 
 class SocketComm : public Comm {
  public:

@@ -11,17 +11,9 @@ Recorder::Recorder(int num_threads, bool enabled, int extra_lanes)
   epoch_ = std::chrono::steady_clock::now();
 }
 
-void Recorder::start_clock() { epoch_ = std::chrono::steady_clock::now(); }
-
 double Recorder::now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        epoch_)
-      .count();
-}
-
-std::int64_t Recorder::epoch_ns() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             epoch_.time_since_epoch())
       .count();
 }
 

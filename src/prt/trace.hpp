@@ -29,17 +29,11 @@ class Recorder {
  public:
   /// `extra_lanes` appends per-proxy lanes after the worker lanes: lane
   /// num_threads+k belongs to node k's proxy thread (transport marks).
+  /// The clock now() reads starts here.
   Recorder(int num_threads, bool enabled, int extra_lanes = 0);
 
   bool enabled() const { return enabled_; }
-  void start_clock();
   double now() const;
-
-  /// The recorder's clock epoch as nanoseconds on the CLOCK_MONOTONIC
-  /// timeline. On Linux the monotonic clock is machine-wide, so a parent
-  /// process can subtract a forked child's epoch from its own and
-  /// offset-align the child's events onto one merged timeline.
-  std::int64_t epoch_ns() const;
 
   /// Append an already-timestamped event under `ev.thread`'s lane —
   /// the cross-process trace merge (events deserialized from a node

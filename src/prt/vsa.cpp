@@ -667,6 +667,12 @@ Vsa::RunStats Vsa::run() {
           "run: FaultPlan kill faults require the Socket transport (there is "
           "no process to kill in-process)");
 
+  // One trace clock for the whole run, with one extra lane per node for
+  // its proxy (transport marks). Socket node processes inherit it across
+  // the fork, so their events land on this process's timeline as
+  // recorded.
+  recorder_ = std::make_unique<trace::Recorder>(total_threads(), cfg_.trace,
+                                                cfg_.nodes);
   if (cfg_.transport == Transport::Socket) return run_socket();
 
   comm_ = std::make_unique<net::MailboxComm>(cfg_.nodes);
@@ -689,10 +695,6 @@ Vsa::RunStats Vsa::run_local(int only_node,
   // Pool counters are process-global; snapshot them so RunStats reports
   // this run's delta (a warmed pool shows zero misses here).
   const PacketPool::Stats pool0 = PacketPool::stats();
-  // One extra trace lane per node for its proxy (transport marks).
-  recorder_ = std::make_unique<trace::Recorder>(total_threads(), cfg_.trace,
-                                                cfg_.nodes);
-  recorder_->start_clock();
   stats_.proxy_busy_per_node.assign(cfg_.nodes, 0.0);
 
   std::vector<Worker*> workers;

@@ -125,11 +125,12 @@ class Vsa {
     /// later replay would have needed fails the run instead of silently
     /// losing frames.
     std::size_t replay_log_bytes = 64 * 1024 * 1024;
-    /// Parent-side liveness deadline: a child that sends neither a
-    /// heartbeat nor a control byte for this long is declared dead
-    /// (SIGKILLed and, budget permitting, respawned). Also bounds every
-    /// parent control-plane read — a child hung before its first
-    /// heartbeat can no longer stall the parent forever.
+    /// Parent-side liveness deadline: a child that completes no control
+    /// frame (heartbeat or otherwise) for this long is declared dead
+    /// (SIGKILLed and, budget permitting, respawned). It also bounds a
+    /// frame still arriving, so a child hung mid-frame cannot stall the
+    /// parent. When <= 0, the silence allowed is watchdog_seconds + 120 s
+    /// instead, or unbounded when the watchdog is off too.
     double heartbeat_timeout_seconds = 10.0;
   };
 
@@ -342,10 +343,10 @@ class Vsa {
   RunReport make_run_report(int only_node = -1) const;
   /// First line of a RunError for a RunReport::reason.
   std::string failure_header(const std::string& reason) const;
-  /// Socket transport (vsa_socket.cpp): fork one process per node, run
-  /// the control plane (heartbeats, death detection, respawn + rejoin
-  /// orchestration), merge child epilogues into RunStats (or re-throw a
-  /// child failure).
+  /// Socket transport (vsa_socket.cpp): fork one process per node, then
+  /// poll their control sockets and carry out what prt::Supervisor
+  /// decides (go, cancel, kill, respawn + rejoin); return the merged
+  /// epilogues as RunStats, or throw the merged failure.
   RunStats run_socket();
   /// Body of one forked node process; never returns (always _exit).
   /// `incarnation` is 0 for the original fork, bumped per respawn;

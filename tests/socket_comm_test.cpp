@@ -531,10 +531,11 @@ TEST(SocketVsaTest, ExhaustedRetriesSurfaceTheChildRunReport) {
 }
 
 TEST(SocketVsaTest, TraceMergesChildTimelinesIntoOneRecorder) {
-  // Every node process records into its own Recorder; the 'E' epilogue
-  // ships the events plus the child's clock epoch, and the parent
-  // offset-aligns them onto its own timeline. The merged trace must
-  // cover every child's lanes with sane, parent-relative timestamps.
+  // Every node process records into its copy of the Recorder run()
+  // started before the fork, so its events are on the parent's clock;
+  // the 'E' epilogue ships them and the parent merges them. The merged
+  // trace must cover every child's lanes with sane, parent-relative
+  // timestamps.
   Matrix a0(40, 10);
   fill_random(a0.view(), 20);
   TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
@@ -551,7 +552,7 @@ TEST(SocketVsaTest, TraceMergesChildTimelinesIntoOneRecorder) {
     ASSERT_LT(ev.thread, lanes);
     ASSERT_LE(ev.t0, ev.t1);
     // Children start after the parent's clock: a negative t0 would mean
-    // the offset alignment (child epoch - parent epoch) went wrong.
+    // a child recorded on a clock of its own.
     ASSERT_GE(ev.t0, 0.0);
     seen.insert(ev.thread);
   }

@@ -42,19 +42,11 @@
 // on this host; `simulate` replays a task graph on the Kraken machine
 // model.
 
-// GCC 12's -Wrestrict emits a known false positive on inlined std::string
-// copies under -O3 (GCC PR105651); the flag-map code trips it.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,6 +54,7 @@
 #include "blas/blas.hpp"
 #include "blas/simd.hpp"
 #include "chol/vsa_chol.hpp"
+#include "cli_args.hpp"
 #include "kernels/tile_kernels.hpp"
 #include "vsaqr/qr_batch.hpp"
 #include "common/rng.hpp"
@@ -79,53 +72,7 @@ using namespace pulsarqr;
 
 namespace {
 
-struct Args {
-  std::map<std::string, std::string> kv;
-  mutable std::set<std::string> read;  ///< every key a getter asked for
-
-  bool has(const std::string& k) const {
-    read.insert(k);
-    return kv.count(k) > 0;
-  }
-  int geti(const std::string& k, int dflt) const {
-    return has(k) ? std::atoi(kv.at(k).c_str()) : dflt;
-  }
-  std::string gets(const std::string& k, const std::string& dflt) const {
-    return has(k) ? kv.at(k) : dflt;
-  }
-  double getd(const std::string& k, double dflt) const {
-    return has(k) ? std::atof(kv.at(k).c_str()) : dflt;
-  }
-  /// Exit 2 naming any flag no getter has read. Commands call this after
-  /// reading all their flags and before doing any work.
-  void reject_unread() const {
-    for (const auto& [k, v] : kv) {
-      if (read.count(k) == 0) {
-        std::fprintf(stderr, "unknown flag --%s for this command\n",
-                     k.c_str());
-        std::exit(2);
-      }
-    }
-  }
-};
-
-Args parse(int argc, char** argv, int first) {
-  Args a;
-  for (int i = first; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (arg[0] != '-' || arg[1] != '-') {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg);
-      std::exit(2);
-    }
-    const std::string key(arg + 2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      a.kv[key] = argv[++i];
-    } else {
-      a.kv[key] = "1";  // boolean flag
-    }
-  }
-  return a;
-}
+using cli::Args;
 
 plan::PlanConfig tree_config(const Args& a) {
   plan::PlanConfig cfg;
@@ -505,7 +452,7 @@ int main(int argc, char** argv) {
   // Plain C-string dispatch (a GCC 12 -Wrestrict false positive fires on
   // the equivalent std::string comparisons under -O3).
   const char* cmd = argv[1];
-  const Args a = parse(argc, argv, 2);
+  const Args a = cli::parse(argc, argv, 2);
   // Kernel ISA selection. Unlike the PQR_KERNEL_ISA env override (which
   // warns and falls back), the CLI rejects bad or unsupported values.
   const std::string isa_arg = a.gets("kernel-isa", "");

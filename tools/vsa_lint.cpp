@@ -28,14 +28,14 @@
 //   1  a linted plan has an error-severity graph finding
 //   2  usage error (unknown flag/value, plan construction failure)
 //   3  protocol violation or truncated (incomplete) model exploration
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "chol/vsa_chol.hpp"
+#include "cli_args.hpp"
 #include "lu/vsa_lu.hpp"
 #include "prt/verify.hpp"
 #include "vsaqr/tree_qr.hpp"
@@ -44,46 +44,7 @@ using namespace pulsarqr;
 
 namespace {
 
-struct Args {
-  std::string subcommand = "lint";
-  std::map<std::string, std::string> kv;
-
-  bool has(const std::string& k) const { return kv.count(k) > 0; }
-  int geti(const std::string& k, int dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atoi(it->second.c_str());
-  }
-  long long getll(const std::string& k, long long dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atoll(it->second.c_str());
-  }
-  std::string gets(const std::string& k, const std::string& dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : it->second;
-  }
-};
-
-Args parse(int argc, char** argv) {
-  Args a;
-  int i = 1;
-  if (i < argc && std::strncmp(argv[i], "--", 2) != 0) {
-    a.subcommand = argv[i++];
-  }
-  for (; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (arg[0] != '-' || arg[1] != '-') {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg);
-      std::exit(2);
-    }
-    const std::string key(arg + 2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      a.kv[key] = argv[++i];
-    } else {
-      a.kv[key] = "1";
-    }
-  }
-  return a;
-}
+using cli::Args;
 
 void json_escape(std::string& out, const std::string& s) {
   for (char c : s) {
@@ -132,6 +93,8 @@ int run_lint(const Args& a) {
   const int mt = a.geti("mt", 8);
   const int nt = a.geti("nt", 6);
   const int nb = a.geti("nb", 8);
+  const int nodes = a.geti("nodes", 1);
+  const int workers = a.geti("workers", 2);
   const bool verbose = a.has("verbose");
   const bool json = a.has("json");
   if (mt < 1 || nt < 1 || nb < 1) {
@@ -142,50 +105,57 @@ int run_lint(const Args& a) {
     std::fprintf(stderr, "unknown --algo %s (qr|chol|lu|all)\n", algo.c_str());
     return 2;
   }
+  // The QR plan's own flags are read only when QR is linted, so a QR flag
+  // given with --algo chol or lu is rejected as unread.
+  const bool qr = algo == "qr" || algo == "all";
+  vsaqr::TreeQrOptions qr_opt;
+  const std::string tree = qr ? a.gets("tree", "hier") : "";
+  if (tree == "flat") {
+    qr_opt.tree.tree = plan::TreeKind::Flat;
+  } else if (tree == "binary") {
+    qr_opt.tree.tree = plan::TreeKind::Binary;
+  } else if (tree == "hier" || tree == "binary-on-flat") {
+    qr_opt.tree.tree = plan::TreeKind::BinaryOnFlat;
+  } else if (qr) {
+    std::fprintf(stderr, "unknown --tree %s (flat|binary|hier)\n",
+                 tree.c_str());
+    return 2;
+  }
+  if (qr) {
+    qr_opt.tree.domain_size = a.geti("h", 6);
+    qr_opt.tree.boundary = a.gets("boundary", "shifted") == "fixed"
+                               ? plan::BoundaryMode::Fixed
+                               : plan::BoundaryMode::Shifted;
+    qr_opt.ib = std::min(a.geti("ib", 4), nb);
+    qr_opt.panel_columns = a.geti("panels", -1);
+    qr_opt.nodes = nodes;
+    qr_opt.workers_per_node = workers;
+  }
+  a.reject_unread();
 
   std::vector<PlanVerdict> verdicts;
   try {
-    if (algo == "qr" || algo == "all") {
-      vsaqr::TreeQrOptions opt;
-      const std::string tree = a.gets("tree", "hier");
-      if (tree == "flat") {
-        opt.tree.tree = plan::TreeKind::Flat;
-      } else if (tree == "binary") {
-        opt.tree.tree = plan::TreeKind::Binary;
-      } else if (tree == "hier" || tree == "binary-on-flat") {
-        opt.tree.tree = plan::TreeKind::BinaryOnFlat;
-      } else {
-        std::fprintf(stderr, "unknown --tree %s (flat|binary|hier)\n",
-                     tree.c_str());
-        return 2;
-      }
-      opt.tree.domain_size = a.geti("h", 6);
-      opt.tree.boundary = a.gets("boundary", "shifted") == "fixed"
-                              ? plan::BoundaryMode::Fixed
-                              : plan::BoundaryMode::Shifted;
-      opt.ib = std::min(a.geti("ib", 4), nb);
-      opt.nodes = a.geti("nodes", 1);
-      opt.workers_per_node = a.geti("workers", 2);
-      opt.panel_columns = a.geti("panels", -1);
+    if (qr) {
       const TileMatrix zero(mt * nb, nt * nb, nb);
       verdicts.push_back(
           {"qr",
            "mt=" + std::to_string(mt) + " nt=" + std::to_string(nt) +
-               " tree=" + tree + " h=" + std::to_string(opt.tree.domain_size),
-           vsaqr::lint_tree_qr(zero, opt)});
+               " tree=" + tree +
+               " h=" + std::to_string(qr_opt.tree.domain_size),
+           vsaqr::lint_tree_qr(zero, qr_opt)});
     }
     if (algo == "chol" || algo == "all") {
       chol::VsaCholOptions opt;
-      opt.nodes = a.geti("nodes", 1);
-      opt.workers_per_node = a.geti("workers", 2);
+      opt.nodes = nodes;
+      opt.workers_per_node = workers;
       const TileMatrix zero(mt * nb, mt * nb, nb);
       verdicts.push_back({"chol", "mt=" + std::to_string(mt),
                           chol::lint_vsa_cholesky(zero, opt)});
     }
     if (algo == "lu" || algo == "all") {
       lu::VsaLuOptions opt;
-      opt.nodes = a.geti("nodes", 1);
-      opt.workers_per_node = a.geti("workers", 2);
+      opt.nodes = nodes;
+      opt.workers_per_node = workers;
       const TileMatrix zero(mt * nb, mt * nb, nb);
       verdicts.push_back(
           {"lu", "mt=" + std::to_string(mt), lu::lint_vsa_lu(zero, opt)});
@@ -222,13 +192,15 @@ int run_verify_protocol(const Args& a) {
   opt.max_ticks = a.geti("ticks", opt.max_ticks);
   opt.max_depth = a.geti("max-depth", opt.max_depth);
   opt.max_states = a.getll("max-states", opt.max_states);
+  const bool json = a.has("json");
+  a.reject_unread();
   if (opt.window < 1 || opt.max_faults < 0) {
     std::fprintf(stderr, "need --window >= 1 and --faults >= 0\n");
     return 2;
   }
   const prt::verify::ReliableModelResult res =
       prt::verify::check_reliable(opt);
-  if (a.has("json")) {
+  if (json) {
     std::string out = "{\"window\":" + std::to_string(opt.window) +
                       ",\"max_faults\":" + std::to_string(opt.max_faults) +
                       ",\"states\":" + std::to_string(res.states) +
@@ -255,10 +227,13 @@ int run_verify_protocol(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-  if (a.subcommand == "lint") return run_lint(a);
-  if (a.subcommand == "verify-protocol") return run_verify_protocol(a);
+  // Bare flags default to `lint`.
+  const bool named = argc > 1 && std::strncmp(argv[1], "--", 2) != 0;
+  const std::string sub = named ? argv[1] : "lint";
+  const Args a = cli::parse(argc, argv, named ? 2 : 1);
+  if (sub == "lint") return run_lint(a);
+  if (sub == "verify-protocol") return run_verify_protocol(a);
   std::fprintf(stderr, "unknown subcommand %s (lint|verify-protocol)\n",
-               a.subcommand.c_str());
+               sub.c_str());
   return 2;
 }
