@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "prt/packet_pool.hpp"
 #include "prt/vsa.hpp"
+#include "vsaqr/result_store.hpp"
 #include "vsaqr/tree_qr.hpp"
 
 namespace {
@@ -158,6 +159,49 @@ void BM_channel_ping_internode_socket(benchmark::State& state) {
   state.SetLabel("socket/fork-per-node");
 }
 
+// The socket result path alone: two node processes whose VDPs do nothing
+// but deposit 256 tiles of 64x64 (8 MiB) into a TileStore. Timed: building
+// the store (its shared slots), the run (fork, deposits, teardown) and the
+// parent's finish(), which copies the slots home.
+void BM_socket_result_return(benchmark::State& state) {
+  const int nb = 64;
+  const int side = 16;  // 16 x 16 tiles
+  Matrix src(nb, nb);
+  fill_random(src.view(), 7);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Vsa::Config cfg;
+    cfg.nodes = 2;
+    cfg.workers_per_node = 1;
+    cfg.transport = prt::Transport::Socket;
+    Vsa vsa(cfg);
+    for (int r = 0; r < 2; ++r) {
+      vsa.add_vdp(
+          prt::tuple2(4, r), side * side / 2,
+          [&src, side](prt::VdpContext& ctx) {
+            const int k = ctx.pop(0).meta();
+            ctx.global<vsaqr::TileStore>().put(k % side, k / side, src.view());
+          },
+          1, 0);
+      vsa.map_vdp(prt::tuple2(4, r), r);
+      std::vector<Packet> tiles;
+      for (int k = r; k < side * side; k += 2) {
+        tiles.push_back(Packet::make(8, k));
+      }
+      vsa.feed(prt::tuple2(4, r), 0, 8, std::move(tiles));
+    }
+    state.ResumeTiming();
+    auto store = std::make_shared<vsaqr::TileStore>(side * nb, side * nb, nb,
+                                                    cfg.transport);
+    vsa.set_global(store);
+    vsa.run();
+    const TileMatrix out = store->finish();
+    benchmark::DoNotOptimize(out.tile_data(0, 0));
+  }
+  state.SetBytesProcessed(state.iterations() * side * side * nb * nb *
+                          static_cast<long long>(sizeof(double)));
+}
+
 // End-to-end tree QR at small tiles, where per-packet runtime overhead —
 // channel ops and wakeups — is the limiter (the regime of arXiv:1110.1553
 // / arXiv:0809.2407).
@@ -280,6 +324,8 @@ BENCHMARK(BM_channel_ping_internode)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode_socket)
     ->Arg(64)->Arg(32 * 1024)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_socket_result_return)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_qr_small_nb)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_packet_alloc)

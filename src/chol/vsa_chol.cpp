@@ -6,7 +6,7 @@
 #include "blas/blas.hpp"
 #include "lapack/cholesky.hpp"
 #include "vsaqr/codec.hpp"
-#include "vsaqr/deposit_log.hpp"
+#include "vsaqr/result_store.hpp"
 
 namespace pulsarqr::chol {
 
@@ -95,13 +95,11 @@ class Builder {
   Builder(const TileMatrix& a, const VsaCholOptions& opt)
       : a_(a), opt_(opt), vsa_(opt) {
     require(a.rows() == a.cols(), "vsa_cholesky: matrix must be square");
-    store_ = std::make_shared<vsaqr::TileStore>(
-        TileMatrix(a.rows(), a.cols(), a.nb()));
+    store_ = std::make_shared<vsaqr::TileStore>(a.rows(), a.cols(), a.nb(),
+                                                opt.transport);
     vsa_.set_global(store_);
-    // Under the socket transport each node process fills its own
-    // copy-on-write store; the deposit log ships every child's tiles back
-    // for the parent to merge.
-    vsaqr::ship_deposits(vsa_, store_);
+    // A respawned node re-deposits what its dead incarnation published.
+    if (opt.max_respawns > 0) store_->enable_dedup();
     bytes_ = vsaqr::tile_packet_bytes(a.nb(), a.nb());
   }
 
@@ -172,7 +170,7 @@ class Builder {
   VsaCholRun run() {
     build();
     auto stats = vsa_.run();
-    VsaCholRun out{std::move(store_->tiles), stats, {}, vdp_count_,
+    VsaCholRun out{store_->finish(/*lower=*/true), stats, {}, vdp_count_,
                    channel_count_};
     if (opt_.trace) out.events = vsa_.recorder().collect();
     return out;

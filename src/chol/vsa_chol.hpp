@@ -24,8 +24,8 @@
 namespace pulsarqr::chol {
 
 /// The Cholesky array has no shape knobs of its own: its options are the
-/// runtime's prt::Vsa::Config. Socket runs ship the final L tiles back to
-/// the parent through the vsaqr::TileStore deposit log.
+/// runtime's prt::Vsa::Config. Socket node processes deposit the final L
+/// tiles straight into the parent's vsaqr::TileStore slots.
 using VsaCholOptions = prt::Vsa::Config;
 
 struct VsaCholRun {

@@ -6,7 +6,7 @@
 #include "blas/blas.hpp"
 #include "lapack/lu.hpp"
 #include "vsaqr/codec.hpp"
-#include "vsaqr/deposit_log.hpp"
+#include "vsaqr/result_store.hpp"
 
 namespace pulsarqr::lu {
 
@@ -104,13 +104,11 @@ class Builder {
  public:
   Builder(const TileMatrix& a, const VsaLuOptions& opt)
       : a_(a), opt_(opt), vsa_(opt) {
-    store_ = std::make_shared<vsaqr::TileStore>(
-        TileMatrix(a.rows(), a.cols(), a.nb()));
+    store_ = std::make_shared<vsaqr::TileStore>(a.rows(), a.cols(), a.nb(),
+                                                opt.transport);
     vsa_.set_global(store_);
-    // Under the socket transport each node process fills its own
-    // copy-on-write store; the deposit log ships every child's tiles back
-    // for the parent to merge.
-    vsaqr::ship_deposits(vsa_, store_);
+    // A respawned node re-deposits what its dead incarnation published.
+    if (opt.max_respawns > 0) store_->enable_dedup();
     bytes_ = vsaqr::tile_packet_bytes(a.nb(), a.nb());
   }
 
@@ -177,7 +175,7 @@ class Builder {
   VsaLuRun run() {
     build();
     auto stats = vsa_.run();
-    VsaLuRun out{std::move(store_->tiles), stats, {}, vdp_count_, channel_count_};
+    VsaLuRun out{store_->finish(), stats, {}, vdp_count_, channel_count_};
     if (opt_.trace) out.events = vsa_.recorder().collect();
     return out;
   }

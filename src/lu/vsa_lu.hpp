@@ -23,8 +23,8 @@
 namespace pulsarqr::lu {
 
 /// The LU array has no shape knobs of its own: its options are the
-/// runtime's prt::Vsa::Config. Socket runs ship the final packed factors
-/// back to the parent through the vsaqr::TileStore deposit log.
+/// runtime's prt::Vsa::Config. Socket node processes deposit the final
+/// packed factors straight into the parent's vsaqr::TileStore slots.
 using VsaLuOptions = prt::Vsa::Config;
 
 struct VsaLuRun {

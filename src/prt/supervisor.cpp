@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <climits>
-#include <cstring>
 #include <utility>
 
 #include "prt/wire.hpp"
@@ -40,7 +39,8 @@ auto counters(Stats& s) {
 
 template <class Stats>
 auto vectors(Stats& s) {
-  return std::array{&s.busy_per_thread, &s.proxy_busy_per_node};
+  return std::array{&s.busy_per_thread, &s.proxy_busy_per_node,
+                    &s.sys_seconds_per_node};
 }
 
 }  // namespace
@@ -53,6 +53,8 @@ void encode_run_stats(net::wire::Blob& b, const Vsa::RunStats& s) {
     b.u64(v->size());
     for (double d : *v) b.f64(d);
   }
+  b.u64(s.minor_faults_per_node.size());
+  for (long long f : s.minor_faults_per_node) b.i64(f);
 }
 
 void merge_run_stats(net::wire::BlobReader& br, Vsa::RunStats& total) {
@@ -66,21 +68,25 @@ void merge_run_stats(net::wire::BlobReader& br, Vsa::RunStats& total) {
   for (long long* c : counters(s)) {
     *c = static_cast<long long>(static_cast<std::uint64_t>(*c) + br.u64());
   }
-  for (std::vector<double>* v : vectors(s)) {
-    require(br.u64() == v->size(),
+  auto sized = [&](std::size_t n) {
+    require(br.u64() == n,
             "merge_run_stats: per-thread or per-node stats do not match the "
             "run topology");
+  };
+  for (std::vector<double>* v : vectors(s)) {
+    sized(v->size());
     for (double& d : *v) d += br.f64();
+  }
+  sized(s.minor_faults_per_node.size());
+  for (long long& f : s.minor_faults_per_node) {
+    f = static_cast<long long>(static_cast<std::uint64_t>(f) + br.u64());
   }
   total = std::move(s);
 }
 
 void encode_epilogue(net::wire::Blob& b, const Vsa::RunStats& stats,
-                     const Packet& app,
                      const std::vector<trace::Event>& events) {
   encode_run_stats(b, stats);
-  b.u64(app.size());
-  if (app.size() > 0) b.bytes(app.bytes(), app.size());
   b.u64(events.size());
   for (const trace::Event& ev : events) {
     b.i32(ev.thread);
@@ -92,21 +98,16 @@ void encode_epilogue(net::wire::Blob& b, const Vsa::RunStats& stats,
   }
 }
 
-Epilogue decode_epilogue(const std::byte* p, std::size_t n,
-                         Vsa::RunStats& total) {
+std::vector<trace::Event> decode_epilogue(const std::byte* p, std::size_t n,
+                                          Vsa::RunStats& total) {
   net::wire::BlobReader br(p, n);
   Vsa::RunStats merged = total;
   merge_run_stats(br, merged);
-  Epilogue e;
-  if (const std::uint64_t app_len = br.u64(); app_len > 0) {
-    const std::byte* bytes = br.take(app_len);
-    e.app = Packet::make(app_len);
-    std::memcpy(e.app.bytes(), bytes, app_len);
-  }
+  std::vector<trace::Event> events;
   // Every element read consumes blob bytes, so a hostile count ends in a
   // truncated-blob error, not in a loop or an allocation it sized.
   for (std::uint64_t k = br.u64(); k > 0; --k) {
-    trace::Event& ev = e.events.emplace_back();
+    trace::Event& ev = events.emplace_back();
     ev.thread = br.i32();
     ev.color = br.i32();
     std::vector<int> vals;
@@ -117,7 +118,7 @@ Epilogue decode_epilogue(const std::byte* p, std::size_t n,
   }
   require(br.done(), "socket epilogue: trailing bytes");
   total = std::move(merged);
-  return e;
+  return events;
 }
 
 void encode_report(net::wire::Blob& b, const Vsa::RunReport& r) {
@@ -189,6 +190,8 @@ Supervisor::Supervisor(const Vsa::Config& cfg,
   for (Child& c : kids_) c.last_heard = now;
   stats_.busy_per_thread.assign(cfg.nodes * cfg.workers_per_node, 0.0);
   stats_.proxy_busy_per_node.assign(cfg.nodes, 0.0);
+  stats_.sys_seconds_per_node.assign(cfg.nodes, 0.0);
+  stats_.minor_faults_per_node.assign(cfg.nodes, 0);
   // The heartbeat deadline, else a generous bound over the children's own
   // watchdogs, else none (a budget <= 0).
   // Kept in double seconds: converting a huge configured value to the
@@ -228,7 +231,7 @@ bool Supervisor::frame(int rank, Clock::time_point now) {
     require(blob || type == 'H' || type == 'D',
             "socket control plane: unknown control byte");
     if (type == 'D' && c.state == State::Running) c.state = State::Done;
-    if (type == 'E') c.epilogue = decode_epilogue(c.in.data() + 9, len, stats_);
+    if (type == 'E') c.events = decode_epilogue(c.in.data() + 9, len, stats_);
     if (type == 'F') fail(decode_report(c.in.data() + 9, len));
   } catch (const Error&) {
     dead(rank, now);  // a protocol violation or a malformed body

@@ -3,7 +3,7 @@
 // Vsa::run_socket feeds it each child's control bytes, EOFs and clock
 // ticks, and carries out the actions it returns (send 'G' or 'C', kill a
 // rank, respawn a rank). The run is over once finished(); failure() then
-// holds the merged RunReport, or the epilogues and stats are the result.
+// holds the merged RunReport, or the merged stats and events are the result.
 //
 // One dead-child path: EOF, a malformed 'E'/'F' body, an unknown control
 // byte and silence past the budget all kill the child, then respawn it
@@ -21,21 +21,15 @@
 
 namespace pulsarqr::prt {
 
-/// What a node process ships home in its 'E' epilogue besides its stats.
-struct Epilogue {
-  Packet app;                        ///< the collect hook's blob
-  std::vector<trace::Event> events;  ///< on the parent's clock
-};
-
-/// 'E' body: the node's RunStats, the collect hook's blob, and its trace
-/// events, already on the parent's clock.
+/// 'E' body: the node's RunStats and its trace events, already on the
+/// parent's clock.
 void encode_epilogue(net::wire::Blob& b, const Vsa::RunStats& stats,
-                     const Packet& app,
                      const std::vector<trace::Event>& events);
-/// Decode an 'E' body; its stats merge into `total` (merge_run_stats).
-/// Throws pulsarqr::Error on a malformed body, leaving `total` untouched.
-Epilogue decode_epilogue(const std::byte* p, std::size_t n,
-                         Vsa::RunStats& total);
+/// Decode an 'E' body into its trace events; its stats merge into `total`
+/// (merge_run_stats). Throws pulsarqr::Error on a malformed body, leaving
+/// `total` untouched.
+std::vector<trace::Event> decode_epilogue(const std::byte* p, std::size_t n,
+                                          Vsa::RunStats& total);
 /// 'F' body: a serialized RunReport. The decoder throws pulsarqr::Error
 /// on a malformed body.
 void encode_report(net::wire::Blob& b, const Vsa::RunReport& r);
@@ -76,7 +70,8 @@ class Supervisor {
   bool finished() const;
   const std::optional<Vsa::RunReport>& failure() const { return failure_; }
   Vsa::RunStats& stats() { return stats_; }
-  Epilogue& epilogue(int rank) { return kids_[rank].epilogue; }
+  /// The trace events of rank's 'E' epilogue.
+  std::vector<trace::Event>& events(int rank) { return kids_[rank].events; }
   int respawns() const { return respawns_; }
 
  private:
@@ -86,7 +81,7 @@ class Supervisor {
     State state = State::Running;
     Clock::time_point last_heard;
     std::vector<std::byte> in;  ///< control bytes of an unfinished frame
-    Epilogue epilogue;
+    std::vector<trace::Event> events;  ///< from the 'E' epilogue
   };
   /// Act on the frame at the head of the child's buffer and drop it;
   /// false when it is incomplete or the child took the dead-child path.

@@ -696,6 +696,8 @@ Vsa::RunStats Vsa::run_local(int only_node,
   // this run's delta (a warmed pool shows zero misses here).
   const PacketPool::Stats pool0 = PacketPool::stats();
   stats_.proxy_busy_per_node.assign(cfg_.nodes, 0.0);
+  stats_.sys_seconds_per_node.assign(cfg_.nodes, 0.0);
+  stats_.minor_faults_per_node.assign(cfg_.nodes, 0);
 
   std::vector<Worker*> workers;
   for (auto& w : workers_) {

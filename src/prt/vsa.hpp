@@ -105,11 +105,12 @@ class Vsa {
     /// is its own wire message, as before).
     std::size_t coalesce_bytes = 64 * 1024;
     /// Transport backend for inter-node traffic (see prt::Transport).
-    /// Socket mode forks one process per node at run(); for results to
-    /// reach the parent it needs process hooks (set_process_hooks) or
-    /// side effects written to files. With trace on, each child ships
-    /// its events home in the run epilogue and the parent merges them
-    /// into one clock-aligned timeline.
+    /// Socket mode forks one process per node at run(), so a VDP's writes
+    /// to ordinary memory stay in its node process: results reach the
+    /// parent through memory shared before the fork (the vsaqr stores map
+    /// their slots MAP_SHARED when built) or through files. With trace on,
+    /// each child ships its events home in the run epilogue and the parent
+    /// merges them into one clock-aligned timeline.
     Transport transport = Transport::InProcess;
     /// Crash recovery (Socket transport only; requires
     /// reliable_transport). How many dead node processes the parent may
@@ -175,6 +176,12 @@ class Vsa {
     long long respawns = 0;          ///< node processes replaced mid-run
     long long replayed_frames = 0;   ///< frames survivors requeued for replay
     long long refired_fires = 0;     ///< VDP firings of respawned incarnations
+    /// Socket transport: each node process's minor page faults and system
+    /// CPU seconds, read with getrusage(RUSAGE_SELF) just before its
+    /// epilogue (a respawned rank reports only its last incarnation). All
+    /// zero in-process.
+    std::vector<long long> minor_faults_per_node;
+    std::vector<double> sys_seconds_per_node;
   };
 
   /// Structured diagnosis attached to a RunError: what was stuck and why,
@@ -273,21 +280,6 @@ class Vsa {
     auto p = std::any_cast<std::shared_ptr<T>>(&global_);
     PQR_ASSERT(p != nullptr, "global: type mismatch or not set");
     return **p;
-  }
-
-  /// Socket-transport result plumbing. Each node process runs with a
-  /// copy-on-write copy of the whole application state; whatever its
-  /// VDPs computed dies with it unless shipped back. `collect` runs in
-  /// each child after the whole run finished, with the child's rank, and
-  /// returns a small opaque blob that rides the run epilogue (the deposit
-  /// shipping of vsaqr/deposit_log.hpp writes its results into pre-fork
-  /// shared memory and returns only their byte count); `merge` runs in
-  /// the parent once per child, with the child's rank and blob. Unused
-  /// (and unnecessary) under the in-process transport.
-  void set_process_hooks(std::function<Packet(int)> collect,
-                         std::function<void(int, const Packet&)> merge) {
-    collect_hook_ = std::move(collect);
-    merge_hook_ = std::move(merge);
   }
 
   /// Execute the VSA to completion. Throws pulsarqr::Error on watchdog
@@ -411,10 +403,6 @@ class Vsa {
   /// from dead incarnations, poll queued peer rejoins and probe peer
   /// liveness. Null on the in-process path and in the parent.
   net::SocketComm* sock_comm_ = nullptr;
-
-  // Socket-transport result plumbing (set_process_hooks).
-  std::function<Packet(int)> collect_hook_;
-  std::function<void(int, const Packet&)> merge_hook_;
 };
 
 /// Control-plane codec of a RunStats (vsa_socket.cpp): a socket node

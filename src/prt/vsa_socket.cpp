@@ -10,10 +10,9 @@
 // pre-opened socketpair mesh; the parent runs no VDPs at all — it is the
 // control plane: a poll loop over one control socketpair per child that
 // carries out what prt::Supervisor (supervisor.hpp) decides. Per-child
-// stats travel back as little-endian blobs (wire.hpp). Result data does
-// not: an application's collect hook writes it into memory shared since
-// before the fork (vsaqr::DepositArena) and ships only a small blob, such
-// as the byte count written, in the epilogue.
+// stats and trace events travel back as little-endian blobs (wire.hpp).
+// Result data does not: VDPs deposit it into memory shared since before
+// the fork (vsaqr/deposit_slots.hpp).
 //
 // Control protocol (child c <-> parent):
 //   c -> p  'H'                    liveness heartbeat
@@ -21,9 +20,8 @@
 //   p -> c  'G'                    every node finished; tear down
 //   p -> c  'C'                    another node failed; abandon the run
 //   p -> c  'R' RejoinHdr + fd     a peer was respawned (crash recovery)
-//   c -> p  'E' u64 len  blob      success epilogue: stats, the collect
-//                                  hook's blob (a deposit byte count, not
-//                                  the deposits) and trace events
+//   c -> p  'E' u64 len  blob      success epilogue: stats and trace
+//                                  events
 //   c -> p  'F' u64 len  blob      serialized RunReport (local failure)
 // A child that gets 'C' (or loses the parent) ships its 'F' report and
 // exits with status 1; a child EOF without 'E'/'F' means it crashed
@@ -31,6 +29,7 @@
 #include "prt/vsa.hpp"
 
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -186,9 +185,13 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
   char type = 'F';
   try {
     if (go) {
-      const Packet app = collect_hook_ ? collect_hook_(rank) : Packet();
       if (incarnation > 0) stats.refired_fires = stats.fires;
-      encode_epilogue(b, stats, app,
+      rusage ru{};
+      ::getrusage(RUSAGE_SELF, &ru);
+      stats.minor_faults_per_node[rank] = ru.ru_minflt;
+      stats.sys_seconds_per_node[rank] =
+          ru.ru_stime.tv_sec + ru.ru_stime.tv_usec * 1e-6;
+      encode_epilogue(b, stats,
                       cfg_.trace ? recorder_->collect()
                                  : std::vector<trace::Event>{});
       type = 'E';
@@ -327,8 +330,7 @@ Vsa::RunStats Vsa::run_socket() {
     throw RunError(failure_header(f->reason), *f);
   }
   for (int r = 0; r < N; ++r) {
-    if (merge_hook_) merge_hook_(r, sup.epilogue(r).app);
-    for (const trace::Event& ev : sup.epilogue(r).events) recorder_->inject(ev);
+    for (const trace::Event& ev : sup.events(r)) recorder_->inject(ev);
   }
   RunStats stats = std::move(sup.stats());
   stats.respawns = sup.respawns();

@@ -1,35 +1,18 @@
 #include "vsaqr/result_store.hpp"
 
-#include <cstring>
-
-#include "blas/blas.hpp"
-
 namespace pulsarqr::vsaqr {
 
-namespace {
-/// Bitwise equality of two equally-shaped views (memcmp per column: a
-/// replayed deposit must reproduce the first write exactly, including
-/// signed zeros and NaN payloads).
-bool bitwise_equal(ConstMatrixView a, ConstMatrixView b) {
-  if (a.rows != b.rows || a.cols != b.cols) return false;
-  for (int j = 0; j < a.cols; ++j) {
-    if (std::memcmp(a.col(j), b.col(j),
-                    static_cast<std::size_t>(a.rows) * sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-}  // namespace
-
-ResultStore::ResultStore(int m, int n, int nb, int ib)
+ResultStore::ResultStore(int m, int n, int nb, int ib,
+                         prt::Transport transport)
     : a_(m, n, nb),
       tg_(a_.mt(), a_.nt(), ib, nb, n),
       tt_(a_.mt(), a_.nt(), ib, nb, n),
-      ib_(ib),
-      tile_written_(static_cast<std::size_t>(a_.mt()) * a_.nt()),
-      tg_written_(static_cast<std::size_t>(a_.mt()) * a_.nt()),
-      tt_written_(static_cast<std::size_t>(a_.mt()) * a_.nt()) {
+      slots_("ResultStore", {"tile", "geqrt T", "tree T"}, a_.mt(), a_.nt(),
+             transport == prt::Transport::Socket,
+             [&](int kind, int i, int j) {
+               return DepositSlots::Shape{kind == kTile ? a_.tile_rows(i) : ib,
+                                          a_.tile_cols(j)};
+             }) {
   // Pre-touch every T slot so concurrent put_tg/put_tt never allocate the
   // same lazily-created buffer from two threads.
   for (int j = 0; j < a_.nt(); ++j) {
@@ -41,87 +24,48 @@ ResultStore::ResultStore(int m, int n, int nb, int ib)
 }
 
 void ResultStore::put_tile(int i, int j, ConstMatrixView tile) {
-  MatrixView dst = a_.tile(i, j);
-  PQR_ASSERT(dst.rows == tile.rows && dst.cols == tile.cols,
-             "ResultStore: tile shape mismatch");
-  const bool was =
-      tile_written_[i + static_cast<std::size_t>(j) * a_.mt()].exchange(true);
-  if (was) {
-    PQR_ASSERT(dedup_, "ResultStore: tile deposited twice");
-    PQR_ASSERT(bitwise_equal(tile, dst),
-               "ResultStore: conflicting re-deposit of tile (replay produced "
-               "different content)");
-    return;  // idempotent replay: already written, already logged
-  }
-  blas::lacpy_all(tile, dst);
-  log_.record(0, i, j);
+  slots_.put(kTile, i, j, a_.tile(i, j), tile);
 }
 
 void ResultStore::put_tg(int i, int j, ConstMatrixView t) {
   MatrixView dst = tg_.t(i, j);
-  const ConstMatrixView src = t.block(0, 0, dst.rows, dst.cols);
-  const bool was =
-      tg_written_[i + static_cast<std::size_t>(j) * a_.mt()].exchange(true);
-  if (was && dedup_) {
-    PQR_ASSERT(bitwise_equal(src, dst),
-               "ResultStore: conflicting re-deposit of geqrt T factors");
-    return;
-  }
-  blas::lacpy_all(src, dst);
-  if (!was) log_.record(1, i, j);
+  slots_.put(kGeqrtT, i, j, dst, t.block(0, 0, dst.rows, dst.cols));
 }
 
 void ResultStore::put_tt(int i, int j, ConstMatrixView t) {
   MatrixView dst = tt_.t(i, j);
-  const ConstMatrixView src = t.block(0, 0, dst.rows, dst.cols);
-  const bool was =
-      tt_written_[i + static_cast<std::size_t>(j) * a_.mt()].exchange(true);
-  if (was && dedup_) {
-    PQR_ASSERT(bitwise_equal(src, dst),
-               "ResultStore: conflicting re-deposit of tree T factors");
-    return;
-  }
-  blas::lacpy_all(src, dst);
-  if (!was) log_.record(2, i, j);
-}
-
-void ResultStore::enable_dedup() { dedup_ = true; }
-
-void ResultStore::put(int kind, int i, int j, ConstMatrixView v) {
-  switch (kind) {
-    case 0:
-      put_tile(i, j, v);
-      break;
-    case 1:
-      put_tg(i, j, v);
-      break;
-    default:
-      put_tt(i, j, v);
-      break;
-  }
-}
-
-ConstMatrixView ResultStore::slot(int kind, int i, int j) const {
-  switch (kind) {
-    case 0:
-      return a_.tile(i, j);
-    case 1:
-      return tg_.t(i, j);
-    default:
-      return tt_.t(i, j);
-  }
+  slots_.put(kTreeT, i, j, dst, t.block(0, 0, dst.rows, dst.cols));
 }
 
 ref::TreeQrFactors ResultStore::finish(plan::ReductionPlan plan, int ib) {
   for (int j = 0; j < a_.nt(); ++j) {
     for (int i = 0; i < a_.mt(); ++i) {
-      require(tile_written_[i + static_cast<std::size_t>(j) * a_.mt()].load(),
-              "ResultStore: tile (" + std::to_string(i) + "," +
-                  std::to_string(j) + ") was never deposited");
+      slots_.require_written(kTile, i, j);
+      slots_.copy_out(kTile, i, j, a_.tile(i, j));
+      slots_.copy_out(kGeqrtT, i, j, tg_.t(i, j));
+      slots_.copy_out(kTreeT, i, j, tt_.t(i, j));
     }
   }
   return ref::TreeQrFactors{std::move(a_), std::move(tg_), std::move(tt_),
                             std::move(plan), ib};
+}
+
+TileStore::TileStore(int m, int n, int nb, prt::Transport transport)
+    : tiles_(m, n, nb),
+      slots_("TileStore", {"tile"}, tiles_.mt(), tiles_.nt(),
+             transport == prt::Transport::Socket, [&](int, int i, int j) {
+               return DepositSlots::Shape{tiles_.tile_rows(i),
+                                          tiles_.tile_cols(j)};
+             }) {}
+
+TileMatrix TileStore::finish(bool lower) {
+  for (int j = 0; j < tiles_.nt(); ++j) {
+    for (int i = lower ? j : 0; i < tiles_.mt(); ++i) {
+      slots_.require_written(0, i, j);
+      slots_.copy_out(0, i, j, tiles_.tile(i, j));
+    }
+  }
+  return std::move(tiles_);
 }
 
 }  // namespace pulsarqr::vsaqr

@@ -33,6 +33,7 @@
 #include <memory>
 #include <utility>
 
+#include "blas/blas.hpp"
 #include "kernels/tile_kernels.hpp"
 #include "plan/domains.hpp"
 #include "prt/graph_check.hpp"
@@ -187,10 +188,14 @@ void tt_factor_fire(VdpContext& ctx, const BinCfg& cfg) {
   MatrixView l = tile_view(rl);
   PQR_ASSERT(w.rows >= cfg.pw, "tree-qr: short tile used as tt survivor");
   // T is consumed by the store/codec copies below, so a frame-scoped
-  // workspace buffer replaces the old per-firing heap Matrix.
+  // workspace buffer replaces the old per-firing heap Matrix. ttqrt leaves
+  // T's unreferenced entries as it found them; zeroing them first makes
+  // the deposit the same bytes in every incarnation of this VDP, which a
+  // crash-recovery replay is checked against.
   kernels::Workspace& ws = kernels::tls_workspace();
   kernels::WsFrame frame(ws);
   MatrixView t = ws.matrix(cfg.ib, cfg.pw);
+  blas::laset_all(0.0, 0.0, t);
   kernels::ttqrt(w.block(0, 0, cfg.pw, cfg.pw), l, cfg.ib, t, ws);
   auto& store = ctx.global<ResultStore>();
   store.put_tt(cfg.loser, cfg.k, t);
@@ -286,15 +291,11 @@ class Builder {
         opt_(opt),
         vsa_(opt),
         store_(std::make_shared<ResultStore>(a.rows(), a.cols(), a.nb(),
-                                             opt.ib)),
+                                             opt.ib, opt.transport)),
         total_threads_(opt.nodes * opt.workers_per_node) {
     vsa_.set_global(store_);
-    // Under the socket transport each node process deposits into its own
-    // copy-on-write store; the deposit log ships every child's tiles back
-    // for the parent to merge before finish(). Crash recovery may replay
-    // deposits, so it makes them idempotent.
+    // A respawned node re-deposits what its dead incarnation published.
     if (opt.max_respawns > 0) store_->enable_dedup();
-    ship_deposits(vsa_, store_);
     tile_bytes_ = tile_packet_bytes(a.nb(), a.nb());
     vt_bytes_ = vt_packet_bytes(a.nb(), a.nb(), opt.ib);
   }
@@ -568,10 +569,10 @@ class ApplyBuilder {
     require(b.rows() == f.a.rows() && b.nb() == f.a.nb(),
             "apply_qt: B must match the factored matrix rows and tile size");
     require(b.cols() >= 1, "apply_qt: B must have at least one column");
-    store_ = std::make_shared<ResultStore>(b.rows(), b.cols(), b.nb(), f.ib);
+    store_ = std::make_shared<ResultStore>(b.rows(), b.cols(), b.nb(), f.ib,
+                                           opt.transport);
     vsa_.set_global(store_);
     if (opt.max_respawns > 0) store_->enable_dedup();
-    ship_deposits(vsa_, store_);
     tile_bytes_ = tile_packet_bytes(b.nb(), b.nb());
     vt_bytes_ = vt_packet_bytes(f.a.nb(), f.a.nb(), f.ib);
     total_threads_ = opt.nodes * opt.workers_per_node;

@@ -20,8 +20,8 @@ namespace pulsarqr::vsaqr {
 
 /// Tree QR options: the runtime's own prt::Vsa::Config (nodes, workers,
 /// scheduling, transport, reliability, coalescing, crash recovery, ...)
-/// plus the factorization's shape knobs. Socket runs ship result tiles
-/// back to the parent through the ResultStore deposit log; a run with
+/// plus the factorization's shape knobs. Socket node processes deposit
+/// result tiles straight into the parent's ResultStore slots; a run with
 /// max_respawns > 0 also switches the store to idempotent re-deposits.
 struct TreeQrOptions : prt::Vsa::Config {
   plan::PlanConfig tree;  ///< reduction tree (kind, h, boundary mode)

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -122,32 +123,27 @@ TEST(ReliableReplayTest, ResetRecvLinkAcceptsAFreshStreamFromSeqZero) {
 // ---- ResultStore: exactly-once deposits under replay ------------------------
 
 TEST(ResultStoreDedupTest, ReplayedDepositsAreVerifiedAndSkipped) {
-  // A respawned node re-executes from scratch, so the parent can receive
-  // the same deposit twice (once replayed to a survivor that shipped it,
-  // once from the replacement's own epilogue). With dedup on, identical
-  // re-deposits are no-ops; the deposit log must not grow either.
-  vsaqr::ResultStore src(10, 5, 5, 2);
-  src.log().enable();
-  src.enable_dedup();
+  // A respawned node re-executes from scratch, so it re-deposits into the
+  // shared slots what its dead incarnation already published there. With
+  // dedup on, identical re-deposits are verified and skipped.
+  vsaqr::ResultStore store(10, 5, 5, 2, prt::Transport::Socket);
+  store.enable_dedup();
   Matrix tile(5, 5), t(2, 5);
   fill_random(tile.view(), 31);
   fill_random(t.view(), 32);
-  src.put_tile(0, 0, tile.view());
-  src.put_tile(1, 0, tile.view());
-  src.put_tg(0, 0, t.view());
-  src.put_tt(1, 0, t.view());
-  vsaqr::DepositArena arena(2, vsaqr::deposit_bytes_bound(src));
-  const std::size_t n =
-      vsaqr::encode_deposits(src, 0, arena.slice(0), arena.slice_bytes());
-
-  vsaqr::ResultStore dst(10, 5, 5, 2);
-  dst.log().enable();
-  dst.enable_dedup();
-  vsaqr::apply_slice(arena, 0, n, dst);
-  vsaqr::apply_slice(arena, 0, n, dst);  // the replay: verified, then skipped
-  const std::size_t once =
-      vsaqr::encode_deposits(dst, 1, arena.slice(1), arena.slice_bytes());
-  EXPECT_EQ(once, n) << "replayed deposits leaked into the deposit log";
+  for (int incarnation = 0; incarnation < 2; ++incarnation) {
+    store.put_tile(0, 0, tile.view());
+    store.put_tile(1, 0, tile.view());
+    store.put_tg(0, 0, t.view());
+    store.put_tt(1, 0, t.view());
+  }
+  const ref::TreeQrFactors f = store.finish(
+      plan::ReductionPlan(2, 1, {plan::TreeKind::Flat, 1,
+                                 plan::BoundaryMode::Shifted}),
+      2);
+  EXPECT_EQ(f.a.at(7, 3), tile(2, 3));
+  EXPECT_EQ(f.tg.t(0, 0)(1, 4), t(1, 4));
+  EXPECT_EQ(f.tt.t(1, 0)(0, 2), t(0, 2));
 }
 
 TEST(ResultStoreDedupTest, WithoutDedupADoubleDepositStillAborts) {
@@ -221,6 +217,77 @@ TEST(CrashRecoveryTest, KillWithoutBudgetYieldsStructuredProcessFailure) {
     EXPECT_NE(what.find("dead node process"), std::string::npos);
     EXPECT_NE(what.find("respawn"), std::string::npos);
   }
+}
+
+// ---- a kill among a rank's deposits -----------------------------------------
+
+/// The referenced part of a T tile (the upper triangle of each ib-column
+/// block) is bitwise equal.
+bool t_bitwise(ConstMatrixView got, ConstMatrixView want, int ib) {
+  for (int c = 0; c < got.cols; ++c) {
+    const auto rows = static_cast<std::size_t>(std::min(c % ib + 1, got.rows));
+    if (std::memcmp(got.col(c), want.col(c), sizeof(double) * rows) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(CrashRecoveryTest, AKillAmongARanksDepositsRecoversBitwise) {
+  // Rank 1 dies after a growing share of its firings: before its first
+  // deposit, among them, and near its last. What its dead incarnation
+  // published stays in the shared slots (a copy it was in the middle of
+  // stays unpublished), and its replacement re-deposits everything. The
+  // factors must equal the in-process run's bit for bit every time.
+  Matrix a0(384, 96);
+  fill_random(a0.view(), 61);
+  const TileMatrix a = TileMatrix::from_dense(a0.view(), 16);
+  vsaqr::TreeQrOptions inproc;
+  inproc.tree = {plan::TreeKind::BinaryOnFlat, 2, plan::BoundaryMode::Shifted};
+  inproc.ib = 4;
+  inproc.nodes = 2;
+  inproc.workers_per_node = 1;
+  inproc.watchdog_seconds = 60.0;
+  const vsaqr::TreeQrRun want = vsaqr::tree_qr(a, inproc);
+  vsaqr::TreeQrOptions opt = inproc;
+  opt.transport = prt::Transport::Socket;
+  opt.reliable_transport = true;
+  opt.retransmit_timeout_us = 800;
+  opt.max_retransmits = 30;
+  opt.max_respawns = 1;
+  opt.fault_plan.kill_rank = 1;
+  const long long fires = vsaqr::lint_tree_qr(a, opt).node_fires[1];
+  ASSERT_GT(fires, 8);
+  int respawned = 0;
+  for (int q = 0; q < 4; ++q) {
+    opt.fault_plan.kill_after = 1 + q * (fires - 1) / 4;
+    SCOPED_TRACE("kill after " + std::to_string(opt.fault_plan.kill_after) +
+                 " of " + std::to_string(fires) + " firings");
+    const vsaqr::TreeQrRun got = vsaqr::tree_qr(a, opt);
+    respawned += static_cast<int>(got.stats.respawns);
+    for (int j = 0; j < a.nt(); ++j) {
+      for (int i = 0; i < a.mt(); ++i) {
+        const ConstMatrixView g = got.factors.a.tile(i, j);
+        const ConstMatrixView w = want.factors.a.tile(i, j);
+        ASSERT_EQ(std::memcmp(g.data, w.data, sizeof(double) * g.rows * g.cols),
+                  0)
+            << "tile (" << i << "," << j << ")";
+      }
+    }
+    for (const plan::Op& op : want.factors.plan.ops()) {
+      if (op.kind == plan::OpKind::Geqrt) {
+        ASSERT_TRUE(t_bitwise(got.factors.tg.t(op.i, op.j),
+                              want.factors.tg.t(op.i, op.j), opt.ib))
+            << "geqrt T (" << op.i << "," << op.j << ")";
+      } else if (op.kind == plan::OpKind::Tsqrt ||
+                 op.kind == plan::OpKind::Ttqrt) {
+        ASSERT_TRUE(t_bitwise(got.factors.tt.t(op.k, op.j),
+                              want.factors.tt.t(op.k, op.j), opt.ib))
+            << "tree T (" << op.k << "," << op.j << ")";
+      }
+    }
+  }
+  EXPECT_GE(respawned, 2) << "the kill rarely landed inside the run";
 }
 
 // ---- the crash-chaos soak ---------------------------------------------------
@@ -385,7 +452,7 @@ TEST(CrashRecoveryTest, LuOverSocketSurvivesAKill) {
 }
 
 TEST(CrashRecoveryTest, CholAndLuShipResultsOverTheSocketBackend) {
-  // No faults at all: the deposit-log shipping alone must reproduce the
+  // No faults at all: the shared result slots alone must reproduce the
   // in-process factors bit-for-bit for both scenario stores.
   const int n = 120, nb = 20;
   Matrix spd = chol::random_spd(n, 53);

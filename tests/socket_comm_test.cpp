@@ -609,11 +609,11 @@ void expect_t_bitwise(ConstMatrixView got, ConstMatrixView want, int ib,
   }
 }
 
-TEST(SocketVsaTest, EveryDepositKindShipsBitwiseThroughTheSharedArena) {
-  // Three node processes, each returning its deposits through its own
-  // arena slice: the QR ResultStore's factor tiles, geqrt T and tree T
-  // factors, then apply_qt's result tiles through a TileStore. Each must
-  // equal the in-process run of the same array bit for bit.
+TEST(SocketVsaTest, EveryDepositKindLandsBitwiseInTheSharedSlots) {
+  // Three node processes, each depositing straight into the parent's
+  // shared slots: the QR ResultStore's factor tiles, geqrt T and tree T
+  // factors, then apply_qt's result tiles. Each must equal the in-process
+  // run of the same array bit for bit.
   Matrix a0(48, 12);
   fill_random(a0.view(), 25);
   Matrix b0(48, 3);
@@ -688,10 +688,10 @@ TEST(SocketVsaTest, CholeskyAndLuMatchTheInProcessRunBitwise) {
   expect_same(lu::vsa_lu(dd, socket).f, lu::vsa_lu(dd, inproc).f, "lu");
 }
 
-TEST(SocketVsaTest, AThrowingCollectHookFailsItsNodeStructurally) {
-  // A collect hook that throws in a node process (say, a deposit slice
-  // too small) must not unwind into the caller's code inside the forked
-  // child; the node exits without an epilogue and the parent reports it.
+TEST(SocketVsaTest, AThrowingVdpFailsItsNodeStructurally) {
+  // A VDP body that throws in a node process must not unwind into the
+  // caller's code inside the forked child; the node dies without an
+  // epilogue and the parent reports it.
   prt::Vsa::Config cfg;
   cfg.nodes = 2;
   cfg.workers_per_node = 1;
@@ -704,7 +704,8 @@ TEST(SocketVsaTest, AThrowingCollectHookFailsItsNodeStructurally) {
         prt::tuple2(3, i), 1,
         [last](prt::VdpContext& ctx) {
           Packet p = ctx.pop(0);
-          if (!last) ctx.push(0, std::move(p));
+          if (last) throw Error("VDP failed");
+          ctx.push(0, std::move(p));
         },
         1, last ? 0 : 1);
     vsa.map_vdp(prt::tuple2(3, i), i);
@@ -713,12 +714,6 @@ TEST(SocketVsaTest, AThrowingCollectHookFailsItsNodeStructurally) {
   init.push_back(Packet::make(64));
   vsa.feed(prt::tuple2(3, 0), 0, 64, std::move(init));
   vsa.connect(prt::tuple2(3, 0), 0, prt::tuple2(3, 1), 0, 64);
-  vsa.set_process_hooks(
-      [](int rank) -> Packet {
-        if (rank == 1) throw Error("collect failed");
-        return Packet();
-      },
-      [](int, const Packet&) {});
   // A node process that unwound out of run() would be back in this test
   // body; it reports so through a pipe every process inherits, then exits.
   int escaped[2];
@@ -767,7 +762,11 @@ RunStats distinct_stats(int threads, int nodes) {
   }
   s.leftover_packets = static_cast<int>(++v);
   for (int t = 0; t < threads; ++t) s.busy_per_thread.push_back(0.25 * t + 1);
-  for (int n = 0; n < nodes; ++n) s.proxy_busy_per_node.push_back(0.5 * n + 3);
+  for (int n = 0; n < nodes; ++n) {
+    s.proxy_busy_per_node.push_back(0.5 * n + 3);
+    s.sys_seconds_per_node.push_back(0.125 * n + 5);
+    s.minor_faults_per_node.push_back(++v);
+  }
   return s;
 }
 
@@ -775,6 +774,8 @@ RunStats empty_total(int threads, int nodes) {
   RunStats s;
   s.busy_per_thread.assign(threads, 0.0);
   s.proxy_busy_per_node.assign(nodes, 0.0);
+  s.sys_seconds_per_node.assign(nodes, 0.0);
+  s.minor_faults_per_node.assign(nodes, 0);
   return s;
 }
 
@@ -801,6 +802,8 @@ TEST(RunStatsCodec, RoundTripsEveryField) {
   EXPECT_EQ(out.leftover_packets, in.leftover_packets);
   EXPECT_EQ(out.busy_per_thread, in.busy_per_thread);
   EXPECT_EQ(out.proxy_busy_per_node, in.proxy_busy_per_node);
+  EXPECT_EQ(out.sys_seconds_per_node, in.sys_seconds_per_node);
+  EXPECT_EQ(out.minor_faults_per_node, in.minor_faults_per_node);
   EXPECT_EQ(out.faults.dropped, in.faults.dropped);
   EXPECT_EQ(out.faults.duplicated, in.faults.duplicated);
   EXPECT_EQ(out.faults.delayed, in.faults.delayed);

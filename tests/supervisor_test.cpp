@@ -118,21 +118,19 @@ Vsa::RunStats node_stats(const Vsa::Config& cfg, long long fires) {
   s.remote_bytes = 4096;
   s.busy_per_thread.assign(cfg.nodes * cfg.workers_per_node, 0.25);
   s.proxy_busy_per_node.assign(cfg.nodes, 0.125);
+  s.sys_seconds_per_node.assign(cfg.nodes, 0.0625);
+  s.minor_faults_per_node.assign(cfg.nodes, 1000 + fires);
   return s;
 }
 
 Bytes epilogue_frame(const Vsa::Config& cfg, long long fires) {
-  Packet app = Packet::make(40);
-  for (std::size_t i = 0; i < app.size(); ++i) {
-    app.bytes()[i] = static_cast<std::byte>(i * 7);
-  }
   std::vector<trace::Event> events;
   for (int k = 0; k < 3; ++k) {
     std::vector<int> t(static_cast<std::size_t>(k + 1), k);
     events.push_back({k, k % 3, Tuple(std::move(t)), 0.1 * k, 0.1 * k + 0.05});
   }
   net::wire::Blob b;
-  encode_epilogue(b, node_stats(cfg, fires), app, events);
+  encode_epilogue(b, node_stats(cfg, fires), events);
   return frame('E', b);
 }
 
@@ -189,11 +187,11 @@ TEST(Supervisor, GoGoesOutOnceAndOnlyAfterEveryLiveChildIsDone) {
   EXPECT_EQ(s.stats().remote_bytes, 3 * 4096);
   EXPECT_DOUBLE_EQ(s.stats().seconds, 0.5);
   EXPECT_DOUBLE_EQ(s.stats().busy_per_thread[5], 0.75);
-  EXPECT_EQ(s.epilogue(1).app.size(), 40u);
-  EXPECT_EQ(s.epilogue(1).app.bytes()[3], std::byte{21});
-  ASSERT_EQ(s.epilogue(2).events.size(), 3u);
-  EXPECT_EQ(s.epilogue(2).events[2].tuple.size(), 3u);
-  EXPECT_DOUBLE_EQ(s.epilogue(2).events[1].t0, 0.1);
+  EXPECT_DOUBLE_EQ(s.stats().sys_seconds_per_node[1], 3 * 0.0625);
+  EXPECT_EQ(s.stats().minor_faults_per_node[2], 3 * 1000 + 33);
+  ASSERT_EQ(s.events(2).size(), 3u);
+  EXPECT_EQ(s.events(2)[2].tuple.size(), 3u);
+  EXPECT_DOUBLE_EQ(s.events(2)[1].t0, 0.1);
 }
 
 // ---- failure: 'C' and the merged report -------------------------------------
@@ -297,7 +295,7 @@ TEST(Supervisor, FramesDeliveredOneByteAtATimeReassemble) {
   }
   EXPECT_FALSE(s.live(0));
   EXPECT_EQ(s.stats().fires, 3);
-  EXPECT_EQ(s.epilogue(0).events.size(), 3u);
+  EXPECT_EQ(s.events(0).size(), 3u);
   const Bytes f = report_frame(report("transport", {}, 1));
   for (std::size_t i = 0; i < f.size(); ++i) {
     EXPECT_FALSE(s.failure().has_value());
@@ -339,7 +337,7 @@ TEST(Supervisor, AMalformedBodyKillsItsChild) {
   acts(s);
   // Stats for the wrong topology: merge_run_stats rejects them.
   net::wire::Blob b;
-  encode_epilogue(b, node_stats(config(3, 0), 1), Packet(), {});
+  encode_epilogue(b, node_stats(config(3, 0), 1), {});
   send(s, 1, frame('E', b));
   EXPECT_EQ(acts(s), "K1 C0");
   EXPECT_EQ(s.stats().fires, 0);  // nothing of it merged
@@ -350,7 +348,7 @@ TEST(Supervisor, TrailingBytesInABodyKillItsChild) {
   const Vsa::Config cfg = config(2, 0);
   Supervisor s = make(cfg);
   net::wire::Blob e;
-  encode_epilogue(e, node_stats(cfg, 1), Packet(), {});
+  encode_epilogue(e, node_stats(cfg, 1), {});
   e.u32(0);
   send(s, 0, frame('E', e));
   net::wire::Blob f;

@@ -160,6 +160,18 @@ void print_recovery(const prt::Vsa::RunStats& stats, int max_respawns) {
               stats.respawns, stats.replayed_frames, stats.refired_fires);
 }
 
+/// One line of each node process's minor page faults and system CPU time,
+/// printed for socket runs (in-process runs fork no node process).
+void print_node_usage(const prt::Vsa::RunStats& stats, prt::Transport t) {
+  if (t != prt::Transport::Socket) return;
+  std::printf("node usage:");
+  for (std::size_t r = 0; r < stats.minor_faults_per_node.size(); ++r) {
+    std::printf("%s rank %zu minflt=%lld sys=%.3fs", r > 0 ? " |" : "", r,
+                stats.minor_faults_per_node[r], stats.sys_seconds_per_node[r]);
+  }
+  std::printf("\n");
+}
+
 vsaqr::TreeQrOptions qr_options(const Args& a) {
   vsaqr::TreeQrOptions opt;
   runtime_options(opt, a);
@@ -208,6 +220,7 @@ int cmd_factor(const Args& a) {
                 run.stats.duplicates_suppressed, run.stats.acks_sent);
   }
   print_recovery(run.stats, opt.max_respawns);
+  print_node_usage(run.stats, opt.transport);
   if (opt.trace) {
     std::ofstream os(trace);
     prt::trace::write_csv(os, run.events);
@@ -359,6 +372,7 @@ int cmd_chol(const Args& a) {
   Matrix spd = chol::random_spd(n, seed);
   auto run = chol::vsa_cholesky(TileMatrix::from_dense(spd.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
+  print_node_usage(run.stats, opt.transport);
   Matrix l = chol::extract_l(run.l);
   Matrix llt(n, n);
   blas::gemm(blas::Trans::No, blas::Trans::Yes, 1.0, l.view(), l.view(), 0.0,
@@ -386,6 +400,7 @@ int cmd_lu(const Args& a) {
   Matrix m = lu::random_diag_dominant(n, n, seed);
   auto run = lu::vsa_lu(TileMatrix::from_dense(m.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
+  print_node_usage(run.stats, opt.transport);
   // Verify by solving a planted system through the factors.
   Rng rng(seed + 7);
   std::vector<double> xtrue(n);
