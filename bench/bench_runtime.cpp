@@ -2,6 +2,7 @@
 // VDP firing overhead, the by-pass chain, and the inter-node proxy path.
 // These quantify the "minimal scheduling overheads" claim of Section IV-B.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <thread>
@@ -161,9 +162,17 @@ void BM_channel_ping_internode_socket(benchmark::State& state) {
 
 // The socket result path alone: two node processes whose VDPs do nothing
 // but deposit 256 tiles of 64x64 (8 MiB) into a TileStore. Timed: building
-// the store (its shared slots), the run (fork, deposits, teardown) and the
-// parent's finish(), which copies the slots home.
+// the store (its shared arena and flags), the run (fork, deposits,
+// teardown) and the parent's finish(), which only checks the flags. The
+// parent_minflt counter is the caller process's minor faults per
+// iteration over the same span.
 void BM_socket_result_return(benchmark::State& state) {
+  const auto minflt = [] {
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_minflt);
+  };
+  double faults = 0.0;
   const int nb = 64;
   const int side = 16;  // 16 x 16 tiles
   Matrix src(nb, nb);
@@ -191,13 +200,17 @@ void BM_socket_result_return(benchmark::State& state) {
       vsa.feed(prt::tuple2(4, r), 0, 8, std::move(tiles));
     }
     state.ResumeTiming();
+    const double f0 = minflt();
     auto store = std::make_shared<vsaqr::TileStore>(side * nb, side * nb, nb,
                                                     cfg.transport);
     vsa.set_global(store);
     vsa.run();
     const TileMatrix out = store->finish();
     benchmark::DoNotOptimize(out.tile_data(0, 0));
+    faults += minflt() - f0;
   }
+  state.counters["parent_minflt"] =
+      benchmark::Counter(faults, benchmark::Counter::kAvgIterations);
   state.SetBytesProcessed(state.iterations() * side * side * nb * nb *
                           static_cast<long long>(sizeof(double)));
 }

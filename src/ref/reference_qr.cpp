@@ -7,25 +7,21 @@
 
 namespace pulsarqr::ref {
 
-TStore::TStore(int mt, int nt, int ib, int nb, int n)
-    : mt_(mt), nt_(nt), ib_(ib), nb_(nb), n_(n) {
-  tiles_.resize(static_cast<std::size_t>(mt) * nt);
-}
+TStore::TStore(int mt, int ib, int nb, int n, bool shared)
+    : ib_(ib),
+      tiles_(mt * ib, n, ib, nb, shared),
+      written_(static_cast<std::size_t>(mt) * tiles_.nt(), shared) {}
 
 MatrixView TStore::t(int i, int j) {
-  PQR_ASSERT(i >= 0 && i < mt_ && j >= 0 && j < nt_, "TStore: out of range");
-  const int cols = (j == nt_ - 1) ? n_ - j * nb_ : nb_;
-  auto& buf = tiles_[i + static_cast<std::size_t>(j) * mt_];
-  if (buf.empty()) buf.assign(static_cast<std::size_t>(ib_) * cols, 0.0);
-  return MatrixView(buf.data(), ib_, cols, ib_);
+  const MatrixView v = tiles_.tile(i, j);
+  written(i, j) = std::byte{1};
+  return v;
 }
 
 ConstMatrixView TStore::t(int i, int j) const {
-  PQR_ASSERT(i >= 0 && i < mt_ && j >= 0 && j < nt_, "TStore: out of range");
-  const int cols = (j == nt_ - 1) ? n_ - j * nb_ : nb_;
-  const auto& buf = tiles_[i + static_cast<std::size_t>(j) * mt_];
-  PQR_ASSERT(!buf.empty(), "TStore: reading unwritten T tile");
-  return ConstMatrixView(buf.data(), ib_, cols, ib_);
+  const ConstMatrixView v = tiles_.tile(i, j);
+  PQR_ASSERT(written(i, j) != std::byte{0}, "TStore: reading unwritten T tile");
+  return v;
 }
 
 void execute_op(const plan::Op& op, TileMatrix& a, TStore& tg, TStore& tt,
@@ -65,8 +61,7 @@ TreeQrFactors tree_qr(TileMatrix a, int ib, const plan::PlanConfig& cfg) {
   const int nt = a.nt();
   const int nb = a.nb();
   const int n = a.cols();
-  TreeQrFactors f{std::move(a), TStore(mt, nt, ib, nb, n),
-                  TStore(mt, nt, ib, nb, n),
+  TreeQrFactors f{std::move(a), TStore(mt, ib, nb, n), TStore(mt, ib, nb, n),
                   plan::ReductionPlan(mt, nt, cfg), ib};
   for (const auto& op : f.plan.ops()) {
     execute_op(op, f.a, f.tg, f.tt, ib);

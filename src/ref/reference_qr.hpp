@@ -3,7 +3,7 @@
 // tree QR without the runtime.
 #pragma once
 
-#include <vector>
+#include <cstddef>
 
 #include "plan/reduction_plan.hpp"
 #include "tile/tile_matrix.hpp"
@@ -11,18 +11,25 @@
 namespace pulsarqr::ref {
 
 /// Storage for the T factors of the block reflectors: one ib-by-(panel
-/// width) tile per (tile row, panel) position.
+/// width) tile per (tile row, panel) position, zero-filled, in a
+/// TileMatrix of ib-by-nb tiles. The mutable t() marks its tile written
+/// in a byte Arena beside it, which a `shared` store keeps shared as well,
+/// so the marks of a node process's deposits reach the caller.
 class TStore {
  public:
   TStore() = default;
-  TStore(int mt, int nt, int ib, int nb, int n);
+  TStore(int mt, int ib, int nb, int n, bool shared = false);
   MatrixView t(int i, int j);
   ConstMatrixView t(int i, int j) const;
   int ib() const { return ib_; }
 
  private:
-  int mt_ = 0, nt_ = 0, ib_ = 0, nb_ = 0, n_ = 0;
-  std::vector<std::vector<double>> tiles_;
+  int ib_ = 0;
+  TileMatrix tiles_;
+  Arena written_;
+  std::byte& written(int i, int j) const {
+    return written_.data()[i + static_cast<std::size_t>(j) * tiles_.mt()];
+  }
 };
 
 /// Output of a tree QR factorization. `a` holds R in the upper triangle of

@@ -1,11 +1,13 @@
 // Tile storage: an m-by-n matrix partitioned into nb-by-nb tiles, each tile
 // stored contiguously in column-major order (the PLASMA tile layout the
-// paper relies on for cache friendliness and for shipping tiles as packets).
+// paper relies on for cache friendliness). The tiles sit in one Arena, one
+// column of tiles after another, each starting on a 64-byte line.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
+#include <utility>
 
+#include "common/arena.hpp"
 #include "common/view.hpp"
 
 namespace pulsarqr {
@@ -15,14 +17,24 @@ class TileMatrix {
   TileMatrix() = default;
 
   /// Create an m-by-n zero matrix with tile size nb. Boundary tiles are
-  /// ragged (smaller) when nb does not divide m or n.
-  TileMatrix(int m, int n, int nb);
+  /// ragged (smaller) when nb does not divide m or n. A `shared` matrix
+  /// keeps its tiles in a shared Arena: the socket transport's result
+  /// stores are built so, and their node processes write the result.
+  TileMatrix(int m, int n, int nb, bool shared = false)
+      : TileMatrix(m, n, nb, nb, shared) {}
+  /// The same with mb-by-nb tiles (ref::TStore's T tiles).
+  TileMatrix(int m, int n, int mb, int nb, bool shared);
+  TileMatrix(const TileMatrix&) = default;
+  TileMatrix& operator=(const TileMatrix&) = default;
+  TileMatrix(TileMatrix&& o) noexcept { *this = std::move(o); }
+  TileMatrix& operator=(TileMatrix&& o) noexcept;
 
   int rows() const { return m_; }
   int cols() const { return n_; }
   int nb() const { return nb_; }
   int mt() const { return mt_; }  ///< number of tile rows
   int nt() const { return nt_; }  ///< number of tile columns
+  bool shared() const { return arena_.shared(); }
 
   /// Height of tile row i / width of tile column j (ragged at the border).
   int tile_rows(int i) const;
@@ -45,11 +57,10 @@ class TileMatrix {
   Matrix to_dense() const;
 
  private:
-  int m_ = 0, n_ = 0, nb_ = 0, mt_ = 0, nt_ = 0;
-  // One independent buffer per tile so a tile can be aliased into a Packet
-  // without copying and without pinning the whole matrix.
-  std::vector<std::vector<double>> tiles_;
-  int index(int i, int j) const { return i + j * mt_; }
+  int m_ = 0, n_ = 0, mb_ = 0, nb_ = 0, mt_ = 0, nt_ = 0;
+  Arena arena_;
+  /// Tile (i, j)'s offset in doubles from the arena's start.
+  std::size_t offset(int i, int j) const;
 };
 
 }  // namespace pulsarqr

@@ -4,24 +4,11 @@ namespace pulsarqr::vsaqr {
 
 ResultStore::ResultStore(int m, int n, int nb, int ib,
                          prt::Transport transport)
-    : a_(m, n, nb),
-      tg_(a_.mt(), a_.nt(), ib, nb, n),
-      tt_(a_.mt(), a_.nt(), ib, nb, n),
+    : a_(m, n, nb, transport == prt::Transport::Socket),
+      tg_(a_.mt(), ib, nb, n, a_.shared()),
+      tt_(a_.mt(), ib, nb, n, a_.shared()),
       slots_("ResultStore", {"tile", "geqrt T", "tree T"}, a_.mt(), a_.nt(),
-             transport == prt::Transport::Socket,
-             [&](int kind, int i, int j) {
-               return DepositSlots::Shape{kind == kTile ? a_.tile_rows(i) : ib,
-                                          a_.tile_cols(j)};
-             }) {
-  // Pre-touch every T slot so concurrent put_tg/put_tt never allocate the
-  // same lazily-created buffer from two threads.
-  for (int j = 0; j < a_.nt(); ++j) {
-    for (int i = 0; i < a_.mt(); ++i) {
-      (void)tg_.t(i, j);
-      (void)tt_.t(i, j);
-    }
-  }
-}
+             a_.shared()) {}
 
 void ResultStore::put_tile(int i, int j, ConstMatrixView tile) {
   slots_.put(kTile, i, j, a_.tile(i, j), tile);
@@ -39,30 +26,21 @@ void ResultStore::put_tt(int i, int j, ConstMatrixView t) {
 
 ref::TreeQrFactors ResultStore::finish(plan::ReductionPlan plan, int ib) {
   for (int j = 0; j < a_.nt(); ++j) {
-    for (int i = 0; i < a_.mt(); ++i) {
-      slots_.require_written(kTile, i, j);
-      slots_.copy_out(kTile, i, j, a_.tile(i, j));
-      slots_.copy_out(kGeqrtT, i, j, tg_.t(i, j));
-      slots_.copy_out(kTreeT, i, j, tt_.t(i, j));
-    }
+    for (int i = 0; i < a_.mt(); ++i) slots_.require_written(kTile, i, j);
   }
   return ref::TreeQrFactors{std::move(a_), std::move(tg_), std::move(tt_),
                             std::move(plan), ib};
 }
 
 TileStore::TileStore(int m, int n, int nb, prt::Transport transport)
-    : tiles_(m, n, nb),
+    : tiles_(m, n, nb, transport == prt::Transport::Socket),
       slots_("TileStore", {"tile"}, tiles_.mt(), tiles_.nt(),
-             transport == prt::Transport::Socket, [&](int, int i, int j) {
-               return DepositSlots::Shape{tiles_.tile_rows(i),
-                                          tiles_.tile_cols(j)};
-             }) {}
+             tiles_.shared()) {}
 
 TileMatrix TileStore::finish(bool lower) {
   for (int j = 0; j < tiles_.nt(); ++j) {
     for (int i = lower ? j : 0; i < tiles_.mt(); ++i) {
       slots_.require_written(0, i, j);
-      slots_.copy_out(0, i, j, tiles_.tile(i, j));
     }
   }
   return std::move(tiles_);

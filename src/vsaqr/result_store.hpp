@@ -5,9 +5,10 @@
 // VDP that finalizes a tile deposits it here together with its T factors.
 // Every slot is written at most once, by exactly one VDP, so writes are
 // lock-free; first-writer flags catch double writes and missing tiles.
-// Under the socket transport the slots live in memory every node process
-// shares with the parent (vsaqr/deposit_slots.hpp), so results need no
-// shipping.
+// The deposits land in the matrices finish() returns. Under the socket
+// transport those matrices are shared arenas mapped when the store is
+// built, before the fork (vsaqr/deposit_slots.hpp), so results need no
+// shipping and no copy.
 #pragma once
 
 #include "prt/vsa.hpp"
@@ -44,7 +45,8 @@ class ResultStore {
   void enable_dedup() { slots_.enable_dedup(); }
 
   /// Verify completeness (every tile deposited) and move the collected
-  /// factors out. `plan` must describe the run that filled the store.
+  /// factors out; a socket run's stay in their shared arenas. `plan` must
+  /// describe the run that filled the store.
   ref::TreeQrFactors finish(plan::ReductionPlan plan, int ib);
 
   DepositSlots& slots() { return slots_; }

@@ -290,6 +290,61 @@ TEST(CrashRecoveryTest, AKillAmongARanksDepositsRecoversBitwise) {
   EXPECT_GE(respawned, 2) << "the kill rarely landed inside the run";
 }
 
+// ---- a socket result outlives later socket calls ----------------------------
+
+TEST(CrashRecoveryTest, ASocketResultOutlivesLaterSocketCalls) {
+  // A socket run's factors stay in the shared arenas its node processes
+  // wrote, so every later socket run forks with them mapped shared. No
+  // node process of a later run, respawned or not, may write them: each
+  // later run factors another matrix, so a stray write would show.
+  Matrix a0(384, 96), b0(384, 96);
+  fill_random(a0.view(), 71);
+  fill_random(b0.view(), 72);
+  const TileMatrix a = TileMatrix::from_dense(a0.view(), 16);
+  const TileMatrix b = TileMatrix::from_dense(b0.view(), 16);
+  vsaqr::TreeQrOptions opt;
+  opt.tree = {plan::TreeKind::BinaryOnFlat, 2, plan::BoundaryMode::Shifted};
+  opt.ib = 4;
+  opt.nodes = 2;
+  opt.workers_per_node = 1;
+  opt.watchdog_seconds = 60.0;
+  opt.transport = prt::Transport::Socket;
+  opt.reliable_transport = true;
+  opt.retransmit_timeout_us = 800;
+  opt.max_retransmits = 30;
+  const vsaqr::TreeQrRun first = vsaqr::tree_qr(a, opt);
+  ASSERT_TRUE(first.factors.a.shared());
+  const ref::TreeQrFactors kept = first.factors;  // a private deep copy
+  ASSERT_FALSE(kept.a.shared());
+
+  (void)vsaqr::tree_qr(b, opt);
+  opt.max_respawns = 1;
+  opt.fault_plan.kill_rank = 1;
+  opt.fault_plan.kill_after = vsaqr::lint_tree_qr(b, opt).node_fires[1] / 2;
+  EXPECT_GE(vsaqr::tree_qr(b, opt).stats.respawns, 1);
+
+  auto same = [](ConstMatrixView g, ConstMatrixView w) {
+    return g.rows == w.rows && g.cols == w.cols &&
+           std::memcmp(g.data, w.data, sizeof(double) * g.rows * g.cols) == 0;
+  };
+  for (int j = 0; j < a.nt(); ++j) {
+    for (int i = 0; i < a.mt(); ++i) {
+      ASSERT_TRUE(same(first.factors.a.tile(i, j), kept.a.tile(i, j)))
+          << "tile (" << i << "," << j << ")";
+    }
+  }
+  for (const plan::Op& op : kept.plan.ops()) {
+    if (op.kind == plan::OpKind::Geqrt) {
+      ASSERT_TRUE(same(first.factors.tg.t(op.i, op.j), kept.tg.t(op.i, op.j)))
+          << "geqrt T (" << op.i << "," << op.j << ")";
+    } else if (op.kind == plan::OpKind::Tsqrt ||
+               op.kind == plan::OpKind::Ttqrt) {
+      ASSERT_TRUE(same(first.factors.tt.t(op.k, op.j), kept.tt.t(op.k, op.j)))
+          << "tree T (" << op.k << "," << op.j << ")";
+    }
+  }
+}
+
 // ---- the crash-chaos soak ---------------------------------------------------
 
 struct SoakShape {

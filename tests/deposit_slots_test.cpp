@@ -114,8 +114,8 @@ TEST_P(DepositSlotsTest, EveryResultStoreKindLandsBitwise) {
     expect_bitwise(f.tt.t(j + 1, j), want_tt.block(0, 0, kIb, tile_cols(j)),
                    "tree T " + at(j + 1, j));
   }
-  // A T slot nobody deposited keeps the store's zeros.
-  EXPECT_EQ(f.tg.t(0, 1)(0, 0), 0.0);
+  // A T slot nobody deposited reads as unwritten.
+  EXPECT_DEATH(f.tg.t(0, 1), "reading unwritten T tile");
 }
 
 TEST_P(DepositSlotsTest, EveryTileStoreDepositLandsBitwise) {
@@ -274,22 +274,24 @@ INSTANTIATE_TEST_SUITE_P(Stores, DepositSlotsTest,
                          });
 
 // ---- shared slots only: what a killed rank leaves behind --------------------
+//
+// Driven on one shared tile matrix and its slots, as a TileStore built for
+// the socket transport holds them.
 
 TEST(SharedDepositSlots, AnUnpublishedGarbageSlotIsOverwritten) {
   // A rank killed mid-copy leaves bytes in its slot but no flag; its
   // replacement's deposit overwrites them, with or without dedup.
   for (const bool dedup : {false, true}) {
-    ResultStore s(kM, kN, kNb, kIb, Transport::Socket);
-    if (dedup) s.enable_dedup();
-    fill_random(s.slots().view(ResultStore::kTile, 1, 2), 39);
-    fill_random(s.slots().view(ResultStore::kGeqrtT, 0, 0), 40);
-    ASSERT_FALSE(s.slots().written(ResultStore::kTile, 1, 2));
-    const std::vector<Matrix> tiles = fill_tiles(s);
-    const Matrix t = random_matrix(kIb, kNb, 41);
-    s.put_tg(0, 0, t.view());
-    const ref::TreeQrFactors f = s.finish(flat_plan(s), kIb);
-    expect_bitwise(f.a.tile(1, 2), tiles[1 + 2 * 5].view(), "tile (1,2)");
-    expect_bitwise(f.tg.t(0, 0), t.view(), "geqrt T (0,0)");
+    TileMatrix home(kM, kN, kNb, /*shared=*/true);
+    vsaqr::DepositSlots slots("TileStore", {"tile"}, home.mt(), home.nt(),
+                              true);
+    if (dedup) slots.enable_dedup();
+    fill_random(home.tile(1, 2), 39);
+    ASSERT_FALSE(slots.written(0, 1, 2));
+    const Matrix tile = random_matrix(tile_rows(1), tile_cols(2), 40);
+    slots.put(0, 1, 2, home.tile(1, 2), tile.view());
+    EXPECT_TRUE(slots.written(0, 1, 2));
+    expect_bitwise(home.tile(1, 2), tile.view(), "tile (1,2)");
   }
 }
 
@@ -312,11 +314,12 @@ TEST(SharedDepositSlots, ARankKilledMidCopyLeavesItsSlotUnpublished) {
   fill_random(MatrixView(src, kNb, readable, kNb), 42);
   const ConstMatrixView torn(src, kNb, kNb, kNb);
 
-  TileStore s(kM, kN, kNb, Transport::Socket);
-  EXPECT_DEATH(s.put(0, 0, torn), "");
-  EXPECT_FALSE(s.slots().written(0, 0, 0))
+  TileMatrix home(kM, kN, kNb, /*shared=*/true);
+  vsaqr::DepositSlots slots("TileStore", {"tile"}, home.mt(), home.nt(), true);
+  EXPECT_DEATH(slots.put(0, 0, 0, home.tile(0, 0), torn), "");
+  EXPECT_FALSE(slots.written(0, 0, 0))
       << "the flag was published before the slot was whole";
-  expect_bitwise(s.slots().view(0, 0, 0).block(0, 0, kNb, readable),
+  expect_bitwise(home.tile(0, 0).block(0, 0, kNb, readable),
                  ConstMatrixView(src, kNb, readable, kNb), "copied columns");
   ::munmap(map, 2 * page);
 }

@@ -107,23 +107,35 @@ TEST(PacketPoolTest, QrSteadyStateStopsMissing) {
   opt.workers_per_node = 2;
   for (int warm = 0; warm < 3; ++warm) (void)vsaqr::tree_qr(tiled, opt);
   // Each run spawns fresh worker/proxy threads whose magazines start
-  // empty, so scheduling variance can still cost a stray allocation in
-  // any one run; the steady state is that runs reach zero misses, not
-  // that every run does. Every miss also grows the pooled population, so
-  // repetition converges — 8 attempts is far beyond what it needs.
+  // empty, and a thread's magazine keeps up to a magazine's worth of
+  // buffers of a class idle while another thread, finding the spill list
+  // empty, allocates. Under load a warmed run still misses a few times
+  // with 40-60 tile buffers idle in other threads' magazines; every miss
+  // grows the pooled population, so the runs converge on zero misses.
+  // The bound is therefore taken over a fixed window of runs, not over the
+  // runs up to the first zero-miss one (whose few hits made it flaky), and
+  // a lost buffer, the defect the bound guards against, is caught exactly:
+  // every buffer the runs drew comes back.
+  const PacketPool::Stats s0 = PacketPool::stats();
   long long total_misses = 0, total_hits = 0;
   bool reached_zero = false;
-  for (int r = 0; r < 8 && !reached_zero; ++r) {
+  for (int r = 0; r < 8; ++r) {
     auto run = vsaqr::tree_qr(tiled, opt);
-    reached_zero = run.stats.pool_misses == 0;
+    reached_zero = reached_zero || run.stats.pool_misses == 0;
     total_misses += run.stats.pool_misses;
     total_hits += run.stats.pool_hits;
   }
+  const PacketPool::Stats s1 = PacketPool::stats();
   EXPECT_TRUE(reached_zero) << "no warmed run reached the zero-allocation "
                                "steady state";
   EXPECT_GT(total_hits, 0);
   EXPECT_LT(total_misses, total_hits / 20)
       << "warmed runs still allocate more than 5% of their packets";
+  const auto out = [](const PacketPool::Stats& s) {
+    return s.hits + s.misses - s.recycled;
+  };
+  EXPECT_EQ(out(s1), out(s0))
+      << "a pooled buffer drawn by the runs never came back";
 }
 
 // ---- aggregate codec --------------------------------------------------------
