@@ -436,7 +436,7 @@ void gemm_ref_t(Trans ta, Trans tb, T alpha, ConstMatrixViewT<T> a,
 // derived from the active table's register tile: packing op(A) plus the
 // tile setup and edge writebacks start paying for themselves once the
 // product covers roughly 64 micro-tile volumes. For the AVX-512 f64 tile
-// (16x8) that is 8192; smaller tiles (scalar 8x4, NEON 4x4) amortize
+// (16x8) that is 8192; smaller tiles (scalar 8x4) amortize
 // sooner and get a lower threshold instead of inheriting a constant tuned
 // on the widest ISA.
 template <class T>

@@ -18,8 +18,8 @@
 // across the MC / MR A panels of one block while it is L1-resident.
 //
 // The micro-kernel and its MR x NR footprint come from the runtime-dispatched
-// SIMD kernel table (blas/simd.hpp): 8x6 AVX2, 16x8 AVX-512, 4x4 NEON, 8x4
-// scalar for doubles, double the rows for floats. Packing reads mr from the
+// SIMD kernel table (blas/simd.hpp): 8x6 AVX2 and 16x8 AVX-512 for doubles
+// (double the rows for floats), 8x4 scalar. Packing reads mr from the
 // table at call time, and the pack buffer is 64-byte aligned so every A
 // panel k-step starts on a cache-line boundary (mr * sizeof(T) is a
 // multiple of 64 for the x86 tiles), which lets the kernels use aligned

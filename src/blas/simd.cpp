@@ -1,7 +1,8 @@
 // Runtime ISA selection for the SIMD kernel tables (see simd.hpp).
 //
 // CPU capability is probed once with __builtin_cpu_supports on x86-64
-// (cpuid under the hood); on aarch64 ASIMD is architecturally guaranteed.
+// (cpuid under the hood). Other hosts (aarch64 included) run the scalar
+// table.
 // Which tables exist in this binary is a build-time fact surfaced via the
 // PQR_HAVE_KERNELS_* definitions CMake sets on this TU only.
 #include "blas/simd.hpp"
@@ -28,12 +29,6 @@ bool cpu_has(Isa isa) {
   switch (isa) {
     case Isa::Scalar:
       return true;
-    case Isa::Neon:
-#if defined(__aarch64__)
-      return true;  // ASIMD is mandatory on aarch64
-#else
-      return false;
-#endif
     case Isa::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -71,7 +66,7 @@ void resolve_locked() {
     if (!parse_isa(env, &parsed)) {
       std::fprintf(stderr,
                    "pulsarqr: ignoring unknown PQR_KERNEL_ISA=%s "
-                   "(auto|avx512|avx2|neon|scalar)\n",
+                   "(auto|avx512|avx2|scalar)\n",
                    env);
     } else if (!isa_supported(parsed)) {
       std::fprintf(stderr,
@@ -92,8 +87,6 @@ const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::Scalar:
       return "scalar";
-    case Isa::Neon:
-      return "neon";
     case Isa::Avx2:
       return "avx2";
     case Isa::Avx512:
@@ -106,12 +99,6 @@ bool isa_compiled(Isa isa) {
   switch (isa) {
     case Isa::Scalar:
       return true;
-    case Isa::Neon:
-#if defined(PQR_HAVE_KERNELS_NEON)
-      return true;
-#else
-      return false;
-#endif
     case Isa::Avx2:
 #if defined(PQR_HAVE_KERNELS_AVX2)
       return true;
@@ -131,7 +118,7 @@ bool isa_compiled(Isa isa) {
 bool isa_supported(Isa isa) { return isa_compiled(isa) && cpu_has(isa); }
 
 Isa detect_isa() {
-  for (Isa isa : {Isa::Avx512, Isa::Avx2, Isa::Neon}) {
+  for (Isa isa : {Isa::Avx512, Isa::Avx2}) {
     if (isa_supported(isa)) return isa;
   }
   return Isa::Scalar;
@@ -160,7 +147,7 @@ bool parse_isa(std::string_view name, Isa* out) {
     *out = detect_isa();
     return true;
   }
-  for (Isa isa : {Isa::Scalar, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+  for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512}) {
     if (name == isa_name(isa)) {
       *out = isa;
       return true;
@@ -187,10 +174,6 @@ const KernelTable<float>* resolve_f32() {
 
 const KernelTable<double>& kernels_f64(Isa isa) {
   switch (isa) {
-#if defined(PQR_HAVE_KERNELS_NEON)
-    case Isa::Neon:
-      return neon_table_f64();
-#endif
 #if defined(PQR_HAVE_KERNELS_AVX2)
     case Isa::Avx2:
       return avx2_table_f64();
@@ -206,10 +189,6 @@ const KernelTable<double>& kernels_f64(Isa isa) {
 
 const KernelTable<float>& kernels_f32(Isa isa) {
   switch (isa) {
-#if defined(PQR_HAVE_KERNELS_NEON)
-    case Isa::Neon:
-      return neon_table_f32();
-#endif
 #if defined(PQR_HAVE_KERNELS_AVX2)
     case Isa::Avx2:
       return avx2_table_f32();

@@ -1,11 +1,11 @@
 // Runtime CPU-feature dispatch for the explicit SIMD micro-kernels.
 //
 // One binary carries every kernel flavor it was compiled with — scalar
-// (always), AVX2+FMA and AVX-512 on x86-64, NEON on aarch64 — and picks the
-// best one the executing CPU supports, once, at first use. The selection
-// can be overridden:
+// (always), AVX2+FMA and AVX-512 on x86-64 — and picks the best one the
+// executing CPU supports, once, at first use. Other hosts (aarch64
+// included) run the scalar table. The selection can be overridden:
 //
-//   * environment: PQR_KERNEL_ISA=auto|avx512|avx2|neon|scalar (read once,
+//   * environment: PQR_KERNEL_ISA=auto|avx512|avx2|scalar (read once,
 //     at first dispatch; unknown or unsupported values fall back to auto
 //     with a warning on stderr), or
 //   * programmatically: set_isa()/parse_isa(), which is what
@@ -31,9 +31,9 @@ namespace pulsarqr::blas::simd {
 
 /// Kernel instruction sets, in ascending preference order. Auto is a
 /// parse-time pseudo-value resolved to the best supported ISA.
-enum class Isa { Scalar = 0, Neon = 1, Avx2 = 2, Avx512 = 3 };
+enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 
-/// Short lower-case name ("scalar", "neon", "avx2", "avx512").
+/// Short lower-case name ("scalar", "avx2", "avx512").
 const char* isa_name(Isa isa);
 
 /// True if the kernels for `isa` are linked into this binary (decided at

@@ -1,6 +1,6 @@
 // Shared implementation of the SIMD kernel bundle, parameterized by a
 // vector-traits class. Each ISA translation unit (kernels_generic.cpp,
-// kernels_avx2.cpp, kernels_avx512.cpp, kernels_neon.cpp) defines a thin
+// kernels_avx2.cpp, kernels_avx512.cpp) defines a thin
 // traits struct — register type, lane count, load/store/fma/hsum — and
 // instantiates Kernels<Traits, AR, NR> from this header, so the micro-kernel
 // schedule (full-width register accumulation over a zero-padded packed A

@@ -23,8 +23,4 @@ const KernelTable<float>& avx2_table_f32();
 const KernelTable<double>& avx512_table_f64();
 const KernelTable<float>& avx512_table_f32();
 
-// kernels_neon.cpp (aarch64).
-const KernelTable<double>& neon_table_f64();
-const KernelTable<float>& neon_table_f32();
-
 }  // namespace pulsarqr::blas::simd

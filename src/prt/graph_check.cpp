@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iomanip>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -41,13 +42,41 @@ int GraphReport::warnings() const {
   return static_cast<int>(diagnostics.size()) - errors();
 }
 
+long long GraphReport::remote_frames() const {
+  long long frames = 0;
+  for (const ChannelFlow& f : flows) {
+    if (f.remote) frames += f.delivered - f.fed;
+  }
+  return frames;
+}
+
+long long GraphReport::remote_bytes_bound() const {
+  long long bytes = 0;
+  for (const ChannelFlow& f : flows) {
+    if (f.remote) bytes += f.delivered * static_cast<long long>(f.max_bytes);
+  }
+  return bytes;
+}
+
+std::string GraphReport::traffic() const {
+  std::ostringstream os;
+  os << "traffic: " << remote_frames() << " remote frames <= "
+     << std::setprecision(3) << static_cast<double>(remote_bytes_bound()) / 1e6
+     << " MB, fires per node ";
+  for (std::size_t n = 0; n < node_fires.size(); ++n) {
+    os << (n == 0 ? "" : "/") << node_fires[n];
+  }
+  return os.str();
+}
+
 std::string GraphReport::to_string() const {
   std::ostringstream os;
   for (const Diagnostic& d : diagnostics) {
     os << "  " << (d.severity == Severity::Error ? "error" : "warning") << ' '
        << prt::to_string(d.kind) << ": " << d.message << '\n';
   }
-  os << "  (" << errors() << " error(s), " << warnings() << " warning(s))";
+  os << "  " << traffic() << "\n  (" << errors() << " error(s), "
+     << warnings() << " warning(s))";
   return os.str();
 }
 
@@ -101,12 +130,18 @@ std::string GraphReport::to_json() const {
     json_escape(os, f.from_feed ? std::string("feed") : f.src.to_string());
     os << ",\"src_slot\":" << f.src_slot << ",\"dst\":";
     json_escape(os, f.dst.to_string());
-    os << ",\"dst_slot\":" << f.dst_slot << ",\"fed\":" << f.fed
-       << ",\"delivered\":" << f.delivered << ",\"consumed\":" << f.consumed
+    os << ",\"dst_slot\":" << f.dst_slot
+       << ",\"remote\":" << (f.remote ? "true" : "false")
+       << ",\"fed\":" << f.fed << ",\"delivered\":" << f.delivered
+       << ",\"consumed\":" << f.consumed
        << ",\"peak_packets\":" << f.peak_packets
        << ",\"resident_end\":" << f.resident_end
        << ",\"capacity\":" << f.capacity << ",\"max_bytes\":" << f.max_bytes
        << '}';
+  }
+  os << "],\"node_fires\":[";
+  for (std::size_t n = 0; n < node_fires.size(); ++n) {
+    os << (n == 0 ? "" : ",") << node_fires[n];
   }
   os << "]}";
   return os.str();

@@ -132,13 +132,26 @@ struct GraphReport {
   int warnings() const;
   bool ok() const { return errors() == 0; }
 
-  /// Multi-line rendering, one "severity kind: message" line per finding.
+  /// Frames the remote flows carry: what a clean run's proxies send
+  /// (Vsa::RunStats::remote_messages). Feeds are never remote.
+  long long remote_frames() const;
+  /// Bound on those frames' payload bytes: Σ delivered × max_bytes.
+  long long remote_bytes_bound() const;
+
+  /// The placement's traffic in one line: remote frames, their MB bound
+  /// and the firings per node, e.g. "traffic: 184 remote frames <= 6.23 MB,
+  /// fires per node 1416/1154".
+  std::string traffic() const;
+
+  /// Multi-line rendering, one "severity kind: message" line per finding,
+  /// then the traffic() line and the counts.
   std::string to_string() const;
 
   /// Machine-readable rendering for CI gating: {"errors": N, "warnings":
   /// N, "diagnostics": [{severity, kind, vdp, slot, message}...],
-  /// "flows": [{src, src_slot, dst, dst_slot, delivered, consumed,
-  /// peak_packets, resident_end, capacity, max_bytes}...]}.
+  /// "flows": [{src, src_slot, dst, dst_slot, remote, fed, delivered,
+  /// consumed, peak_packets, resident_end, capacity, max_bytes}...],
+  /// "node_fires": [N...]}.
   std::string to_json() const;
 };
 

@@ -7,9 +7,13 @@
 // travel as copied (V,T) packets — so they produce no edges, unlike a
 // conservative superscalar analysis.
 //
-// Each task is statically assigned to a worker thread by replicating the
-// VSA builder's mapping (Section V-D): flat VDPs cyclically in creation
-// order, binary VDPs on the thread of their winner-side child.
+// Each task is statically assigned to a worker thread by the paper's
+// mapping (Section V-D): flat VDPs cyclically in creation order, binary
+// VDPs on the thread of their winner-side child. On one node this is the
+// VSA builder's mapping too. On several nodes the builder instead keeps
+// each domain's pipeline on one node (node-blocked placement,
+// vsaqr/tree3d_builder.cpp); the simulator keeps the cyclic spread, which
+// its cheap links reward (EXPERIMENTS.md, §V-D "node-blocked placement").
 #pragma once
 
 #include <cstdint>
@@ -41,8 +45,8 @@ struct TaskGraph {
   int node_of(int task) const { return thread[task] / workers_per_node; }
 };
 
-/// Replicates the builder's cyclic flat-VDP thread assignment: the VDP
-/// handling (panel k, domain d, column l) is worker
+/// The paper's cyclic flat-VDP thread assignment: the VDP handling
+/// (panel k, domain d, column l) is worker
 /// (base_k + d*(nt-k) + (l-k)) mod P with base_k the creation-order prefix.
 class VdpThreadMap {
  public:

@@ -267,6 +267,44 @@ void declare_flat_balance(prt::Vsa& vsa, const Tuple& tup,
   }
 }
 
+// Worker threads of tree QR's flat VDPs (Section V-D), shared by the
+// factorization and apply builders; binary VDPs take their winner-side
+// child's thread instead. Each panel step's flat VDPs, in creation order
+// (domain-major, then column), are cut into contiguous blocks of
+// max(workers_per_node, ceil(count / nodes)); blocks go to the nodes
+// cyclically, continuing across steps, and the worker inside a node is
+// the creation counter mod workers_per_node. On one node this is plain
+// cyclic placement over the threads. With many VDPs per step it keeps a
+// domain's pipeline, and the rows it streams to the next step, on one
+// node, so only the binary merges and the block edges cross nodes
+// (the row-block layout TSQR/CAQR assumes).
+class FlatPlacement {
+ public:
+  FlatPlacement(int nodes, int workers_per_node)
+      : nodes_(nodes), wpn_(workers_per_node) {}
+
+  /// Starts a panel step that creates `count` flat VDPs.
+  void begin_step(int count) {
+    blocks_ += (placed_ + block_ - 1) / block_;
+    block_ = std::max(wpn_, (count + nodes_ - 1) / nodes_);
+    placed_ = 0;
+  }
+
+  /// Global thread of the step's next flat VDP.
+  int next() {
+    const int node = (blocks_ + placed_++ / block_) % nodes_;
+    return node * wpn_ + counter_++ % wpn_;
+  }
+
+ private:
+  int nodes_;
+  int wpn_;
+  int counter_ = 0;  ///< flat VDPs created so far, over all steps
+  int blocks_ = 0;   ///< blocks used by earlier steps
+  int block_ = 1;    ///< this step's block length
+  int placed_ = 0;   ///< flat VDPs placed in this step
+};
+
 BinaryStructure make_binary(const std::vector<plan::Domain>& domains) {
   BinaryStructure bs;
   std::vector<int> heads;
@@ -292,7 +330,7 @@ class Builder {
         vsa_(opt),
         store_(std::make_shared<ResultStore>(a.rows(), a.cols(), a.nb(),
                                              opt.ib, opt.transport)),
-        total_threads_(opt.nodes * opt.workers_per_node) {
+        placement_(opt.nodes, opt.workers_per_node) {
     vsa_.set_global(store_);
     // A respawned node re-deposits what its dead incarnation published.
     if (opt.max_respawns > 0) store_->enable_dedup();
@@ -385,6 +423,7 @@ class Builder {
     }
     // Threads of the flat VDPs (binary parents inherit the winner's).
     std::map<std::pair<int, int>, int> f_thread;  // (d, l) -> thread
+    placement_.begin_step(static_cast<int>(domains.size()) * (nt - k));
 
     // ---- flat pipelines --------------------------------------------------
     for (std::size_t d = 0; d < domains.size(); ++d) {
@@ -428,7 +467,7 @@ class Builder {
                      is_factor ? kColorFactor : kColorUpdate);
         declare_flat_balance(vsa_, tup, *cfg);
         ++vdp_count_;
-        const int thread = rr_thread_++ % total_threads_;
+        const int thread = placement_.next();
         vsa_.map_vdp(tup, thread);
         f_thread[{static_cast<int>(d), l}] = thread;
         if (!is_factor) vt_in_slot_[tup] = cfg->vt_in;
@@ -542,9 +581,8 @@ class Builder {
   TreeQrOptions opt_;
   prt::Vsa vsa_;
   std::shared_ptr<ResultStore> store_;
-  int total_threads_;
+  FlatPlacement placement_;
   int panels_ = 0;
-  int rr_thread_ = 0;
   std::size_t tile_bytes_ = 0;
   std::size_t vt_bytes_ = 0;
   int vdp_count_ = 0;
@@ -565,7 +603,8 @@ class ApplyBuilder {
  public:
   ApplyBuilder(const ref::TreeQrFactors& f, const TileMatrix& b,
                const TreeQrOptions& opt)
-      : f_(f), b_(b), opt_(opt), vsa_(opt) {
+      : f_(f), b_(b), opt_(opt), vsa_(opt),
+        placement_(opt.nodes, opt.workers_per_node) {
     require(b.rows() == f.a.rows() && b.nb() == f.a.nb(),
             "apply_qt: B must match the factored matrix rows and tile size");
     require(b.cols() >= 1, "apply_qt: B must have at least one column");
@@ -575,7 +614,6 @@ class ApplyBuilder {
     if (opt.max_respawns > 0) store_->enable_dedup();
     tile_bytes_ = tile_packet_bytes(b.nb(), b.nb());
     vt_bytes_ = vt_packet_bytes(f.a.nb(), f.a.nb(), f.ib);
-    total_threads_ = opt.nodes * opt.workers_per_node;
   }
 
   TileMatrix run() {
@@ -653,6 +691,7 @@ class ApplyBuilder {
     }
 
     // ---- flat apply pipelines (one per domain per B column) --------------
+    placement_.begin_step(static_cast<int>(domains.size()) * bt);
     for (std::size_t d = 0; d < domains.size(); ++d) {
       const auto& dom = domains[d];
       std::vector<int> rows;
@@ -675,7 +714,7 @@ class ApplyBuilder {
             [cfg](VdpContext& ctx) { update_fire(ctx, *cfg); }, num_inputs,
             next_out, kColorUpdate);
         declare_flat_balance(vsa_, tup, *cfg);
-        const int thread = rr_thread_++ % total_threads_;
+        const int thread = placement_.next();
         vsa_.map_vdp(tup, thread);
         thread_of_[{static_cast<int>(d), c}] = thread;
         vt_in_slot_[tup] = cfg->vt_in;
@@ -757,8 +796,7 @@ class ApplyBuilder {
   std::shared_ptr<ResultStore> store_;
   std::size_t tile_bytes_ = 0;
   std::size_t vt_bytes_ = 0;
-  int total_threads_ = 1;
-  int rr_thread_ = 0;
+  FlatPlacement placement_;
   std::map<std::pair<int, int>, Producer> producers_;
   std::map<std::pair<int, int>, int> thread_of_;  ///< (domain, c) -> thread
   std::map<Tuple, int> vt_in_slot_;

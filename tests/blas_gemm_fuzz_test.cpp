@@ -8,7 +8,7 @@
 // With the explicit SIMD micro-kernels the packed path dispatches through
 // blas::simd; the IsaCrossCheck tests pin each compiled-and-supported ISA
 // in turn and re-run the equivalence sweep, so every kernel flavor (scalar,
-// AVX2, AVX-512, NEON — whatever this binary and host have) is checked
+// AVX2, AVX-512 — whatever this binary and host have) is checked
 // against the plain-loop scalar reference, in double and float. The tile
 // kernel leg does the same for the tsqrt/tsmqr/ttqrt/ttmqr stacked cores,
 // whose panel loops use the dot_cols/ger_cols fused kernels and whose

@@ -12,7 +12,7 @@ namespace pulsarqr {
 inline std::vector<blas::simd::Isa> supported_isas() {
   using blas::simd::Isa;
   std::vector<Isa> out;
-  for (Isa isa : {Isa::Scalar, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
+  for (Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Avx512}) {
     if (blas::simd::isa_supported(isa)) out.push_back(isa);
   }
   return out;

@@ -21,7 +21,7 @@
 //   --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
 //   --kill-node -1 --kill-after 0
 // Process-wide flags (every command):
-//   --kernel-isa auto|avx512|avx2|neon|scalar --no-packet-pool
+//   --kernel-isa auto|avx512|avx2|scalar --no-packet-pool
 //
 // A flag the command does not read is an error (exit 2), so a mistyped or
 // retired flag never silently runs the default.
@@ -475,7 +475,7 @@ int main(int argc, char** argv) {
     blas::simd::Isa isa;
     if (!blas::simd::parse_isa(isa_arg, &isa)) {
       std::fprintf(stderr,
-                   "unknown --kernel-isa %s (auto|avx512|avx2|neon|scalar)\n",
+                   "unknown --kernel-isa %s (auto|avx512|avx2|scalar)\n",
                    isa_arg.c_str());
       return 2;
     }

@@ -72,7 +72,8 @@ struct PlanVerdict {
   prt::GraphReport report;
 };
 
-/// Print one plan's verdict (human mode); returns its error count.
+/// Print one plan's verdict and its traffic line (human mode); returns
+/// its error count.
 int report(const PlanVerdict& v, bool verbose, bool json) {
   if (json) return v.report.errors();
   if (v.report.ok() && v.report.diagnostics.empty()) {
@@ -83,7 +84,9 @@ int report(const PlanVerdict& v, bool verbose, bool json) {
     verbose = true;
   }
   if (verbose && !v.report.diagnostics.empty()) {
-    std::printf("%s\n", v.report.to_string().c_str());
+    std::printf("%s\n", v.report.to_string().c_str());  // has the traffic line
+  } else {
+    std::printf("  %s\n", v.report.traffic().c_str());
   }
   return v.report.errors();
 }
