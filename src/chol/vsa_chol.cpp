@@ -1,10 +1,11 @@
 #include "chol/vsa_chol.hpp"
 
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "blas/blas.hpp"
 #include "lapack/cholesky.hpp"
+#include "plan/column_placement.hpp"
 #include "vsaqr/codec.hpp"
 #include "vsaqr/result_store.hpp"
 
@@ -24,7 +25,7 @@ Tuple s_tuple(int k, int j) { return Tuple{1, k, j}; }
 struct PanelCfg {
   int k = 0;
   int mt = 0;
-  int chain_out = -1;  ///< L chain to S(k, k+1); -1 on the last step
+  int chain_out = -1;  ///< L chain to the step's first S; -1 on the last step
 };
 
 struct PanelState {
@@ -56,7 +57,7 @@ struct UpdateCfg {
   int k = 0;
   int j = 0;
   int mt = 0;
-  int chain_out = -1;  ///< forward the L stream to S(k, j+1)
+  int chain_out = -1;  ///< forward the L stream to the chain successor
   int solid_out = -1;  ///< updated tiles to step k+1 (always present)
 };
 
@@ -105,8 +106,7 @@ class Builder {
 
   void build() {
     const int mt = a_.mt();
-    const int threads = opt_.nodes * opt_.workers_per_node;
-    int rr = 0;
+    plan::ColumnPlacement place(opt_.nodes, opt_.workers_per_node);
     for (int k = 0; k < mt; ++k) {
       // Panel VDP.
       auto pcfg = std::make_shared<PanelCfg>();
@@ -120,35 +120,34 @@ class Builder {
           has_chain ? 1 : 0, kCholPanel);
       // The first firing factorizes L_kk and pushes nothing on the chain.
       if (has_chain) vsa_.declare_output_packets(p_tuple(k), 0, mt - k - 1);
-      vsa_.map_vdp(p_tuple(k), rr++ % threads);
+      vsa_.map_vdp(p_tuple(k), place.next(k));
       ++vdp_count_;
       wire_tiles(p_tuple(k), k, k, /*enabled=*/true);
 
-      // Update VDPs.
+      // Update VDPs. The L chain visits them in `chain` order; every one
+      // but the last forwards it.
+      const std::vector<int> chain = place.chain(k + 1, mt);
       for (int j = k + 1; j < mt; ++j) {
+        const bool forwards = j != chain.back();
         auto ucfg = std::make_shared<UpdateCfg>();
         ucfg->k = k;
         ucfg->j = j;
         ucfg->mt = mt;
-        ucfg->chain_out = j + 1 < mt ? 0 : -1;
-        ucfg->solid_out = j + 1 < mt ? 1 : 0;
+        ucfg->chain_out = forwards ? 0 : -1;
+        ucfg->solid_out = forwards ? 1 : 0;
         vsa_.add_vdp(
             s_tuple(k, j), mt - k - 1,
             [ucfg](VdpContext& ctx) { update_fire(ctx, *ucfg); }, 2,
-            (j + 1 < mt ? 2 : 1), kCholUpdate);
+            forwards ? 2 : 1, kCholUpdate);
         // Drain-only firings (i < j) touch neither the tile stream nor the
         // solid output: both carry mt - j packets, not one per firing.
         vsa_.declare_input_packets(s_tuple(k, j), 0, mt - j);
         vsa_.declare_output_packets(s_tuple(k, j), ucfg->solid_out, mt - j);
-        vsa_.map_vdp(s_tuple(k, j), rr++ % threads);
+        vsa_.map_vdp(s_tuple(k, j), place.next(j));
         ++vdp_count_;
         // The tile stream is consumed only from the (j-k)-th firing on;
         // keep it disabled until then so early firings are chain-only.
         wire_tiles(s_tuple(k, j), k, j, /*enabled=*/j == k + 1);
-        // Chain: P(k) -> S(k,k+1) -> S(k,k+2) -> ...
-        const Tuple src = j == k + 1 ? p_tuple(k) : s_tuple(k, j - 1);
-        vsa_.connect(src, 0, s_tuple(k, j), 1, bytes_);
-        ++channel_count_;
         // Solid stream to the next step's consumer. The consumer's tile
         // input starts enabled only if it is needed from its first firing
         // (P VDPs always; S VDPs only when they are the first trailing
@@ -158,6 +157,13 @@ class Builder {
         vsa_.connect(s_tuple(k, j), ucfg->solid_out, dst, 0, bytes_,
                      dst_enabled);
         ++channel_count_;
+      }
+      // Chain: P(k) -> S(k, chain[0]) -> S(k, chain[1]) -> ...
+      Tuple src = p_tuple(k);
+      for (int j : chain) {
+        vsa_.connect(src, 0, s_tuple(k, j), 1, bytes_);
+        ++channel_count_;
+        src = s_tuple(k, j);
       }
     }
   }

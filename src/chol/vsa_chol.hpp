@@ -4,7 +4,8 @@
 //
 //   * one Panel VDP P(k) per step: first tile -> potrf (L_kk held),
 //     further tiles -> trsm against the held L_kk; every produced L tile
-//     is broadcast rightward through a by-passing chain;
+//     is broadcast to the step's update VDPs through a by-passing chain
+//     (node by node, see plan::ColumnPlacement);
 //   * one Update VDP S(k,j) per trailing column: consumes the L chain in
 //     row order, keeps L_jk when it passes, pairs every L_ik (i >= j)
 //     with the streamed tile A(i,j) (syrk at i == j, gemm after) and

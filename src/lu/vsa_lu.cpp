@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "blas/blas.hpp"
 #include "lapack/lu.hpp"
+#include "plan/column_placement.hpp"
 #include "vsaqr/codec.hpp"
 #include "vsaqr/result_store.hpp"
 
@@ -24,7 +26,7 @@ Tuple s_tuple(int k, int j) { return Tuple{1, k, j}; }
 struct PanelCfg {
   int k = 0;
   int kb = 0;          ///< pivot count of the diagonal tile
-  int chain_out = -1;  ///< LU(k,k) then L(i,k) to S(k,k+1)
+  int chain_out = -1;  ///< LU(k,k) then L(i,k) to the step's first S
 };
 
 struct PanelState {
@@ -116,8 +118,7 @@ class Builder {
     const int mt = a_.mt();
     const int nt = a_.nt();
     const int panels = std::min(mt, nt);
-    const int threads = opt_.nodes * opt_.workers_per_node;
-    int rr = 0;
+    plan::ColumnPlacement place(opt_.nodes, opt_.workers_per_node);
     for (int k = 0; k < panels; ++k) {
       const int kb = std::min(a_.tile_rows(k), a_.tile_cols(k));
       auto pcfg = std::make_shared<PanelCfg>();
@@ -128,16 +129,19 @@ class Builder {
           p_tuple(k), mt - k,
           [pcfg](VdpContext& ctx) { panel_fire(ctx, *pcfg); }, 1,
           pcfg->chain_out >= 0 ? 1 : 0, kLuPanel);
-      vsa_.map_vdp(p_tuple(k), rr++ % threads);
+      vsa_.map_vdp(p_tuple(k), place.next(k));
       ++vdp_count_;
       feed_if_first_step(p_tuple(k), k, k);
 
+      // The chain visits the update VDPs in `chain` order; every one but
+      // the last forwards it.
+      const std::vector<int> chain = place.chain(k + 1, nt);
       for (int j = k + 1; j < nt; ++j) {
         auto ucfg = std::make_shared<UpdateCfg>();
         ucfg->k = k;
         ucfg->j = j;
         ucfg->kb = kb;
-        ucfg->chain_out = j + 1 < nt ? 0 : -1;
+        ucfg->chain_out = j != chain.back() ? 0 : -1;
         const bool has_stream = mt - k - 1 > 0;
         int next_out = ucfg->chain_out >= 0 ? 1 : 0;
         ucfg->solid_out = has_stream ? next_out++ : -1;
@@ -150,19 +154,22 @@ class Builder {
           vsa_.declare_output_packets(s_tuple(k, j), ucfg->solid_out,
                                       mt - k - 1);
         }
-        vsa_.map_vdp(s_tuple(k, j), rr++ % threads);
+        vsa_.map_vdp(s_tuple(k, j), place.next(j));
         ++vdp_count_;
         feed_if_first_step(s_tuple(k, j), k, j);
-        // Chain: P(k) -> S(k,k+1) -> S(k,k+2) -> ...
-        const Tuple src = j == k + 1 ? p_tuple(k) : s_tuple(k, j - 1);
-        vsa_.connect(src, 0, s_tuple(k, j), 1, bytes_);
-        ++channel_count_;
         // Solid stream to step k+1.
         if (has_stream) {
           const Tuple dst = j == k + 1 ? p_tuple(k + 1) : s_tuple(k + 1, j);
           vsa_.connect(s_tuple(k, j), ucfg->solid_out, dst, 0, bytes_);
           ++channel_count_;
         }
+      }
+      // Chain: P(k) -> S(k, chain[0]) -> S(k, chain[1]) -> ...
+      Tuple src = p_tuple(k);
+      for (int j : chain) {
+        vsa_.connect(src, 0, s_tuple(k, j), 1, bytes_);
+        ++channel_count_;
+        src = s_tuple(k, j);
       }
     }
   }

@@ -5,8 +5,9 @@
 // Streaming structure per step k, mirroring the Cholesky array:
 //   * Panel VDP P(k): first tile -> getrf (the packed LU of the diagonal
 //     tile, held), further tiles -> trsm against the held U; the held
-//     LU(k,k) followed by every L(i,k) is broadcast rightward through a
-//     by-passing chain;
+//     LU(k,k) followed by every L(i,k) is broadcast to the step's update
+//     VDPs through a by-passing chain (node by node, see
+//     plan::ColumnPlacement);
 //   * Update VDP S(k,j): first chain packet is LU(k,k) -> trsm_L turns
 //     its held top tile into the final U(k,j); every later chain packet
 //     L(i,k) pairs with the streamed tile A(i,j) (gemm) which then flows

@@ -41,8 +41,11 @@ SimResult simulate_lu(int m, int n, int nb, const MachineModel& mm,
   g.duration.resize(nops);
   g.thread.resize(nops);
 
-  // Creation-order cyclic mapping: per step k the VDPs are P(k),
-  // S(k,k+1), ..., S(k,nt-1).
+  // Creation-order cyclic mapping over all threads: per step k the VDPs
+  // are P(k), S(k,k+1), ..., S(k,nt-1). This is the builder's mapping on
+  // one node only; on several nodes the builder owns whole columns per
+  // node (plan::ColumnPlacement), which would leave nodes idle here when
+  // the matrix has fewer tile columns than the machine has nodes.
   const int panels = std::min(mt, nt);
   std::vector<std::int64_t> base(panels + 1, 0);
   for (int k = 0; k < panels; ++k) base[k + 1] = base[k] + (nt - k);

@@ -353,28 +353,34 @@ struct SoakShape {
   int nodes, workers;
 };
 
+constexpr int kKillSchedules = 24;
+
 // Per-shape schedule count; >= 24 by default (acceptance criterion),
 // shrinkable via PQR_CHAOS_SCHEDULES for smoke runs.
 int kill_schedules() {
   if (const char* e = std::getenv("PQR_CHAOS_SCHEDULES")) {
     const int n = std::atoi(e);
-    if (n > 0) return std::min(n, 24);
+    if (n > 0) return std::min(n, kKillSchedules);
   }
-  return 24;
+  return kKillSchedules;
 }
 
 TEST(CrashRecoveryTest, KillSoakRecoversBitwiseAcrossShapesAndSeeds) {
+  // The message faults act on the wire messages between nodes: 2-3 tile
+  // columns on 3 nodes keep enough traffic off-node (about 115 faults over
+  // the 72 default runs).
   const std::vector<SoakShape> shapes = {
-      {40, 10, 5, 2, {plan::TreeKind::BinaryOnFlat, 2,
-                      plan::BoundaryMode::Shifted}, 2, 2},
+      {40, 15, 5, 2, {plan::TreeKind::BinaryOnFlat, 2,
+                      plan::BoundaryMode::Shifted}, 3, 1},
       {48, 12, 6, 3, {plan::TreeKind::Binary, 1,
                       plan::BoundaryMode::Shifted}, 3, 1},
-      {30, 10, 5, 5, {plan::TreeKind::Flat, 1,
-                      plan::BoundaryMode::Fixed}, 2, 2},
+      {30, 15, 5, 5, {plan::TreeKind::Flat, 1,
+                      plan::BoundaryMode::Fixed}, 3, 2},
   };
   const int schedules = kill_schedules();
   long long total_respawns = 0;
   long long total_replayed = 0;
+  long long total_faults = 0;
   for (std::size_t which = 0; which < shapes.size(); ++which) {
     const auto& sh = shapes[which];
     Matrix a0(sh.m, sh.n);
@@ -412,6 +418,7 @@ TEST(CrashRecoveryTest, KillSoakRecoversBitwiseAcrossShapesAndSeeds) {
       auto run = vsaqr::tree_qr(a, opt);
       total_respawns += run.stats.respawns;
       total_replayed += run.stats.replayed_frames;
+      total_faults += run.stats.faults.total();
       // Firings: the killed incarnation's count dies with it, and its
       // replacement re-fires the rank's VDPs from scratch, so the run
       // reports exactly the firings the counters declare, and those of
@@ -447,6 +454,11 @@ TEST(CrashRecoveryTest, KillSoakRecoversBitwiseAcrossShapesAndSeeds) {
   // replayed retained frames to a replacement.
   EXPECT_GT(total_respawns, 0) << "no schedule ever triggered the kill";
   EXPECT_GT(total_replayed, 0) << "no survivor ever replayed history";
+  // The odd schedules' message faults: a floor at the default count keeps
+  // a placement change from hollowing the soak out unnoticed.
+  if (schedules == kKillSchedules) {
+    EXPECT_GE(total_faults, 90);
+  }
 }
 
 // ---- Cholesky and LU ride the same recovery machinery -----------------------
@@ -469,6 +481,8 @@ TEST(CrashRecoveryTest, CholeskyOverSocketSurvivesAKill) {
   opt.fault_plan.kill_after = 2;
   auto run = chol::vsa_cholesky(TileMatrix::from_dense(spd.view(), nb), opt);
   EXPECT_GE(run.stats.respawns, 1) << "the kill never fired";
+  EXPECT_GT(run.stats.remote_messages, 0);
+  EXPECT_GT(run.stats.replayed_frames, 0) << "no survivor replayed history";
   const Matrix want = chol::extract_l(reference.l);
   const Matrix got = chol::extract_l(run.l);
   for (int j = 0; j < n; ++j) {
@@ -496,6 +510,8 @@ TEST(CrashRecoveryTest, LuOverSocketSurvivesAKill) {
   opt.fault_plan.kill_after = 2;
   auto run = lu::vsa_lu(TileMatrix::from_dense(m.view(), nb), opt);
   EXPECT_GE(run.stats.respawns, 1) << "the kill never fired";
+  EXPECT_GT(run.stats.remote_messages, 0);
+  EXPECT_GT(run.stats.replayed_frames, 0) << "no survivor replayed history";
   const Matrix want = reference.f.to_dense();
   const Matrix got = run.f.to_dense();
   for (int j = 0; j < n; ++j) {

@@ -180,7 +180,8 @@ INSTANTIATE_TEST_SUITE_P(
                       VsaLuCase{30, 18, 6, 2, 2, false},  // tall
                       VsaLuCase{18, 30, 6, 2, 2, false},  // wide
                       VsaLuCase{5, 5, 8, 1, 2, false},    // single tile
-                      VsaLuCase{48, 48, 6, 3, 2, true}));
+                      VsaLuCase{48, 48, 6, 3, 2, true},
+                      VsaLuCase{48, 42, 6, 4, 1, false}));
 
 // One prt::Vsa::Config reaches the driver: coalesce_bytes switches the
 // proxies' egress coalescing off (no aggregates) or leaves it at the

@@ -27,6 +27,12 @@ prints, per metric, each arm's median and quartiles, the change's relative
 move, and the pairs the change won. The direction of each metric comes
 from BENCHMARK.json. Last, it prints a BENCH_trajectory.json entry (or
 writes it to --entry-out). Only the Python standard library is used.
+
+--claim METRIC@WORKLOAD (repeatable) judges a claimed gain: CLAIM MET when
+the change wins at least 9 of every 10 pairs (ties count for neither arm)
+and its median beats the parent's by more than the parent's quartile
+distance (q3 - q1); NOT MET otherwise. --selftest checks that verdict on
+synthetic samples and needs no build.
 """
 import argparse
 import hashlib
@@ -108,6 +114,55 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def claim_verdict(parent, change, way):
+    """Whether `change` beats `parent` (paired samples of one metric,
+    `way` "lower" or "higher" is better): (met, wins, gap, spread). The
+    change must win at least 9/10 of the pairs, ties counting for neither
+    arm, and its median must be better by more than the parent's quartile
+    distance."""
+    sign = 1 if way == "lower" else -1
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    gap = sign * (pq[1] - cq[1])
+    spread = pq[2] - pq[0]
+    met = 10 * wins >= 9 * len(parent) and gap > spread
+    return met, wins, gap, spread
+
+
+def selftest():
+    """The claim verdict on synthetic samples; exits nonzero on a miss."""
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    cases = [
+        # (name, parent, change, way, want)
+        ("clear gain", base, [x * 0.85 for x in base], "lower", True),
+        ("clear gain, higher is better", base, [x * 1.15 for x in base],
+         "higher", True),
+        ("clear loss", base, [x * 1.15 for x in base], "lower", False),
+        ("8/10 pairs won", base,
+         [x * 0.85 for x in base[:8]] + [x * 1.1 for x in base[8:]],
+         "lower", False),
+        ("9/10 pairs won", base,
+         [x * 0.85 for x in base[:9]] + [x * 1.1 for x in base[9:]],
+         "lower", True),
+        ("ties count for neither arm", base,
+         [x * 0.85 for x in base[:9]] + base[9:], "lower", True),
+        ("all ties", base, list(base), "lower", False),
+        ("gap inside the parent's spread", base,
+         [x - 0.01 for x in base], "lower", False),
+        ("wide parent spread", [0.6, 1.4, 0.7, 1.3, 1.0],
+         [0.5, 1.3, 0.6, 1.2, 0.9], "lower", False),
+    ]
+    bad = 0
+    for name, parent, change, way, want in cases:
+        met = claim_verdict(parent, change, way)[0]
+        ok = met == want
+        bad += not ok
+        print("ab_pairs selftest: %-32s %s (want %s) %s"
+              % (name, "MET" if met else "NOT MET",
+                 "MET" if want else "NOT MET", "ok" if ok else "FAIL"))
+    return 1 if bad else 0
+
+
 def directions(tree):
     with open(os.path.join(tree, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -133,14 +188,14 @@ def host():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", required=True,
+    ap.add_argument("--workloads",
                     help="comma-separated perfbench workloads")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--seed", type=int, default=1,
                     help="seed of pair 0; pair i uses seed + i")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--parent-tree", required=True,
+    ap.add_argument("--parent-tree",
                     help="a copy of the parent revision (git clone or "
                          "git archive)")
     ap.add_argument("--parent",
@@ -149,10 +204,26 @@ def main():
     ap.add_argument("--change", default="",
                     help="one-line description for the trajectory entry")
     ap.add_argument("--entry-out", help="write the entry here")
+    ap.add_argument("--claim", action="append", default=[],
+                    metavar="METRIC@WORKLOAD",
+                    help="judge a claimed gain (repeatable)")
+    ap.add_argument("--selftest", action="store_true",
+                    help="check the claim verdict on synthetic samples")
     args = ap.parse_args()
+    if args.selftest:
+        sys.exit(selftest())
+    if not args.workloads or not args.parent_tree:
+        die("--workloads and --parent-tree are required")
     if args.pairs < 1:
         die("--pairs must be >= 1")
     workloads = [w for w in args.workloads.split(",") if w]
+    claims = []
+    for c in args.claim:
+        metric, _, wl = c.partition("@")
+        if not metric or wl not in workloads:
+            die("--claim %s: want METRIC@WORKLOAD with a workload from "
+                "--workloads" % c)
+        claims.append((metric, wl))
     parent_tree = os.path.realpath(args.parent_tree)
     if not os.path.isfile(os.path.join(parent_tree, "perfbench", "run.py")):
         die("%s has no perfbench/run.py" % parent_tree)
@@ -175,7 +246,11 @@ def main():
             % (bins["parent"], bins["change"]))
 
     better = directions(REPO)
+    for metric, _ in claims:
+        if better.get(metric, (None, None))[0] not in ("lower", "higher"):
+            die("--claim: %s has no direction in BENCHMARK.json" % metric)
     entry_wl = {}
+    samples_of = {}
     for wl in workloads:
         samples = {"parent": [], "change": []}
         failed = {"parent": 0, "change": 0}
@@ -189,7 +264,17 @@ def main():
                 samples[arm].append(m)
                 print("ab_pairs: %s pair %d %s failed=%d %s"
                       % (wl, i, arm, f, json.dumps(m)), file=sys.stderr)
+        samples_of[wl] = samples
         entry_wl[wl] = report(wl, samples, failed, better, args)
+    for metric, wl in claims:
+        p = [s[metric] for s in samples_of[wl]["parent"]]
+        c = [s[metric] for s in samples_of[wl]["change"]]
+        met, wins, gap, spread = claim_verdict(p, c, better[metric][0])
+        verdict = "CLAIM MET" if met else "NOT MET"
+        print("\n%s: %s@%s won %d/%d pairs, median better by %.4g, parent "
+              "quartile distance %.4g" % (verdict, metric, wl, wins, len(p),
+                                          gap, spread))
+        entry_wl[wl][metric + "_claim"] = verdict
     entry = {
         "change": args.change,
         "parent_commit": parent_rev,
