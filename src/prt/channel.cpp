@@ -4,8 +4,8 @@
 
 namespace pulsarqr::prt {
 
-Channel::Channel(std::size_t max_bytes, bool enabled, int capacity)
-    : max_bytes_(max_bytes), capacity_(capacity), enabled_(enabled) {
+Channel::Channel(std::size_t max_bytes, bool enabled)
+    : max_bytes_(max_bytes), enabled_(enabled) {
   Node* dummy = new Node;
   head_.store(dummy, std::memory_order_relaxed);
   tail_ = dummy;
@@ -75,7 +75,6 @@ Packet Channel::pop() {
   head_.store(n, std::memory_order_release);  // frees h for recycling
   popped_.store(popped_.load(std::memory_order_relaxed) + 1,
                 std::memory_order_release);
-  if (pop_waker_ != nullptr) pop_waker_->wake();
   return p;
 }
 
@@ -121,9 +120,6 @@ void Channel::destroy() {
   // per-push fence is needed to guarantee it.
   destroyed_.store(true, std::memory_order_release);
   drain();
-  // A destroyed channel reports size() == 0 forever, so any producer
-  // stalled on has_room() can proceed.
-  if (pop_waker_ != nullptr) pop_waker_->wake();
 }
 
 }  // namespace pulsarqr::prt

@@ -5,10 +5,10 @@
 //
 // Concurrency contract (enforced statically by prt::GraphCheck): every
 // channel has exactly ONE producer — either the source VDP (whose firings
-// are serialized by the worker binding or the work-stealing claim flag) or
-// the destination node's proxy thread — and exactly ONE consumer, the
-// destination VDP. That single-producer/single-consumer invariant is what
-// legitimizes the lock-free implementation below.
+// are serialized by its binding to one worker thread) or the destination
+// node's proxy thread — and exactly ONE consumer, the destination VDP.
+// That single-producer/single-consumer invariant is what legitimizes the
+// lock-free implementation below.
 #pragma once
 
 #include <atomic>
@@ -30,15 +30,9 @@ class Waker {
 /// producer-side node cache (Vyukov style).
 class Channel {
  public:
-  /// `capacity` bounds the number of RESIDENT packets (0 = unbounded).
-  /// The bound is enforced cooperatively: the producer's firing rule
-  /// (Vdp::ready) refuses to fire while a bounded local output channel is
-  /// at capacity, and pop() wakes the producer again once space frees.
-  /// The queue itself never blocks or drops — a push beyond capacity
-  /// still succeeds (the proxy path and multi-packet firings may overshoot
-  /// by a burst), which is why GraphCheck's flow analysis, not the queue,
-  /// is the authority on whether a declared bound can deadlock the graph.
-  Channel(std::size_t max_bytes, bool enabled, int capacity = 0);
+  /// An unbounded FIFO of packets of at most `max_bytes` each (the
+  /// paper's channels: a push never blocks).
+  Channel(std::size_t max_bytes, bool enabled);
   ~Channel();
 
   Channel(const Channel&) = delete;
@@ -78,21 +72,7 @@ class Channel {
 
   std::size_t max_bytes() const { return max_bytes_; }
 
-  /// Declared resident-packet bound; 0 means unbounded.
-  int capacity() const { return capacity_; }
-  bool bounded() const { return capacity_ > 0; }
-  /// Backpressure predicate for the producer's firing rule: true while a
-  /// bounded channel has room for another packet. The producer reads
-  /// size() across threads, which can only over-estimate occupancy (a
-  /// stale popped_), so a false "no room" is transient and healed by the
-  /// pop-side waker — the bound is never under-enforced from staleness.
-  bool has_room() const { return capacity_ == 0 || size() < capacity_; }
-
   void set_waker(Waker* w) { waker_ = w; }
-  /// Producer-side waker, fired by pop() (and destroy()) when space frees
-  /// on a bounded channel so a producer stalled on has_room() re-scans.
-  /// Wired before any thread starts, like waker_.
-  void set_pop_waker(Waker* w) { pop_waker_ = w; }
 
  private:
   struct Node {
@@ -104,11 +84,9 @@ class Channel {
   void drain();
 
   std::size_t max_bytes_;
-  int capacity_;
   std::atomic<bool> enabled_;
   std::atomic<bool> destroyed_{false};
   Waker* waker_ = nullptr;
-  Waker* pop_waker_ = nullptr;
 
   // ---- Queue state. The queue is a singly linked list from first_ to
   // tail_; [first_, head_) are consumed nodes awaiting recycling, head_ is

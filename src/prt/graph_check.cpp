@@ -24,8 +24,6 @@ const char* to_string(CheckKind kind) {
     case CheckKind::EnabledCycle: return "enabled-cycle";
     case CheckKind::OversizeFeed: return "oversize-feed";
     case CheckKind::Unreachable: return "unreachable";
-    case CheckKind::CapacityOverflow: return "capacity-overflow";
-    case CheckKind::CapacityDeadlock: return "capacity-deadlock";
   }
   return "?";
 }
@@ -133,10 +131,7 @@ std::string GraphReport::to_json() const {
     os << ",\"dst_slot\":" << f.dst_slot
        << ",\"remote\":" << (f.remote ? "true" : "false")
        << ",\"fed\":" << f.fed << ",\"delivered\":" << f.delivered
-       << ",\"consumed\":" << f.consumed
-       << ",\"peak_packets\":" << f.peak_packets
-       << ",\"resident_end\":" << f.resident_end
-       << ",\"capacity\":" << f.capacity << ",\"max_bytes\":" << f.max_bytes
+       << ",\"consumed\":" << f.consumed << ",\"max_bytes\":" << f.max_bytes
        << '}';
   }
   os << "],\"node_fires\":[";
@@ -394,30 +389,17 @@ GraphReport GraphCheck::check(const Vsa& vsa) {
     }
   }
 
-  // ---- flow/capacity analysis --------------------------------------------
-  // Symbolic per-channel occupancy bounds from the declared packet balance.
-  // Per-firing schedules are modeled as an "even-spread band": a slot whose
-  // lifetime total is T over C firings moves between floor(T/C) and
-  // ceil(T/C) packets per firing, in any order. Within that band the
-  // analysis is adversarial — it flags a declared capacity if SOME
-  // consistent schedule wedges the graph — so a flagged bound is either a
-  // real deadlock or one only a stronger-than-declared schedule avoids.
+  // ---- flows -------------------------------------------------------------
+  // Per-channel lifetime packet totals from the declared balance, and the
+  // firings the VDPs' counters declare per node: the placement's traffic.
   {
-    struct Chan {
-      int src = -1;  ///< producer VDP index; -1 for a feed
-      int src_slot = -1;
-      int dst = -1;
-      int dst_slot = -1;
-      bool enabled = false;
-      int capacity = 0;
-      long long fed = 0;
-      long long delivered = 0;  ///< fed + lifetime producer pushes
-      long long consumed = 0;
-      std::size_t max_bytes = 0;
-      bool stall = false;  ///< bounded and able to gate its producer
-    };
-    std::vector<Chan> chans;
-    auto valid_slot = [&](const InSlot& in) { return in.producers == 1; };
+    const std::vector<int> threads = vsa.placement();
+    const int wpn = vsa.config().workers_per_node;
+    rep.node_fires.assign(vsa.config().nodes, 0);
+    for (int i = 0; i < n; ++i) {
+      if (threads[i] < 0 || threads[i] >= vsa.total_threads()) continue;
+      rep.node_fires[threads[i] / wpn] += vsa.creation_order_[i]->counter();
+    }
     for (const Vsa::PendingEdge& e : vsa.edges_) {
       const Vdp* src = find(e.src);
       const Vdp* dst = find(e.dst);
@@ -426,193 +408,35 @@ GraphReport GraphCheck::check(const Vsa& vsa) {
           e.in_slot >= dst->num_inputs()) {
         continue;  // wiring diagnostics above are the root cause
       }
+      const int si = index.at(src);
       const int di = index.at(dst);
-      if (!valid_slot(ins[di][e.in_slot])) continue;
-      Chan c;
-      c.src = index.at(src);
-      c.src_slot = e.out_slot;
-      c.dst = di;
-      c.dst_slot = e.in_slot;
-      c.enabled = e.enabled;
-      c.capacity = e.capacity;
-      c.delivered = src->expected_output_packets(e.out_slot);
-      c.consumed = dst->expected_input_packets(e.in_slot);
-      c.max_bytes = e.max_bytes;
-      chans.push_back(c);
+      if (ins[di][e.in_slot].producers != 1) continue;
+      ChannelFlow flow;
+      flow.src = e.src;
+      flow.src_slot = e.out_slot;
+      flow.dst = e.dst;
+      flow.dst_slot = e.in_slot;
+      flow.remote = threads[si] / wpn != threads[di] / wpn;
+      flow.delivered = src->expected_output_packets(e.out_slot);
+      flow.consumed = dst->expected_input_packets(e.in_slot);
+      flow.max_bytes = e.max_bytes;
+      rep.flows.push_back(flow);
     }
     for (const Vsa::PendingFeed& f : vsa.feeds_) {
       const Vdp* dst = find(f.dst);
-      if (dst == nullptr || f.in_slot < 0 || f.in_slot >= dst->num_inputs()) {
+      if (dst == nullptr || f.in_slot < 0 || f.in_slot >= dst->num_inputs() ||
+          ins[index.at(dst)][f.in_slot].producers != 1) {
         continue;
       }
-      const int di = index.at(dst);
-      if (!valid_slot(ins[di][f.in_slot])) continue;
-      Chan c;
-      c.dst = di;
-      c.dst_slot = f.in_slot;
-      c.enabled = f.enabled;
-      c.capacity = f.capacity;
-      c.fed = static_cast<long long>(f.initial.size());
-      c.delivered = c.fed;
-      c.consumed = dst->expected_input_packets(f.in_slot);
-      c.max_bytes = f.max_bytes;
-      chans.push_back(c);
-    }
-
-    // Occupancy bounds -> GraphReport::flows, plus the capacity errors.
-    // Even-spread per-firing bounds of an output slot: C firings move T
-    // packets, so a single firing pushes at most ceil(T/C) and at least
-    // floor(T/C); same for the consumer's pops.
-    auto out_burst = [&](const Chan& c) -> long long {  // max pushes/firing
-      const Vdp& v = *vsa.creation_order_[c.src];
-      const long long cnt = v.counter();
-      return (c.delivered + cnt - 1) / cnt;
-    };
-    const std::vector<int> threads = vsa.placement();
-    const int wpn = vsa.config().workers_per_node;
-    rep.node_fires.assign(vsa.config().nodes, 0);
-    for (int i = 0; i < n; ++i) {
-      if (threads[i] < 0 || threads[i] >= vsa.total_threads()) continue;
-      rep.node_fires[threads[i] / wpn] += vsa.creation_order_[i]->counter();
-    }
-    for (Chan& c : chans) {
       ChannelFlow flow;
-      flow.src = c.src >= 0 ? vsa.creation_order_[c.src]->tuple() : Tuple{};
-      flow.src_slot = c.src_slot;
-      flow.dst = vsa.creation_order_[c.dst]->tuple();
-      flow.dst_slot = c.dst_slot;
-      flow.from_feed = c.src < 0;
-      flow.remote = c.src >= 0 && threads[c.src] / wpn != threads[c.dst] / wpn;
-      flow.fed = c.fed;
-      flow.delivered = c.delivered;
-      flow.consumed = c.consumed;
-      // Worst interleaving: everything the channel will ever receive is
-      // resident before the consumer's first pop.
-      flow.peak_packets = c.delivered;
-      flow.resident_end = std::max<long long>(0, c.delivered - c.consumed);
-      flow.capacity = c.capacity;
-      flow.max_bytes = c.max_bytes;
+      flow.dst = f.dst;
+      flow.dst_slot = f.in_slot;
+      flow.from_feed = true;
+      flow.fed = static_cast<long long>(f.initial.size());
+      flow.delivered = flow.fed;
+      flow.consumed = dst->expected_input_packets(f.in_slot);
+      flow.max_bytes = f.max_bytes;
       rep.flows.push_back(flow);
-
-      if (c.capacity <= 0) continue;
-      const Tuple& dt = vsa.creation_order_[c.dst]->tuple();
-      if (c.fed > c.capacity) {
-        err(CheckKind::CapacityOverflow, dt, c.dst_slot,
-            "feed prefills " + std::to_string(c.fed) + " packet(s) into " +
-                "input " + slot_on(c.dst_slot, dt) +
-                " whose declared capacity is " + std::to_string(c.capacity) +
-                ": the bound is broken before the first firing");
-        continue;
-      }
-      if (c.src < 0) continue;
-      const Tuple& st = vsa.creation_order_[c.src]->tuple();
-      const long long burst = out_burst(c);
-      if (burst > c.capacity) {
-        err(CheckKind::CapacityOverflow, st, c.src_slot,
-            "a single firing of VDP " + st.to_string() + " can push " +
-                std::to_string(burst) + " packet(s) on output slot " +
-                std::to_string(c.src_slot) + " (" +
-                std::to_string(c.delivered) + " over " +
-                std::to_string(vsa.creation_order_[c.src]->counter()) +
-                " firings), more than the " + std::to_string(c.capacity) +
-                "-packet capacity of input " + slot_on(c.dst_slot, dt) +
-                " can ever hold");
-        continue;
-      }
-      // Can the producer hit the backpressure gate with firings left?
-      // Worst even-spread ordering front-loads the pushes: occupancy
-      // before the last firing reaches delivered - floor(T/C) (or all of
-      // `delivered` when some firings push nothing).
-      const Vdp& sv = *vsa.creation_order_[c.src];
-      if (sv.counter() >= 2 && c.delivered > 0) {
-        const long long floor_push = c.delivered / sv.counter();
-        const long long pre_fire_peak = c.delivered - floor_push;
-        c.stall = pre_fire_peak >= c.capacity;
-      }
-    }
-
-    // Bounded-buffer deadlock: for each channel X (u -> v) that can gate
-    // its producer, look for a dependency path from the consumer v back to
-    // u that does not use X itself — if v's progress (transitively, via
-    // data edges "consumer waits on producer" and other backpressure edges
-    // "producer waits on consumer") requires u to act, some schedule wedges
-    // with X full. A data edge is skipped when its channel provably covers
-    // X (same producer, same consumer, per-firing pushes at least X's and
-    // pops at most X's: it can never be empty while X is full).
-    const int nc = static_cast<int>(chans.size());
-    struct WaitEdge {
-      int to;
-      int chan;
-      bool data;  ///< consumer-waits-producer (vs backpressure)
-    };
-    std::vector<std::vector<WaitEdge>> waits(n);
-    for (int ci = 0; ci < nc; ++ci) {
-      const Chan& c = chans[ci];
-      if (c.src < 0) continue;  // feeds: no producer to wait on / gate
-      if (c.enabled) waits[c.dst].push_back({c.src, ci, true});
-      if (c.stall) waits[c.src].push_back({c.dst, ci, false});
-    }
-    auto covers = [&](const Chan& c, const Chan& x) {
-      if (c.src != x.src || c.dst != x.dst || !c.enabled) return false;
-      const Vdp& u = *vsa.creation_order_[x.src];
-      const Vdp& v = *vsa.creation_order_[x.dst];
-      const long long cu = u.counter(), cv = v.counter();
-      const long long push_min_c = c.delivered / cu;
-      const long long push_max_x = (x.delivered + cu - 1) / cu;
-      const long long pop_max_c = (c.consumed + cv - 1) / cv;
-      const long long pop_min_x = x.consumed / cv;
-      return push_min_c >= push_max_x && pop_max_c <= pop_min_x;
-    };
-    for (int xi = 0; xi < nc; ++xi) {
-      const Chan& x = chans[xi];
-      if (!x.stall) continue;
-      // BFS from the consumer v toward the producer u, avoiding X.
-      std::vector<int> parent(n, -2);
-      std::vector<int> bfs{x.dst};
-      parent[x.dst] = -1;
-      bool found = x.dst == x.src;  // self-loop: u waits on its own pops
-      for (std::size_t head = 0; head < bfs.size() && !found; ++head) {
-        const int at = bfs[head];
-        for (const WaitEdge& w : waits[at]) {
-          if (w.chan == xi || parent[w.to] != -2) continue;
-          if (w.data && covers(chans[w.chan], x)) continue;
-          parent[w.to] = at;
-          if (w.to == x.src) {
-            found = true;
-            break;
-          }
-          bfs.push_back(w.to);
-        }
-      }
-      if (!found) continue;
-      const Tuple& ut = vsa.creation_order_[x.src]->tuple();
-      const Tuple& vt = vsa.creation_order_[x.dst]->tuple();
-      std::string path;
-      if (x.src != x.dst) {
-        std::vector<int> rev{x.src};
-        for (int at = parent[x.src]; at >= 0; at = parent[at]) {
-          rev.push_back(at);
-        }
-        for (std::size_t j = rev.size(); j-- > 0;) {
-          path += vsa.creation_order_[rev[j]]->tuple().to_string();
-          if (j != 0) path += " -> ";
-        }
-      } else {
-        path = vt.to_string() + " -> " + ut.to_string();
-      }
-      err(CheckKind::CapacityDeadlock, ut, x.src_slot,
-          "bounded channel (output slot " + std::to_string(x.src_slot) +
-              " of VDP " + ut.to_string() + " -> input slot " +
-              std::to_string(x.dst_slot) + " of VDP " + vt.to_string() +
-              ", capacity " + std::to_string(x.capacity) +
-              ", worst-case occupancy " + std::to_string(x.delivered) +
-              ") can stall its producer while the consumer's progress "
-              "depends on that producer (" +
-              path +
-              "): some firing schedule consistent with the declared packet "
-              "totals deadlocks here — raise the capacity, rebalance the "
-              "declared flow, or disable graph_check if the runtime "
-              "schedule provably avoids it");
     }
   }
 

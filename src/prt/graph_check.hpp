@@ -23,27 +23,15 @@
 //   * cycles    — a strongly connected component of initially-enabled,
 //                 initially-empty channels can never fire (each member
 //                 waits on another: certain deadlock);
-//   * capacity  — fed packets larger than the channel's max_bytes;
+//   * oversize  — fed packets larger than the channel's max_bytes;
 //   * reachability — every VDP must be reachable from some source (a
-//                 zero-input VDP or a fed channel);
-//   * flow      — symbolic per-channel occupancy bounds from the declared
-//                 packet balance: every channel's peak resident packets
-//                 (all producer output delivered before any pop) and
-//                 end-of-run residue are computed and reported in
-//                 GraphReport::flows. Against a declared capacity this
-//                 yields two errors: a feed that prefills past its own
-//                 bound (overflow at t=0), and a bounded-buffer deadlock —
-//                 a producer that may stall on a full bounded channel
-//                 while, under some firing schedule, the consumer's own
-//                 progress depends (through other channels) on that very
-//                 producer. The deadlock check is existential over firing
-//                 schedules: a flagged graph has at least one schedule
-//                 that deadlocks (uniform-rate graphs with adequate bounds
-//                 are never flagged, by the marked-graph token-count
-//                 invariant), so treat it like the other errors — fix the
-//                 bound or the declared flow, or opt out via
-//                 Config::graph_check for graphs whose schedule provably
-//                 avoids it.
+//                 zero-input VDP or a fed channel).
+//
+// Channels are unbounded FIFOs and a VDP fires when its enabled inputs
+// hold packets (the paper's PRT), so no check concerns outputs. The
+// report also carries each channel's lifetime packet totals and whether
+// it crosses nodes (GraphReport::flows), from which traffic() predicts a
+// clean run's remote frames.
 //
 // Production totals default to one packet per output slot per firing
 // (`outputs_per_fire` on add_vdp scales all slots); consumption defaults
@@ -76,8 +64,6 @@ enum class CheckKind {
   EnabledCycle,       ///< cycle of enabled empty channels: sure deadlock
   OversizeFeed,       ///< fed packet exceeds the channel's max_bytes
   Unreachable,        ///< no path from any source reaches the VDP
-  CapacityOverflow,   ///< feed prefill or single-firing burst > capacity
-  CapacityDeadlock,   ///< bounded channel can stall its producer in a cycle
 };
 
 const char* to_string(CheckKind kind);
@@ -93,12 +79,8 @@ struct Diagnostic {
   std::string message;
 };
 
-/// Symbolic occupancy bounds of one channel, derived from the declared
-/// packet balance (flow analysis). `peak_packets` is the worst case over
-/// all firing interleavings — every packet the producer (or feed) will
-/// ever deliver resident before the consumer pops one; `resident_end` is
-/// the guaranteed end-of-run residue (delivered minus consumed, clamped
-/// at zero). Both are exact under the declared totals, not estimates.
+/// Lifetime packet totals of one channel, from the declared packet
+/// balance: exact under the declared totals, not estimates.
 struct ChannelFlow {
   Tuple src;            ///< producer VDP; meaningless when from_feed
   int src_slot = -1;    ///< producer output slot; -1 for a feed
@@ -109,19 +91,13 @@ struct ChannelFlow {
   long long fed = 0;        ///< packets prefilled by feeds
   long long delivered = 0;  ///< lifetime deliveries: fed + producer total
   long long consumed = 0;   ///< lifetime pops by the consumer
-  long long peak_packets = 0;
-  long long resident_end = 0;
-  int capacity = 0;         ///< declared bound; 0 = unbounded
   std::size_t max_bytes = 0;
-  long long peak_bytes() const {
-    return peak_packets * static_cast<long long>(max_bytes);
-  }
 };
 
 struct GraphReport {
   std::vector<Diagnostic> diagnostics;
-  /// Per-channel occupancy bounds (one entry per connect or feed whose
-  /// endpoints resolved), in declaration order.
+  /// Per-channel packet totals (one entry per connect, then per feed,
+  /// whose endpoints resolved), in declaration order.
   std::vector<ChannelFlow> flows;
   /// Firings the VDPs' counters declare, per node of the placement: the
   /// sum of the initial counters of the VDPs mapped to that node. A clean
@@ -150,8 +126,7 @@ struct GraphReport {
   /// Machine-readable rendering for CI gating: {"errors": N, "warnings":
   /// N, "diagnostics": [{severity, kind, vdp, slot, message}...],
   /// "flows": [{src, src_slot, dst, dst_slot, remote, fed, delivered,
-  /// consumed, peak_packets, resident_end, capacity, max_bytes}...],
-  /// "node_fires": [N...]}.
+  /// consumed, max_bytes}...], "node_fires": [N...]}.
   std::string to_json() const;
 };
 

@@ -43,6 +43,17 @@ auto vectors(Stats& s) {
                     &s.sys_seconds_per_node};
 }
 
+void put_tuple(net::wire::Blob& b, const Tuple& t) {
+  b.u32(static_cast<std::uint32_t>(t.size()));
+  for (int x : t.values()) b.i32(x);
+}
+
+Tuple get_tuple(net::wire::BlobReader& br) {
+  std::vector<int> vals;
+  for (std::uint32_t t = br.u32(); t > 0; --t) vals.push_back(br.i32());
+  return Tuple(std::move(vals));
+}
+
 }  // namespace
 
 void encode_run_stats(net::wire::Blob& b, const Vsa::RunStats& s) {
@@ -91,8 +102,7 @@ void encode_epilogue(net::wire::Blob& b, const Vsa::RunStats& stats,
   for (const trace::Event& ev : events) {
     b.i32(ev.thread);
     b.i32(ev.color);
-    b.u32(static_cast<std::uint32_t>(ev.tuple.size()));
-    for (int x : ev.tuple.values()) b.i32(x);
+    put_tuple(b, ev.tuple);
     b.f64(ev.t0);
     b.f64(ev.t1);
   }
@@ -110,9 +120,7 @@ std::vector<trace::Event> decode_epilogue(const std::byte* p, std::size_t n,
     trace::Event& ev = events.emplace_back();
     ev.thread = br.i32();
     ev.color = br.i32();
-    std::vector<int> vals;
-    for (std::uint32_t t = br.u32(); t > 0; --t) vals.push_back(br.i32());
-    ev.tuple = Tuple(std::move(vals));
+    ev.tuple = get_tuple(br);
     ev.t0 = br.f64();
     ev.t1 = br.f64();
   }
@@ -123,9 +131,12 @@ std::vector<trace::Event> decode_epilogue(const std::byte* p, std::size_t n,
 
 void encode_report(net::wire::Blob& b, const Vsa::RunReport& r) {
   b.str(r.reason);
+  put_tuple(b, r.failed_vdp);
+  b.str(r.vdp_error);
   b.u32(static_cast<std::uint32_t>(r.stuck_vdps.size()));
   for (const auto& s : r.stuck_vdps) b.str(s);
   b.i32(r.vdps_alive);
+  b.i32(r.leftover_packets);
   b.u32(static_cast<std::uint32_t>(r.links.size()));
   for (const auto& g : r.links) {
     b.i32(g.src);
@@ -153,8 +164,11 @@ Vsa::RunReport decode_report(const std::byte* p, std::size_t n) {
   net::wire::BlobReader br(p, n);
   Vsa::RunReport r;
   r.reason = br.str();
+  r.failed_vdp = get_tuple(br);
+  r.vdp_error = br.str();
   for (std::uint32_t i = br.u32(); i > 0; --i) r.stuck_vdps.push_back(br.str());
   r.vdps_alive = br.i32();
+  r.leftover_packets = br.i32();
   for (std::uint32_t i = br.u32(); i > 0; --i) {
     net::LinkGap g;
     g.src = br.i32();
@@ -270,8 +284,9 @@ void Supervisor::fail(Vsa::RunReport r) {
     failure_ = std::move(r);
     return;
   }
-  // Later reports refine the first: survivors' link gaps and further dead
-  // ranks accumulate onto it.
+  // Later reports refine the first: survivors' link gaps, queued packets
+  // and further dead ranks accumulate onto it.
+  failure_->leftover_packets += r.leftover_packets;
   for (auto& g : r.links) failure_->links.push_back(std::move(g));
   for (int d : r.dead_ranks) {
     if (std::count(failure_->dead_ranks.begin(), failure_->dead_ranks.end(),

@@ -7,7 +7,9 @@
 //
 // One dead-child path: EOF, a malformed 'E'/'F' body, an unknown control
 // byte and silence past the budget all kill the child, then respawn it
-// while the budget lasts and before 'G' is out, else fail the run.
+// while the budget lasts and before 'G' is out, else fail the run. An 'F'
+// report (a VDP body that threw, or a cancelled node) fails the run with
+// no respawn: a replacement would replay into the same failure.
 #pragma once
 
 #include <chrono>

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <any>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -46,7 +45,7 @@ class Vdp {
   const Tuple& tuple() const { return tuple_; }
   int color() const { return color_; }
   int counter() const { return counter_; }
-  bool dead() const { return dead_.load(std::memory_order_acquire); }
+  bool dead() const { return dead_; }
   int num_inputs() const { return static_cast<int>(inputs_.size()); }
   int num_outputs() const { return static_cast<int>(outputs_.size()); }
 
@@ -68,22 +67,10 @@ class Vdp {
   /// graph (used by the stuck-VDP diagnostic formatter).
   const Channel* input_channel(int slot) const { return inputs_[slot].get(); }
 
-  /// Firing rule: every enabled input channel holds a packet, and at least
-  /// one input is enabled (a VDP declared with zero inputs is always ready
-  /// — a source). All inputs disabled => blocked. Additionally — only when
-  /// the graph declares channel capacities — every bounded LOCAL output
-  /// channel must have room (backpressure: the producer stalls instead of
-  /// overrunning the consumer's declared buffer; Channel::pop wakes it
-  /// when space frees). Inter-node outputs are not gated: the proxy pair
-  /// decouples the producer from the remote consumer's buffer, which is
-  /// exactly the over-capacity risk GraphCheck's flow analysis reports
-  /// statically.
+  /// Firing rule (the paper's PRT): every enabled input channel holds a
+  /// packet, and at least one input is enabled (a VDP declared with zero
+  /// inputs is always ready — a source). All inputs disabled => blocked.
   bool ready() const {
-    if (gate_outputs_) {
-      for (const OutputRef& out : outputs_) {
-        if (out.local != nullptr && !out.local->has_room()) return false;
-      }
-    }
     if (inputs_.empty()) return true;
     bool any_enabled = false;
     for (const auto& ch : inputs_) {
@@ -105,19 +92,13 @@ class Vdp {
   int outputs_per_fire_;
   std::vector<std::unique_ptr<Channel>> inputs_;  ///< owned by destination
   std::vector<OutputRef> outputs_;
-  /// True iff some local output channel is bounded — set once during
-  /// wiring so the common (unbounded) graph pays one branch in ready().
-  bool gate_outputs_ = false;
   std::vector<long long> declared_in_;   ///< -1 = default (see accessors)
   std::vector<long long> declared_out_;
   std::any local_;
-  /// Written by the worker holding the firing claim, read by any worker
-  /// scanning for candidates (work stealing) — hence atomic.
-  std::atomic<bool> dead_{false};
+  /// Written and read by the one worker the VDP is bound to; the failure
+  /// report reads it after that worker is joined.
+  bool dead_ = false;
   int global_thread_ = -1;  ///< assigned by the mapping at run()
-  /// Claim flag for the work-stealing executor: at most one worker fires
-  /// a VDP at a time.
-  std::atomic<bool> running_{false};
 };
 
 /// The interface handed to a VDP's function at each firing. Mirrors the
@@ -134,8 +115,8 @@ struct VdpContext {
   int counter() const { return vdp.counter_; }
 
   /// Consumer side of the channel's SPSC contract: only the firing code
-  /// of the destination VDP pops, and firings are serialized (worker
-  /// binding or the stealing claim), so pop needs no lock.
+  /// of the destination VDP pops, and its firings are serialized by its
+  /// worker binding, so pop needs no lock.
   Packet pop(int slot) {
     PQR_ASSERT(slot >= 0 && slot < vdp.num_inputs() &&
                    vdp.inputs_[slot] != nullptr,

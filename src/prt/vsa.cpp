@@ -3,10 +3,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "prt/graph_check.hpp"
@@ -33,17 +35,21 @@ inline void cpu_relax() {
 /// every wake, plus a parked count so wakers skip the mutex entirely while
 /// nobody is parked (the common case). Dekker pairing: a waiter publishes
 /// parked then re-reads the epoch, a waker publishes the epoch then reads
-/// parked — both seq_cst, so no wake is ever lost. A sweep worker owns
-/// one (single waiter); a stealing node shares one among its workers.
+/// parked — both seq_cst, so no wake is ever lost. Each worker owns one
+/// and is its only waiter.
 struct Parker : Waker {
   std::atomic<std::uint64_t> epoch{0};
   std::atomic<int> parked{0};
   std::mutex mu;
   std::condition_variable cv;
 
-  void wake() override { bump(false); }
-  /// Release every waiter (shutdown, or a stealing node's last VDP died).
-  void broadcast() { bump(true); }
+  void wake() override {
+    epoch.fetch_add(1, std::memory_order_seq_cst);
+    if (parked.load(std::memory_order_seq_cst) > 0) {
+      std::lock_guard<std::mutex> lock(mu);  // pairs with the parked wait
+      cv.notify_one();
+    }
+  }
 
   /// Spin-then-park until the epoch moves past `seen` (a value read
   /// BEFORE the caller looked for work, so any wake during the look
@@ -73,19 +79,6 @@ struct Parker : Waker {
     });
     parked.fetch_sub(1, std::memory_order_relaxed);
   }
-
- private:
-  void bump(bool all) {
-    epoch.fetch_add(1, std::memory_order_seq_cst);
-    if (parked.load(std::memory_order_seq_cst) > 0) {
-      std::lock_guard<std::mutex> lock(mu);  // pairs with the parked wait
-      if (all) {
-        cv.notify_all();
-      } else {
-        cv.notify_one();
-      }
-    }
-  }
 };
 }  // namespace
 
@@ -97,7 +90,7 @@ struct Vsa::Worker {
   std::vector<Vdp*> vdps;
   int alive = 0;
   double busy = 0.0;
-  Parker parker;  ///< sweep executor: woken by its VDPs' channels
+  Parker parker;  ///< woken by its VDPs' input channels
 
   // Heartbeat for the watchdog: incremented entering AND leaving fire(),
   // so an odd value means "a firing is in flight on this worker".
@@ -112,48 +105,13 @@ struct Vsa::Node {
   bool has_remote = false;
   std::thread proxy;
 
-  // Work-stealing executor state: a shared pool of fire candidates for
-  // this node's workers, and the VDPs not yet dead.
-  Parker parker;
-  std::mutex pool_mu;
-  std::deque<Vdp*> pool;  ///< guarded by pool_mu
-  std::atomic<int> alive{0};
-
   // Outgoing inter-node packets, drained by this node's proxy. Figure 4
-  // draws one queue per worker; one per node keeps channel order under
-  // work stealing, where consecutive firings of one VDP may run on
-  // different workers and per-worker queues would let the proxy reorder
-  // a channel's packets (claim serialization makes the enqueue order the
-  // channel order).
+  // draws one queue per worker; one per node lets the proxy take every
+  // worker's packets in one swap. A channel's packets keep their order
+  // because all firings of its producer run on the producer's one worker.
   std::mutex omu;
   std::deque<OutMsg> outq;  ///< guarded by omu
-
-  void enqueue(Vdp* v) {
-    {
-      std::lock_guard<std::mutex> lock(pool_mu);
-      pool.push_back(v);
-    }
-    parker.wake();
-  }
-
-  Vdp* take() {
-    std::lock_guard<std::mutex> lock(pool_mu);
-    if (pool.empty()) return nullptr;
-    Vdp* v = pool.front();
-    pool.pop_front();
-    return v;
-  }
 };
-
-namespace {
-/// Channel waker used in work-stealing mode: arrival of a packet turns
-/// the destination VDP into a fire candidate for the whole node.
-struct PoolWaker : Waker {
-  Vsa::Node* node = nullptr;
-  Vdp* vdp = nullptr;
-  void wake() override { node->enqueue(vdp); }
-};
-}  // namespace
 
 // ---- construction -----------------------------------------------------------
 
@@ -204,18 +162,13 @@ void Vsa::declare_input_packets(const Tuple& vdp, int in_slot,
 }
 
 void Vsa::connect(const Tuple& src, int out_slot, const Tuple& dst,
-                  int in_slot, std::size_t max_bytes, bool enabled,
-                  int capacity) {
-  require(capacity >= 0, "connect: capacity must be >= 0 (0 = unbounded)");
-  edges_.push_back(
-      {src, out_slot, dst, in_slot, max_bytes, enabled, capacity});
+                  int in_slot, std::size_t max_bytes, bool enabled) {
+  edges_.push_back({src, out_slot, dst, in_slot, max_bytes, enabled});
 }
 
 void Vsa::feed(const Tuple& dst, int in_slot, std::size_t max_bytes,
-               std::vector<Packet> initial, bool enabled, int capacity) {
-  require(capacity >= 0, "feed: capacity must be >= 0 (0 = unbounded)");
-  feeds_.push_back(
-      {dst, in_slot, max_bytes, std::move(initial), enabled, capacity});
+               std::vector<Packet> initial, bool enabled) {
+  feeds_.push_back({dst, in_slot, max_bytes, std::move(initial), enabled});
 }
 
 void Vsa::map_vdp(const Tuple& tuple, int global_thread) {
@@ -289,7 +242,7 @@ void Vsa::validate_and_wire() {
             "feed: bad input slot on " + f.dst.to_string());
     require(dst.inputs_[f.in_slot] == nullptr,
             "feed: input slot already connected on " + f.dst.to_string());
-    auto ch = std::make_unique<Channel>(f.max_bytes, f.enabled, f.capacity);
+    auto ch = std::make_unique<Channel>(f.max_bytes, f.enabled);
     for (auto& p : f.initial) ch->push(std::move(p));
     dst.inputs_[f.in_slot] = std::move(ch);
   }
@@ -307,7 +260,7 @@ void Vsa::validate_and_wire() {
     require(dst.inputs_[e.in_slot] == nullptr,
             "connect: input slot already connected on " + e.dst.to_string());
 
-    auto ch = std::make_unique<Channel>(e.max_bytes, e.enabled, e.capacity);
+    auto ch = std::make_unique<Channel>(e.max_bytes, e.enabled);
     Channel* chp = ch.get();
     dst.inputs_[e.in_slot] = std::move(ch);
 
@@ -318,7 +271,6 @@ void Vsa::validate_and_wire() {
     const int dst_node = dst.global_thread_ / cfg_.workers_per_node;
     if (src_node == dst_node) {
       out.local = chp;  // zero-copy shared-memory path
-      if (chp->bounded()) src.gate_outputs_ = true;
     } else {
       std::vector<Route>& row = nodes_[dst_node]->routes[src_node];
       out.dst_node = dst_node;
@@ -354,27 +306,11 @@ void Vsa::validate_and_wire() {
     }
   }
 
-  // Attach wakers now that ownership is final. With the sweep executor a
-  // packet wakes the destination VDP's bound worker; with work stealing
-  // it makes the VDP a fire candidate for its whole node. A pop on a
-  // bounded local output of v frees room, so the same waker also serves
-  // backpressure liveness for v's stalled firing rule.
+  // Attach wakers now that ownership is final: a packet wakes the
+  // destination VDP's bound worker.
   for (Vdp* v : creation_order_) {
     Waker* waker = &workers_[v->global_thread_]->parker;
-    if (cfg_.work_stealing) {
-      auto pw = std::make_unique<PoolWaker>();
-      pw->node = nodes_[v->global_thread_ / cfg_.workers_per_node].get();
-      pw->node->alive.fetch_add(1, std::memory_order_relaxed);
-      pw->vdp = v;
-      waker = pw.get();
-      pool_wakers_.push_back(std::move(pw));
-    }
     for (auto& ch : v->inputs_) ch->set_waker(waker);
-    for (OutputRef& out : v->outputs_) {
-      if (out.local != nullptr && out.local->bounded()) {
-        out.local->set_pop_waker(waker);
-      }
-    }
   }
 }
 
@@ -406,17 +342,23 @@ void VdpContext::push(int slot, Packet p) {
 
 // ---- execution --------------------------------------------------------------
 
-void Vsa::fire(Vdp& v, Worker& w) {
+bool Vsa::fire(Vdp& v, Worker& w) {
   // Heartbeat -> odd: tells the watchdog a firing STARTED (and is still
   // in flight), so one kernel outliving watchdog_seconds is progress, not
   // a deadlock.
   w.fire_epoch.fetch_add(1, std::memory_order_relaxed);
   const double t0 = recorder_->now();
   VdpContext ctx{v, *this, w.node_id, w.global_id};
-  v.fn_(ctx);
+  try {
+    v.fn_(ctx);
+  } catch (...) {
+    cancel_run_from_vdp(v, std::current_exception());
+    w.fire_epoch.fetch_add(1, std::memory_order_relaxed);  // back to even
+    return false;
+  }
   --v.counter_;
   if (v.counter_ <= 0) {
-    v.dead_.store(true, std::memory_order_release);
+    v.dead_ = true;
     v.local_.reset();
   }
   const double t1 = recorder_->now();
@@ -424,14 +366,14 @@ void Vsa::fire(Vdp& v, Worker& w) {
   recorder_->record(w.global_id, v.color_, v.tuple_, t0, t1);
   w.fire_epoch.fetch_add(1, std::memory_order_relaxed);  // back to even
   fires_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool Vsa::fire_ready(Vdp& v, Worker& w) {
   bool fired = false;
   while (v.ready()) {
-    fire(v, w);
     fired = true;
-    if (v.dead() || cfg_.scheduling == Scheduling::Lazy) break;
+    if (!fire(v, w) || v.dead() || cfg_.scheduling == Scheduling::Lazy) break;
   }
   return fired;
 }
@@ -447,51 +389,15 @@ bool Vsa::sweep(Worker& w) {
   return fired;
 }
 
-bool Vsa::steal_one(Worker& w, Node& n) {
-  Vdp* v = n.take();
-  if (v == nullptr) return false;
-  if (v->dead() || !v->ready()) return true;  // stale candidate
-  bool expected = false;
-  if (!v->running_.compare_exchange_strong(expected, true)) {
-    return true;  // another worker holds it; it re-enqueues if still ready
-  }
-  if (v->dead()) {
-    v->running_.store(false);
-    return true;
-  }
-  fire_ready(*v, w);
-  const bool died = v->dead();
-  v->running_.store(false, std::memory_order_release);
-  if (died) {
-    // Node done: release the idle workers.
-    if (n.alive.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      n.parker.broadcast();
-    }
-  } else if (v->ready()) {
-    // Re-check AFTER unclaiming: a packet that arrived while we held the
-    // claim may have had its candidate dropped by another worker (claim
-    // failure), so this VDP's wakeup is now our responsibility.
-    n.enqueue(v);
-  }
-  return true;
-}
-
 void Vsa::worker_loop(Worker& w) {
-  Node& n = *nodes_[w.node_id];
-  const bool stealing = cfg_.work_stealing;
-  Parker& parker = stealing ? n.parker : w.parker;
   auto stop = [&] {
-    return cancelled_.load(std::memory_order_relaxed) ||
-           (stealing ? n.alive.load(std::memory_order_acquire) : w.alive) <= 0;
+    return cancelled_.load(std::memory_order_relaxed) || w.alive <= 0;
   };
   while (!stop()) {
-    // Sample the wake epoch BEFORE looking for work: a packet arriving
-    // for a VDP the look already passed bumps the epoch and voids the
-    // wait below.
-    const std::uint64_t seen = parker.epoch.load(std::memory_order_acquire);
-    if (!(stealing ? steal_one(w, n) : sweep(w))) {
-      parker.wait(seen, spin_us_, stop);
-    }
+    // Sample the wake epoch BEFORE the sweep: a packet arriving for a VDP
+    // the sweep already passed bumps the epoch and voids the wait below.
+    const std::uint64_t seen = w.parker.epoch.load(std::memory_order_acquire);
+    if (!sweep(w)) w.parker.wait(seen, spin_us_, stop);
   }
   workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
@@ -610,7 +516,6 @@ void Vsa::proxy_loop(Node& n) {
 
 void Vsa::wake_all() {
   for (auto& w : workers_) w->parker.wake();
-  for (auto& n : nodes_) n->parker.broadcast();
   // Proxies blocked in recv_wait. A socket node process interrupts only
   // its own mailbox: interrupting a peer rank would put a frame on the
   // wire.
@@ -621,6 +526,23 @@ void Vsa::wake_all() {
 
 void Vsa::cancel_run_from_transport() {
   if (transport_failed_.exchange(true, std::memory_order_acq_rel)) return;
+  cancelled_.store(true, std::memory_order_release);
+  wake_all();
+}
+
+void Vsa::cancel_run_from_vdp(const Vdp& v, std::exception_ptr e) {
+  std::string what = "an exception not derived from std::exception";
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& x) {
+    what = x.what();
+  } catch (...) {
+  }
+  {
+    std::lock_guard<std::mutex> lock(exit_mu_);
+    if (vdp_failure_) return;  // the first failure is the one reported
+    vdp_failure_.emplace(v.tuple_, std::move(what));
+  }
   cancelled_.store(true, std::memory_order_release);
   wake_all();
 }
@@ -682,7 +604,7 @@ Vsa::RunStats Vsa::run() {
     // Workers and proxies are already joined: the teardown is complete
     // and the error below is the only thing that escapes.
     RunReport report = make_run_report();
-    std::string header = failure_header(report.reason);
+    std::string header = failure_header(report);
     throw RunError(std::move(header), std::move(report));
   }
   return stats;
@@ -705,14 +627,6 @@ Vsa::RunStats Vsa::run_local(int only_node,
   }
   workers_running_.store(static_cast<int>(workers.size()));
   const auto t_start = std::chrono::steady_clock::now();
-  if (cfg_.work_stealing) {
-    // Seed this process's VDPs as the initial fire candidates; under the
-    // socket transport the rest of the graph belongs to sibling processes.
-    for (Vdp* v : creation_order_) {
-      const int node = v->global_thread_ / cfg_.workers_per_node;
-      if (local(node)) nodes_[node]->enqueue(v);
-    }
-  }
   for (Worker* w : workers) {
     w->thread = std::thread([this, w] { worker_loop(*w); });
   }
@@ -815,6 +729,11 @@ Vsa::RunReport Vsa::make_run_report(int only_node) const {
         v->global_thread_ / cfg_.workers_per_node != only_node) {
       continue;
     }
+    // The socket-transport parent's image never ran (comm_ is null there,
+    // see below): its queues say nothing about a dead rank's.
+    if (comm_) {
+      for (const auto& ch : v->inputs_) r.leftover_packets += ch->size();
+    }
     if (v->dead()) continue;
     ++r.vdps_alive;
     if (shown >= 20) continue;
@@ -828,6 +747,10 @@ Vsa::RunReport Vsa::make_run_report(int only_node) const {
   if (comm_) r.faults = comm_->fault_counters();
   {
     std::lock_guard<std::mutex> lock(exit_mu_);
+    if (vdp_failure_) {
+      r.reason = "vdp";
+      std::tie(r.failed_vdp, r.vdp_error) = *vdp_failure_;
+    }
     r.retransmits = stats_.retransmits;
     for (const auto& g : link_gaps_) {
       // Keep only links with something actually in flight or broken —
@@ -859,7 +782,12 @@ std::string Vsa::RunReport::to_string() const {
   return os.str();
 }
 
-std::string Vsa::failure_header(const std::string& reason) const {
+std::string Vsa::failure_header(const RunReport& r) const {
+  const std::string& reason = r.reason;
+  if (reason == "vdp") {
+    return "PRT: VDP " + r.failed_vdp.to_string() + " threw: " + r.vdp_error +
+           "; the run was cancelled.\n";
+  }
   if (reason == "transport") {
     return "PRT transport: reliable delivery failed (retransmit limit "
            "reached after " +

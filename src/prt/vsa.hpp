@@ -10,11 +10,14 @@
 
 #include <any>
 #include <atomic>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "prt/trace.hpp"
@@ -53,12 +56,6 @@ class Vsa {
     int nodes = 1;
     int workers_per_node = 2;
     Scheduling scheduling = Scheduling::Lazy;
-    /// Alternative execution principle (Section II of the paper invites
-    /// comparing runtimes): ignore the static VDP->thread binding within
-    /// each node and let the node's workers fire any ready VDP from a
-    /// shared pool. The VDP->node placement (and hence all inter-node
-    /// channels) is unchanged — stealing cannot cross address spaces.
-    bool work_stealing = false;
     bool trace = false;
     /// Abort the run (with a stuck-VDP diagnostic) if no VDP fires for
     /// this long. 0 disables the watchdog.
@@ -187,9 +184,16 @@ class Vsa {
   /// Structured diagnosis attached to a RunError: what was stuck and why,
   /// in machine-readable form (the what() string renders the same data).
   struct RunReport {
-    std::string reason;  ///< "watchdog", "transport" or "process"
+    std::string reason;  ///< "vdp", "watchdog", "transport" or "process"
+    /// Reason "vdp": the VDP whose body threw first, and what it threw.
+    Tuple failed_vdp;
+    std::string vdp_error;
     std::vector<std::string> stuck_vdps;  ///< tuple/counter/input-slot lines
     int vdps_alive = 0;
+    /// Packets still queued on the reporting processes' input channels
+    /// when the run stopped (as RunStats::leftover_packets; the socket
+    /// parent cannot see a dead rank's queues and counts none for it).
+    int leftover_packets = 0;
     std::vector<net::LinkGap> links;  ///< in-flight sequence gaps per link
     net::FaultCounters faults;
     long long retransmits = 0;
@@ -199,11 +203,11 @@ class Vsa {
     std::string to_string() const;
   };
 
-  /// Thrown by run() on watchdog expiry or reliable-transport failure
-  /// AFTER workers and proxies have been joined — the process is left
-  /// clean (no detached threads, no leaked packets), and report() names
-  /// the stuck VDPs, the affected (src,dst,tag) streams, and the injected
-  /// fault totals.
+  /// Thrown by run() when a VDP body throws, on watchdog expiry or on
+  /// reliable-transport failure, AFTER workers and proxies have been
+  /// joined — the process is left clean (no detached threads, no leaked
+  /// packets), and report() names the failed or stuck VDPs, the affected
+  /// (src,dst,tag) streams, and the injected fault totals.
   class RunError : public Error {
    public:
     RunError(const std::string& header, RunReport report)
@@ -242,24 +246,13 @@ class Vsa {
   /// prt_channel_new + channel_insert on both endpoints: connect output
   /// slot `out_slot` of `src` to input slot `in_slot` of `dst`. Channels
   /// may start disabled and be enabled from VDP code at runtime.
-  ///
-  /// `capacity` bounds the channel's resident packets (0 = unbounded, the
-  /// default). A bounded intra-node channel backpressures its producer:
-  /// the producer's firing rule stalls while the channel is full and
-  /// resumes when the consumer pops. GraphCheck's flow analysis verifies
-  /// statically that declared bounds cannot deadlock the graph (and that
-  /// feeds never prefill past them); an inter-node bound is analyzed
-  /// statically but not enforced at runtime (the proxy decouples the
-  /// endpoints).
   void connect(const Tuple& src, int out_slot, const Tuple& dst, int in_slot,
-               std::size_t max_bytes, bool enabled = true, int capacity = 0);
+               std::size_t max_bytes, bool enabled = true);
 
   /// A source channel: an input channel with no producer VDP, prefilled
-  /// with `initial` packets before the run starts. `capacity` as in
-  /// connect(); a feed larger than its own bound is a GraphCheck error.
+  /// with `initial` packets before the run starts.
   void feed(const Tuple& dst, int in_slot, std::size_t max_bytes,
-            std::vector<Packet> initial, bool enabled = true,
-            int capacity = 0);
+            std::vector<Packet> initial, bool enabled = true);
 
   /// Explicit VDP -> global worker thread mapping (thread / workers_per_node
   /// is the node). Unmapped VDPs fall back to the default mapping.
@@ -282,8 +275,9 @@ class Vsa {
     return **p;
   }
 
-  /// Execute the VSA to completion. Throws pulsarqr::Error on watchdog
-  /// expiry (deadlocked VSA) or invalid wiring.
+  /// Execute the VSA to completion. Throws pulsarqr::Error on invalid
+  /// wiring, and RunError when a VDP body throws, on watchdog expiry
+  /// (deadlocked VSA) or on transport failure.
   RunStats run();
 
   /// Available after run() when Config::trace is set.
@@ -302,12 +296,10 @@ class Vsa {
   /// Each VDP's global worker thread, in creation order: map_vdp(), else
   /// the default mapping, else round-robin (range unchecked).
   std::vector<int> placement() const;
-  /// Per-node worker loop. The executor picks the ready source: the
-  /// worker's own VDP list (sweep), or its node's shared pool plus the
-  /// per-VDP running_ claim (work stealing). Both park on one Parker.
+  /// A worker sweeps its own VDP list, firing what is ready, and parks on
+  /// its Parker when a sweep fired nothing.
   void worker_loop(Worker& w);
   bool sweep(Worker& w);
-  bool steal_one(Worker& w, Node& n);
   /// Fire `v` while it stays ready (once under Lazy scheduling); returns
   /// whether it fired at all.
   bool fire_ready(Vdp& v, Worker& w);
@@ -316,7 +308,9 @@ class Vsa {
   /// Parameters of the Reliable endpoint both proxy layers of `node`
   /// share (a pass-through one when Config::reliable_transport is off).
   net::Reliable::Params endpoint_params(int node, bool recovery);
-  void fire(Vdp& v, Worker& w);
+  /// One firing; false when the VDP body threw (the run is then
+  /// cancelled with reason "vdp").
+  bool fire(Vdp& v, Worker& w);
   /// The node engine: run node `only_node` (every node when -1) in this
   /// process on comm_ — spawn its workers and proxies, watch progress,
   /// shut down through wake_all() and return this process's RunStats. A
@@ -328,13 +322,13 @@ class Vsa {
   RunStats run_local(int only_node,
                      const std::function<long long()>& tick = nullptr,
                      const std::function<void()>& workers_done = nullptr);
-  /// Wake every parked worker, stealing pool and proxy of this process.
+  /// Wake every parked worker and proxy of this process.
   void wake_all();
   /// `only_node` >= 0 restricts the stuck-VDP census to that node — a
   /// forked node process reports only what it was responsible for.
   RunReport make_run_report(int only_node = -1) const;
-  /// First line of a RunError for a RunReport::reason.
-  std::string failure_header(const std::string& reason) const;
+  /// First line of a RunError for a RunReport.
+  std::string failure_header(const RunReport& r) const;
   /// Socket transport (vsa_socket.cpp): fork one process per node, then
   /// poll their control sockets and carry out what prt::Supervisor
   /// decides (go, cancel, kill, respawn + rejoin); return the merged
@@ -349,6 +343,9 @@ class Vsa {
   /// First-failure path (called from a proxy): mark the run failed and
   /// wake every worker and proxy so the shutdown join completes.
   void cancel_run_from_transport();
+  /// The same for a VDP body that threw `e` (called from its worker): the
+  /// first failure is kept for the report.
+  void cancel_run_from_vdp(const Vdp& v, std::exception_ptr e);
 
   Config cfg_;
   std::unordered_map<Tuple, std::unique_ptr<Vdp>, TupleHash> vdps_;
@@ -361,7 +358,6 @@ class Vsa {
     int in_slot;
     std::size_t max_bytes;
     bool enabled;
-    int capacity;  ///< resident-packet bound; 0 = unbounded
   };
   struct PendingFeed {
     Tuple dst;
@@ -369,7 +365,6 @@ class Vsa {
     std::size_t max_bytes;
     std::vector<Packet> initial;
     bool enabled;
-    int capacity;  ///< resident-packet bound; 0 = unbounded
   };
   std::vector<PendingEdge> edges_;
   std::vector<PendingFeed> feeds_;
@@ -380,7 +375,6 @@ class Vsa {
   // Runtime state (valid during run()).
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Waker>> pool_wakers_;
   std::unique_ptr<net::Comm> comm_;
   std::unique_ptr<trace::Recorder> recorder_;
   std::atomic<long long> fires_{0};
@@ -397,6 +391,8 @@ class Vsa {
   mutable std::mutex exit_mu_;
   RunStats stats_;                       ///< guarded by exit_mu_
   std::vector<net::LinkGap> link_gaps_;  ///< guarded by exit_mu_
+  /// The first VDP failure (reason "vdp"); guarded by exit_mu_.
+  std::optional<std::pair<Tuple, std::string>> vdp_failure_;
 
   /// Non-owning view of comm_ as the socket backend. Set only inside
   /// socket node processes (child_main) so the proxy can fence frames

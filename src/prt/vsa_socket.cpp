@@ -23,9 +23,9 @@
 //   c -> p  'E' u64 len  blob      success epilogue: stats and trace
 //                                  events
 //   c -> p  'F' u64 len  blob      serialized RunReport (local failure)
-// A child that gets 'C' (or loses the parent) ships its 'F' report and
-// exits with status 1; a child EOF without 'E'/'F' means it crashed
-// outright.
+// A child whose VDP body threw, or that gets 'C' (or loses the parent),
+// ships its 'F' report and exits with status 1; a child EOF without
+// 'E'/'F' means it crashed outright.
 #include "prt/vsa.hpp"
 
 #include <poll.h>
@@ -327,7 +327,7 @@ Vsa::RunStats Vsa::run_socket() {
     if (p.ctl >= 0) ::close(p.ctl);
   }
   if (const auto& f = sup.failure()) {
-    throw RunError(failure_header(f->reason), *f);
+    throw RunError(failure_header(*f), *f);
   }
   for (int r = 0; r < N; ++r) {
     for (const trace::Event& ev : sup.events(r)) recorder_->inject(ev);

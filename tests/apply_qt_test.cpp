@@ -19,7 +19,6 @@ struct ApplyCase {
   int m, n, nb, ib, nrhs;
   PlanConfig cfg;
   int nodes, workers;
-  bool stealing;
 };
 
 class ApplyQtParam : public ::testing::TestWithParam<ApplyCase> {};
@@ -45,7 +44,6 @@ TEST_P(ApplyQtParam, BitwiseMatchesHostApply) {
   opt.ib = c.ib;
   opt.nodes = c.nodes;
   opt.workers_per_node = c.workers;
-  opt.work_stealing = c.stealing;
   opt.watchdog_seconds = 20.0;
   TileMatrix got =
       vsaqr::apply_qt(factors, TileMatrix::from_dense(b0.view(), c.nb), opt);
@@ -64,24 +62,21 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ApplyQtParam,
     ::testing::Values(
         ApplyCase{40, 10, 5, 2, 3,
-                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 1, 2,
-                  false},
+                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 1, 2},
         ApplyCase{40, 10, 5, 2, 3,
-                  {TreeKind::BinaryOnFlat, 3, BoundaryMode::Fixed}, 2, 2,
-                  false},
+                  {TreeKind::BinaryOnFlat, 3, BoundaryMode::Fixed}, 2, 2},
         ApplyCase{40, 10, 5, 2, 1, {TreeKind::Flat, 1, BoundaryMode::Shifted},
-                  2, 2, false},
+                  2, 2},
         ApplyCase{40, 10, 5, 2, 7,
-                  {TreeKind::Binary, 1, BoundaryMode::Shifted}, 2, 2, false},
+                  {TreeKind::Binary, 1, BoundaryMode::Shifted}, 2, 2},
         ApplyCase{33, 9, 5, 3, 4,
-                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 2, 2,
-                  false},  // ragged A and B columns
+                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 2,
+                  2},  // ragged A and B columns
         ApplyCase{64, 8, 8, 4, 2,
-                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 3, 2,
-                  true},  // work stealing
+                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 3, 2},
         ApplyCase{24, 24, 6, 3, 5,
-                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 2, 2,
-                  false}  // square A
+                  {TreeKind::BinaryOnFlat, 2, BoundaryMode::Shifted}, 2,
+                  2}  // square A
         ));
 
 // Factor once, stream several independent RHS batches through apply

@@ -22,12 +22,10 @@ TEST_P(CholFuzzParam, RandomConfigBitwiseMatchesReference) {
   opt.workers_per_node = 1 + static_cast<int>(rng.next_u64() % 3);
   opt.scheduling = rng.next_u64() % 2 ? prt::Scheduling::Lazy
                                       : prt::Scheduling::Aggressive;
-  opt.work_stealing = rng.next_u64() % 2 == 0;
   opt.watchdog_seconds = 20.0;
   SCOPED_TRACE(testing::Message()
                << "n=" << n << " nb=" << nb << " nodes=" << opt.nodes
-               << " workers=" << opt.workers_per_node
-               << " stealing=" << opt.work_stealing);
+               << " workers=" << opt.workers_per_node);
 
   Matrix a = chol::random_spd(n, GetParam() * 101 + 3);
   TileMatrix ref = chol::tile_cholesky(TileMatrix::from_dense(a.view(), nb));
@@ -57,12 +55,10 @@ TEST_P(LuFuzzParam, RandomConfigBitwiseMatchesReference) {
   opt.workers_per_node = 1 + static_cast<int>(rng.next_u64() % 3);
   opt.scheduling = rng.next_u64() % 2 ? prt::Scheduling::Lazy
                                       : prt::Scheduling::Aggressive;
-  opt.work_stealing = rng.next_u64() % 2 == 0;
   opt.watchdog_seconds = 20.0;
   SCOPED_TRACE(testing::Message()
                << "m=" << m << " n=" << n << " nb=" << nb << " nodes="
-               << opt.nodes << " workers=" << opt.workers_per_node
-               << " stealing=" << opt.work_stealing);
+               << opt.nodes << " workers=" << opt.workers_per_node);
 
   Matrix a = lu::random_diag_dominant(m, n, GetParam() * 211 + 7);
   TileMatrix ref = lu::tile_lu(TileMatrix::from_dense(a.view(), nb));

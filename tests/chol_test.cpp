@@ -190,18 +190,40 @@ INSTANTIATE_TEST_SUITE_P(
         VsaCholCase{64, 8, 3, 2, prt::Scheduling::Lazy},
         VsaCholCase{48, 4, 4, 1, prt::Scheduling::Aggressive}));
 
-TEST(VsaChol, WorkStealingBitwiseMatchesReference) {
+// Workers that park at once when idle (spin_us = 0) produce the same
+// bits as the sequential tile Cholesky.
+TEST(VsaChol, ParkedWorkersBitwiseMatchReference) {
   Matrix a = chol::random_spd(44, 21);
   TileMatrix ref = chol::tile_cholesky(TileMatrix::from_dense(a.view(), 5));
   chol::VsaCholOptions opt;
   opt.nodes = 2;
   opt.workers_per_node = 3;
-  opt.work_stealing = true;
+  opt.spin_us = 0;
   auto run = chol::vsa_cholesky(TileMatrix::from_dense(a.view(), 5), opt);
+  EXPECT_EQ(run.stats.leftover_packets, 0);
   for (int j = 0; j < 44; ++j) {
     for (int i = j; i < 44; ++i) {
       ASSERT_EQ(run.l.at(i, j), ref.at(i, j));
     }
+  }
+}
+
+TEST(VsaChol, IndefiniteMatrixFailsWithTheVdpReport) {
+  // A diagonal matrix with one negative entry: the potrf VDP of that
+  // diagonal tile, P(3) = (0,3) at nb 64, throws; run() reports it.
+  Matrix a(256, 256);
+  for (int i = 0; i < 256; ++i) a(i, i) = i == 200 ? -1.0 : 1.0;
+  chol::VsaCholOptions opt;
+  opt.workers_per_node = 2;
+  try {
+    chol::vsa_cholesky(TileMatrix::from_dense(a.view(), 64), opt);
+    FAIL() << "an indefinite matrix factored";
+  } catch (const prt::Vsa::RunError& e) {
+    EXPECT_EQ(e.report().reason, "vdp");
+    EXPECT_EQ(e.report().failed_vdp, prt::Tuple({0, 3}));
+    EXPECT_NE(e.report().vdp_error.find("not positive definite"),
+              std::string::npos)
+        << e.report().vdp_error;
   }
 }
 

@@ -264,6 +264,36 @@ void expect_clean(const GraphReport& rep, const std::string& what) {
   EXPECT_TRUE(rep.diagnostics.empty()) << what << ":\n" << rep.to_string();
 }
 
+TEST(GraphCheck, DeclaredTotalsBalanceAnUnevenConsumer) {
+  // P fires 4 times: 4 packets on output 0 but 1 on output 1. C fires 5
+  // times: 4 pops on input 0, 1 on input 1. Counted one per firing, both
+  // of C's inputs look starved; the declarations balance them.
+  for (const bool declared : {false, true}) {
+    SCOPED_TRACE(declared ? "declared" : "undeclared");
+    Vsa vsa(quiet_cfg());
+    vsa.add_vdp(tuple2(16, 0), 4, nop(), 0, 2);
+    vsa.add_vdp(tuple2(16, 1), 5, nop(), 2, 0);
+    vsa.connect(tuple2(16, 0), 0, tuple2(16, 1), 0, 8, /*enabled=*/false);
+    vsa.connect(tuple2(16, 0), 1, tuple2(16, 1), 1, 8);
+    if (declared) {
+      vsa.declare_output_packets(tuple2(16, 0), 1, 1);
+      vsa.declare_input_packets(tuple2(16, 1), 0, 4);
+      vsa.declare_input_packets(tuple2(16, 1), 1, 1);
+    }
+    const GraphReport rep = GraphCheck::check(vsa);
+    if (declared) {
+      expect_clean(rep, "declared totals");
+      continue;
+    }
+    ASSERT_EQ(rep.diagnostics.size(), 2u) << rep.to_string();
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(rep.diagnostics[s].kind, CheckKind::Starvation);
+      EXPECT_EQ(rep.diagnostics[s].vdp, tuple2(16, 1));
+      EXPECT_EQ(rep.diagnostics[s].slot, s);
+    }
+  }
+}
+
 TEST(GraphCheckPlans, TreeQrSweepIsClean) {
   const int nb = 4;
   const struct { int mt, nt; } shapes[] = {{1, 1}, {2, 2}, {4, 3},
@@ -315,217 +345,51 @@ TEST(GraphCheckPlans, PanelLimitedQrIsClean) {
   }
 }
 
-// ---- flow/capacity analysis -------------------------------------------------
-//
-// The deadlock fixture: source A (counter 2) feeds B through a bounded
-// channel and feeds C through an unbounded one; C's single output is B's
-// second input. A's second output carries one packet over two firings, so
-// A may legally defer it to its last firing — and with capacity 1 on
-// A->B, A stalls on the full channel after firing once, C never gets its
-// input, and B (waiting on C) never pops. With capacity 2 the same graph
-// is live under every legal schedule.
-struct CapacityFixture {
-  Vsa vsa;
-  explicit CapacityFixture(int capacity, bool graph_check = true,
-                           double watchdog = 5.0)
-      : vsa([&] {
-          Vsa::Config c;
-          c.nodes = 1;
-          c.workers_per_node = 1;
-          c.graph_check = graph_check;
-          c.watchdog_seconds = watchdog;
-          return c;
-        }()) {
-    // A defers its out1 packet to the last firing — legal under the
-    // declared totals, and the schedule that wedges a capacity-1 A->B.
-    vsa.add_vdp(tuple2(50, 0), 2,
-                [](VdpContext& ctx) {
-                  ctx.push(0, Packet::make(8));
-                  if (ctx.counter() == 1) ctx.push(1, Packet::make(8));
-                },
-                0, 2);
-    vsa.add_vdp(tuple2(50, 1), 2,
-                [](VdpContext& ctx) {
-                  ctx.pop(0);
-                  if (ctx.counter() == 2) {
-                    ctx.pop(1);
-                    ctx.disable_input(1);
-                  }
-                },
-                2, 0);
-    vsa.add_vdp(tuple2(50, 2), 1,
-                [](VdpContext& ctx) { ctx.push(0, ctx.pop(0)); }, 1, 1);
-    vsa.connect(tuple2(50, 0), 0, tuple2(50, 1), 0, 64, true, capacity);
-    vsa.connect(tuple2(50, 0), 1, tuple2(50, 2), 0, 64);
-    vsa.connect(tuple2(50, 2), 0, tuple2(50, 1), 1, 64);
-    vsa.declare_output_packets(tuple2(50, 0), 1, 1);
-    vsa.declare_input_packets(tuple2(50, 1), 1, 1);
-  }
-};
+// ---- flows -----------------------------------------------------------------
 
-TEST(GraphCheckFlow, CapacityDeadlockIsStaticallyRejected) {
-  CapacityFixture fx(1);
-  const Diagnostic d = only(GraphCheck::check(fx.vsa));
-  EXPECT_EQ(d.kind, CheckKind::CapacityDeadlock);
-  EXPECT_EQ(d.severity, Severity::Error);
-  EXPECT_EQ(d.vdp, tuple2(50, 0));  // anchored at the stalled producer
-  EXPECT_EQ(d.slot, 0);
-  // The finding names the offending channel and its bound.
-  EXPECT_NE(d.message.find("capacity 1"), std::string::npos) << d.message;
-  EXPECT_NE(d.message.find("(50,0)"), std::string::npos) << d.message;
-  EXPECT_NE(d.message.find("(50,1)"), std::string::npos) << d.message;
-}
-
-TEST(GraphCheckFlow, AdequateCapacityIsCleanAndRunsLive) {
-  CapacityFixture fx(2);
-  const GraphReport rep = GraphCheck::check(fx.vsa);
-  EXPECT_TRUE(rep.ok()) << rep.to_string();
-  EXPECT_TRUE(rep.diagnostics.empty()) << rep.to_string();
-  const Vsa::RunStats stats = fx.vsa.run();  // graph_check on: no throw
-  EXPECT_EQ(stats.fires, 5);  // A twice, B twice, C once
-}
-
-TEST(GraphCheckFlow, RunRefusesTheDeadlockGraphUpFront) {
-  CapacityFixture fx(1);
-  try {
-    fx.vsa.run();
-    FAIL() << "run() accepted a capacity-deadlock graph";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("capacity-deadlock"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-// The regression this analysis exists for: before GraphCheck understood
-// capacities, the same graph sailed through the static checks and only
-// the runtime watchdog — after its full timeout — caught the wedge.
-TEST(GraphCheckFlow, WatchdogWasTheOnlyDefenseWithoutTheAnalysis) {
-  CapacityFixture fx(1, /*graph_check=*/false, /*watchdog=*/0.3);
-  try {
-    fx.vsa.run();
-    FAIL() << "deadlocked run returned";
-  } catch (const Vsa::RunError& e) {
-    EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(GraphCheckFlow, FeedPrefillOverCapacityIsOverflow) {
-  Vsa vsa(quiet_cfg());
-  vsa.add_vdp(tuple2(51, 0), 3, [](VdpContext& ctx) { ctx.pop(0); }, 1, 0);
-  vsa.feed(tuple2(51, 0), 0, 64,
-           {bytes_packet(8), bytes_packet(8), bytes_packet(8)}, true,
-           /*capacity=*/2);
-  const Diagnostic d = only(GraphCheck::check(vsa));
-  EXPECT_EQ(d.kind, CheckKind::CapacityOverflow);
-  EXPECT_NE(d.message.find("prefills 3"), std::string::npos) << d.message;
-  EXPECT_NE(d.message.find("capacity is 2"), std::string::npos) << d.message;
-}
-
-TEST(GraphCheckFlow, SingleFiringBurstOverCapacityIsOverflow) {
-  Vsa vsa(quiet_cfg());
-  // One firing pushes both packets: no pop can interleave, so capacity 1
-  // cannot hold the burst no matter how the consumer is scheduled.
-  vsa.add_vdp(tuple2(52, 0), 1, nop(), 0, 1, 0, /*outputs_per_fire=*/2);
-  vsa.add_vdp(tuple2(52, 1), 2, [](VdpContext& ctx) { ctx.pop(0); }, 1, 0);
-  vsa.connect(tuple2(52, 0), 0, tuple2(52, 1), 0, 64, true, /*capacity=*/1);
-  const Diagnostic d = only(GraphCheck::check(vsa));
-  EXPECT_EQ(d.kind, CheckKind::CapacityOverflow);
-  EXPECT_EQ(d.vdp, tuple2(52, 0));
-  EXPECT_NE(d.message.find("can push 2"), std::string::npos) << d.message;
-}
-
-TEST(GraphCheckFlow, UniformPipelineAtCapacityOneIsClean) {
-  // A bounded straight pipeline is live at any capacity >= its burst:
-  // the producer stalls, the consumer pops, the producer resumes. No
-  // dependency path back to the producer exists besides the channel
-  // itself, so no deadlock is reported.
-  Vsa vsa(quiet_cfg());
-  vsa.add_vdp(tuple2(53, 0), 4,
-              [](VdpContext& ctx) { ctx.push(0, Packet::make(8)); }, 0, 1);
-  vsa.add_vdp(tuple2(53, 1), 4, [](VdpContext& ctx) { ctx.pop(0); }, 1, 0);
-  vsa.connect(tuple2(53, 0), 0, tuple2(53, 1), 0, 64, true, /*capacity=*/1);
-  const GraphReport rep = GraphCheck::check(vsa);
-  EXPECT_TRUE(rep.diagnostics.empty()) << rep.to_string();
-  EXPECT_NO_THROW(vsa.run());
-}
-
-TEST(GraphCheckFlow, CoveringSiblingChannelIsNotADeadlock) {
-  // Two parallel channels between the same pair, one bounded, one not:
-  // the consumer pops both every firing, so whenever the bounded channel
-  // is full the unbounded sibling is non-empty too (it "covers" it) and
-  // the consumer can always make progress. The naive cycle (B waits on A
-  // through the sibling while A waits on B through the bound) is a false
-  // positive the covers rule must suppress.
-  Vsa vsa(quiet_cfg());
-  vsa.add_vdp(tuple2(54, 0), 2,
-              [](VdpContext& ctx) {
-                ctx.push(0, Packet::make(8));
-                ctx.push(1, Packet::make(8));
-              },
-              0, 2);
-  vsa.add_vdp(tuple2(54, 1), 2,
-              [](VdpContext& ctx) {
-                ctx.pop(0);
-                ctx.pop(1);
-              },
-              2, 0);
-  vsa.connect(tuple2(54, 0), 0, tuple2(54, 1), 0, 64, true, /*capacity=*/1);
-  vsa.connect(tuple2(54, 0), 1, tuple2(54, 1), 1, 64);
-  const GraphReport rep = GraphCheck::check(vsa);
-  EXPECT_TRUE(rep.diagnostics.empty()) << rep.to_string();
-  EXPECT_NO_THROW(vsa.run());
-}
-
-TEST(GraphCheckFlow, BoundedSelfLoopIsADeadlock) {
-  // A VDP that must pop its own deferred output: with the loop bounded
-  // at 1 and two packets crossing it, the stalled producer waits on its
-  // own consumption. The loop channel starts disabled so this isolates
-  // the capacity analysis from the enabled-cycle check.
-  Vsa vsa(quiet_cfg());
-  vsa.add_vdp(tuple2(55, 0), 2, nop(), 2, 1);
-  vsa.feed(tuple2(55, 0), 0, 64, {bytes_packet(8), bytes_packet(8)});
-  vsa.connect(tuple2(55, 0), 0, tuple2(55, 0), 1, 64, /*enabled=*/false,
-              /*capacity=*/1);
-  const Diagnostic d = only(GraphCheck::check(vsa));
-  EXPECT_EQ(d.kind, CheckKind::CapacityDeadlock);
-  EXPECT_EQ(d.vdp, tuple2(55, 0));
-}
-
-TEST(GraphCheckFlow, FlowsReportOccupancyBounds) {
-  Vsa vsa(quiet_cfg());
+TEST(GraphCheckFlow, FlowsReportPacketTotals) {
+  Vsa::Config c = quiet_cfg();
+  c.nodes = 2;
+  Vsa vsa(c);
   vsa.add_vdp(tuple2(56, 0), 2,
               [](VdpContext& ctx) { ctx.push(0, ctx.pop(0)); }, 1, 1);
   vsa.add_vdp(tuple2(56, 1), 2, [](VdpContext& ctx) { ctx.pop(0); }, 1, 0);
+  vsa.map_vdp(tuple2(56, 0), 0);
+  vsa.map_vdp(tuple2(56, 1), c.workers_per_node);  // first worker of node 1
   vsa.connect(tuple2(56, 0), 0, tuple2(56, 1), 0, 64);
   vsa.feed(tuple2(56, 0), 0, 64, {bytes_packet(8), bytes_packet(8)});
   const GraphReport rep = GraphCheck::check(vsa);
   ASSERT_EQ(rep.flows.size(), 2u) << rep.to_string();
   const ChannelFlow& feed = rep.flows[1];  // declaration order: edge, feed
   EXPECT_TRUE(feed.from_feed);
+  EXPECT_FALSE(feed.remote);
   EXPECT_EQ(feed.fed, 2);
-  EXPECT_EQ(feed.peak_packets, 2);
-  EXPECT_EQ(feed.resident_end, 0);
+  EXPECT_EQ(feed.delivered, 2);
+  EXPECT_EQ(feed.consumed, 2);
   const ChannelFlow& edge = rep.flows[0];
+  EXPECT_FALSE(edge.from_feed);
+  EXPECT_TRUE(edge.remote);
   EXPECT_EQ(edge.src, tuple2(56, 0));
+  EXPECT_EQ(edge.dst, tuple2(56, 1));
+  EXPECT_EQ(edge.fed, 0);
   EXPECT_EQ(edge.delivered, 2);
   EXPECT_EQ(edge.consumed, 2);
-  EXPECT_EQ(edge.peak_bytes(), 128);
-  // JSON rendering carries the same numbers for CI gating.
+  EXPECT_EQ(edge.max_bytes, 64u);
+  EXPECT_EQ(rep.remote_frames(), 2);
+  EXPECT_EQ(rep.remote_bytes_bound(), 128);
+  EXPECT_EQ(rep.node_fires, (std::vector<long long>{2, 2}));
+  // JSON rendering carries the same numbers for CI gating, one flow
+  // object per channel with exactly these keys.
   const std::string js = rep.to_json();
-  EXPECT_NE(js.find("\"flows\":"), std::string::npos) << js;
-  EXPECT_NE(js.find("\"peak_packets\":2"), std::string::npos) << js;
-}
-
-TEST(GraphCheckFlow, NegativeCapacityIsRejectedAtConnect) {
-  Vsa vsa(quiet_cfg());
-  vsa.add_vdp(tuple2(57, 0), 1, nop(), 0, 1);
-  vsa.add_vdp(tuple2(57, 1), 1, nop(), 1, 0);
-  EXPECT_THROW(vsa.connect(tuple2(57, 0), 0, tuple2(57, 1), 0, 64, true, -1),
-               Error);
-  EXPECT_THROW(vsa.feed(tuple2(57, 1), 0, 64, {bytes_packet(8)}, true, -2),
-               Error);
+  EXPECT_NE(js.find("\"flows\":[{\"src\":\"(56,0)\",\"src_slot\":0,"
+                    "\"dst\":\"(56,1)\",\"dst_slot\":0,\"remote\":true,"
+                    "\"fed\":0,\"delivered\":2,\"consumed\":2,"
+                    "\"max_bytes\":64},{\"src\":\"feed\",\"src_slot\":-1,"
+                    "\"dst\":\"(56,0)\",\"dst_slot\":0,\"remote\":false,"
+                    "\"fed\":2,\"delivered\":2,\"consumed\":2,"
+                    "\"max_bytes\":64}],\"node_fires\":[2,2]}"),
+            std::string::npos)
+      << js;
 }
 
 TEST(GraphCheckPlans, CholeskySweepIsClean) {

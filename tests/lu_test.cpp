@@ -147,7 +147,7 @@ TEST(LuSolve, SolvesThroughTiles) {
 
 struct VsaLuCase {
   int m, n, nb, nodes, workers;
-  bool stealing;
+  bool park = false;  ///< spin_us = 0: an idle worker parks at once
 };
 
 class VsaLuParam : public ::testing::TestWithParam<VsaLuCase> {};
@@ -159,7 +159,7 @@ TEST_P(VsaLuParam, BitwiseMatchesReference) {
   lu::VsaLuOptions opt;
   opt.nodes = c.nodes;
   opt.workers_per_node = c.workers;
-  opt.work_stealing = c.stealing;
+  if (c.park) opt.spin_us = 0;
   opt.watchdog_seconds = 20.0;
   auto run = lu::vsa_lu(TileMatrix::from_dense(a.view(), c.nb), opt);
   EXPECT_EQ(run.stats.leftover_packets, 0);
@@ -173,15 +173,15 @@ TEST_P(VsaLuParam, BitwiseMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, VsaLuParam,
-    ::testing::Values(VsaLuCase{20, 20, 5, 1, 1, false},
-                      VsaLuCase{20, 20, 5, 2, 2, false},
+    ::testing::Values(VsaLuCase{20, 20, 5, 1, 1},
+                      VsaLuCase{20, 20, 5, 2, 2},
                       VsaLuCase{20, 20, 5, 2, 2, true},
-                      VsaLuCase{33, 33, 5, 2, 2, false},  // ragged
-                      VsaLuCase{30, 18, 6, 2, 2, false},  // tall
-                      VsaLuCase{18, 30, 6, 2, 2, false},  // wide
-                      VsaLuCase{5, 5, 8, 1, 2, false},    // single tile
+                      VsaLuCase{33, 33, 5, 2, 2},  // ragged
+                      VsaLuCase{30, 18, 6, 2, 2},  // tall
+                      VsaLuCase{18, 30, 6, 2, 2},  // wide
+                      VsaLuCase{5, 5, 8, 1, 2},    // single tile
                       VsaLuCase{48, 48, 6, 3, 2, true},
-                      VsaLuCase{48, 42, 6, 4, 1, false}));
+                      VsaLuCase{48, 42, 6, 4, 1}));
 
 // One prt::Vsa::Config reaches the driver: coalesce_bytes switches the
 // proxies' egress coalescing off (no aggregates) or leaves it at the

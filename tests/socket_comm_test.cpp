@@ -4,6 +4,7 @@
 // (the mesh does not care which side of a socketpair lives where); the
 // end-to-end tests fork real node processes through Vsa::run().
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +13,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -423,26 +426,18 @@ TEST(SocketVsaTest, FactorizationMatchesTheReferenceBitwise) {
   fill_random(a0.view(), 17);
   const auto reference = ref::tree_qr(TileMatrix::from_dense(a0.view(), 5), 2,
                                       socket_qr_options(2, 2).tree);
-  // Both executors run inside each node process; under work stealing the
-  // node pool is seeded with this rank's VDPs only, and remote packets
-  // leave through the node's one outgoing queue in claim order.
-  for (const bool stealing : {false, true}) {
-    SCOPED_TRACE(stealing ? "work stealing" : "sweep");
-    TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
-    auto opt = socket_qr_options(2, 2);
-    opt.work_stealing = stealing;
-    auto run = vsaqr::tree_qr(a, opt);
-    EXPECT_GT(run.stats.fires, 0);
-    EXPECT_GT(run.stats.remote_messages, 0);
-    // Clean fabric, no cancels: everything offered went out.
-    EXPECT_EQ(run.stats.wire_messages, run.stats.wire_offered);
-    EXPECT_EQ(run.stats.fault_streams, 0);
-    EXPECT_EQ(run.stats.leftover_packets, 0);
-    for (int j = 0; j < reference.a.cols(); ++j) {
-      for (int i = 0; i < reference.a.rows(); ++i) {
-        ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
-            << "factors differ at (" << i << "," << j << ")";
-      }
+  TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
+  auto run = vsaqr::tree_qr(a, socket_qr_options(2, 2));
+  EXPECT_GT(run.stats.fires, 0);
+  EXPECT_GT(run.stats.remote_messages, 0);
+  // Clean fabric, no cancels: everything offered went out.
+  EXPECT_EQ(run.stats.wire_messages, run.stats.wire_offered);
+  EXPECT_EQ(run.stats.fault_streams, 0);
+  EXPECT_EQ(run.stats.leftover_packets, 0);
+  for (int j = 0; j < reference.a.cols(); ++j) {
+    for (int i = 0; i < reference.a.rows(); ++i) {
+      ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
+          << "factors differ at (" << i << "," << j << ")";
     }
   }
 }
@@ -690,21 +685,33 @@ TEST(SocketVsaTest, CholeskyAndLuMatchTheInProcessRunBitwise) {
 
 TEST(SocketVsaTest, AThrowingVdpFailsItsNodeStructurally) {
   // A VDP body that throws in a node process must not unwind into the
-  // caller's code inside the forked child; the node dies without an
-  // epilogue and the parent reports it.
+  // caller's code inside the forked child; the node ships a report naming
+  // the VDP, and the parent fails the run with it rather than respawning
+  // a node that would replay into the same throw.
   prt::Vsa::Config cfg;
   cfg.nodes = 2;
   cfg.workers_per_node = 1;
   cfg.watchdog_seconds = 60.0;
   cfg.transport = prt::Transport::Socket;
+  cfg.reliable_transport = true;
+  cfg.max_respawns = 2;
+  // Firings of the throwing VDP, counted across processes.
+  void* shared = ::mmap(nullptr, sizeof(std::atomic<int>),
+                        PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS,
+                        -1, 0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* throws = new (shared) std::atomic<int>(0);
   prt::Vsa vsa(cfg);
   for (int i = 0; i < 2; ++i) {
     const bool last = i == 1;
     vsa.add_vdp(
         prt::tuple2(3, i), 1,
-        [last](prt::VdpContext& ctx) {
+        [last, throws](prt::VdpContext& ctx) {
           Packet p = ctx.pop(0);
-          if (last) throw Error("VDP failed");
+          if (last) {
+            throws->fetch_add(1);
+            throw Error("VDP failed");
+          }
           ctx.push(0, std::move(p));
         },
         1, last ? 0 : 1);
@@ -719,11 +726,11 @@ TEST(SocketVsaTest, AThrowingVdpFailsItsNodeStructurally) {
   int escaped[2];
   ASSERT_EQ(::pipe(escaped), 0);
   const pid_t self = ::getpid();
-  std::vector<int> dead;
+  std::optional<prt::Vsa::RunReport> report;
   try {
     vsa.run();
   } catch (const prt::Vsa::RunError& e) {
-    dead = e.report().dead_ranks;
+    report = e.report();
   } catch (const Error&) {
   }
   if (::getpid() != self) {
@@ -735,7 +742,36 @@ TEST(SocketVsaTest, AThrowingVdpFailsItsNodeStructurally) {
   EXPECT_EQ(::read(escaped[0], &c, 1), 0)
       << "a node process unwound into the caller's code";
   ::close(escaped[0]);
-  EXPECT_EQ(dead, std::vector<int>{1});
+  ASSERT_TRUE(report.has_value()) << "the run did not fail with a RunError";
+  EXPECT_EQ(report->reason, "vdp");
+  EXPECT_EQ(report->failed_vdp, prt::tuple2(3, 1));
+  EXPECT_EQ(report->vdp_error, "VDP failed");
+  EXPECT_TRUE(report->dead_ranks.empty());
+  EXPECT_EQ(report->leftover_packets, 0);  // the one packet was popped
+  EXPECT_EQ(throws->load(), 1) << "the failed node was respawned";
+  ::munmap(shared, sizeof(std::atomic<int>));
+}
+
+TEST(SocketVsaTest, IndefiniteCholeskyFailsWithTheVdpReport) {
+  // A diagonal matrix with one negative entry: the potrf VDP of that
+  // diagonal tile, P(3) = (0,3) at nb 64, throws in its node process.
+  Matrix a(256, 256);
+  for (int i = 0; i < 256; ++i) a(i, i) = i == 200 ? -1.0 : 1.0;
+  chol::VsaCholOptions opt;
+  opt.nodes = 2;
+  opt.workers_per_node = 1;
+  opt.transport = prt::Transport::Socket;
+  try {
+    chol::vsa_cholesky(TileMatrix::from_dense(a.view(), 64), opt);
+    FAIL() << "an indefinite matrix factored";
+  } catch (const prt::Vsa::RunError& e) {
+    EXPECT_EQ(e.report().reason, "vdp");
+    EXPECT_EQ(e.report().failed_vdp, prt::Tuple({0, 3}));
+    EXPECT_NE(e.report().vdp_error.find("not positive definite"),
+              std::string::npos)
+        << e.report().vdp_error;
+    EXPECT_TRUE(e.report().dead_ranks.empty());
+  }
 }
 
 // ---- control-plane codecs ---------------------------------------------------

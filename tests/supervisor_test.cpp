@@ -228,6 +228,30 @@ TEST(Supervisor, LaterReportsAddTheirLinksAndDeadRanksToTheFirst) {
   EXPECT_EQ(f.retransmits, 11);
 }
 
+TEST(Supervisor, AVdpReportFailsTheRunWithoutARespawn) {
+  // A node whose VDP body threw reports it; a replacement would replay
+  // into the same throw, so the budget is left unspent.
+  Supervisor s = make(config(2, 2));
+  Vsa::RunReport r = report("vdp", {}, 1);
+  r.failed_vdp = Tuple{0, 3};
+  r.vdp_error = "potf2: matrix is not positive definite";
+  r.leftover_packets = 2;
+  send(s, 1, report_frame(r));
+  EXPECT_EQ(acts(s), "C0");
+  Vsa::RunReport cancelled = report("watchdog", {}, 0);
+  cancelled.leftover_packets = 1;
+  send(s, 0, report_frame(cancelled));
+  EXPECT_TRUE(s.finished());
+  EXPECT_EQ(s.respawns(), 0);
+  ASSERT_TRUE(s.failure().has_value());
+  const Vsa::RunReport& f = *s.failure();
+  EXPECT_EQ(f.reason, "vdp");
+  EXPECT_EQ(f.failed_vdp, (Tuple{0, 3}));
+  EXPECT_EQ(f.vdp_error, "potf2: matrix is not positive definite");
+  EXPECT_EQ(f.leftover_packets, 3);  // both nodes' queues
+  EXPECT_TRUE(f.dead_ranks.empty());
+}
+
 TEST(Supervisor, ADeathPastTheBudgetFailsWithTheDeadRanksReport) {
   Supervisor s = make(config(2, 0));
   eof(s, 1);

@@ -1,7 +1,8 @@
 // Randomized stress tests of the VSA engine: layered random dataflow
 // graphs with token-conservation invariants, across node counts, worker
-// counts and schedulers. Any lost/duplicated packet, missed wakeup or
-// premature VDP death shows up as a count mismatch or a watchdog timeout.
+// counts, schedulers and both idle-worker wakeup paths. Any lost or
+// duplicated packet, missed wakeup or premature VDP death shows up as a
+// count mismatch or a watchdog timeout.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +24,7 @@ struct StressCase {
   int nodes;
   int workers;
   Scheduling sched;
-  bool stealing = false;
+  bool park = false;  ///< spin_us = 0: an idle worker parks at once
 };
 
 class StressParam : public ::testing::TestWithParam<StressCase> {};
@@ -44,7 +45,9 @@ TEST_P(StressParam, TokenConservation) {
   cfg.nodes = c.nodes;
   cfg.workers_per_node = c.workers;
   cfg.scheduling = c.sched;
-  cfg.work_stealing = c.stealing;
+  // Pinned rather than automatic, so both wakeup paths run whatever the
+  // host's core count: a bounded spin on the epoch, or an immediate park.
+  cfg.spin_us = c.park ? 0 : 50;
   cfg.watchdog_seconds = 10.0;
   Vsa vsa(cfg);
   auto counters = std::make_shared<Counters>();
@@ -133,9 +136,9 @@ std::vector<StressCase> stress_cases() {
   for (int nodes : {1, 3}) {
     for (int workers : {1, 2, 4}) {
       for (auto sched : {Scheduling::Lazy, Scheduling::Aggressive}) {
-        for (bool stealing : {false, true}) {
+        for (bool park : {false, true}) {
           for (int rep = 0; rep < 3; ++rep) {
-            cases.push_back({seed++, nodes, workers, sched, stealing});
+            cases.push_back({seed++, nodes, workers, sched, park});
           }
         }
       }
@@ -197,9 +200,9 @@ TEST(VsaStress, DeepCrossNodeChain) {
 // VSA channel runs in the SPSC regime (GraphCheck proves one producer
 // per input slot), so sequence numbers must arrive in exact order
 // whether the producer is a worker thread (same node) or the node proxy
-// (cross-node), for both scheduling modes and both executors. This runs
-// in the TSan CI leg, which additionally checks the memory-ordering
-// claims of the lock-free fast path.
+// (cross-node), for both scheduling modes. This runs in the TSan CI leg,
+// which additionally checks the memory-ordering claims of the lock-free
+// fast path.
 struct FifoProbe {
   std::atomic<long long> received{0};
   std::atomic<long long> misordered{0};
@@ -209,55 +212,54 @@ TEST(VsaStress, SpscStrictFifoAcrossSchedulers) {
   const int packets = 2000;
   for (int nodes : {1, 2}) {
     for (auto sched : {Scheduling::Lazy, Scheduling::Aggressive}) {
-      for (bool stealing : {false, true}) {
-        Vsa::Config cfg;
-        cfg.nodes = nodes;
-        cfg.workers_per_node = 2;
-        cfg.scheduling = sched;
-        cfg.work_stealing = stealing;
-        cfg.watchdog_seconds = 20.0;
-        // Cover both wakeup paths regardless of the host's core count:
-        // bounded spin on the epoch, and immediate park.
-        cfg.spin_us = nodes == 1 ? 50 : 0;
-        Vsa vsa(cfg);
-        auto probe = std::make_shared<FifoProbe>();
-        vsa.set_global(probe);
-        // Successive firings of one VDP are serialized by the runtime,
-        // so plain shared counters are safe on each side.
-        auto seq = std::make_shared<int>(0);
-        auto expect = std::make_shared<int>(0);
-        vsa.add_vdp(
-            tuple2(20, 0), packets,
-            [seq](VdpContext& ctx) {
-              (void)ctx.pop(0);
-              ctx.push(0, Packet::make(8, (*seq)++));
-            },
-            1, 1);
-        vsa.add_vdp(
-            tuple2(20, 1), packets,
-            [expect](VdpContext& ctx) {
-              const Packet p = ctx.pop(0);
-              auto& pr = ctx.global<FifoProbe>();
-              pr.received.fetch_add(1);
-              if (p.meta() != (*expect)++) pr.misordered.fetch_add(1);
-            },
-            1, 0);
-        if (nodes == 2) {
-          vsa.map_vdp(tuple2(20, 0), 0);
-          vsa.map_vdp(tuple2(20, 1), 1);  // channel fed by node 1's proxy
-        }
-        vsa.connect(tuple2(20, 0), 0, tuple2(20, 1), 0, 8);
-        std::vector<Packet> ticks;
-        for (int t = 0; t < packets; ++t) ticks.push_back(Packet::make(8));
-        vsa.feed(tuple2(20, 0), 0, 8, std::move(ticks));
-        auto stats = vsa.run();
-        EXPECT_EQ(stats.fires, 2LL * packets);
-        EXPECT_EQ(probe->received.load(), packets);
-        EXPECT_EQ(probe->misordered.load(), 0)
-            << "nodes=" << nodes << " sched="
-            << (sched == Scheduling::Lazy ? "lazy" : "aggressive")
-            << " stealing=" << stealing;
+      Vsa::Config cfg;
+      cfg.nodes = nodes;
+      cfg.workers_per_node = 2;
+      cfg.scheduling = sched;
+      cfg.watchdog_seconds = 20.0;
+      // Cover both wakeup paths regardless of the host's core count:
+      // bounded spin on the epoch, and immediate park.
+      cfg.spin_us = nodes == 1 ? 50 : 0;
+      Vsa vsa(cfg);
+      auto probe = std::make_shared<FifoProbe>();
+      vsa.set_global(probe);
+      // Successive firings of one VDP are serialized by the runtime,
+      // so plain shared counters are safe on each side.
+      auto seq = std::make_shared<int>(0);
+      auto expect = std::make_shared<int>(0);
+      vsa.add_vdp(
+          tuple2(20, 0), packets,
+          [seq](VdpContext& ctx) {
+            (void)ctx.pop(0);
+            ctx.push(0, Packet::make(8, (*seq)++));
+          },
+          1, 1);
+      vsa.add_vdp(
+          tuple2(20, 1), packets,
+          [expect](VdpContext& ctx) {
+            const Packet p = ctx.pop(0);
+            auto& pr = ctx.global<FifoProbe>();
+            pr.received.fetch_add(1);
+            if (p.meta() != (*expect)++) pr.misordered.fetch_add(1);
+          },
+          1, 0);
+      if (nodes == 2) {
+        vsa.map_vdp(tuple2(20, 0), 0);
+        // Thread workers_per_node is node 1's first worker: the channel
+        // is fed by node 1's proxy.
+        vsa.map_vdp(tuple2(20, 1), cfg.workers_per_node);
       }
+      vsa.connect(tuple2(20, 0), 0, tuple2(20, 1), 0, 8);
+      std::vector<Packet> ticks;
+      for (int t = 0; t < packets; ++t) ticks.push_back(Packet::make(8));
+      vsa.feed(tuple2(20, 0), 0, 8, std::move(ticks));
+      auto stats = vsa.run();
+      EXPECT_EQ(stats.fires, 2LL * packets);
+      EXPECT_EQ(stats.remote_messages, nodes == 2 ? packets : 0);
+      EXPECT_EQ(probe->received.load(), packets);
+      EXPECT_EQ(probe->misordered.load(), 0)
+          << "nodes=" << nodes << " sched="
+          << (sched == Scheduling::Lazy ? "lazy" : "aggressive");
     }
   }
 }

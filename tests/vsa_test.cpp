@@ -3,9 +3,13 @@
 // execution through the proxy, schedulers, mappings, and failure modes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -338,6 +342,299 @@ TEST(Vsa, WatchdogToleratesOneLongFiring) {
   auto stats = vsa.run();  // must complete, not throw the watchdog error
   EXPECT_EQ(stats.fires, 1);
   EXPECT_EQ(collector->values.size(), 1u);
+}
+
+// ---- the firing rule reads inputs only -----------------------------------
+
+/// P fires `n` times and pushes one packet per firing on output 0, plus a
+/// "go" packet on output 1 in its last firing only. C starts with input
+/// 0 disabled: its first firing pops the go packet and switches to input
+/// 0, so all n of P's packets sit in one channel before C pops any. A
+/// firing rule that waited for room on an output would stall P there.
+void build_run_ahead_pair(Vsa& vsa, int n) {
+  const Tuple p = tuple2(11, 0);
+  const Tuple c = tuple2(11, 1);
+  vsa.add_vdp(
+      p, n,
+      [](VdpContext& ctx) {
+        ctx.push(0, scalar_packet(ctx.counter()));
+        if (ctx.counter() == 1) ctx.push(1, scalar_packet(0.0));
+      },
+      0, 2);
+  vsa.add_vdp(
+      c, n + 1,
+      [n](VdpContext& ctx) {
+        if (ctx.counter() == n + 1) {
+          (void)ctx.pop(1);
+          ctx.disable_input(1);
+          ctx.enable_input(0);
+          return;
+        }
+        ctx.global<Collector>().add(ctx.pop(0).doubles()[0], 0);
+      },
+      2, 0);
+  vsa.declare_output_packets(p, 1, 1);
+  vsa.declare_input_packets(c, 0, n);
+  vsa.declare_input_packets(c, 1, 1);
+  vsa.connect(p, 0, c, 0, sizeof(double), /*enabled=*/false);
+  vsa.connect(p, 1, c, 1, sizeof(double));
+}
+
+/// The run-ahead pair completes with every packet delivered in FIFO order.
+void expect_run_ahead_completes(Vsa& vsa, int n) {
+  auto collector = std::make_shared<Collector>();
+  vsa.set_global(collector);
+  const auto stats = vsa.run();
+  EXPECT_EQ(stats.fires, 2LL * n + 1);
+  EXPECT_EQ(stats.leftover_packets, 0);
+  ASSERT_EQ(collector->values.size(), static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) EXPECT_EQ(collector->values[k], n - k);
+}
+
+TEST(VsaFiringRule, AProducerRunsAheadOfItsConsumer) {
+  const int n = 500;
+  for (const Scheduling sched : {Scheduling::Lazy, Scheduling::Aggressive}) {
+    for (int workers : {1, 2}) {
+      SCOPED_TRACE(std::string(sched == Scheduling::Lazy ? "lazy" : "aggr") +
+                   " workers=" + std::to_string(workers));
+      Vsa vsa(cfg(1, workers, sched));
+      build_run_ahead_pair(vsa, n);
+      expect_run_ahead_completes(vsa, n);
+    }
+  }
+}
+
+TEST(VsaFiringRule, ACrossNodeProducerRunsAheadOfItsConsumer) {
+  const int n = 500;
+  for (const Scheduling sched : {Scheduling::Lazy, Scheduling::Aggressive}) {
+    SCOPED_TRACE(sched == Scheduling::Lazy ? "lazy" : "aggressive");
+    Vsa::Config c = cfg(2, 1, sched);
+    Vsa vsa(c);
+    build_run_ahead_pair(vsa, n);
+    vsa.map_vdp(tuple2(11, 0), 0);
+    vsa.map_vdp(tuple2(11, 1), c.workers_per_node);  // node 1
+    expect_run_ahead_completes(vsa, n);
+  }
+}
+
+// ---- a VDP body that throws ------------------------------------------------
+
+/// Threads of this process, to show a failed run leaves none behind.
+int thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<int>(std::distance(begin(tasks), end(tasks)));
+}
+
+/// Every packet the VDPs pop and push, so a failed run's queued packets
+/// can be checked against them: leftover = fed + pushed - popped.
+struct PacketLedger {
+  std::atomic<int> popped{0};
+  std::atomic<int> pushed{0};
+};
+
+TEST(VsaFailure, AThrowingVdpCancelsTheRunUnderEitherSchedule) {
+  for (const Scheduling sched : {Scheduling::Lazy, Scheduling::Aggressive}) {
+    SCOPED_TRACE(sched == Scheduling::Lazy ? "lazy" : "aggressive");
+    const int threads = thread_count();
+    Vsa vsa(cfg(1, 2, sched));
+    auto ledger = std::make_shared<PacketLedger>();
+    vsa.set_global(ledger);
+    // A three-VDP chain over 4 packets whose middle VDP throws on its
+    // second firing, after popping.
+    for (int i = 0; i < 3; ++i) {
+      vsa.add_vdp(
+          tuple2(7, i), 4,
+          [i](VdpContext& ctx) {
+            auto& l = ctx.global<PacketLedger>();
+            Packet p = ctx.pop(0);
+            l.popped.fetch_add(1);
+            if (i == 1 && ctx.counter() == 3) throw Error("boom");
+            if (i < 2) {
+              ctx.push(0, std::move(p));
+              l.pushed.fetch_add(1);
+            }
+          },
+          1, i < 2 ? 1 : 0);
+    }
+    std::vector<Packet> init;
+    for (int k = 0; k < 4; ++k) init.push_back(scalar_packet(k));
+    vsa.feed(tuple2(7, 0), 0, sizeof(double), std::move(init));
+    vsa.connect(tuple2(7, 0), 0, tuple2(7, 1), 0, sizeof(double));
+    vsa.connect(tuple2(7, 1), 0, tuple2(7, 2), 0, sizeof(double));
+    try {
+      vsa.run();
+      FAIL() << "a run whose VDP threw returned";
+    } catch (const Vsa::RunError& e) {
+      const Vsa::RunReport& r = e.report();
+      EXPECT_EQ(r.reason, "vdp");
+      EXPECT_EQ(r.failed_vdp, tuple2(7, 1));
+      EXPECT_NE(r.vdp_error.find("boom"), std::string::npos) << r.vdp_error;
+      EXPECT_NE(std::string(e.what()).find("VDP (7,1) threw"),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(r.leftover_packets,
+                4 + ledger->pushed.load() - ledger->popped.load());
+      EXPECT_GE(r.vdps_alive, 2);  // (7,1) and (7,2) never finished
+    }
+    EXPECT_EQ(thread_count(), threads);
+  }
+}
+
+TEST(VsaFailure, ANonStandardExceptionIsReportedToo) {
+  Vsa vsa(cfg(1, 1));
+  vsa.add_vdp(tuple2(9, 0), 1, [](VdpContext&) { throw 42; }, 0, 0);
+  try {
+    vsa.run();
+    FAIL() << "a run whose VDP threw returned";
+  } catch (const Vsa::RunError& e) {
+    EXPECT_EQ(e.report().reason, "vdp");
+    EXPECT_EQ(e.report().failed_vdp, tuple2(9, 0));
+    EXPECT_EQ(e.report().vdp_error,
+              "an exception not derived from std::exception");
+  }
+}
+
+TEST(VsaFailure, AThrowWaitsForTheFiringInFlightOnAnotherWorker) {
+  struct Flags {
+    std::atomic<bool> started{false};   // (8,1) is inside its firing
+    std::atomic<bool> throwing{false};  // (8,0) is about to throw
+    std::atomic<bool> finished{false};  // (8,1) completed its firing
+    std::atomic<bool> z_fired{false};
+  };
+  const int threads = thread_count();
+  Vsa vsa(cfg(1, 2));
+  auto flags = std::make_shared<Flags>();
+  vsa.set_global(flags);
+  auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  vsa.add_vdp(
+      tuple2(8, 0), 1,
+      [wait_for](VdpContext& ctx) {
+        auto& f = ctx.global<Flags>();
+        wait_for(f.started);
+        f.throwing = true;
+        throw Error("failed while (8,1) fires");
+      },
+      0, 0);
+  vsa.add_vdp(
+      tuple2(8, 1), 1,
+      [wait_for](VdpContext& ctx) {
+        auto& f = ctx.global<Flags>();
+        f.started = true;
+        wait_for(f.throwing);
+        // Still firing while the other worker cancels the run.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        ctx.push(0, scalar_packet(1.0));
+        f.finished = true;
+      },
+      0, 1);
+  vsa.add_vdp(
+      tuple2(8, 2), 1,
+      [](VdpContext& ctx) {
+        ctx.pop(0);
+        ctx.global<Flags>().z_fired = true;
+      },
+      1, 0);
+  vsa.map_vdp(tuple2(8, 0), 0);
+  vsa.map_vdp(tuple2(8, 1), 1);
+  vsa.map_vdp(tuple2(8, 2), 1);
+  vsa.connect(tuple2(8, 1), 0, tuple2(8, 2), 0, sizeof(double));
+  try {
+    vsa.run();
+    FAIL() << "a run whose VDP threw returned";
+  } catch (const Vsa::RunError& e) {
+    // run() joined the worker that was mid-fire: its firing completed.
+    EXPECT_TRUE(flags->finished.load());
+    EXPECT_EQ(e.report().reason, "vdp");
+    EXPECT_EQ(e.report().failed_vdp, tuple2(8, 0));
+    const bool z = flags->z_fired.load();
+    EXPECT_EQ(e.report().leftover_packets, z ? 0 : 1);
+    EXPECT_EQ(e.report().vdps_alive, z ? 1 : 2);
+  }
+  EXPECT_EQ(thread_count(), threads);
+}
+
+TEST(VsaFailure, ConcurrentThrowsReportOneVdpWithItsOwnMessage) {
+  // Two VDPs on two workers throw at the same moment. The report names
+  // one of them and carries that VDP's own message, never a mix.
+  struct Gate {
+    std::atomic<int> arrived{0};
+  };
+  const int threads = thread_count();
+  Vsa vsa(cfg(1, 2));
+  vsa.set_global(std::make_shared<Gate>());
+  for (int i = 0; i < 2; ++i) {
+    vsa.add_vdp(
+        tuple2(12, i), 1,
+        [i](VdpContext& ctx) {
+          auto& g = ctx.global<Gate>();
+          g.arrived.fetch_add(1);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (g.arrived.load() < 2 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          throw Error("vdp " + std::to_string(i) + " failed");
+        },
+        0, 0);
+    vsa.map_vdp(tuple2(12, i), i);
+  }
+  try {
+    vsa.run();
+    FAIL() << "a run whose VDPs threw returned";
+  } catch (const Vsa::RunError& e) {
+    const Vsa::RunReport& r = e.report();
+    EXPECT_EQ(r.reason, "vdp");
+    ASSERT_TRUE(r.failed_vdp == tuple2(12, 0) || r.failed_vdp == tuple2(12, 1))
+        << r.failed_vdp.to_string();
+    const int i = r.failed_vdp == tuple2(12, 0) ? 0 : 1;
+    EXPECT_NE(r.vdp_error.find("vdp " + std::to_string(i) + " failed"),
+              std::string::npos)
+        << r.failed_vdp.to_string() << ": " << r.vdp_error;
+    EXPECT_EQ(r.leftover_packets, 0);
+  }
+  EXPECT_EQ(thread_count(), threads);
+}
+
+TEST(VsaFailure, AThrowOnOneNodeCancelsEveryNode) {
+  // A source on node 2 throws before it pushes; the consumers on nodes 0
+  // and 1 wait, parked, for packets that never come. The run ends on the
+  // failure, long before the watchdog would.
+  const int threads = thread_count();
+  Vsa::Config c = cfg(3, 1);
+  c.spin_us = 0;
+  c.watchdog_seconds = 60.0;
+  Vsa vsa(c);
+  vsa.add_vdp(
+      tuple2(13, 2), 1,
+      [](VdpContext&) -> void { throw Error("source failed"); }, 0, 2);
+  for (int i = 0; i < 2; ++i) {
+    vsa.add_vdp(tuple2(13, i), 1, [](VdpContext& ctx) { ctx.pop(0); }, 1, 0);
+    vsa.map_vdp(tuple2(13, i), i);
+    vsa.connect(tuple2(13, 2), i, tuple2(13, i), 0, sizeof(double));
+  }
+  vsa.map_vdp(tuple2(13, 2), 2);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    vsa.run();
+    FAIL() << "a run whose VDP threw returned";
+  } catch (const Vsa::RunError& e) {
+    const Vsa::RunReport& r = e.report();
+    EXPECT_EQ(r.reason, "vdp");
+    EXPECT_EQ(r.failed_vdp, tuple2(13, 2));
+    EXPECT_NE(r.vdp_error.find("source failed"), std::string::npos)
+        << r.vdp_error;
+    EXPECT_EQ(r.leftover_packets, 0);
+    EXPECT_EQ(r.vdps_alive, 3);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+  EXPECT_EQ(thread_count(), threads);
 }
 
 // The park-immediately wakeup path (spin_us = 0) stays exercised through

@@ -1,6 +1,6 @@
 // Randomized property sweep of the QR systolic array: seeded random
 // problem shapes, tile/inner-block sizes, tree configurations, runtime
-// topologies and executors — every draw must reproduce the sequential
+// topologies and schedules — every draw must reproduce the sequential
 // reference bitwise and leave no packets behind.
 #include <gtest/gtest.h>
 
@@ -39,7 +39,6 @@ TEST_P(QrFuzzParam, RandomConfigBitwiseMatchesReference) {
   opt.workers_per_node = 1 + static_cast<int>(rng.next_u64() % 3);
   opt.scheduling = rng.next_u64() % 2 ? prt::Scheduling::Lazy
                                       : prt::Scheduling::Aggressive;
-  opt.work_stealing = rng.next_u64() % 2 == 0;
   opt.watchdog_seconds = 20.0;
 
   SCOPED_TRACE(testing::Message()
@@ -48,7 +47,7 @@ TEST_P(QrFuzzParam, RandomConfigBitwiseMatchesReference) {
                << " h=" << cfg.domain_size
                << " bm=" << static_cast<int>(cfg.boundary)
                << " nodes=" << opt.nodes << " workers="
-               << opt.workers_per_node << " stealing=" << opt.work_stealing);
+               << opt.workers_per_node);
 
   Matrix a0(m, n);
   fill_random(a0.view(), GetParam() * 7919 + 13);

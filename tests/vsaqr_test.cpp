@@ -141,9 +141,10 @@ std::vector<Case> all_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, VsaQrParam, ::testing::ValuesIn(all_cases()));
 
-// The work-stealing executor must produce the same bits: scheduling
-// freedom cannot change a dataflow-determined computation.
-TEST(VsaQr, WorkStealingBitwiseMatchesReference) {
+// Workers that park at once when idle (spin_us = 0) must produce the
+// same bits: the wakeup path cannot change a dataflow-determined
+// computation.
+TEST(VsaQr, ParkedWorkersBitwiseMatchReference) {
   Matrix a0(60, 15);
   fill_random(a0.view(), 808);
   const plan::PlanConfig cfg{TreeKind::BinaryOnFlat, 2,
@@ -155,7 +156,7 @@ TEST(VsaQr, WorkStealingBitwiseMatchesReference) {
     opt.ib = 2;
     opt.nodes = nodes;
     opt.workers_per_node = 3;
-    opt.work_stealing = true;
+    opt.spin_us = 0;
     auto run = vsaqr::tree_qr(TileMatrix::from_dense(a0.view(), 5), opt);
     EXPECT_EQ(run.stats.leftover_packets, 0);
     for (int j = 0; j < 15; ++j) {

@@ -8,7 +8,11 @@
 Each arm is its own source tree, and each builds its own .bench_build
 through that tree's unchanged perfbench/run.py:
 
-  * change: this checkout (the working tree, uncommitted edits included);
+  * change: a copy of this checkout's working tree (uncommitted edits
+    included; .git, build and .bench_build left out), made and timed
+    before the warm-up and removed at the end. perfbench/run.py rebuilds
+    before every run, so timing the live checkout would let an edit made
+    during the A/B change the arm between pairs;
   * parent: --parent-tree DIR, a separate copy of the parent revision made
     beforehand with `git clone` or `git archive`. The tool writes nothing
     into this repository's .git, so an interrupted run leaves no
@@ -40,13 +44,18 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 RUN_TIMEOUT_S = 900
+# Left out of the frozen change arm: history and build outputs.
+FREEZE_SKIP = (".git", "build", ".bench_build")
 
 
 def die(msg):
@@ -75,6 +84,19 @@ def parent_revision(tree, given):
         die("%s is not a git checkout: name its revision with --parent "
             "<full sha>" % tree)
     return given
+
+
+def freeze(tree, parent_dir=None):
+    """Copy the working tree `tree` into a new temporary directory (under
+    `parent_dir` if given), leaving out FREEZE_SKIP at its top; returns the
+    copy and the seconds the copy took."""
+    t0 = time.monotonic()
+    copy = os.path.join(tempfile.mkdtemp(prefix="ab_pairs_", dir=parent_dir),
+                        "change")
+    shutil.copytree(tree, copy, symlinks=True,
+                    ignore=lambda d, names: [n for n in names if d == tree
+                                             and n in FREEZE_SKIP])
+    return copy, time.monotonic() - t0
 
 
 def run_once(tree, workload, seed, seconds, trace):
@@ -129,8 +151,55 @@ def claim_verdict(parent, change, way):
     return met, wins, gap, spread
 
 
+def selftest_freeze():
+    """freeze() on a scratch checkout: the copy holds an uncommitted edit,
+    leaves out .git and the build outputs, and a later edit to the
+    checkout does not reach it. Returns the number of misses."""
+    def write(path, text):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as f:
+            f.write(text)
+
+    def read(path):
+        with open(path) as f:
+            return f.read()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        checkout = os.path.join(tmp, "checkout")
+        src = os.path.join(checkout, "src", "kernel.cpp")
+        write(src, "committed\n")
+        git = ["git", "-C", checkout, "-c", "user.name=ab_pairs",
+               "-c", "user.email=ab_pairs@localhost",
+               "-c", "commit.gpgsign=false"]
+        for cmd in (["init", "-q"], ["add", "-A"],
+                    ["commit", "-q", "-m", "committed"]):
+            subprocess.run(git + cmd, check=True, stdout=subprocess.DEVNULL)
+        write(src, "uncommitted edit\n")
+        for d in ("build", ".bench_build"):
+            write(os.path.join(checkout, d, "vsabench"), "binary\n")
+        copy, _ = freeze(checkout, tmp)
+        write(src, "edit made during the A/B\n")
+        copied = os.path.join(copy, "src", "kernel.cpp")
+        checks = [
+            ("copy holds the uncommitted edit",
+             read(copied) == "uncommitted edit\n"),
+            ("copy leaves out .git and the build outputs",
+             not any(os.path.exists(os.path.join(copy, d))
+                     for d in FREEZE_SKIP)),
+            ("a later edit does not reach the copy",
+             read(src) != read(copied)),
+        ]
+    bad = 0
+    for name, ok in checks:
+        bad += not ok
+        print("ab_pairs selftest: freeze: %-42s %s"
+              % (name, "ok" if ok else "FAIL"))
+    return bad
+
+
 def selftest():
-    """The claim verdict on synthetic samples; exits nonzero on a miss."""
+    """The claim verdict on synthetic samples and the frozen change arm;
+    exits nonzero on a miss."""
     base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     cases = [
         # (name, parent, change, way, want)
@@ -160,6 +229,7 @@ def selftest():
         print("ab_pairs selftest: %-32s %s (want %s) %s"
               % (name, "MET" if met else "NOT MET",
                  "MET" if want else "NOT MET", "ok" if ok else "FAIL"))
+    bad += selftest_freeze()
     return 1 if bad else 0
 
 
@@ -230,7 +300,19 @@ def main():
     if parent_tree == os.path.realpath(REPO):
         die("parent and change are the same tree")
     parent_rev = parent_revision(parent_tree, args.parent)
-    trees = {"parent": parent_tree, "change": REPO}
+    change_tree, copy_s = freeze(REPO)
+    print("ab_pairs: froze the change arm into %s in %.2f s"
+          % (change_tree, copy_s), file=sys.stderr)
+    try:
+        run_pairs(args, workloads, claims, parent_tree, parent_rev,
+                  change_tree, copy_s)
+    finally:
+        shutil.rmtree(os.path.dirname(change_tree), ignore_errors=True)
+
+
+def run_pairs(args, workloads, claims, parent_tree, parent_rev, change_tree,
+              copy_s):
+    trees = {"parent": parent_tree, "change": change_tree}
 
     # Warm-up: builds each arm's .bench_build; its numbers are dropped.
     for arm, tree in trees.items():
@@ -279,6 +361,8 @@ def main():
         "change": args.change,
         "parent_commit": parent_rev,
         "commit": "the commit that added this entry",
+        "change_tree": "a copy of the working tree made before the warm-up "
+                       "in %.2f s" % copy_s,
         "host": host(),
         "perfbench": {
             "seconds": args.seconds,

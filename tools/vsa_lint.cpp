@@ -3,9 +3,10 @@
 // Subcommand `lint` (the default) builds the requested systolic array
 // (QR, Cholesky, LU, or all three) for a given tile shape and runs
 // prt::GraphCheck over the constructed graph: wiring, packet balance,
-// enabled-channel cycles, feed capacity, flow/occupancy bounds and
-// reachability. No kernel ever runs and no thread is spawned, so
-// arbitrarily large plans lint in milliseconds.
+// enabled-channel cycles, oversize feeds and reachability, plus each
+// channel's packet totals and the placement's traffic line. No kernel
+// ever runs and no thread is spawned, so arbitrarily large plans lint in
+// milliseconds.
 //
 //   vsa_lint [lint] [--algo qr|chol|lu|all] --mt 8 --nt 6
 //            [--nb 8 --ib 4 --tree hier --h 2 --boundary shifted
