@@ -67,16 +67,15 @@ void BM_channel_ping(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * packets);
 }
 
-// Inter-node ping through the proxy path: a 3-way A/B matrix of egress
-// frame coalescing (on/off), the ack/retransmit reliable-delivery
-// protocol (off must show no measurable overhead: the sequencing
-// machinery is not even instantiated then), and the packet pool.
+// Inter-node ping through the proxy path, one wire message per frame: an
+// A/B matrix of the ack/retransmit reliable-delivery protocol (off must
+// show no measurable overhead: the sequencing machinery is not even
+// instantiated then) and the packet pool.
 void BM_channel_ping_internode(benchmark::State& state) {
   const int length = 8;
   const int packets = 256;
-  const bool coalesce = state.range(0) == 1;
-  const bool reliable = state.range(1) == 1;
-  const bool pool = state.range(2) == 1;
+  const bool reliable = state.range(0) == 1;
+  const bool pool = state.range(1) == 1;
   prt::PacketPool::set_enabled(pool);
   for (auto _ : state) {
     state.PauseTiming();
@@ -84,7 +83,6 @@ void BM_channel_ping_internode(benchmark::State& state) {
     cfg.nodes = 2;
     cfg.workers_per_node = 1;
     cfg.reliable_transport = reliable;
-    cfg.coalesce_bytes = coalesce ? 64 * 1024 : 0;
     Vsa vsa(cfg);
     // Alternate home nodes so every hop crosses the proxy transport.
     for (int i = 0; i < length; ++i) {
@@ -109,8 +107,7 @@ void BM_channel_ping_internode(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.remote_messages);
   }
   state.SetItemsProcessed(state.iterations() * length * packets);
-  state.SetLabel(std::string(coalesce ? "coalesce-on" : "coalesce-off") +
-                 (reliable ? "/reliable-on" : "/reliable-off") +
+  state.SetLabel(std::string(reliable ? "reliable-on" : "reliable-off") +
                  (pool ? "/pool-on" : "/pool-off"));
   prt::PacketPool::set_enabled(true);
 }
@@ -119,9 +116,8 @@ void BM_channel_ping_internode(benchmark::State& state) {
 // forked OS process per node, frames over Unix-domain sockets. Measures
 // the full fork + mesh + run + epilogue cycle per iteration — the honest
 // cost of process isolation against the in-process rows above. The
-// argument is the packet size: 64 bytes (coalesced small frames) or
-// 32 KiB, a qr_socket tile (nb 64), which takes the direct large-frame
-// path.
+// argument is the packet size: 64 bytes (small frames) or 32 KiB, a
+// qr_socket tile (nb 64).
 void BM_channel_ping_internode_socket(benchmark::State& state) {
   const int length = 8;
   const int packets = 256;
@@ -331,9 +327,8 @@ void BM_bypass_chain(benchmark::State& state) {
 BENCHMARK(BM_channel_push_pop);
 BENCHMARK(BM_channel_ping)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode)
-    ->Args({1, 0, 1})->Args({0, 0, 1})  // coalesce A/B, reliable off
-    ->Args({1, 1, 1})->Args({0, 1, 1})  // coalesce A/B, reliable on
-    ->Args({1, 0, 0})->Args({0, 0, 0})  // pool off, coalesce A/B
+    ->Args({0, 1})->Args({1, 1})  // reliable A/B, pool on
+    ->Args({0, 0})->Args({1, 0})  // reliable A/B, pool off
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode_socket)
     ->Arg(64)->Arg(32 * 1024)

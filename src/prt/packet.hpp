@@ -34,15 +34,6 @@ class Packet {
   int meta() const { return meta_; }
   void set_meta(int m) { meta_ = m; }
 
-  /// Shrink the logical payload to `bytes` (<= size()). The underlying
-  /// buffer keeps its full capacity and still returns to its pool size
-  /// class; used by the proxy's frame coalescer to trim a staged wire
-  /// buffer to the bytes actually gathered.
-  void truncate(std::size_t bytes) {
-    PQR_ASSERT(bytes <= size_, "truncate: cannot grow a packet");
-    size_ = bytes;
-  }
-
   std::byte* bytes() { return data_.get(); }
   const std::byte* bytes() const { return data_.get(); }
 

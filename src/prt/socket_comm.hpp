@@ -37,7 +37,7 @@
 // a payload marks the peer down exactly like a dead peer process.
 //
 // Data frames carry the full Message header, so the Reliable layer and
-// the proxy's aggregate split run unchanged over either backend. Barrier
+// the proxy's ingress run unchanged over either backend. Barrier
 // frames carry the sender's barrier generation in `seq` (dissemination
 // barrier: everyone sends its generation to everyone, then waits until
 // it has seen its own generation from every peer). Interrupt frames wake

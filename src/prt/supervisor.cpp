@@ -21,8 +21,6 @@ auto counters(Stats& s) {
                     &s.wire_messages,
                     &s.wire_bytes,
                     &s.fault_streams,
-                    &s.coalesced_frames,
-                    &s.aggregates_sent,
                     &s.pool_hits,
                     &s.pool_misses,
                     &s.faults.dropped,

@@ -5,10 +5,9 @@
 // The transport reserves the negative tags below for protocol traffic;
 // before this registry existed each reserved value lived at its point of
 // use, and nothing stopped user code from passing a negative tag that
-// aliased ack or aggregate traffic straight through the proxy. Every
-// send-side entry point (Comm::isend, Reliable::send, FrameStager::add)
-// now validates against this table, so a collision is a named error at
-// send time instead of a mis-routed frame.
+// aliased ack traffic straight through the proxy. Every send-side entry
+// point (Comm::isend, Reliable::send) validates against this table, so a
+// collision is a named error at send time instead of a mis-routed frame.
 #pragma once
 
 #include <string>
@@ -22,26 +21,14 @@ namespace pulsarqr::prt::net {
 /// and never routed to a channel.
 constexpr int kPureAckTag = -1;
 
-/// Tag of an aggregate wire frame: one physical message carrying several
-/// application frames to the same destination rank, gathered by the
-/// sending proxy and split back by the receiving one (see FrameStager /
-/// FrameCursor in transport.hpp).
-constexpr int kAggregateTag = -2;
-
 /// Application channel tags are numbered from here upward.
 constexpr int kFirstUserTag = 0;
 
-constexpr bool is_reserved_tag(int tag) {
-  return tag == kPureAckTag || tag == kAggregateTag;
-}
+constexpr bool is_reserved_tag(int tag) { return tag == kPureAckTag; }
 
 /// Name of a reserved tag's owner, or nullptr for a non-reserved value.
 constexpr const char* reserved_tag_name(int tag) {
-  switch (tag) {
-    case kPureAckTag: return "reliable-protocol pure ack";
-    case kAggregateTag: return "coalesced aggregate";
-    default: return nullptr;
-  }
+  return tag == kPureAckTag ? "reliable-protocol pure ack" : nullptr;
 }
 
 /// Validate a tag supplied for application (channel) traffic: it must sit

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <sstream>
-
-#include "prt/wire.hpp"
 
 namespace pulsarqr::prt::net {
 
@@ -128,16 +125,16 @@ Comm::Comm(int nranks, int receiver) : nranks_(nranks), receiver_(receiver) {
 Comm::~Comm() = default;
 
 namespace {
-/// Tag-space gate (see prt/tags.hpp): protocol traffic must carry exactly
-/// its reserved tag, and application traffic must stay out of the
+/// Tag-space gate (see prt/tags.hpp): an ack frame must carry exactly
+/// the pure-ack tag, and application traffic must stay out of the
 /// reserved (negative) range — a user-supplied negative tag would
-/// otherwise alias ack or aggregate handling on the receive side.
+/// otherwise alias ack handling on the receive side.
 void check_send_tag(int tag, bool is_ack) {
   if (is_ack) {
     require(tag == kPureAckTag,
             "isend: an ack frame must use the reserved pure-ack tag " +
                 std::to_string(kPureAckTag) + ", got " + std::to_string(tag));
-  } else if (tag != kAggregateTag) {
+  } else {
     require_user_tag(tag, "isend");
   }
 }
@@ -366,9 +363,9 @@ void Reliable::send(int dst, int tag, const Packet& payload, int meta) {
     PQR_ASSERT(comm_.test(req), "Reliable::send: isend did not complete");
     return;
   }
-  // Sequenced frames carry either an application tag or a whole
-  // aggregate; anything else in the reserved range is a caller bug.
-  if (tag != kAggregateTag) require_user_tag(tag, "Reliable::send");
+  // Sequenced frames carry an application tag; anything in the reserved
+  // range is a caller bug.
+  require_user_tag(tag, "Reliable::send");
   auto& link = send_[dst];
   const long long seq = link.next_seq++;
   comm_.isend(rank_, dst, tag, payload, meta, seq, piggyback_ack(dst));
@@ -560,54 +557,6 @@ std::vector<LinkGap> Reliable::gaps() const {
     out.push_back(std::move(g));
   }
   return out;
-}
-
-// ---- frame coalescing -------------------------------------------------------
-
-void FrameStager::add(int tag, int meta, const Packet& p) {
-  PQR_ASSERT(fits(p.size()), "FrameStager::add: frame does not fit");
-  // Aggregates nest only application frames: a reserved tag inside one
-  // (a nested aggregate, an ack) would be mis-dispatched by the
-  // receiving proxy's split loop.
-  require_user_tag(tag, "FrameStager::add");
-  if (buf_.empty()) buf_ = Packet::make(capacity_);
-  std::byte* at = buf_.bytes() + used_;
-  // Explicit little-endian header (wire.hpp), NOT a memcpy of host
-  // integers: an aggregate staged on one host must parse identically on
-  // any other, and on the golden frames recorded in the tests.
-  wire::put_i32(at, tag);
-  wire::put_i32(at + 4, meta);
-  wire::put_u64(at + 8, static_cast<std::uint64_t>(p.size()));
-  if (p.size() > 0) std::memcpy(at + kHeaderBytes, p.bytes(), p.size());
-  used_ += wire_size(p.size());
-  ++frames_;
-}
-
-Packet FrameStager::take() {
-  PQR_ASSERT(frames_ > 0, "FrameStager::take: nothing staged");
-  buf_.truncate(used_);
-  buf_.set_meta(frames_);
-  Packet out = std::move(buf_);
-  buf_ = Packet();
-  used_ = 0;
-  frames_ = 0;
-  return out;
-}
-
-bool FrameCursor::next(WireFrame& out) {
-  if (off_ >= size_) return false;
-  const std::size_t left = size_ - off_;
-  PQR_ASSERT(left >= 16, "FrameCursor: truncated frame header");
-  out.tag = wire::get_i32(data_ + off_);
-  out.meta = wire::get_i32(data_ + off_ + 4);
-  out.size = static_cast<std::size_t>(wire::get_u64(data_ + off_ + 8));
-  out.data = data_ + off_ + 16;
-  // The claimed size is checked against the bytes left before any
-  // arithmetic on it: a size near 2^64 would wrap wire_size().
-  PQR_ASSERT(out.size <= left && FrameStager::wire_size(out.size) <= left,
-             "FrameCursor: truncated frame payload");
-  off_ += FrameStager::wire_size(out.size);
-  return true;
 }
 
 }  // namespace pulsarqr::prt::net

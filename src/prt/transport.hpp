@@ -474,74 +474,4 @@ class Reliable {
   long long replayed_ = 0;
 };
 
-// ---- frame coalescing -------------------------------------------------------
-//
-// Wire format of an aggregate (tag == kAggregateTag, meta == frame count):
-// a sequence of frames, each a 16-byte header {int32 tag, int32 meta,
-// uint64 size} followed by the payload padded to 8 bytes. One aggregate is
-// one fault-plan decision and (under Reliable) one sequence number, so the
-// per-message latency, ack and retransmit costs amortize over every frame
-// it carries.
-
-/// One application frame inside an aggregate, as decoded by FrameCursor.
-/// `data` points into the aggregate's buffer and lives as long as it.
-struct WireFrame {
-  int tag = -1;
-  int meta = 0;
-  std::size_t size = 0;
-  const std::byte* data = nullptr;
-};
-
-/// Per-destination egress staging buffer: gather-copies outbound frames
-/// into one pooled wire buffer up to `capacity` bytes. Owned and driven
-/// by a single proxy thread; not thread-safe.
-class FrameStager {
- public:
-  explicit FrameStager(std::size_t capacity) : capacity_(capacity) {}
-
-  bool empty() const { return frames_ == 0; }
-  int frames() const { return frames_; }
-  std::size_t bytes() const { return used_; }
-
-  /// Wire cost of one frame: header plus the payload padded to 8 bytes.
-  static std::size_t wire_size(std::size_t payload_bytes) {
-    return kHeaderBytes + ((payload_bytes + 7) & ~std::size_t{7});
-  }
-
-  /// Whether a frame of `payload_bytes` still fits the staged buffer.
-  bool fits(std::size_t payload_bytes) const {
-    return used_ + wire_size(payload_bytes) <= capacity_;
-  }
-
-  /// Gather-copy one frame into the staging buffer (caller checks fits()).
-  void add(int tag, int meta, const Packet& p);
-
-  /// The staged aggregate, trimmed to the gathered bytes, with meta set to
-  /// the frame count; resets the stager. Requires !empty().
-  Packet take();
-
- private:
-  static constexpr std::size_t kHeaderBytes = 16;
-
-  std::size_t capacity_;
-  Packet buf_;  ///< pooled; allocated lazily on the first add()
-  std::size_t used_ = 0;
-  int frames_ = 0;
-};
-
-/// Zero-copy reader over an aggregate payload built by FrameStager.
-class FrameCursor {
- public:
-  explicit FrameCursor(const Packet& aggregate)
-      : data_(aggregate.bytes()), size_(aggregate.size()) {}
-
-  /// Advance to the next frame; false when the aggregate is exhausted.
-  bool next(WireFrame& out);
-
- private:
-  const std::byte* data_;
-  std::size_t size_;
-  std::size_t off_ = 0;
-};
-
 }  // namespace pulsarqr::prt::net

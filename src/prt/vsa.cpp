@@ -433,10 +433,9 @@ void Vsa::proxy_loop(Node& n) {
   // idles retransmits to dead peers instead of exhausting, and the ingress
   // fences stale incarnations and dedups a replacement's re-sent prefix.
   const bool recovery = sock_comm_ != nullptr && cfg_.max_respawns > 0;
-  // One endpoint for both layers: sequenced under reliable_transport, a
-  // raw pass-through otherwise.
+  // One endpoint sends and feeds the ingress: sequenced under
+  // reliable_transport, a raw pass-through otherwise.
   net::Reliable rel(*comm_, n.id, endpoint_params(n.id, recovery));
-  Egress egress(rel, cfg_.nodes, cfg_.coalesce_bytes);
   Ingress::EpochFn fence;  // a peer's current incarnation
   if (recovery) fence = [this](int r) { return sock_comm_->peer_epoch(r); };
   Ingress ingress(n.routes, rel, std::move(fence));
@@ -446,6 +445,7 @@ void Vsa::proxy_loop(Node& n) {
   std::deque<OutMsg> batch;
   std::optional<net::Message> waited;  // what the idle wait received
   double busy = 0.0;
+  long long frames = 0, bytes = 0;  // application frames sent, payload bytes
   for (;;) {
     const auto t0 = Clock::now();
     bool any = false;
@@ -464,14 +464,18 @@ void Vsa::proxy_loop(Node& n) {
         ingress.rejoin(rj.rank);
       }
     }
-    // Swap the whole outgoing queue out under one lock, then stage it
-    // lock-free; drain the mailbox in one swap.
+    // Swap the whole outgoing queue out under one lock, then send it
+    // lock-free, one wire message per frame; drain the mailbox in one swap.
     batch.clear();
     {
       std::lock_guard<std::mutex> lock(n.omu);
       batch.swap(n.outq);
     }
-    for (const OutMsg& m : batch) egress.send(m);
+    for (const OutMsg& m : batch) {
+      rel.send(m.dst_node, m.tag, m.p, m.p.meta());
+      bytes += static_cast<long long>(m.p.size());
+    }
+    frames += static_cast<long long>(batch.size());
     std::deque<net::Message> arrived = comm_->drain(n.id);
     if (waited) arrived.push_front(*std::exchange(waited, std::nullopt));
     any |= !batch.empty() || !arrived.empty();
@@ -484,13 +488,6 @@ void Vsa::proxy_loop(Node& n) {
     // proxies, and an unacked frame after completion (receiver done, final
     // ack lost) is not a failure.
     if (!winding_down && !rel.poll(Clock::now())) cancel_run_from_transport();
-    // Ship the stages whose deadline passed. Ship all of them when the run
-    // winds down (an unflushed stage would strand its frames) or when this
-    // pass found nothing to do: the pipeline is then likely stalled on
-    // what is staged, so extra batching would cost latency while idle
-    // (Nagle with an idle bypass).
-    any |= winding_down || !any ? egress.flush_all()
-                                : egress.flush_due(Clock::now());
     busy += std::chrono::duration<double>(Clock::now() - t0).count();
     if (any) continue;
     if (winding_down) break;
@@ -498,13 +495,10 @@ void Vsa::proxy_loop(Node& n) {
   }
   // Publish this proxy's totals (and, on a failed run, its link
   // snapshots); run_local joins the proxies before reading them.
-  const Egress::Counters& sent = egress.counters();
   std::lock_guard<std::mutex> lock(exit_mu_);
   stats_.proxy_busy_per_node[n.id] = busy;
-  stats_.remote_messages += sent.frames;
-  stats_.remote_bytes += sent.bytes;
-  stats_.coalesced_frames += sent.coalesced;
-  stats_.aggregates_sent += sent.aggregates;
+  stats_.remote_messages += frames;
+  stats_.remote_bytes += bytes;
   stats_.retransmits += rel.retransmits();
   stats_.duplicates_suppressed += rel.duplicates_suppressed();
   stats_.acks_sent += rel.acks_sent();

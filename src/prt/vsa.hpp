@@ -92,15 +92,6 @@ class Vsa {
     /// Retransmissions per frame before the link is declared failed and
     /// the run torn down with a RunError.
     int max_retransmits = 10;
-    /// Per-destination egress coalescing: each proxy stages outbound
-    /// frames per destination rank and ships them as one aggregate wire
-    /// message of up to this many bytes (one fault-plan decision and, under
-    /// reliable_transport, one sequence number per aggregate). A frame
-    /// larger than half the stage (two of its size could not share one)
-    /// is sent directly from its own buffer, after flushing the stage to
-    /// preserve per-destination order. 0 disables coalescing (every frame
-    /// is its own wire message, as before).
-    std::size_t coalesce_bytes = 64 * 1024;
     /// Transport backend for inter-node traffic (see prt::Transport).
     /// Socket mode forks one process per node at run(), so a VDP's writes
     /// to ordinary memory stay in its node process: results reach the
@@ -140,9 +131,9 @@ class Vsa {
     /// packages them on the wire.
     long long remote_messages = 0;
     long long remote_bytes = 0;
-    /// What actually hit the wire: aggregates count once however many
-    /// frames they carry, and wire_bytes includes framing headers. With
-    /// coalescing off, wire_messages == remote_messages (+ protocol acks).
+    /// What actually hit the wire. Every frame is one wire message, so
+    /// without reliable_transport and a fault plan wire_messages ==
+    /// remote_messages; the protocol adds its pure acks and retransmits.
     /// wire_offered counts isend calls accepted from callers BEFORE the
     /// fault plan decided their fate; under chaos the accounting
     /// invariant wire_messages == wire_offered - faults.dropped +
@@ -154,15 +145,19 @@ class Vsa {
     /// the current plan — bounded by the run's topology and reset per
     /// plan install (debug visibility for the stream-counter map).
     long long fault_streams = 0;
-    long long coalesced_frames = 0;  ///< frames shipped inside aggregates
-    long long aggregates_sent = 0;   ///< aggregate wire messages
+    /// Always 0: frames are no longer coalesced into aggregates. Kept only
+    /// because perfbench/vsabench.cpp still reads them; the next benchmark
+    /// change drops both together with its prt.net.aggregates and
+    /// prt.net.coalesce_ratio metrics.
+    long long coalesced_frames = 0;
+    long long aggregates_sent = 0;
     // Packet-pool health for this run (steady state: misses stop growing).
     long long pool_hits = 0;
     long long pool_misses = 0;
     int leftover_packets = 0;
     std::vector<double> busy_per_thread;
     /// Seconds each node's proxy spent doing transport work (sending,
-    /// draining, splitting aggregates) — the runtime's communication cost.
+    /// draining, delivering) — the runtime's communication cost.
     std::vector<double> proxy_busy_per_node;
     // Transport health (all zero on a clean, fault-free run).
     net::FaultCounters faults;           ///< injected by Config::fault_plan
@@ -303,10 +298,12 @@ class Vsa {
   /// Fire `v` while it stays ready (once under Lazy scheduling); returns
   /// whether it fired at all.
   bool fire_ready(Vdp& v, Worker& w);
-  /// The node's proxy: a pump over its Egress and Ingress (proxy.hpp).
+  /// The node's proxy: sends each outgoing packet as one wire message and
+  /// pumps the node's Ingress (proxy.hpp).
   void proxy_loop(Node& n);
-  /// Parameters of the Reliable endpoint both proxy layers of `node`
-  /// share (a pass-through one when Config::reliable_transport is off).
+  /// Parameters of the Reliable endpoint the proxy of `node` sends and
+  /// receives through (a pass-through one when
+  /// Config::reliable_transport is off).
   net::Reliable::Params endpoint_params(int node, bool recovery);
   /// One firing; false when the VDP body threw (the run is then
   /// cancelled with reason "vdp").
@@ -386,7 +383,7 @@ class Vsa {
 
   std::atomic<bool> transport_failed_{false};
   /// What proxies publish at exit (after which run_local joins them and
-  /// completes this process's RunStats): egress, protocol and replay
+  /// completes this process's RunStats): frame, protocol and replay
   /// counters, proxy busy time, and on a failed run the link gaps.
   mutable std::mutex exit_mu_;
   RunStats stats_;                       ///< guarded by exit_mu_

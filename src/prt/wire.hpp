@@ -1,8 +1,8 @@
 // Explicit little-endian wire codec shared by every byte format the
-// transport puts on (or prepares for) a wire: the aggregate frame headers
-// of FrameStager/FrameCursor, the socket transport's frame headers, and
-// the control-plane blobs (stats epilogues, failure reports) exchanged
-// between node processes, and the result-deposit slices they share.
+// transport puts on (or prepares for) a wire: the socket transport's frame
+// headers, the control-plane blobs (stats epilogues, failure reports)
+// exchanged between node processes, and the result-deposit slices they
+// share.
 //
 // Every value is written byte-by-byte in little-endian order, never by
 // memcpy of a host integer, so two heterogeneous hosts (or a host and a

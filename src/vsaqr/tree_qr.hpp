@@ -19,7 +19,7 @@
 namespace pulsarqr::vsaqr {
 
 /// Tree QR options: the runtime's own prt::Vsa::Config (nodes, workers,
-/// scheduling, transport, reliability, coalescing, crash recovery, ...)
+/// scheduling, transport, reliability, crash recovery, ...)
 /// plus the factorization's shape knobs. Socket node processes deposit
 /// result tiles straight into the parent's ResultStore slots; a run with
 /// max_respawns > 0 also switches the store to idempotent re-deposits.

@@ -356,8 +356,8 @@ class TriParam
 // vectorized scalar loops of the -O3 kernel tables behind a runtime alias
 // check and, with its default FMA contraction, rounded the vector and the
 // scalar copy differently, so C placed right after A moved in the last bit
-// (the ChaosTest.CoalescedAggregatesSurviveChaos flake: heap-allocated
-// reference tiles sometimes sat that close).
+// (a chaos-test flake: heap-allocated reference tiles sometimes sat that
+// close).
 TEST(Level3, GemmIsIndependentOfOperandPlacement) {
   IsaGuard guard;
   const int n = 5;

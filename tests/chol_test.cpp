@@ -251,29 +251,27 @@ TEST(VsaChol, TraceHasBothColors) {
   EXPECT_EQ(run.stats.fires, expect);
 }
 
-// One prt::Vsa::Config reaches the driver: coalesce_bytes switches the
-// proxies' egress coalescing off (no aggregates) or leaves it at the
-// default (every inter-node frame rides an aggregate). The factor is
-// bitwise identical either way.
-TEST(VsaChol, CoalesceBytesReachesTheRuntime) {
+// One prt::Vsa::Config reaches the driver: the reliable protocol and a
+// drop-only fault plan set on the Cholesky options run in the proxies,
+// which retransmit what the fabric dropped. The factor is still bitwise.
+TEST(VsaChol, RuntimeConfigReachesTheDriver) {
   Matrix a = chol::random_spd(40, 17);
   TileMatrix ref = chol::tile_cholesky(TileMatrix::from_dense(a.view(), 8));
-  for (const bool coalesce : {false, true}) {
-    chol::VsaCholOptions opt;
-    opt.nodes = 2;
-    opt.workers_per_node = 1;
-    if (!coalesce) opt.coalesce_bytes = 0;
-    auto run = chol::vsa_cholesky(TileMatrix::from_dense(a.view(), 8), opt);
-    ASSERT_GT(run.stats.remote_messages, 0);
-    if (coalesce) {
-      EXPECT_GT(run.stats.aggregates_sent, 0);
-    } else {
-      EXPECT_EQ(run.stats.aggregates_sent, 0);
-    }
-    for (int j = 0; j < 40; ++j) {
-      for (int i = j; i < 40; ++i) {
-        ASSERT_EQ(run.l.at(i, j), ref.at(i, j)) << "coalesce " << coalesce;
-      }
+  chol::VsaCholOptions opt;
+  opt.nodes = 2;
+  opt.workers_per_node = 1;
+  opt.reliable_transport = true;
+  opt.retransmit_timeout_us = 800;
+  opt.max_retransmits = 30;
+  opt.fault_plan.seed = 17;
+  opt.fault_plan.drop = 0.3;
+  auto run = chol::vsa_cholesky(TileMatrix::from_dense(a.view(), 8), opt);
+  ASSERT_GT(run.stats.remote_messages, 0);
+  EXPECT_GT(run.stats.faults.dropped, 0);
+  EXPECT_GT(run.stats.retransmits, 0);
+  for (int j = 0; j < 40; ++j) {
+    for (int i = j; i < 40; ++i) {
+      ASSERT_EQ(run.l.at(i, j), ref.at(i, j)) << "at (" << i << "," << j << ")";
     }
   }
 }

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -367,7 +368,7 @@ int kill_schedules() {
 
 TEST(CrashRecoveryTest, KillSoakRecoversBitwiseAcrossShapesAndSeeds) {
   // The message faults act on the wire messages between nodes: 2-3 tile
-  // columns on 3 nodes keep enough traffic off-node (about 115 faults over
+  // columns on 3 nodes keep enough traffic off-node (about 185 faults over
   // the 72 default runs).
   const std::vector<SoakShape> shapes = {
       {40, 15, 5, 2, {plan::TreeKind::BinaryOnFlat, 2,
@@ -449,6 +450,10 @@ TEST(CrashRecoveryTest, KillSoakRecoversBitwiseAcrossShapesAndSeeds) {
       }
     }
   }
+  std::printf("[ soak     ] %d kill runs: %lld respawns, %lld replayed "
+              "frames, %lld faults\n",
+              schedules * static_cast<int>(shapes.size()), total_respawns,
+              total_replayed, total_faults);
   // The soak must actually exercise recovery: across all schedules at
   // least one node died and was respawned, and at least one survivor
   // replayed retained frames to a replacement.

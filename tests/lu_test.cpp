@@ -183,29 +183,27 @@ INSTANTIATE_TEST_SUITE_P(
                       VsaLuCase{48, 48, 6, 3, 2, true},
                       VsaLuCase{48, 42, 6, 4, 1}));
 
-// One prt::Vsa::Config reaches the driver: coalesce_bytes switches the
-// proxies' egress coalescing off (no aggregates) or leaves it at the
-// default (every inter-node frame rides an aggregate). The factors are
-// bitwise identical either way.
-TEST(VsaLu, CoalesceBytesReachesTheRuntime) {
+// One prt::Vsa::Config reaches the driver: the reliable protocol and a
+// drop-only fault plan set on the LU options run in the proxies, which
+// retransmit what the fabric dropped. The factors are still bitwise.
+TEST(VsaLu, RuntimeConfigReachesTheDriver) {
   Matrix a = lu::random_diag_dominant(40, 40, 19);
   TileMatrix ref = lu::tile_lu(TileMatrix::from_dense(a.view(), 8));
-  for (const bool coalesce : {false, true}) {
-    lu::VsaLuOptions opt;
-    opt.nodes = 2;
-    opt.workers_per_node = 1;
-    if (!coalesce) opt.coalesce_bytes = 0;
-    auto run = lu::vsa_lu(TileMatrix::from_dense(a.view(), 8), opt);
-    ASSERT_GT(run.stats.remote_messages, 0);
-    if (coalesce) {
-      EXPECT_GT(run.stats.aggregates_sent, 0);
-    } else {
-      EXPECT_EQ(run.stats.aggregates_sent, 0);
-    }
-    for (int j = 0; j < 40; ++j) {
-      for (int i = 0; i < 40; ++i) {
-        ASSERT_EQ(run.f.at(i, j), ref.at(i, j)) << "coalesce " << coalesce;
-      }
+  lu::VsaLuOptions opt;
+  opt.nodes = 2;
+  opt.workers_per_node = 1;
+  opt.reliable_transport = true;
+  opt.retransmit_timeout_us = 800;
+  opt.max_retransmits = 30;
+  opt.fault_plan.seed = 19;
+  opt.fault_plan.drop = 0.3;
+  auto run = lu::vsa_lu(TileMatrix::from_dense(a.view(), 8), opt);
+  ASSERT_GT(run.stats.remote_messages, 0);
+  EXPECT_GT(run.stats.faults.dropped, 0);
+  EXPECT_GT(run.stats.retransmits, 0);
+  for (int j = 0; j < 40; ++j) {
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_EQ(run.f.at(i, j), ref.at(i, j)) << "at (" << i << "," << j << ")";
     }
   }
 }

@@ -1,6 +1,5 @@
-// PacketPool: size-class routing, cross-thread recycling, the zero-
-// allocation steady state, and the FrameStager/FrameCursor aggregate
-// codec that rides on pooled wire buffers.
+// PacketPool: size-class routing, cross-thread recycling and the zero-
+// allocation steady state; and the scalar wire codec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include "common/rng.hpp"
 #include "prt/packet.hpp"
 #include "prt/packet_pool.hpp"
-#include "prt/transport.hpp"
 #include "prt/wire.hpp"
 #include "vsaqr/tree_qr.hpp"
 
@@ -138,126 +136,8 @@ TEST(PacketPoolTest, QrSteadyStateStopsMissing) {
       << "a pooled buffer drawn by the runs never came back";
 }
 
-// ---- aggregate codec --------------------------------------------------------
-
-TEST(FrameCodecTest, RoundTripPreservesFramesInOrder) {
-  prt::net::FrameStager stager(4096);
-  ASSERT_TRUE(stager.empty());
-  std::vector<std::vector<std::byte>> payloads;
-  for (int i = 0; i < 5; ++i) {
-    const std::size_t bytes = 1 + 37 * static_cast<std::size_t>(i);  // odd sizes
-    Packet p = Packet::make(bytes, /*meta=*/100 + i);
-    for (std::size_t b = 0; b < bytes; ++b) {
-      p.bytes()[b] = static_cast<std::byte>((i * 31 + b) & 0xff);
-    }
-    payloads.emplace_back(p.bytes(), p.bytes() + bytes);
-    ASSERT_TRUE(stager.fits(bytes));
-    stager.add(/*tag=*/i, p.meta(), p);
-  }
-  EXPECT_EQ(stager.frames(), 5);
-  const Packet wire = stager.take();
-  EXPECT_TRUE(stager.empty());
-  EXPECT_EQ(wire.meta(), 5);  // meta carries the frame count
-
-  prt::net::FrameCursor cursor(wire);
-  prt::net::WireFrame wf;
-  int i = 0;
-  while (cursor.next(wf)) {
-    EXPECT_EQ(wf.tag, i);
-    EXPECT_EQ(wf.meta, 100 + i);
-    ASSERT_EQ(wf.size, payloads[static_cast<std::size_t>(i)].size());
-    EXPECT_EQ(std::memcmp(wf.data, payloads[static_cast<std::size_t>(i)].data(),
-                          wf.size),
-              0);
-    ++i;
-  }
-  EXPECT_EQ(i, 5);
-}
-
-TEST(FrameCodecTest, ZeroByteFramesSurvive) {
-  prt::net::FrameStager stager(256);
-  Packet empty = Packet::make(0, /*meta=*/42);
-  stager.add(/*tag=*/9, empty.meta(), empty);
-  stager.add(/*tag=*/10, 43, empty);
-  const Packet wire = stager.take();
-  prt::net::FrameCursor cursor(wire);
-  prt::net::WireFrame wf;
-  ASSERT_TRUE(cursor.next(wf));
-  EXPECT_EQ(wf.tag, 9);
-  EXPECT_EQ(wf.meta, 42);
-  EXPECT_EQ(wf.size, 0u);
-  ASSERT_TRUE(cursor.next(wf));
-  EXPECT_EQ(wf.tag, 10);
-  EXPECT_EQ(wf.meta, 43);
-  EXPECT_FALSE(cursor.next(wf));
-}
-
-TEST(FrameCodecTest, FitsTracksTheWireFormatExactly) {
-  // wire_size = 16-byte header + payload padded to 8 bytes.
-  using prt::net::FrameStager;
-  EXPECT_EQ(FrameStager::wire_size(0), 16u);
-  EXPECT_EQ(FrameStager::wire_size(1), 24u);
-  EXPECT_EQ(FrameStager::wire_size(8), 24u);
-  EXPECT_EQ(FrameStager::wire_size(9), 32u);
-
-  FrameStager stager(2 * 24);  // room for exactly two 8-byte frames
-  Packet p = Packet::make(8);
-  std::memset(p.bytes(), 0, 8);
-  ASSERT_TRUE(stager.fits(8));
-  stager.add(0, 0, p);
-  ASSERT_TRUE(stager.fits(8));
-  stager.add(1, 0, p);
-  EXPECT_FALSE(stager.fits(8));  // full to the byte
-  EXPECT_EQ(stager.bytes(), 48u);
-}
-
-// Byte-exact golden frame: the aggregate header is explicit little-endian
-// (wire.hpp), not a memcpy of host integers, so a frame staged anywhere
-// must produce exactly these bytes. Catches a regression to host-endian
-// headers (which happened to pass the round-trip tests on x86).
-TEST(FrameCodecTest, GoldenFrameBytesAreLittleEndian) {
-  prt::net::FrameStager stager(256);
-  Packet p = Packet::make(3);
-  p.bytes()[0] = std::byte{0xAA};
-  p.bytes()[1] = std::byte{0xBB};
-  p.bytes()[2] = std::byte{0xCC};
-  stager.add(/*tag=*/0x01020304, /*meta=*/-2, p);
-  const Packet wire = stager.take();
-  ASSERT_EQ(wire.size(), 24u);  // 16-byte header + 3 bytes padded to 8
-  const unsigned char golden[19] = {
-      0x04, 0x03, 0x02, 0x01,                          // tag, LE
-      0xFE, 0xFF, 0xFF, 0xFF,                          // meta = -2, LE
-      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload length, LE
-      0xAA, 0xBB, 0xCC,                                // payload
-  };
-  // Compare header + payload only; the pad bytes are uninitialized.
-  EXPECT_EQ(std::memcmp(wire.bytes(), golden, sizeof(golden)), 0);
-}
-
-// A frame header whose size is within 16 of 2^64 once wrapped the
-// cursor's bounds sum: next() returned true and the proxy went on to
-// allocate that size. The size is now checked against the bytes left
-// first, so the named assertion fires instead.
-TEST(FrameCodecTest, HugeFrameSizeFailsTheBoundsCheck) {
-  const std::uint64_t max = ~std::uint64_t{0};
-  for (const std::uint64_t claimed : {max - 7, max}) {
-    SCOPED_TRACE(claimed);
-    Packet agg = Packet::make(64);
-    std::memset(agg.bytes(), 0, agg.size());
-    prt::net::wire::put_i32(agg.bytes(), /*tag=*/1);
-    prt::net::wire::put_u64(agg.bytes() + 8, claimed);
-    EXPECT_DEATH(
-        {
-          prt::net::FrameCursor cursor(agg);
-          prt::net::WireFrame wf;
-          (void)cursor.next(wf);
-        },
-        "FrameCursor: truncated frame payload");
-  }
-}
-
-// The shared scalar codec the aggregate header and the socket frame
-// header are built from.
+// The shared scalar codec the socket frame header and the control-plane
+// blobs are built from.
 TEST(WireCodecTest, ScalarsRoundTripAndSerializeLittleEndian) {
   namespace wire = prt::net::wire;
   std::byte buf[8];

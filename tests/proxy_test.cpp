@@ -1,7 +1,7 @@
-// The node proxy's two layers (prt/proxy.hpp), driven one call at a time
-// over a MailboxComm with no thread: the Egress's staging, flush and
-// counters, the Ingress's aggregate split, crash-replay dedup and epoch
-// fence, and the named failure for every input no route can take.
+// The node proxy's ingress (prt/proxy.hpp), driven one call at a time
+// over a MailboxComm with no thread: the pass-through endpoint's plain
+// frames, the crash-replay dedup and epoch fence, and the named failure
+// for every input no route can take.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "prt/proxy.hpp"
-#include "prt/wire.hpp"
 
 namespace pulsarqr::prt {
 namespace {
@@ -19,8 +18,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using net::Message;
 
-constexpr std::size_t kSmall = 8;    // staged under every capacity below
-constexpr std::size_t kLarge = 600;  // direct: 2 * 616 bytes > 1024
+constexpr std::size_t kSmall = 8;
+constexpr std::size_t kLarge = 600;
 
 net::Reliable::Params raw() {
   net::Reliable::Params p;
@@ -54,55 +53,17 @@ struct Routes {
   }
 };
 
-// ---- egress -----------------------------------------------------------------
+// ---- ingress ----------------------------------------------------------------
 
-TEST(Egress, DirectFrameFlushesTheStageFirstAndKeepsOrder) {
-  net::MailboxComm comm(2);
-  net::Reliable rel(comm, 0, raw());
-  Egress eg(rel, 2, 1024);
-  eg.send({1, 0, frame(kSmall, 1)});
-  eg.send({1, 0, frame(kSmall, 2)});
-  EXPECT_TRUE(comm.drain(1).empty());  // staged, nothing on the wire
-  eg.send({1, 0, frame(kLarge, 3)});
-  std::deque<Message> wire = comm.drain(1);
-  ASSERT_EQ(wire.size(), 2u);
-  EXPECT_EQ(wire[0].tag, net::kAggregateTag);
-  EXPECT_EQ(wire[0].meta, 2);  // the two staged frames, shipped first
-  EXPECT_EQ(wire[1].tag, 0);
-  EXPECT_EQ(wire[1].meta, 3);
-  EXPECT_EQ(wire[1].payload.size(), kLarge);
-
-  net::Reliable rel1(comm, 1, raw());
-  Routes routes(2, 0, 1);
-  Ingress in(routes.table, rel1);
-  in.receive(std::move(wire));
-  EXPECT_EQ(routes.metas(0), (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Egress, CoalescingOffSendsEveryFrameDirectly) {
-  net::MailboxComm comm(2);
-  net::Reliable rel(comm, 0, raw());
-  Egress eg(rel, 2, 0);
-  eg.send({1, 0, frame(0, 1)});
-  eg.send({1, 1, frame(kSmall, 2)});
-  EXPECT_FALSE(eg.flush_all());
-  std::deque<Message> wire = comm.drain(1);
-  ASSERT_EQ(wire.size(), 2u);
-  EXPECT_EQ(wire[0].tag, 0);
-  EXPECT_EQ(wire[1].tag, 1);
-  EXPECT_EQ(eg.counters().aggregates, 0);
-  EXPECT_EQ(eg.counters().coalesced, 0);
-}
-
-// With reliable_transport off the layers share a pass-through endpoint:
-// frames leave without a protocol header and nothing comes back.
-TEST(Egress, PassThroughEndpointAddsNoProtocol) {
+// With reliable_transport off the proxy sends through a pass-through
+// endpoint: each frame is one wire message without a protocol header, the
+// ingress delivers it as it came, and nothing comes back.
+TEST(Ingress, PassThroughEndpointAddsNoProtocol) {
   net::MailboxComm comm(2);
   net::Reliable rel0(comm, 0, raw());
   net::Reliable rel1(comm, 1, raw());
-  Egress eg(rel0, 2, 1024);
-  eg.send({1, 0, frame(kSmall, 1)});
-  eg.send({1, 0, frame(kLarge, 2)});
+  rel0.send(1, 0, frame(kSmall, 1), 1);
+  rel0.send(1, 0, frame(kLarge, 2), 2);
   std::deque<Message> wire = comm.drain(1);
   ASSERT_EQ(wire.size(), 2u);
   for (const Message& m : wire) {
@@ -118,103 +79,6 @@ TEST(Egress, PassThroughEndpointAddsNoProtocol) {
   EXPECT_EQ(comm.messages_sent(), 2);  // no ack, no retransmit
   EXPECT_TRUE(rel0.gaps().empty());
   EXPECT_TRUE(rel1.gaps().empty());
-}
-
-TEST(Egress, IdleFlushShipsAPartialStage) {
-  net::MailboxComm comm(2);
-  net::Reliable rel(comm, 0, raw());
-  Egress eg(rel, 2, 1024);
-  eg.send({1, 4, frame(kSmall, 7)});
-  EXPECT_TRUE(eg.flush_all());
-  EXPECT_FALSE(eg.flush_all());  // nothing left
-  std::deque<Message> wire = comm.drain(1);
-  ASSERT_EQ(wire.size(), 1u);
-  EXPECT_EQ(wire[0].tag, net::kAggregateTag);
-  EXPECT_EQ(wire[0].meta, 1);
-}
-
-TEST(Egress, DeadlineFlushWaitsForTheFlushWindow) {
-  static_assert(Egress::kFlushWindow == std::chrono::microseconds(50));
-  net::MailboxComm comm(2);
-  net::Reliable rel(comm, 0, raw());
-  Egress eg(rel, 2, 1024);
-  const auto t0 = Clock::now();
-  eg.send({1, 0, frame(kSmall, 1)});
-  const auto t1 = Clock::now();
-  // The stage's deadline lies in [t0 + 50 us, t1 + 50 us].
-  EXPECT_FALSE(eg.flush_due(t0));
-  EXPECT_FALSE(eg.flush_due(t0 + std::chrono::microseconds(49)));
-  EXPECT_TRUE(comm.drain(1).empty());
-  // A frame staged behind the first keeps the first frame's deadline.
-  eg.send({1, 0, frame(kSmall, 2)});
-  EXPECT_TRUE(eg.flush_due(t1 + std::chrono::microseconds(50)));
-  std::deque<Message> wire = comm.drain(1);
-  ASSERT_EQ(wire.size(), 1u);
-  EXPECT_EQ(wire[0].meta, 2);
-  EXPECT_FALSE(eg.flush_due(Clock::time_point::max()));
-}
-
-TEST(Egress, CountersMatchWhatWasSent) {
-  net::MailboxComm comm(3);
-  net::Reliable rel(comm, 0, raw());
-  Egress eg(rel, 3, 64);  // room for two small frames (2 x 24 bytes)
-  eg.send({1, 0, frame(kSmall, 1)});
-  eg.send({1, 0, frame(kSmall, 2)});
-  eg.send({1, 0, frame(kSmall, 3)});  // stage full: ships [1, 2]
-  eg.send({1, 1, frame(kLarge, 4)});  // direct: ships [3] first
-  eg.send({2, 0, frame(kSmall, 5)});
-  EXPECT_TRUE(eg.flush_all());  // ships [5]
-  const Egress::Counters& c = eg.counters();
-  EXPECT_EQ(c.frames, 5);
-  EXPECT_EQ(c.bytes, static_cast<long long>(4 * kSmall + kLarge));
-  EXPECT_EQ(c.coalesced, 4);
-  EXPECT_EQ(c.aggregates, 3);
-  EXPECT_EQ(comm.messages_sent(), 4);  // three aggregates, one direct
-
-  std::deque<Message> to1 = comm.drain(1);
-  ASSERT_EQ(to1.size(), 3u);
-  EXPECT_EQ(to1[0].meta, 2);
-  EXPECT_EQ(to1[1].meta, 1);
-  EXPECT_EQ(to1[2].meta, 4);
-  std::deque<Message> to2 = comm.drain(2);
-  ASSERT_EQ(to2.size(), 1u);
-  EXPECT_EQ(to2[0].meta, 1);
-}
-
-// ---- ingress ----------------------------------------------------------------
-
-TEST(Ingress, AggregateSplitsIntoItsChannelsWithEachFramesMeta) {
-  net::MailboxComm comm(2);
-  net::Reliable rel0(comm, 0, raw());
-  Egress eg(rel0, 2, 1024);
-  eg.send({1, 0, frame(16, 11, 0xa1)});
-  eg.send({1, 1, frame(0, 22)});
-  eg.send({1, 0, frame(5, 33, 0xc3)});
-  ASSERT_TRUE(eg.flush_all());
-
-  net::Reliable rel1(comm, 1, raw());
-  Routes routes(2, 0, 2);
-  Ingress in(routes.table, rel1);
-  std::deque<Message> wire = comm.drain(1);
-  ASSERT_EQ(wire.size(), 1u);
-  in.receive(std::move(wire));
-
-  ASSERT_EQ(routes.ch[0]->size(), 2);
-  Packet a = routes.ch[0]->pop();
-  Packet c = routes.ch[0]->pop();
-  EXPECT_EQ(a.meta(), 11);
-  ASSERT_EQ(a.size(), 16u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.bytes()[i], std::byte{0xa1});
-  }
-  EXPECT_EQ(c.meta(), 33);
-  ASSERT_EQ(c.size(), 5u);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    EXPECT_EQ(c.bytes()[i], std::byte{0xc3});
-  }
-  EXPECT_EQ(routes.metas(1), (std::vector<int>{22}));
-  EXPECT_EQ(routes.table[0][0].delivered, 2);
-  EXPECT_EQ(routes.table[0][1].delivered, 1);
 }
 
 // Node 2 receives from nodes 0 and 1 over the sequenced protocol. Node 0
@@ -321,27 +185,6 @@ Message raw_frame(int source, int tag) {
   return m;
 }
 
-/// An aggregate from `source` of frames with the given tags, its meta
-/// (the frame count) overridden by `meta` when >= 0.
-Message aggregate(int source, const std::vector<int>& tags, int meta = -1) {
-  net::FrameStager stager(4096);
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    stager.add(0, 0, frame(kSmall, 0));
-  }
-  Packet wire = stager.take();
-  // FrameStager refuses a reserved or negative tag, so write the tags into
-  // the headers directly (each frame is 16 header + 8 payload bytes).
-  for (std::size_t i = 0; i < tags.size(); ++i) {
-    net::wire::put_i32(wire.bytes() + 24 * i, tags[i]);
-  }
-  Message m;
-  m.source = source;
-  m.tag = net::kAggregateTag;
-  m.meta = meta >= 0 ? meta : static_cast<int>(tags.size());
-  m.payload = std::move(wire);
-  return m;
-}
-
 TEST(IngressDeathTest, RawFrameFromAnUnknownSource) {
   EXPECT_DEATH(feed_one(raw_frame(2, 0)), "proxy: unroutable message");
   EXPECT_DEATH(feed_one(raw_frame(-1, 0)), "proxy: unroutable message");
@@ -357,33 +200,9 @@ TEST(IngressDeathTest, RawFrameWithATagPastTheRow) {
   EXPECT_DEATH(feed_one(raw_frame(1, 0)), "proxy: unroutable message");
 }
 
-TEST(IngressDeathTest, AggregateFromAnUnknownSource) {
-  EXPECT_DEATH(feed_one(aggregate(3, {0})), "proxy: unroutable message");
-}
-
-TEST(IngressDeathTest, AggregateFrameWithANegativeNonReservedTag) {
-  EXPECT_DEATH(feed_one(aggregate(0, {0, -5})),
-               "proxy: unroutable coalesced frame");
-}
-
-TEST(IngressDeathTest, AggregateFrameWithATagPastTheRow) {
-  EXPECT_DEATH(feed_one(aggregate(0, {1})),
-               "proxy: unroutable coalesced frame");
-  EXPECT_DEATH(feed_one(aggregate(0, {0, 0, 1 << 30})),
-               "proxy: unroutable coalesced frame");
-}
-
-TEST(IngressDeathTest, AggregateWhoseFrameCountDisagreesWithItsMeta) {
-  EXPECT_DEATH(feed_one(aggregate(0, {0, 0}, 3)),
-               "proxy: aggregate frame count mismatch");
-  EXPECT_DEATH(feed_one(aggregate(0, {0, 0}, 1)),
-               "proxy: aggregate frame count mismatch");
-}
-
 TEST(IngressDeathTest, WellFormedInputsDoNotDie) {
   // Positive control for the cases above: the same helpers, routable.
   feed_one(raw_frame(0, 0));
-  feed_one(aggregate(0, {0, 0}));
 }
 
 }  // namespace

@@ -788,8 +788,7 @@ RunStats distinct_stats(int threads, int nodes) {
   s.seconds = 1.5;
   for (long long* c :
        {&s.fires, &s.remote_messages, &s.remote_bytes, &s.wire_offered,
-        &s.wire_messages, &s.wire_bytes, &s.fault_streams,
-        &s.coalesced_frames, &s.aggregates_sent, &s.pool_hits,
+        &s.wire_messages, &s.wire_bytes, &s.fault_streams, &s.pool_hits,
         &s.pool_misses, &s.faults.dropped, &s.faults.duplicated,
         &s.faults.delayed, &s.faults.reordered, &s.retransmits,
         &s.duplicates_suppressed, &s.acks_sent, &s.respawns,
@@ -831,8 +830,6 @@ TEST(RunStatsCodec, RoundTripsEveryField) {
   EXPECT_EQ(out.wire_messages, in.wire_messages);
   EXPECT_EQ(out.wire_bytes, in.wire_bytes);
   EXPECT_EQ(out.fault_streams, in.fault_streams);
-  EXPECT_EQ(out.coalesced_frames, in.coalesced_frames);
-  EXPECT_EQ(out.aggregates_sent, in.aggregates_sent);
   EXPECT_EQ(out.pool_hits, in.pool_hits);
   EXPECT_EQ(out.pool_misses, in.pool_misses);
   EXPECT_EQ(out.leftover_packets, in.leftover_packets);
@@ -913,8 +910,8 @@ TEST(RunStatsCodec, RejectsAnInflatedVectorCount) {
   Blob b;
   prt::encode_run_stats(b, distinct_stats(4, 2));
   auto blob = bytes_of(b);
-  // The per-thread count follows seconds, leftovers and the 21 counters.
-  const std::size_t at = 8 + 8 + 21 * 8;
+  // The per-thread count follows seconds, leftovers and the 19 counters.
+  const std::size_t at = 8 + 8 + 19 * 8;
   ASSERT_EQ(prt::net::wire::get_u64(blob.data() + at), 4u);
   prt::net::wire::put_u64(blob.data() + at, std::uint64_t{1} << 40);
   expect_rejected(blob);

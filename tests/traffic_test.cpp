@@ -4,10 +4,9 @@
 // proxies send must equal the packets those remote channels carry, and
 // their payload bytes must fit the channels' declared packet sizes. Its
 // per-node firing totals (the VDPs' initial counters) must equal the
-// firings the run reports. QR on the flat, binary and hierarchical trees,
-// Cholesky and LU, each with the frame coalescer on and off (coalescing
-// repackages frames, it must not change how many cross), in process and
-// over the socket transport. The last tests pin the placements by the
+// firings the run reports, and every frame must be one wire message. QR
+// on the flat, binary and hierarchical trees, Cholesky and LU, in process
+// and over the socket transport. The last tests pin the placements by the
 // traffic and firings they plan: tree QR's node-blocked flat VDPs, and the
 // column ownership and node-ordered L chains of Cholesky and LU.
 #include <gtest/gtest.h>
@@ -34,6 +33,7 @@ void expect_predicted(const prt::GraphReport& rep,
   ASSERT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_GT(rep.remote_frames(), 0) << "no channel crosses a node boundary";
   EXPECT_EQ(stats.remote_messages, rep.remote_frames());
+  EXPECT_EQ(stats.wire_messages, rep.remote_frames());
   EXPECT_GT(stats.remote_bytes, 0);
   EXPECT_LE(stats.remote_bytes, rep.remote_bytes_bound());
   ASSERT_EQ(rep.node_fires.size(), 2u);
@@ -44,12 +44,11 @@ void expect_predicted(const prt::GraphReport& rep,
 }
 
 template <class Options>
-Options two_nodes(int workers, std::size_t coalesce_bytes,
+Options two_nodes(int workers,
                   prt::Transport transport = prt::Transport::InProcess) {
   Options opt;
   opt.nodes = 2;
   opt.workers_per_node = workers;
-  opt.coalesce_bytes = coalesce_bytes;
   opt.transport = transport;
   return opt;
 }
@@ -65,45 +64,36 @@ TEST(Traffic, QrTreesSendWhatThePlanPredicts) {
                {"binary", plan::TreeKind::Binary},
                {"hierarchical", plan::TreeKind::BinaryOnFlat}};
   for (const auto& t : trees) {
-    for (std::size_t coalesce : {std::size_t{0}, std::size_t{64 * 1024}}) {
-      for (int workers : {1, 2}) {
-        SCOPED_TRACE(std::string(t.name) + " coalesce=" +
-                     std::to_string(coalesce) +
-                     " workers=" + std::to_string(workers));
-        auto opt = two_nodes<vsaqr::TreeQrOptions>(workers, coalesce);
-        opt.tree.tree = t.kind;
-        opt.tree.domain_size = 3;
-        opt.ib = 4;
-        expect_predicted(vsaqr::lint_tree_qr(a, opt),
-                         vsaqr::tree_qr(a, opt).stats);
-      }
+    for (int workers : {1, 2}) {
+      SCOPED_TRACE(std::string(t.name) +
+                   " workers=" + std::to_string(workers));
+      auto opt = two_nodes<vsaqr::TreeQrOptions>(workers);
+      opt.tree.tree = t.kind;
+      opt.tree.domain_size = 3;
+      opt.ib = 4;
+      expect_predicted(vsaqr::lint_tree_qr(a, opt),
+                       vsaqr::tree_qr(a, opt).stats);
     }
   }
 }
 
 TEST(Traffic, CholeskySendsWhatThePlanPredicts) {
   const TileMatrix a = TileMatrix::from_dense(chol::random_spd(56, 5).view(), 8);
-  for (std::size_t coalesce : {std::size_t{0}, std::size_t{64 * 1024}}) {
-    for (int workers : {1, 2}) {
-      SCOPED_TRACE("coalesce=" + std::to_string(coalesce) +
-                   " workers=" + std::to_string(workers));
-      const auto opt = two_nodes<chol::VsaCholOptions>(workers, coalesce);
-      expect_predicted(chol::lint_vsa_cholesky(a, opt),
-                       chol::vsa_cholesky(a, opt).stats);
-    }
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const auto opt = two_nodes<chol::VsaCholOptions>(workers);
+    expect_predicted(chol::lint_vsa_cholesky(a, opt),
+                     chol::vsa_cholesky(a, opt).stats);
   }
 }
 
 TEST(Traffic, LuSendsWhatThePlanPredicts) {
   const TileMatrix a =
       TileMatrix::from_dense(lu::random_diag_dominant(56, 40, 6).view(), 8);
-  for (std::size_t coalesce : {std::size_t{0}, std::size_t{64 * 1024}}) {
-    for (int workers : {1, 2}) {
-      SCOPED_TRACE("coalesce=" + std::to_string(coalesce) +
-                   " workers=" + std::to_string(workers));
-      const auto opt = two_nodes<lu::VsaLuOptions>(workers, coalesce);
-      expect_predicted(lu::lint_vsa_lu(a, opt), lu::vsa_lu(a, opt).stats);
-    }
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const auto opt = two_nodes<lu::VsaLuOptions>(workers);
+    expect_predicted(lu::lint_vsa_lu(a, opt), lu::vsa_lu(a, opt).stats);
   }
 }
 
@@ -117,7 +107,7 @@ TEST(Traffic, SocketRunsSendAndFireWhatThePlanPredicts) {
   for (plan::TreeKind kind : {plan::TreeKind::Flat, plan::TreeKind::Binary,
                               plan::TreeKind::BinaryOnFlat}) {
     SCOPED_TRACE("tree " + std::to_string(static_cast<int>(kind)));
-    auto opt = two_nodes<vsaqr::TreeQrOptions>(1, 64 * 1024, kSocket);
+    auto opt = two_nodes<vsaqr::TreeQrOptions>(1, kSocket);
     opt.tree.tree = kind;
     opt.tree.domain_size = 3;
     opt.ib = 4;
@@ -128,7 +118,7 @@ TEST(Traffic, SocketRunsSendAndFireWhatThePlanPredicts) {
     SCOPED_TRACE("cholesky");
     const TileMatrix s =
         TileMatrix::from_dense(chol::random_spd(56, 5).view(), 8);
-    const auto opt = two_nodes<chol::VsaCholOptions>(1, 64 * 1024, kSocket);
+    const auto opt = two_nodes<chol::VsaCholOptions>(1, kSocket);
     expect_predicted(chol::lint_vsa_cholesky(s, opt),
                      chol::vsa_cholesky(s, opt).stats);
   }
@@ -136,7 +126,7 @@ TEST(Traffic, SocketRunsSendAndFireWhatThePlanPredicts) {
     SCOPED_TRACE("lu");
     const TileMatrix g =
         TileMatrix::from_dense(lu::random_diag_dominant(56, 40, 6).view(), 8);
-    const auto opt = two_nodes<lu::VsaLuOptions>(1, 64 * 1024, kSocket);
+    const auto opt = two_nodes<lu::VsaLuOptions>(1, kSocket);
     expect_predicted(lu::lint_vsa_lu(g, opt), lu::vsa_lu(g, opt).stats);
   }
 }

@@ -15,7 +15,6 @@
 // batch):
 //   --nodes 1 --workers 2 --sched lazy|aggressive --graph-check 1
 //   --spin-us -1|0|50 --transport inproc|socket
-//   --coalesce-bytes 65536
 //   --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1 --delay 0.1
 //   --delay-us 200 --reliable --rto-us 2000 --max-retransmits 10
 //   --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
@@ -120,9 +119,6 @@ void runtime_options(prt::Vsa::Config& opt, const Args& a) {
                  transport.c_str());
     std::exit(2);
   }
-  // Egress coalescing (--coalesce-bytes 0 turns it off).
-  opt.coalesce_bytes = static_cast<std::size_t>(
-      a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes)));
   // Chaos engineering: a seeded deterministic fault schedule plus the
   // reliable-delivery protocol that tolerates it.
   opt.fault_plan.seed = static_cast<std::uint64_t>(a.geti("chaos-seed", 0));
@@ -204,10 +200,9 @@ int cmd_factor(const Args& a) {
               run.channel_count, run.stats.remote_messages,
               run.stats.remote_bytes / 1e6);
   if (run.stats.remote_messages > 0) {
-    std::printf("datapath: wire_msgs=%lld (%.1f MB) coalesced=%lld in %lld "
-                "aggregates | pool hits=%lld misses=%lld\n",
+    std::printf("datapath: wire_msgs=%lld (%.1f MB) | pool hits=%lld "
+                "misses=%lld\n",
                 run.stats.wire_messages, run.stats.wire_bytes / 1e6,
-                run.stats.coalesced_frames, run.stats.aggregates_sent,
                 run.stats.pool_hits, run.stats.pool_misses);
   }
   if (opt.fault_plan.any() || opt.reliable_transport) {
