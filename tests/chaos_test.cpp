@@ -405,6 +405,83 @@ TEST(ReliableTest, OutOfOrderFramesAreReassembled) {
   }
 }
 
+// Each send is exactly one wire message, whatever its size and on either
+// endpoint kind, and in process it carries the sender's own buffer.
+TEST(ReliableTest, EachSendIsOneWireMessageOfTheSendersBuffer) {
+  const std::size_t sizes[] = {0, 8, 600, std::size_t{1} << 20};
+  for (const bool sequenced : {true, false}) {
+    SCOPED_TRACE(sequenced ? "sequenced" : "pass-through");
+    Comm comm(2);
+    Reliable::Params prm = slow_params();
+    prm.sequenced = sequenced;
+    Reliable a(comm, 0, prm);
+    std::vector<Packet> sent;
+    long long bytes = 0;
+    for (int i = 0; i < 4; ++i) {
+      sent.push_back(Packet::make(sizes[i]));
+      a.send(1, i, sent.back(), 100 + i);
+      bytes += static_cast<long long>(sizes[i]);
+    }
+    std::deque<Message> wire = comm.drain(1);
+    ASSERT_EQ(wire.size(), 4u);
+    for (int i = 0; i < 4; ++i) {
+      const Message& m = wire[static_cast<std::size_t>(i)];
+      EXPECT_EQ(m.tag, i);
+      EXPECT_EQ(m.meta, 100 + i);
+      EXPECT_EQ(m.seq, sequenced ? i : -1);
+      EXPECT_FALSE(m.is_ack);
+      ASSERT_EQ(m.payload.size(), sizes[i]);
+      EXPECT_EQ(m.payload.bytes(), sent[static_cast<std::size_t>(i)].bytes());
+    }
+    EXPECT_EQ(comm.messages_offered(), 4);
+    EXPECT_EQ(comm.messages_sent(), 4);
+    EXPECT_EQ(comm.bytes_sent(), bytes);
+  }
+}
+
+// A retransmission is one wire message per unacked frame, with the frame's
+// own sequence number, tag, meta and buffer; an acked frame is not resent.
+TEST(ReliableTest, ARetransmissionResendsOnlyTheUnackedFramesOneByOne) {
+  Comm comm(2);
+  Reliable::Params prm;
+  prm.rto_us = 1000;
+  Reliable a(comm, 0, prm);
+  Reliable b(comm, 1, slow_params());
+  std::vector<Packet> sent;
+  for (int i = 0; i < 3; ++i) {
+    sent.push_back(Packet::make(16 + 8 * static_cast<std::size_t>(i)));
+    a.send(1, 2 + i, sent.back(), 10 + i);
+  }
+  // Only frame 0 gets through; its ack retires it at the sender.
+  std::deque<Message> first = comm.drain(1);
+  ASSERT_EQ(first.size(), 3u);
+  std::deque<Message> inbox;
+  b.on_receive(std::move(first[0]), inbox);
+  ASSERT_EQ(inbox.size(), 1u);
+  b.flush_acks();
+  std::deque<Message> back = comm.drain(0);
+  ASSERT_EQ(back.size(), 1u);
+  std::deque<Message> none;
+  a.on_receive(std::move(back[0]), none);
+  EXPECT_TRUE(none.empty());
+
+  EXPECT_TRUE(a.poll(Clock::now() + std::chrono::seconds(1)));
+  EXPECT_EQ(a.retransmits(), 2);
+  std::deque<Message> again = comm.drain(1);
+  ASSERT_EQ(again.size(), 2u);
+  for (int i = 1; i < 3; ++i) {
+    const Message& m = again[static_cast<std::size_t>(i - 1)];
+    EXPECT_EQ(m.seq, i);
+    EXPECT_EQ(m.tag, 2 + i);
+    EXPECT_EQ(m.meta, 10 + i);
+    EXPECT_EQ(m.payload.bytes(), sent[static_cast<std::size_t>(i)].bytes());
+    b.on_receive(m, inbox);
+  }
+  ASSERT_EQ(inbox.size(), 3u);
+  EXPECT_EQ(inbox[1].meta, 11);
+  EXPECT_EQ(inbox[2].meta, 12);
+}
+
 TEST(ReliableTest, RetransmitBackoffIsExponential) {
   Comm comm(2);
   Reliable::Params prm;

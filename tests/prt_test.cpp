@@ -363,6 +363,20 @@ TEST(Tags, IsendAcceptsTheReservedTagsOnlyForTheirOwners) {
   EXPECT_THROW(comm.isend(0, 1, 4, Packet(), 0, -1, 3, true), Error);
 }
 
+// -2 once tagged coalesced aggregates. It belongs to no owner now, so a
+// send naming it is refused as a plain negative tag, not as a reserved one.
+TEST(Tags, TheRetiredAggregateTagIsAPlainNegativeTag) {
+  static_assert(!net::is_reserved_tag(-2));
+  try {
+    net::require_user_tag(-2, "send");
+    FAIL() << "tag -2 was accepted for application traffic";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tag -2 is negative"), std::string::npos) << what;
+    EXPECT_EQ(what.find("reserved"), std::string::npos) << what;
+  }
+}
+
 TEST(Tags, ReliableSendRejectsReservedTags) {
   net::MailboxComm comm(2);
   net::Reliable rel(comm, 0, {});

@@ -886,6 +886,27 @@ std::vector<std::byte> bytes_of(const Blob& b) {
   return std::vector<std::byte>(b.data(), b.data() + b.size());
 }
 
+// coalesced_frames and aggregates_sent are always 0 and left the codec: a
+// node process's values never reach the parent's totals, and they do not
+// change the blob.
+TEST(RunStatsCodec, RetiredCoalescingCountersStayOffTheWire) {
+  RunStats in = distinct_stats(4, 2);
+  Blob plain;
+  prt::encode_run_stats(plain, in);
+  in.coalesced_frames = 123;
+  in.aggregates_sent = 45;
+  Blob marked;
+  prt::encode_run_stats(marked, in);
+  EXPECT_EQ(bytes_of(marked), bytes_of(plain));
+  BlobReader br(marked.data(), marked.size());
+  RunStats out = empty_total(4, 2);
+  prt::merge_run_stats(br, out);
+  EXPECT_TRUE(br.done());
+  EXPECT_EQ(out.coalesced_frames, 0);
+  EXPECT_EQ(out.aggregates_sent, 0);
+  EXPECT_EQ(out.remote_messages, in.remote_messages);
+}
+
 TEST(RunStatsCodec, RejectsTruncatedBlobs) {
   Blob b;
   prt::encode_run_stats(b, distinct_stats(4, 2));
