@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/rng.hpp"
-#include "prt/packet_pool.hpp"
 #include "prt/vsa.hpp"
 #include "vsaqr/result_store.hpp"
 #include "vsaqr/tree_qr.hpp"
@@ -68,15 +67,13 @@ void BM_channel_ping(benchmark::State& state) {
 }
 
 // Inter-node ping through the proxy path, one wire message per frame: an
-// A/B matrix of the ack/retransmit reliable-delivery protocol (off must
-// show no measurable overhead: the sequencing machinery is not even
-// instantiated then) and the packet pool.
+// A/B of the ack/retransmit reliable-delivery protocol (off must show no
+// measurable overhead: the sequencing machinery is not even instantiated
+// then).
 void BM_channel_ping_internode(benchmark::State& state) {
   const int length = 8;
   const int packets = 256;
   const bool reliable = state.range(0) == 1;
-  const bool pool = state.range(1) == 1;
-  prt::PacketPool::set_enabled(pool);
   for (auto _ : state) {
     state.PauseTiming();
     Vsa::Config cfg;
@@ -107,9 +104,7 @@ void BM_channel_ping_internode(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.remote_messages);
   }
   state.SetItemsProcessed(state.iterations() * length * packets);
-  state.SetLabel(std::string(reliable ? "reliable-on" : "reliable-off") +
-                 (pool ? "/pool-on" : "/pool-off"));
-  prt::PacketPool::set_enabled(true);
+  state.SetLabel(reliable ? "reliable-on" : "reliable-off");
 }
 
 // The same inter-node ping over the out-of-process Socket backend: one
@@ -232,19 +227,15 @@ void BM_qr_small_nb(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// Pooled vs plain allocation: the recycled steady state against a fresh
-// aligned heap allocation per packet.
+// The recycled steady state of one packet size: one free-list pop and
+// push per packet.
 void BM_packet_alloc(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  const bool pool = state.range(1) == 1;
-  prt::PacketPool::set_enabled(pool);
   for (auto _ : state) {
     Packet p = Packet::make(bytes);
     benchmark::DoNotOptimize(p.bytes());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pool ? "pool-on" : "pool-off");
-  prt::PacketPool::set_enabled(true);
 }
 
 // Firing overhead: a pipeline of trivial VDPs; reported as fires/second.
@@ -327,8 +318,7 @@ void BM_bypass_chain(benchmark::State& state) {
 BENCHMARK(BM_channel_push_pop);
 BENCHMARK(BM_channel_ping)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode)
-    ->Args({0, 1})->Args({1, 1})  // reliable A/B, pool on
-    ->Args({0, 0})->Args({1, 0})  // reliable A/B, pool off
+    ->Arg(0)->Arg(1)  // reliable A/B
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode_socket)
     ->Arg(64)->Arg(32 * 1024)
@@ -336,9 +326,7 @@ BENCHMARK(BM_channel_ping_internode_socket)
 BENCHMARK(BM_socket_result_return)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_qr_small_nb)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_packet_alloc)
-    ->Args({64, 1})->Args({64, 0})
-    ->Args({192 * 192 * 8, 1})->Args({192 * 192 * 8, 0});
+BENCHMARK(BM_packet_alloc)->Arg(64)->Arg(192 * 192 * 8);
 BENCHMARK(BM_vdp_fire_local)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_vdp_fire_internode)->Arg(2)->Arg(4)

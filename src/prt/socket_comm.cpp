@@ -261,7 +261,9 @@ struct SocketComm::FrameHeader {
   FrameHeader() = default;
 
   /// Data frames carry at most kMaxPayloadBytes; control frames none.
-  bool valid() const {
+  /// Every frame names its sender, the rank whose stream carried it.
+  bool valid(int peer) const {
+    if (source != peer) return false;
     return kind == kData ? len <= kMaxPayloadBytes
                          : kind <= kInterrupt && len == 0;
   }
@@ -310,7 +312,7 @@ bool SocketComm::consume(int peer, RxStream& rx) {
     const FrameHeader h(rx.stage.data() + off);
     // Checked before anything is allocated: a hostile or corrupt length
     // must neither wrap the arithmetic below nor size an allocation.
-    if (!h.valid()) return false;
+    if (!h.valid(peer)) return false;
     const std::byte* body = rx.stage.data() + off + kFrameHeaderBytes;
     const std::size_t have = rx.fill - off - kFrameHeaderBytes;
     const auto len = static_cast<std::size_t>(h.len);

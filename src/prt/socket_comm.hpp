@@ -33,8 +33,9 @@
 // a payload that runs past the staged bytes is read straight into a
 // pooled packet of the header's length, which the proxy adopts without a
 // copy. Every header is checked before anything is allocated: a payload
-// longer than kMaxPayloadBytes, an unknown kind, or a control frame with
-// a payload marks the peer down exactly like a dead peer process.
+// longer than kMaxPayloadBytes, an unknown kind, a control frame with a
+// payload, or a source other than the rank whose stream carried the
+// frame marks the peer down exactly like a dead peer process.
 //
 // Data frames carry the full Message header, so the Reliable layer and
 // the proxy's ingress run unchanged over either backend. Barrier

@@ -1,12 +1,10 @@
 // ThreadSanitizer happens-before annotation layer.
 //
-// The runtime's two lock-free handoff protocols — the SPSC channel's node
-// handoff (payload publication through the `next` release-store, node
-// recycling through the `head_` release-store) and the packet pool's
-// buffer circulation (thread magazine <-> central spill list) — already
-// carry the happens-before edges TSan needs through their acquire/release
-// atomics and mutexes. These macros restate those edges explicitly, for
-// two reasons:
+// The SPSC channel's lock-free node handoff (payload publication through
+// the `next` release-store, node recycling through the `head_`
+// release-store) already carries the happens-before edges TSan needs
+// through its acquire/release atomics. These macros restate those edges
+// explicitly, for two reasons:
 //
 //   * documentation — the PULSARQR_TSAN_RELEASE/ACQUIRE pair at a handoff
 //     names the exact address whose ownership crosses threads, which is

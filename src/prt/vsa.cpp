@@ -53,8 +53,10 @@ struct Parker : Waker {
 
   /// Spin-then-park until the epoch moves past `seen` (a value read
   /// BEFORE the caller looked for work, so any wake during the look
-  /// returns immediately), `stop()` turns true, or a backstop timeout
-  /// expires.
+  /// returns immediately) or `stop()` turns true. There is no timeout:
+  /// every store that can turn `stop()` true from another thread (a
+  /// cancel) is followed by a wake, and the rest of `stop()` changes only
+  /// on the waiting worker's own thread.
   template <class Stop>
   void wait(std::uint64_t seen, int spin_us, Stop stop) {
     if (spin_us > 0) {
@@ -72,9 +74,7 @@ struct Parker : Waker {
     }
     std::unique_lock<std::mutex> lock(mu);
     parked.fetch_add(1, std::memory_order_seq_cst);
-    // The 10ms wait_for is a liveness backstop only; the epoch/parked
-    // protocol makes real wakeups prompt.
-    cv.wait_for(lock, 10ms, [&] {
+    cv.wait(lock, [&] {
       return epoch.load(std::memory_order_seq_cst) != seen || stop();
     });
     parked.fetch_sub(1, std::memory_order_relaxed);

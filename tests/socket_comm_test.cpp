@@ -260,16 +260,18 @@ struct RawPeer {
   }
 };
 
-/// One wire frame (socket_comm.hpp layout) from rank 0 with the given
-/// header fields; `len` is what the header claims, whatever `payload` is.
+/// One wire frame (socket_comm.hpp layout) on rank 0's stream with the
+/// given header fields; `len` is what the header claims, whatever
+/// `payload` is, and `source` the rank the header names as its sender.
 std::vector<std::byte> raw_frame(std::uint32_t kind, int tag, int meta,
                                  std::uint64_t len,
-                                 const std::vector<std::byte>& payload) {
+                                 const std::vector<std::byte>& payload,
+                                 int source = 0) {
   namespace wire = prt::net::wire;
   std::vector<std::byte> f(SocketComm::kFrameHeaderBytes + payload.size());
   wire::put_u32(f.data(), kind);
   wire::put_u32(f.data() + 4, 0);
-  wire::put_i32(f.data() + 8, 0);
+  wire::put_i32(f.data() + 8, source);
   wire::put_i32(f.data() + 12, tag);
   wire::put_i32(f.data() + 16, meta);
   wire::put_u64(f.data() + 20, len);
@@ -312,6 +314,7 @@ TEST(SocketCommTest, HostileHeadersTakeThePeerDownPath) {
     const char* what;
     std::uint32_t kind;
     std::uint64_t len;
+    int source = 0;
   };
   const Case cases[] = {
       // Header plus payload length wraps past 2^64.
@@ -321,6 +324,9 @@ TEST(SocketCommTest, HostileHeadersTakeThePeerDownPath) {
        std::uint64_t{SocketComm::kMaxPayloadBytes} + 1},
       {"unknown kind", 7, 0},
       {"control frame with a payload", SocketComm::kBarrier, 16},
+      // Rank 0's stream claiming rank 1 sent it: without the check it
+      // would be delivered as rank 1's own frame.
+      {"source is not the peer", SocketComm::kData, 0, 1},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -328,12 +334,15 @@ TEST(SocketCommTest, HostileHeadersTakeThePeerDownPath) {
     // A valid frame ahead of the bad header is still delivered.
     const std::vector<std::byte> good = pattern(40, 1);
     std::vector<std::byte> bytes = raw_frame(SocketComm::kData, 3, 9, 40, good);
-    const std::vector<std::byte> bad = raw_frame(c.kind, 3, 10, c.len, {});
+    const std::vector<std::byte> bad =
+        raw_frame(c.kind, 3, 10, c.len, {}, c.source);
     bytes.insert(bytes.end(), bad.begin(), bad.end());
     p.write(bytes);
     expect_frame(*p.b, 3, 9, good);
-    EXPECT_TRUE(p.goes_down());
     EXPECT_FALSE(p.b->recv_wait(1, 20'000).has_value());
+    // Asserted: a peer left up keeps its socket open, and the probe
+    // below would block.
+    ASSERT_TRUE(p.goes_down());
     // The socket is shut, so rank 1's own sends to the peer fail fast
     // instead of filling a buffer nobody reads.
     std::byte probe;

@@ -20,7 +20,7 @@
 //   --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
 //   --kill-node -1 --kill-after 0
 // Process-wide flags (every command):
-//   --kernel-isa auto|avx512|avx2|scalar --no-packet-pool
+//   --kernel-isa auto|avx512|avx2|scalar
 //
 // A flag the command does not read is an error (exit 2), so a mistyped or
 // retired flag never silently runs the default.
@@ -59,7 +59,6 @@
 #include "common/rng.hpp"
 #include "lu/vsa_lu.hpp"
 #include "lapack/solve.hpp"
-#include "prt/packet_pool.hpp"
 #include "ref/apply_q.hpp"
 #include "sim/chol_sim.hpp"
 #include "sim/lu_sim.hpp"
@@ -483,10 +482,6 @@ int main(int argc, char** argv) {
                    blas::simd::isa_name(blas::simd::detect_isa()));
       return 2;
     }
-  }
-  // Process-wide packet-buffer recycling A/B switch (on by default).
-  if (a.geti("no-packet-pool", 0) != 0) {
-    prt::PacketPool::set_enabled(false);
   }
   try {
     if (std::strcmp(cmd, "factor") == 0) return cmd_factor(a);
