@@ -90,7 +90,6 @@ SocketComm::SocketComm(int nranks, int rank, std::vector<int> peer_fds,
   peer_epoch_[rank_].store(epoch_, std::memory_order_relaxed);
   wmu_.reserve(nranks);
   for (int r = 0; r < nranks; ++r) wmu_.push_back(std::make_unique<std::mutex>());
-  barrier_seen_.assign(nranks, 0);
   require(::pipe(wake_pipe_) == 0, "SocketComm: pipe failed: " +
                                        std::string(std::strerror(errno)));
   receiver_ = std::thread([this] { receiver_loop(); });
@@ -207,31 +206,6 @@ int SocketComm::isend(int src, int dst, int tag, const Packet& payload,
   return Comm::isend(src, dst, tag, payload, meta, seq, ack, is_ack);
 }
 
-void SocketComm::barrier() {
-  if (size() == 1) return;
-  std::uint64_t gen;
-  {
-    std::lock_guard<std::mutex> lock(bmu_);
-    gen = ++barrier_gen_;
-  }
-  // Dissemination: announce our generation to every peer (control frame,
-  // bypasses the fault plan), then wait until every peer announced gen.
-  for (int r = 0; r < size(); ++r) {
-    if (r == rank_) continue;
-    (void)write_frame(r, kBarrier, 0, rank_, 0, 0, nullptr, 0,
-                      static_cast<long long>(gen), -1);
-  }
-  std::unique_lock<std::mutex> lock(bmu_);
-  bcv_.wait(lock, [&] {
-    for (int r = 0; r < size(); ++r) {
-      if (r != rank_ && barrier_seen_[r] < static_cast<long long>(gen)) {
-        return false;
-      }
-    }
-    return true;
-  });
-}
-
 void SocketComm::interrupt(int rank) {
   if (rank == rank_) {
     Comm::interrupt(rank);
@@ -265,7 +239,7 @@ struct SocketComm::FrameHeader {
   bool valid(int peer) const {
     if (source != peer) return false;
     return kind == kData ? len <= kMaxPayloadBytes
-                         : kind <= kInterrupt && len == 0;
+                         : kind == kInterrupt && len == 0;
   }
 };
 
@@ -284,25 +258,14 @@ struct SocketComm::RxStream {
   std::size_t body_have = 0;
 };
 
-void SocketComm::dispatch(int peer, const FrameHeader& h, Packet payload) {
+void SocketComm::dispatch(const FrameHeader& h, Packet payload) {
   frames_received_.fetch_add(1, std::memory_order_relaxed);
-  switch (h.kind) {
-    case kData:
-      (void)deliver(rank_, Message{h.source, h.tag, h.meta, h.seq, h.ack,
-                                   (h.flags & 1u) != 0, std::move(payload),
-                                   h.epoch});
-      break;
-    case kBarrier: {
-      {
-        std::lock_guard<std::mutex> lock(bmu_);
-        if (h.seq > barrier_seen_[peer]) barrier_seen_[peer] = h.seq;
-      }
-      bcv_.notify_all();
-      break;
-    }
-    default:  // kInterrupt (consume() admits no other kind)
-      Comm::interrupt(rank_);
-      break;
+  if (h.kind == kData) {
+    (void)deliver(rank_, Message{h.source, h.tag, h.meta, h.seq, h.ack,
+                                 (h.flags & 1u) != 0, std::move(payload),
+                                 h.epoch});
+  } else {  // kInterrupt (consume() admits no other kind)
+    Comm::interrupt(rank_);
   }
 }
 
@@ -328,7 +291,7 @@ bool SocketComm::consume(int peer, RxStream& rx) {
       break;
     }
     if (len > 0) std::memcpy(p.bytes(), body, len);
-    dispatch(peer, h, std::move(p));
+    dispatch(h, std::move(p));
     off += kFrameHeaderBytes + len;
   }
   // Keep a partial header at the front for the next read.
@@ -357,7 +320,7 @@ bool SocketComm::receive(int peer, int fd, RxStream& rx) {
     rx.body_have += b;
     got -= b;
     if (b == want) {
-      dispatch(peer, rx.hdr, std::move(rx.body));
+      dispatch(rx.hdr, std::move(rx.body));
       rx.body = Packet();
       rx.body_have = 0;
     }

@@ -1,7 +1,7 @@
 // Out-of-process transport backend: Unix-domain stream sockets between
 // one real OS process per node (the paper's §IV-B MPI process model made
 // concrete). One SocketComm instance lives in each node process and runs
-// the same six-call Comm core as the in-process MailboxComm; the Vsa run
+// the same Comm core as the in-process MailboxComm; the Vsa run
 // path forks the node processes and hands each one its row of a
 // pre-opened socketpair mesh.
 //
@@ -10,7 +10,7 @@
 // payload bytes:
 //
 //   offset  field         encoding
-//   0       kind          u32   0 = data, 1 = barrier, 2 = interrupt
+//   0       kind          u32   0 = data, 2 = interrupt (1 is retired)
 //   4       flags         u32   bit 0 = is_ack
 //   8       source        i32   sending rank
 //   12      tag           i32   Message::tag (reserved tags included)
@@ -38,21 +38,17 @@
 // frame marks the peer down exactly like a dead peer process.
 //
 // Data frames carry the full Message header, so the Reliable layer and
-// the proxy's ingress run unchanged over either backend. Barrier
-// frames carry the sender's barrier generation in `seq` (dissemination
-// barrier: everyone sends its generation to everyone, then waits until
-// it has seen its own generation from every peer). Interrupt frames wake
-// a peer blocked in recv_wait.
+// the proxy's ingress run unchanged over either backend. Interrupt
+// frames wake a peer blocked in recv_wait.
 //
 // Everything above the wire is net::Comm's: the tag gate, the fault fate
 // and its sender-side limbo, the mailbox and the counters, the same code
 // MailboxComm runs — a chaos seed therefore replays the identical
 // drop/dup/delay/reorder schedule on both backends. This class supplies
-// transmit() (a frame write, or self-delivery) and barrier(); it receives
-// only for its own rank, into the Comm mailbox its receiver thread
-// delivers to. Held messages are released by this process's own receive
-// calls. Barrier and interrupt frames bypass the fault plan (they are
-// control, not data).
+// transmit() (a frame write, or self-delivery); it receives only for its
+// own rank, into the Comm mailbox its receiver thread delivers to. Held
+// messages are released by this process's own receive calls. Interrupt
+// frames bypass the fault plan (they are control, not data).
 #pragma once
 
 #include <sys/uio.h>
@@ -76,8 +72,9 @@ std::pair<int, int> open_pair(const char* what);
 
 class SocketComm : public Comm {
  public:
-  /// Frame kinds on the wire (header field 0).
-  enum : std::uint32_t { kData = 0, kBarrier = 1, kInterrupt = 2 };
+  /// Frame kinds on the wire (header field 0). Kind 1, once the barrier,
+  /// is unknown: a frame of it takes the peer-down path.
+  enum : std::uint32_t { kData = 0, kInterrupt = 2 };
   static constexpr std::size_t kFrameHeaderBytes = 48;
   /// Protocol maximum of one data frame's payload. The receiver checks
   /// every header against it before allocating: a longer (or wrapping)
@@ -147,7 +144,6 @@ class SocketComm : public Comm {
   int isend(int src, int dst, int tag, const Packet& payload, int meta,
             long long seq = -1, long long ack = -1,
             bool is_ack = false) override;
-  void barrier() override;
   /// A remote rank's interrupt travels as a control frame.
   void interrupt(int rank) override;
 
@@ -178,7 +174,7 @@ class SocketComm : public Comm {
   /// of a frame that runs past it. False on a malformed header.
   bool consume(int peer, RxStream& rx);
   void mark_down_if_current(int peer, int fd);
-  void dispatch(int peer, const FrameHeader& h, Packet payload);
+  void dispatch(const FrameHeader& h, Packet payload);
 
   int rank_;
   std::uint32_t epoch_ = 0;  ///< this process's incarnation, stamped on frames
@@ -197,12 +193,6 @@ class SocketComm : public Comm {
   // Pending rejoins queued by the control thread for the proxy.
   std::mutex rjmu_;
   std::vector<Rejoin> rejoins_;
-
-  // Dissemination-barrier state.
-  std::mutex bmu_;
-  std::condition_variable bcv_;
-  std::uint64_t barrier_gen_ = 0;          ///< our own generation
-  std::vector<long long> barrier_seen_;    ///< highest gen seen per peer
 
   std::atomic<long long> frames_received_{0};
   std::atomic<bool> stop_{false};

@@ -330,18 +330,6 @@ bool MailboxComm::transmit(int dst, Message m) {
   return deliver(dst, std::move(m));
 }
 
-void MailboxComm::barrier() {
-  std::unique_lock<std::mutex> lock(bmu_);
-  const std::uint64_t gen = barrier_gen_;
-  if (++barrier_count_ == size()) {
-    barrier_count_ = 0;
-    ++barrier_gen_;  // 64-bit monotone: immediate re-entry cannot alias
-    bcv_.notify_all();
-  } else {
-    bcv_.wait(lock, [&] { return barrier_gen_ != gen; });
-  }
-}
-
 // ---- Reliable ---------------------------------------------------------------
 
 Reliable::Reliable(Comm& comm, int rank, Params params)

@@ -1,15 +1,17 @@
 // Message-passing transport — the repo's MPI substitution.
 //
-// The paper's proxy uses exactly six MPI calls (Isend, Irecv, Test,
-// Get_count, Barrier, Cancel) between one MPI process per node. net::Comm
-// provides the same nonblocking six-call surface over per-rank mailboxes,
-// written once for both backends; a backend only transmits a message
-// toward a mailbox (MailboxComm below: in-process threads; SocketComm in
-// socket_comm.hpp: one process per node). In-process the receiver adopts
-// the sender's buffer, so virtual nodes share memory like the paper's
-// intra-node channels and a buffer is immutable once sent; the socket
-// backend, across real address spaces, is the isolation check. Tag routing
-// is numbered independently per (source, destination) pair, as in the paper.
+// The paper's proxy uses six MPI calls (Isend, Irecv, Test, Get_count,
+// Barrier, Cancel) between one MPI process per node. net::Comm provides
+// the nonblocking five of them over per-rank mailboxes, written once for
+// both backends (no run needs Barrier: a socket run ends through the
+// Supervisor's done/go handshake, an in-process run on a shared flag).
+// A backend only transmits a message toward a mailbox (MailboxComm
+// below: in-process threads; SocketComm in socket_comm.hpp: one process
+// per node). In-process the receiver adopts the sender's buffer, so
+// virtual nodes share memory like the paper's intra-node channels and a
+// buffer is immutable once sent; the socket backend, across real address
+// spaces, is the isolation check. Tag routing is numbered independently
+// per (source, destination) pair, as in the paper.
 //
 // On top of the paper's reliable-fabric assumption, this file adds the
 // chaos machinery the paper never needed:
@@ -150,13 +152,13 @@ class FaultOracle {
   FaultCounters counters_;
 };
 
-/// Abstract "communicator" over nranks ranks — the six-call MPI surface of
-/// the paper (Isend/Test, Irecv as try_recv/drain/recv_wait, Get_count,
-/// Barrier, Cancel) plus the chaos and accounting hooks. Everything above
+/// Abstract "communicator" over nranks ranks — the MPI surface of the
+/// paper's proxy (Isend/Test, Irecv as try_recv/drain/recv_wait, Get_count,
+/// Cancel) plus the chaos and accounting hooks. Everything above
 /// the wire lives here, once: the tag gate, the send-side fault fate and
 /// its limbo, the per-rank mailboxes with their latched interrupt and
 /// cancel, the receive calls and the counters. A backend supplies only
-/// transmit() — how one message reaches a rank's mailbox — and barrier():
+/// transmit() — how one message reaches a rank's mailbox:
 /// MailboxComm (threads of one process) and net::SocketComm
 /// (socket_comm.hpp — Unix-domain stream sockets between real processes).
 ///
@@ -220,9 +222,6 @@ class Comm {
 
   /// MPI_Get_count equivalent.
   static std::size_t get_count(const Message& m) { return m.payload.size(); }
-
-  /// MPI_Barrier equivalent over all ranks.
-  virtual void barrier() = 0;
 
   /// MPI_Cancel equivalent: drop all undelivered messages for a rank
   /// (including ones held back by the fault plan), and latch the rank as
@@ -311,18 +310,8 @@ class MailboxComm : public Comm {
  public:
   explicit MailboxComm(int nranks) : Comm(nranks) {}
 
-  /// The generation counter is 64-bit and monotone, so a rank re-entering
-  /// the barrier immediately can never alias a generation an earlier
-  /// waiter is still testing.
-  void barrier() override;
-
  private:
   bool transmit(int dst, Message m) override;
-
-  std::mutex bmu_;
-  std::condition_variable bcv_;
-  int barrier_count_ = 0;
-  std::uint64_t barrier_gen_ = 0;
 };
 
 /// Reliable-delivery endpoint for one rank: per-(src,dst) monotone

@@ -175,10 +175,6 @@ void Vsa::map_vdp(const Tuple& tuple, int global_thread) {
   explicit_map_[tuple] = global_thread;
 }
 
-void Vsa::set_default_mapping(std::function<int(const Tuple&)> fn) {
-  default_map_ = std::move(fn);
-}
-
 // ---- wiring -----------------------------------------------------------------
 
 std::vector<int> Vsa::placement() const {
@@ -188,8 +184,7 @@ std::vector<int> Vsa::placement() const {
     if (auto it = explicit_map_.find(v->tuple_); it != explicit_map_.end()) {
       out.push_back(it->second);
     } else {
-      out.push_back(default_map_ ? default_map_(v->tuple_)
-                                 : rr++ % total_threads());
+      out.push_back(rr++ % total_threads());
     }
   }
   return out;

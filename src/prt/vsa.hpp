@@ -250,12 +250,9 @@ class Vsa {
             std::vector<Packet> initial, bool enabled = true);
 
   /// Explicit VDP -> global worker thread mapping (thread / workers_per_node
-  /// is the node). Unmapped VDPs fall back to the default mapping.
+  /// is the node). Unmapped VDPs are assigned round-robin in creation
+  /// order.
   void map_vdp(const Tuple& tuple, int global_thread);
-
-  /// Default mapping function; if unset, VDPs are assigned round-robin in
-  /// creation order.
-  void set_default_mapping(std::function<int(const Tuple&)> fn);
 
   /// Read-only global parameters (paper: "read-only global parameters").
   template <class T>
@@ -289,7 +286,7 @@ class Vsa {
 
   void validate_and_wire();
   /// Each VDP's global worker thread, in creation order: map_vdp(), else
-  /// the default mapping, else round-robin (range unchecked).
+  /// round-robin (range unchecked).
   std::vector<int> placement() const;
   /// A worker sweeps its own VDP list, firing what is ready, and parks on
   /// its Parker when a sweep fired nothing.
@@ -366,7 +363,6 @@ class Vsa {
   std::vector<PendingEdge> edges_;
   std::vector<PendingFeed> feeds_;
   std::unordered_map<Tuple, int, TupleHash> explicit_map_;
-  std::function<int(const Tuple&)> default_map_;
   std::any global_;
 
   // Runtime state (valid during run()).

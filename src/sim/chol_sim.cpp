@@ -1,9 +1,5 @@
 #include "sim/chol_sim.hpp"
 
-#include <unordered_map>
-
-#include "common/error.hpp"
-
 namespace pulsarqr::sim {
 
 namespace {
@@ -30,105 +26,33 @@ SimResult simulate_cholesky(int n, int nb, const MachineModel& mm,
   const int mt = (n + nb - 1) / nb;
   chol::CholPlan plan(mt);
   const auto& ops = plan.ops();
-  const int nops = static_cast<int>(ops.size());
-  const int threads = nodes * mm.workers_per_node();
-  require(threads >= 1, "simulate_cholesky: no worker threads");
-
-  TaskGraph g;
-  g.num_tasks = nops;
-  g.num_threads = threads;
-  g.workers_per_node = mm.workers_per_node();
-  g.duration.resize(nops);
-  g.thread.resize(nops);
-
-  // Creation-order cyclic mapping over all threads: per step k the VDPs
-  // are P(k), S(k,k+1), ..., S(k,mt-1). This is the builder's mapping on
-  // one node only; on several nodes the builder owns whole columns per
-  // node (plan::ColumnPlacement), which would leave nodes idle here when
-  // the matrix has fewer tile columns than the machine has nodes.
-  std::vector<std::int64_t> base(mt + 1, 0);
-  for (int k = 0; k < mt; ++k) base[k + 1] = base[k] + (mt - k);
-  auto thread_of = [&](int k, int j /* == k for P */) {
-    return static_cast<int>((base[k] + (j - k)) % threads);
-  };
-
-  auto tile_key = [&](int i, int j) {
-    return static_cast<std::int64_t>(i) * mt + j;
-  };
-  std::unordered_map<std::int64_t, int> last_writer;
-  std::unordered_map<std::int64_t, int> vdp_last;
-
-  std::vector<std::int64_t> offsets(nops + 1, 0);
-  std::vector<std::int32_t> preds;
-  std::vector<EdgeKind> kinds;
-  preds.reserve(static_cast<std::size_t>(nops) * 3);
-  kinds.reserve(static_cast<std::size_t>(nops) * 3);
-
-  for (int x = 0; x < nops; ++x) {
-    const chol::Op& op = ops[x];
-    struct Access {
-      int i, j;
-      bool write;
-    };
-    Access acc[3];
-    int na = 0;
-    int vdp_j = op.k;  // column of the owning VDP (== k for the panel)
-    switch (op.kind) {
-      case chol::OpKind::Potrf:
-        acc[na++] = {op.k, op.k, true};
-        break;
-      case chol::OpKind::Trsm:
-        acc[na++] = {op.k, op.k, false};
-        acc[na++] = {op.i, op.k, true};
-        break;
-      case chol::OpKind::Syrk:
-        acc[na++] = {op.j, op.k, false};
-        acc[na++] = {op.j, op.j, true};
-        vdp_j = op.j;
-        break;
-      case chol::OpKind::Gemm:
-        acc[na++] = {op.i, op.k, false};
-        acc[na++] = {op.j, op.k, false};
-        acc[na++] = {op.i, op.j, true};
-        vdp_j = op.j;
-        break;
-    }
-    g.duration[x] = static_cast<float>(chol_task_seconds(op, n, nb, mm));
-    g.thread[x] = thread_of(op.k, vdp_j);
-
-    const std::int64_t vk =
-        static_cast<std::int64_t>(op.k) * (mt + 1) + vdp_j;
-    int local[4];
-    EdgeKind local_kind[4];
-    int nl = 0;
-    if (auto it = vdp_last.find(vk); it != vdp_last.end()) {
-      local[nl] = it->second;
-      local_kind[nl++] = EdgeKind::Serial;
-    }
-    vdp_last[vk] = x;
-    for (int a = 0; a < na; ++a) {
-      if (auto it = last_writer.find(tile_key(acc[a].i, acc[a].j));
-          it != last_writer.end()) {
-        const int p = it->second;
-        bool dup = p == x;
-        for (int q = 0; q < nl; ++q) dup = dup || local[q] == p;
-        if (!dup) {
-          local[nl] = p;
-          local_kind[nl++] = EdgeKind::Tile;
+  // Per step k the VDPs are P(k), S(k,k+1), ..., S(k,mt-1).
+  const TaskGraph g = build_column_task_graph(
+      static_cast<int>(ops.size()), mt, mt, mm, nodes, [&](int x) {
+        const chol::Op& op = ops[x];
+        ColumnTask t{op.k, op.k, chol_task_seconds(op, n, nb, mm)};
+        switch (op.kind) {
+          case chol::OpKind::Potrf:
+            t.touch(op.k, op.k, true);
+            break;
+          case chol::OpKind::Trsm:
+            t.touch(op.k, op.k, false);
+            t.touch(op.i, op.k, true);
+            break;
+          case chol::OpKind::Syrk:
+            t.j = op.j;
+            t.touch(op.j, op.k, false);
+            t.touch(op.j, op.j, true);
+            break;
+          case chol::OpKind::Gemm:
+            t.j = op.j;
+            t.touch(op.i, op.k, false);
+            t.touch(op.j, op.k, false);
+            t.touch(op.i, op.j, true);
+            break;
         }
-      }
-      if (acc[a].write) last_writer[tile_key(acc[a].i, acc[a].j)] = x;
-    }
-    offsets[x + 1] = offsets[x] + nl;
-    for (int q = 0; q < nl; ++q) {
-      preds.push_back(local[q]);
-      kinds.push_back(local_kind[q]);
-    }
-  }
-  g.pred_offset = std::move(offsets);
-  g.pred_task = std::move(preds);
-  g.pred_kind = std::move(kinds);
-
+        return t;
+      });
   CostModel cost(mm, n, n, nb, nb);
   return simulate_graph(g, cost, chol::chol_useful_flops(n),
                         chol::plan_flops(plan, n, nb));

@@ -212,4 +212,62 @@ TaskGraph build_task_graph(const plan::ReductionPlan& plan,
   return g;
 }
 
+TaskGraph build_column_task_graph(
+    int num_tasks, int panels, int cols, const MachineModel& mm, int nodes,
+    const std::function<ColumnTask(int)>& task) {
+  const int threads = nodes * mm.workers_per_node();
+  require(threads >= 1, "build_column_task_graph: no worker threads");
+  TaskGraph g;
+  g.num_tasks = num_tasks;
+  g.num_threads = threads;
+  g.workers_per_node = mm.workers_per_node();
+  g.duration.resize(num_tasks);
+  g.thread.resize(num_tasks);
+
+  std::vector<std::int64_t> base(panels + 1, 0);
+  for (int k = 0; k < panels; ++k) base[k + 1] = base[k] + (cols - k);
+
+  auto tile_key = [&](int i, int j) {
+    return static_cast<std::int64_t>(i) * cols + j;
+  };
+  std::unordered_map<std::int64_t, int> last_writer;
+  std::unordered_map<std::int64_t, int> vdp_last;
+
+  g.pred_offset.assign(num_tasks + 1, 0);
+  g.pred_task.reserve(static_cast<std::size_t>(num_tasks) * 3);
+  g.pred_kind.reserve(static_cast<std::size_t>(num_tasks) * 3);
+  for (int x = 0; x < num_tasks; ++x) {
+    const ColumnTask t = task(x);
+    g.duration[x] = static_cast<float>(t.seconds);
+    g.thread[x] = static_cast<int>((base[t.k] + (t.j - t.k)) % threads);
+
+    const std::int64_t vk = static_cast<std::int64_t>(t.k) * (cols + 1) + t.j;
+    int local[4];
+    EdgeKind local_kind[4];
+    int nl = 0;
+    if (auto it = vdp_last.find(vk); it != vdp_last.end()) {
+      local[nl] = it->second;
+      local_kind[nl++] = EdgeKind::Serial;
+    }
+    vdp_last[vk] = x;
+    for (int a = 0; a < t.accesses; ++a) {
+      const std::int64_t key = tile_key(t.access[a].i, t.access[a].j);
+      if (auto it = last_writer.find(key); it != last_writer.end()) {
+        const int p = it->second;
+        bool dup = p == x;
+        for (int q = 0; q < nl; ++q) dup = dup || local[q] == p;
+        if (!dup) {
+          local[nl] = p;
+          local_kind[nl++] = EdgeKind::Tile;
+        }
+      }
+      if (t.access[a].write) last_writer[key] = x;
+    }
+    g.pred_offset[x + 1] = g.pred_offset[x] + nl;
+    g.pred_task.insert(g.pred_task.end(), local, local + nl);
+    g.pred_kind.insert(g.pred_kind.end(), local_kind, local_kind + nl);
+  }
+  return g;
+}
+
 }  // namespace pulsarqr::sim

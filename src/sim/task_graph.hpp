@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "plan/reduction_plan.hpp"
@@ -65,5 +66,35 @@ class VdpThreadMap {
 /// Build the full task graph for a plan on `nodes` nodes of the machine.
 TaskGraph build_task_graph(const plan::ReductionPlan& plan,
                            const CostModel& cost, int nodes);
+
+/// One op of a column array (tile Cholesky, tile LU): fired by step k's
+/// VDP of column j (j == k for the panel VDP), touching up to three tiles.
+struct ColumnTask {
+  struct Access {
+    int i, j;
+    bool write;
+  };
+  int k = 0;
+  int j = 0;
+  double seconds = 0.0;
+  Access access[3] = {};
+  int accesses = 0;
+
+  void touch(int row, int col, bool write) {
+    access[accesses++] = {row, col, write};
+  }
+};
+
+/// The task graph of a column array of `panels` steps over `cols` tile
+/// columns, one task per op, `task(x)` describing op x. Step k's VDPs are
+/// columns k..cols-1, mapped cyclically over all threads in creation
+/// order. This is the builder's mapping on one node only; on several nodes
+/// the builder owns whole columns per node (plan::ColumnPlacement), which
+/// would leave nodes idle here when the matrix has fewer tile columns than
+/// the machine has nodes. Each VDP fires its ops in order (Serial edges),
+/// and an op waits for the last writer of every tile it touches (Tile).
+TaskGraph build_column_task_graph(
+    int num_tasks, int panels, int cols, const MachineModel& mm, int nodes,
+    const std::function<ColumnTask(int)>& task);
 
 }  // namespace pulsarqr::sim

@@ -23,7 +23,7 @@ using prt::Packet;
 using prt::Tuple;
 using prt::VdpContext;
 
-/// Tuple kind of the batch VDPs (the QR/Cholesky/LU builders use 0..5 in
+/// Tuple kind of the batch VDPs (the QR/Cholesky/LU builders use 0..3 in
 /// their own graphs; batch graphs are never mixed with them, the distinct
 /// kind just keeps traces and stuck-VDP diagnostics unambiguous).
 constexpr int kBatchVdpKind = 10;

@@ -28,6 +28,9 @@
 // Finalized tiles (eliminated V tiles, binary losers, and each step's
 // surviving R row) exit the array into the shared ResultStore together
 // with their T factors.
+//
+// apply_qt runs the same array on B without F and B: the stored (V,T)
+// packets are fed into each chain's first U/BU (see Builder).
 #include <algorithm>
 #include <map>
 #include <memory>
@@ -66,7 +69,6 @@ struct FlatCfg {
   int l = 0;        ///< column handled (== k for F)
   int pw = 0;       ///< panel width (tile columns of panel k)
   int ib = 0;
-  bool is_factor = false;
   std::vector<int> rows;      ///< rows in consumption order
   std::vector<int> row_slot;  ///< input slot of each row's channel
   int vt_in = -1;             ///< U only: transformation-chain input
@@ -246,8 +248,7 @@ struct BinaryStructure {
   std::map<int, std::vector<int>> pairs_of;
 };
 
-// GraphCheck balance declarations shared by the factorization and apply
-// builders. Tile-input slots consume one packet per row routed to them
+// GraphCheck balance declarations of a flat VDP. Tile-input slots consume one packet per row routed to them
 // (not one per firing once channels are grouped), top_out emits a single
 // packet at the last firing, and solid_out skips the held head row.
 void declare_flat_balance(prt::Vsa& vsa, const Tuple& tup,
@@ -267,9 +268,9 @@ void declare_flat_balance(prt::Vsa& vsa, const Tuple& tup,
   }
 }
 
-// Worker threads of tree QR's flat VDPs (Section V-D), shared by the
-// factorization and apply builders; binary VDPs take their winner-side
-// child's thread instead. Each panel step's flat VDPs, in creation order
+// Worker threads of tree QR's flat VDPs (Section V-D), factorizing and
+// applying alike; binary VDPs take their winner-side child's thread
+// instead. Each panel step's flat VDPs, in creation order
 // (domain-major, then column), are cut into contiguous blocks of
 // max(workers_per_node, ceil(count / nodes)); blocks go to the nodes
 // cyclically, continuing across steps, and the worker inside a node is
@@ -322,25 +323,43 @@ BinaryStructure make_binary(const std::vector<plan::Domain>& domains) {
   return bs;
 }
 
+// The one tree-QR array. Applying stored factors to B builds it without
+// the red and blue factor VDPs: B's columns are every step's trailing
+// columns, B's tiles are fed at step 0, each domain's and each pair's
+// (V,T) chain starts from a feed of the stored packets into its first
+// U/BU instead of F(k,d)/B(k,p), and no column of B is eliminated, so the
+// last step deposits its stream (as tree_qr_solve's trailing columns do).
 class Builder {
  public:
-  Builder(const TileMatrix& a, const TreeQrOptions& opt)
-      : a_(a),
+  /// Factorizes `in`, or, given `stored` factors, applies their Q^T to it.
+  Builder(const TileMatrix& in, const TreeQrOptions& opt,
+          const ref::TreeQrFactors* stored = nullptr)
+      : in_(in),
+        a_(stored ? stored->a : in),
+        stored_(stored),
         opt_(opt),
+        tree_(stored ? stored->plan.config() : opt.tree),
+        ib_(stored ? stored->ib : opt.ib),
         vsa_(opt),
-        store_(std::make_shared<ResultStore>(a.rows(), a.cols(), a.nb(),
-                                             opt.ib, opt.transport)),
+        store_(std::make_shared<ResultStore>(in.rows(), in.cols(), in.nb(),
+                                             ib_, opt.transport)),
         placement_(opt.nodes, opt.workers_per_node) {
     vsa_.set_global(store_);
     // A respawned node re-deposits what its dead incarnation published.
     if (opt.max_respawns > 0) store_->enable_dedup();
-    tile_bytes_ = tile_packet_bytes(a.nb(), a.nb());
-    vt_bytes_ = vt_packet_bytes(a.nb(), a.nb(), opt.ib);
+    tile_bytes_ = tile_packet_bytes(in.nb(), in.nb());
+    vt_bytes_ = vt_packet_bytes(a_.nb(), a_.nb(), ib_);
   }
 
   void build() {
-    panels_ = std::min(a_.mt(), a_.nt());
-    if (opt_.panel_columns > 0) panels_ = std::min(panels_, opt_.panel_columns);
+    if (stored_) {
+      panels_ = stored_->plan.panels();
+    } else {
+      panels_ = std::min(a_.mt(), a_.nt());
+      if (opt_.panel_columns > 0) {
+        panels_ = std::min(panels_, opt_.panel_columns);
+      }
+    }
     for (int k = 0; k < panels_; ++k) build_step(k);
   }
 
@@ -353,14 +372,18 @@ class Builder {
   TreeQrRun run() {
     build();
     auto stats = vsa_.run();
-    TreeQrRun out{
-        store_->finish(plan::ReductionPlan(a_.mt(), a_.nt(), opt_.tree,
-                                           opt_.panel_columns),
-                       opt_.ib),
-        stats,
-        {},
-        vdp_count_,
-        channel_count_};
+    // Q^T B fills only the store's tiles, in B's shape.
+    plan::ReductionPlan done =
+        stored_ ? plan::ReductionPlan(in_.mt(), in_.nt(),
+                                      {plan::TreeKind::Flat, 1,
+                                       plan::BoundaryMode::Shifted})
+                : plan::ReductionPlan(a_.mt(), a_.nt(), tree_,
+                                      opt_.panel_columns);
+    TreeQrRun out{store_->finish(std::move(done), ib_),
+                  stats,
+                  {},
+                  vdp_count_,
+                  channel_count_};
     if (opt_.trace) out.events = vsa_.recorder().collect();
     return out;
   }
@@ -372,8 +395,35 @@ class Builder {
     ++channel_count_;
   }
 
-  /// Feed the initial tiles of step 0 or wire the tile channels of step k.
-  /// Returns (rows order, slot per row, number of tile slots).
+  void feed(const Tuple& dst, int slot, std::size_t bytes,
+            std::vector<Packet> packets) {
+    vsa_.feed(dst, slot, bytes, std::move(packets));
+    ++channel_count_;
+  }
+
+  /// Flat VDP of domain d at column l: F(k,d) on the panel column when
+  /// factorizing, U(k,d,l) otherwise.
+  Tuple flat_vdp(int k, int d, int l) const {
+    return !stored_ && l == k ? f_tuple(k, d) : u_tuple(k, d, l);
+  }
+  /// Binary VDP of pair p at column l: B(k,p) or BU(k,p,l).
+  Tuple pair_vdp(int k, int p, int l) const {
+    return !stored_ && l == k ? b_tuple(k, p) : bu_tuple(k, p, l);
+  }
+
+  /// Stored (V,T) packets of one domain's flat reduction, in firing order.
+  std::vector<Packet> domain_vt_packets(int k, const plan::Domain& dom) const {
+    std::vector<Packet> out;
+    out.push_back(encode_vt(a_.tile(dom.head(), k),
+                            stored_->tg.t(dom.head(), k), dom.head()));
+    for (int r = dom.begin + 1; r < dom.end; ++r) {
+      out.push_back(encode_vt(a_.tile(r, k), stored_->tt.t(r, k), r));
+    }
+    return out;
+  }
+
+  /// Feed the initial tiles of step 0 or wire the tile channels of step k;
+  /// fills cfg's rows, their input slots and the first slot after them.
   void wire_tile_inputs(const Tuple& dst, const std::vector<int>& rows, int l,
                         FlatCfg& cfg) {
     cfg.rows = rows;
@@ -382,10 +432,9 @@ class Builder {
       // Step 0: one prefilled source channel carries the whole domain.
       std::vector<Packet> initial;
       for (int r : rows) {
-        initial.push_back(encode_tile(a_.tile(r, l), r));
+        initial.push_back(encode_tile(in_.tile(r, l), r));
       }
-      vsa_.feed(dst, 0, tile_bytes_, std::move(initial));
-      ++channel_count_;
+      feed(dst, 0, tile_bytes_, std::move(initial));
       for (auto& s : cfg.row_slot) s = 0;
       cfg.vt_in = 1;
       return;
@@ -409,10 +458,11 @@ class Builder {
   }
 
   void build_step(int k) {
-    const int mt = a_.mt();
-    const int nt = a_.nt();
+    const int nt = in_.nt();
+    // The step's columns: panel k and A's trailing columns, or all of B's.
+    const int first = stored_ ? 0 : k;
     const int pw = a_.tile_cols(k);
-    const auto domains = plan::domains_for_panel(mt, k, opt_.tree);
+    const auto domains = plan::domains_for_panel(a_.mt(), k, tree_);
     const auto bs = make_binary(domains);
     const bool has_binary = domains.size() > 1;
 
@@ -423,38 +473,33 @@ class Builder {
     }
     // Threads of the flat VDPs (binary parents inherit the winner's).
     std::map<std::pair<int, int>, int> f_thread;  // (d, l) -> thread
-    placement_.begin_step(static_cast<int>(domains.size()) * (nt - k));
+    placement_.begin_step(static_cast<int>(domains.size()) * (nt - first));
 
     // ---- flat pipelines --------------------------------------------------
     for (std::size_t d = 0; d < domains.size(); ++d) {
       const auto& dom = domains[d];
+      const int di = static_cast<int>(d);
       std::vector<int> rows;
       for (int r = dom.begin; r < dom.end; ++r) rows.push_back(r);
 
-      for (int l = k; l < nt; ++l) {
-        const bool is_factor = l == k;
+      for (int l = first; l < nt; ++l) {
+        const bool is_factor = !stored_ && l == k;
         auto cfg = std::make_shared<FlatCfg>();
         cfg->k = k;
         cfg->l = l;
         cfg->pw = pw;
-        cfg->ib = opt_.ib;
-        cfg->is_factor = is_factor;
-        const Tuple tup =
-            is_factor ? f_tuple(k, static_cast<int>(d))
-                      : u_tuple(k, static_cast<int>(d), l);
+        cfg->ib = ib_;
+        const Tuple tup = flat_vdp(k, di, l);
 
         // Output slot layout (allocated in a fixed order).
         int next_out = 0;
-        if (is_factor) {
-          if (k + 1 < nt) cfg->vt_out = next_out++;
-          if (has_binary) cfg->top_out = next_out++;
-        } else {
-          if (l + 1 < nt) cfg->vt_out = next_out++;
-          // At the last panel there is no next step: streamed tiles are
-          // final (they are rows of Q^T applied to the trailing columns).
-          if (rows.size() > 1 && k + 1 < panels_) cfg->solid_out = next_out++;
-          if (has_binary) cfg->top_out = next_out++;
+        if (l + 1 < nt) cfg->vt_out = next_out++;
+        // At the last panel there is no next step: streamed tiles are
+        // final (they are rows of Q^T applied to the trailing columns).
+        if (!is_factor && rows.size() > 1 && k + 1 < panels_) {
+          cfg->solid_out = next_out++;
         }
+        if (has_binary) cfg->top_out = next_out++;
 
         wire_tile_inputs(tup, rows, l, *cfg);
         const int num_inputs = is_factor ? cfg->vt_in : cfg->vt_in + 1;
@@ -469,24 +514,27 @@ class Builder {
         ++vdp_count_;
         const int thread = placement_.next();
         vsa_.map_vdp(tup, thread);
-        f_thread[{static_cast<int>(d), l}] = thread;
+        f_thread[{di, l}] = thread;
         if (!is_factor) vt_in_slot_[tup] = cfg->vt_in;
         last_out_slot_[tup] = cfg->top_out;
 
         // Solid stream into step k+1: register the non-top rows.
-        if (!is_factor && cfg->solid_out >= 0) {
+        if (cfg->solid_out >= 0) {
           for (std::size_t i = 1; i < rows.size(); ++i) {
             next_producers[{rows[i], l}] = Producer{tup, cfg->solid_out};
           }
         }
       }
-      // Transformation chain along the step: F -> U(k+1) -> U(k+2) ...
-      for (int l = k; l + 1 < nt; ++l) {
-        const Tuple src = l == k ? f_tuple(k, static_cast<int>(d))
-                                 : u_tuple(k, static_cast<int>(d), l);
-        const Tuple dst = u_tuple(k, static_cast<int>(d), l + 1);
+      // Transformation chain along the step: F -> U(k+1) -> U(k+2) ...,
+      // or the stored packets fed into the first U.
+      if (stored_) {
+        const Tuple head = u_tuple(k, di, 0);
+        feed(head, vt_slot_of(head), vt_bytes_, domain_vt_packets(k, dom));
+      }
+      for (int l = first; l + 1 < nt; ++l) {
+        const Tuple dst = u_tuple(k, di, l + 1);
         // vt_out is always slot 0 when it exists.
-        connect({src, 0}, dst, /*computed below*/ vt_slot_of(dst), vt_bytes_);
+        connect({flat_vdp(k, di, l), 0}, dst, vt_slot_of(dst), vt_bytes_);
       }
     }
 
@@ -496,47 +544,37 @@ class Builder {
     if (has_binary) {
       for (std::size_t d = 0; d < domains.size(); ++d) {
         const int head = domains[d].head();
-        // top_out slot of F/U: depends on its layout computed above; it is
-        // the LAST output slot (see allocation order).
-        for (int l = k; l < nt; ++l) {
-          const Tuple tup = l == k ? f_tuple(k, static_cast<int>(d))
-                                   : u_tuple(k, static_cast<int>(d), l);
+        // top_out is the LAST output slot of F/U (see allocation order).
+        for (int l = first; l < nt; ++l) {
+          const Tuple tup = flat_vdp(k, static_cast<int>(d), l);
           cur[{head, l}] = Producer{tup, last_out_slot_[tup]};
         }
       }
     }
     for (std::size_t pi = 0; pi < bs.pairs.size(); ++pi) {
       const auto& pr = bs.pairs[pi];
-      const bool winner_continues =
-          bs.pairs_of.at(pr.winner).back() != static_cast<int>(pi);
-      const int bthread = f_thread[{dom_of_head[pr.winner], k}];
-      for (int l = k; l < nt; ++l) {
+      const int p = static_cast<int>(pi);
+      const bool winner_continues = bs.pairs_of.at(pr.winner).back() != p;
+      for (int l = first; l < nt; ++l) {
+        const bool is_b = !stored_ && l == k;
         auto cfg = std::make_shared<BinCfg>();
         cfg->k = k;
         cfg->l = l;
         cfg->pw = pw;
-        cfg->ib = opt_.ib;
+        cfg->ib = ib_;
         cfg->winner = pr.winner;
         cfg->loser = pr.loser;
-        const bool is_b = l == k;
-        const Tuple tup = is_b ? b_tuple(k, static_cast<int>(pi))
-                               : bu_tuple(k, static_cast<int>(pi), l);
+        const Tuple tup = pair_vdp(k, p, l);
         int next_out = 0;
-        if (is_b) {
-          if (k + 1 < nt) cfg->vt_out = next_out++;
-          if (winner_continues) cfg->win_out = next_out++;
-        } else {
-          if (l + 1 < nt) cfg->vt_out = next_out++;
-          if (winner_continues) cfg->win_out = next_out++;
-          if (k + 1 < panels_) cfg->c2_out = next_out++;
-        }
+        if (l + 1 < nt) cfg->vt_out = next_out++;
+        if (winner_continues) cfg->win_out = next_out++;
+        if (!is_b && k + 1 < panels_) cfg->c2_out = next_out++;
         auto fn = is_b ? BinFnFor(&tt_factor_fire, cfg)
                        : BinFnFor(&tt_update_fire, cfg);
         vsa_.add_vdp(tup, 1, std::move(fn), is_b ? 2 : 3, next_out,
                      kColorBinary);
         ++vdp_count_;
-        vsa_.map_vdp(tup, is_b ? bthread
-                               : f_thread[{dom_of_head[pr.winner], l}]);
+        vsa_.map_vdp(tup, f_thread[{dom_of_head[pr.winner], l}]);
 
         // Wire the pair's tile inputs from the current producers.
         connect(cur.at({pr.winner, l}), tup, 0, tile_bytes_);
@@ -545,16 +583,20 @@ class Builder {
           cur[{pr.winner, l}] = Producer{tup, cfg->win_out};
         }
         // Loser's trailing tile re-enters step k+1 (dashed).
-        if (!is_b && cfg->c2_out >= 0) {
+        if (cfg->c2_out >= 0) {
           next_producers[{pr.loser, l}] = Producer{tup, cfg->c2_out};
         }
       }
-      // Transformation chain of the pair: B -> BU(k+1) -> BU(k+2) ...
-      for (int l = k; l + 1 < nt; ++l) {
-        const Tuple src = l == k ? b_tuple(k, static_cast<int>(pi))
-                                 : bu_tuple(k, static_cast<int>(pi), l);
-        const Tuple dst = bu_tuple(k, static_cast<int>(pi), l + 1);
-        connect({src, 0}, dst, 2, vt_bytes_);
+      // Transformation chain of the pair: B -> BU(k+1) -> BU(k+2) ..., or
+      // the stored packet fed into the first BU.
+      if (stored_) {
+        std::vector<Packet> vt;
+        vt.push_back(encode_vt(a_.tile(pr.loser, k),
+                               stored_->tt.t(pr.loser, k), pr.loser));
+        feed(bu_tuple(k, p, 0), 2, vt_bytes_, std::move(vt));
+      }
+      for (int l = first; l + 1 < nt; ++l) {
+        connect({pair_vdp(k, p, l), 0}, bu_tuple(k, p, l + 1), 2, vt_bytes_);
       }
     }
 
@@ -577,8 +619,12 @@ class Builder {
     return it->second;
   }
 
-  const TileMatrix& a_;
+  const TileMatrix& in_;  ///< fed at step 0: A, or B
+  const TileMatrix& a_;   ///< the factored matrix (panel widths, tile rows)
+  const ref::TreeQrFactors* stored_;  ///< applying: the stored factors
   TreeQrOptions opt_;
+  plan::PlanConfig tree_;
+  int ib_;
   prt::Vsa vsa_;
   std::shared_ptr<ResultStore> store_;
   FlatPlacement placement_;
@@ -592,223 +638,14 @@ class Builder {
   std::map<Tuple, int> last_out_slot_;
 };
 
-// ---- apply-only array -------------------------------------------------------
-//
-// The Q^T-application array is the factorization array with the factor
-// VDPs removed: the per-domain and per-pair (V,T) chains are *fed* from
-// the stored factors, B's tiles play the trailing columns, and every
-// step is "panel-limited" (no column of B is ever eliminated), so the
-// last step deposits its stream — the same machinery tree_qr_solve uses.
-class ApplyBuilder {
- public:
-  ApplyBuilder(const ref::TreeQrFactors& f, const TileMatrix& b,
-               const TreeQrOptions& opt)
-      : f_(f), b_(b), opt_(opt), vsa_(opt),
-        placement_(opt.nodes, opt.workers_per_node) {
-    require(b.rows() == f.a.rows() && b.nb() == f.a.nb(),
-            "apply_qt: B must match the factored matrix rows and tile size");
-    require(b.cols() >= 1, "apply_qt: B must have at least one column");
-    store_ = std::make_shared<ResultStore>(b.rows(), b.cols(), b.nb(), f.ib,
-                                           opt.transport);
-    vsa_.set_global(store_);
-    if (opt.max_respawns > 0) store_->enable_dedup();
-    tile_bytes_ = tile_packet_bytes(b.nb(), b.nb());
-    vt_bytes_ = vt_packet_bytes(f.a.nb(), f.a.nb(), f.ib);
-  }
-
-  TileMatrix run() {
-    const int panels = f_.plan.panels();
-    for (int k = 0; k < panels; ++k) build_step(k, panels);
-    vsa_.run();
-    // Every (row, column) tile of B was deposited exactly once; reuse the
-    // factor-store completeness check, then take the tile matrix.
-    return store_
-        ->finish(plan::ReductionPlan(b_.mt(), std::max(b_.nt(), 1),
-                                     {plan::TreeKind::Flat, 1,
-                                      plan::BoundaryMode::Shifted}),
-                 f_.ib)
-        .a;
-  }
-
- private:
-  void connect(const Producer& src, const Tuple& dst, int slot,
-               std::size_t bytes, bool enabled = true) {
-    vsa_.connect(src.vdp, src.slot, dst, slot, bytes, enabled);
-  }
-
-  /// (V,T) packets of one domain's flat reduction, in firing order.
-  std::vector<Packet> domain_vt_packets(int k, const plan::Domain& dom) {
-    std::vector<Packet> out;
-    out.push_back(
-        encode_vt(f_.a.tile(dom.head(), k), f_.tg.t(dom.head(), k),
-                  dom.head()));
-    for (int r = dom.begin + 1; r < dom.end; ++r) {
-      out.push_back(encode_vt(f_.a.tile(r, k), f_.tt.t(r, k), r));
-    }
-    return out;
-  }
-
-  void wire_tile_inputs(const Tuple& dst, const std::vector<int>& rows,
-                        int l, FlatCfg& cfg) {
-    cfg.rows = rows;
-    cfg.row_slot.resize(rows.size());
-    if (cfg.k == 0) {
-      std::vector<Packet> initial;
-      for (int r : rows) initial.push_back(encode_tile(b_.tile(r, l), r));
-      vsa_.feed(dst, 0, tile_bytes_, std::move(initial));
-      for (auto& s : cfg.row_slot) s = 0;
-      cfg.vt_in = 1;
-      return;
-    }
-    int slot = -1;
-    const Producer* prev = nullptr;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto it = producers_.find({rows[i], l});
-      PQR_ASSERT(it != producers_.end(), "apply_qt: no producer for tile");
-      const Producer& p = it->second;
-      if (prev == nullptr || !(prev->vdp == p.vdp && prev->slot == p.slot)) {
-        ++slot;
-        connect(p, dst, slot, tile_bytes_, /*enabled=*/slot == 0);
-        prev = &it->second;
-      }
-      cfg.row_slot[i] = slot;
-    }
-    cfg.vt_in = slot + 1;
-  }
-
-  void build_step(int k, int panels) {
-    const int mt = f_.plan.mt();
-    const int bt = b_.nt();
-    const int pw = f_.a.tile_cols(k);
-    const auto domains = plan::domains_for_panel(mt, k, f_.plan.config());
-    const auto bs = make_binary(domains);
-    const bool has_binary = domains.size() > 1;
-
-    std::map<std::pair<int, int>, Producer> next_producers;
-    std::map<int, int> dom_of_head;
-    for (std::size_t d = 0; d < domains.size(); ++d) {
-      dom_of_head[domains[d].head()] = static_cast<int>(d);
-    }
-
-    // ---- flat apply pipelines (one per domain per B column) --------------
-    placement_.begin_step(static_cast<int>(domains.size()) * bt);
-    for (std::size_t d = 0; d < domains.size(); ++d) {
-      const auto& dom = domains[d];
-      std::vector<int> rows;
-      for (int r = dom.begin; r < dom.end; ++r) rows.push_back(r);
-      for (int c = 0; c < bt; ++c) {
-        auto cfg = std::make_shared<FlatCfg>();
-        cfg->k = k;
-        cfg->l = c;  // deposits land in B's column c
-        cfg->pw = pw;
-        cfg->ib = f_.ib;
-        const Tuple tup = Tuple{4, k, static_cast<int>(d), c};
-        int next_out = 0;
-        if (c + 1 < bt) cfg->vt_out = next_out++;
-        if (rows.size() > 1 && k + 1 < panels) cfg->solid_out = next_out++;
-        if (has_binary) cfg->top_out = next_out++;
-        wire_tile_inputs(tup, rows, c, *cfg);
-        const int num_inputs = cfg->vt_in + 1;
-        vsa_.add_vdp(
-            tup, static_cast<int>(rows.size()),
-            [cfg](VdpContext& ctx) { update_fire(ctx, *cfg); }, num_inputs,
-            next_out, kColorUpdate);
-        declare_flat_balance(vsa_, tup, *cfg);
-        const int thread = placement_.next();
-        vsa_.map_vdp(tup, thread);
-        thread_of_[{static_cast<int>(d), c}] = thread;
-        vt_in_slot_[tup] = cfg->vt_in;
-        last_out_slot_[tup] = cfg->top_out;
-        if (cfg->solid_out >= 0) {
-          for (std::size_t i = 1; i < rows.size(); ++i) {
-            next_producers[{rows[i], c}] = Producer{tup, cfg->solid_out};
-          }
-        }
-      }
-      // Feed the domain's (V,T) chain into column 0, then chain onward.
-      vsa_.feed(Tuple{4, k, static_cast<int>(d), 0},
-                vt_in_slot_.at(Tuple{4, k, static_cast<int>(d), 0}),
-                vt_bytes_, domain_vt_packets(k, dom));
-      for (int c = 0; c + 1 < bt; ++c) {
-        const Tuple src{4, k, static_cast<int>(d), c};
-        const Tuple dst{4, k, static_cast<int>(d), c + 1};
-        connect({src, 0}, dst, vt_in_slot_.at(dst), vt_bytes_);
-      }
-    }
-
-    // ---- binary apply VDPs -----------------------------------------------
-    std::map<std::pair<int, int>, Producer> cur;  // (head, c) -> producer
-    if (has_binary) {
-      for (std::size_t d = 0; d < domains.size(); ++d) {
-        const int head = domains[d].head();
-        for (int c = 0; c < bt; ++c) {
-          const Tuple tup{4, k, static_cast<int>(d), c};
-          cur[{head, c}] = Producer{tup, last_out_slot_.at(tup)};
-        }
-      }
-    }
-    for (std::size_t pi = 0; pi < bs.pairs.size(); ++pi) {
-      const auto& pr = bs.pairs[pi];
-      const bool winner_continues =
-          bs.pairs_of.at(pr.winner).back() != static_cast<int>(pi);
-      for (int c = 0; c < bt; ++c) {
-        auto cfg = std::make_shared<BinCfg>();
-        cfg->k = k;
-        cfg->l = c;
-        cfg->pw = pw;
-        cfg->ib = f_.ib;
-        cfg->winner = pr.winner;
-        cfg->loser = pr.loser;
-        const Tuple tup{5, k, static_cast<int>(pi), c};
-        int next_out = 0;
-        if (c + 1 < bt) cfg->vt_out = next_out++;
-        if (winner_continues) cfg->win_out = next_out++;
-        if (k + 1 < panels) cfg->c2_out = next_out++;
-        vsa_.add_vdp(
-            tup, 1, [cfg](VdpContext& ctx) { tt_update_fire(ctx, *cfg); }, 3,
-            next_out, kColorBinary);
-        vsa_.map_vdp(tup, thread_of_.at({dom_of_head[pr.winner], c}));
-        connect(cur.at({pr.winner, c}), tup, 0, tile_bytes_);
-        connect(cur.at({pr.loser, c}), tup, 1, tile_bytes_);
-        if (winner_continues) cur[{pr.winner, c}] = Producer{tup, cfg->win_out};
-        if (cfg->c2_out >= 0) {
-          next_producers[{pr.loser, c}] = Producer{tup, cfg->c2_out};
-        }
-      }
-      // The pair's (V,T) feed + chain.
-      std::vector<Packet> vt;
-      vt.push_back(
-          encode_vt(f_.a.tile(pr.loser, k), f_.tt.t(pr.loser, k), pr.loser));
-      vsa_.feed(Tuple{5, k, static_cast<int>(pi), 0}, 2, vt_bytes_,
-                std::move(vt));
-      for (int c = 0; c + 1 < bt; ++c) {
-        connect({Tuple{5, k, static_cast<int>(pi), c}, 0},
-                Tuple{5, k, static_cast<int>(pi), c + 1}, 2, vt_bytes_);
-      }
-    }
-    producers_ = std::move(next_producers);
-  }
-
-  const ref::TreeQrFactors& f_;
-  const TileMatrix& b_;
-  TreeQrOptions opt_;
-  prt::Vsa vsa_;
-  std::shared_ptr<ResultStore> store_;
-  std::size_t tile_bytes_ = 0;
-  std::size_t vt_bytes_ = 0;
-  FlatPlacement placement_;
-  std::map<std::pair<int, int>, Producer> producers_;
-  std::map<std::pair<int, int>, int> thread_of_;  ///< (domain, c) -> thread
-  std::map<Tuple, int> vt_in_slot_;
-  std::map<Tuple, int> last_out_slot_;
-};
-
 }  // namespace
 
 TileMatrix apply_qt(const ref::TreeQrFactors& factors, const TileMatrix& b,
                     const TreeQrOptions& opt) {
-  ApplyBuilder builder(factors, b, opt);
-  return builder.run();
+  require(b.rows() == factors.a.rows() && b.nb() == factors.a.nb(),
+          "apply_qt: B must match the factored matrix rows and tile size");
+  require(b.cols() >= 1, "apply_qt: B must have at least one column");
+  return Builder(b, opt, &factors).run().factors.a;
 }
 
 TreeQrRun tree_qr(const TileMatrix& a, const TreeQrOptions& opt) {

@@ -60,8 +60,8 @@ TreeQrRun domino_qr(const TileMatrix& a, TreeQrOptions opt);
 TreeQrRun tsqr(const TileMatrix& a, TreeQrOptions opt);
 
 /// Apply Q^T to a block of vectors on the systolic array, streaming B's
-/// tiles through an apply-only replica of the factorization array whose
-/// (V,T) chains are fed from the stored factors. Lets one factorization
+/// tiles through the factorization's own array built without its factor
+/// VDPs, its (V,T) chains fed from the stored factors. Lets one factorization
 /// serve many right-hand-side batches without re-running the reduction.
 /// B must have the same row count and tile size as the factored matrix;
 /// returns Q^T B.

@@ -1,6 +1,8 @@
 // Tests for the Cholesky and LU performance simulations.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/chol_sim.hpp"
 #include "sim/lu_sim.hpp"
 
@@ -90,6 +92,62 @@ TEST(LuSim, SquareLuCostsMoreThanCholesky) {
   const double ratio = l.seconds / c.seconds;
   EXPECT_GT(ratio, 1.1);
   EXPECT_LT(ratio, 3.5);
+}
+
+// Golden values: the exact SimResult of both column simulators at 1, 2
+// and 16 nodes (Cholesky n 3000, LU square, tall and wide, nb 128 on the
+// Kraken model). Any change to the task graph they build (its mapping,
+// its edges or their order) moves at least one of these bits.
+TEST(ColumnSims, GoldenResultsAreBitwiseStable) {
+  struct Golden {
+    const char* what;
+    int nodes;
+    double seconds, useful_gflops, busy_fraction;
+    long long tasks;
+    double total_flops;
+  };
+  const Golden cases[] = {
+      {"chol", 1, 0x1.c1fdb3869p-3, 0x1.47afc100a4426p+5,
+       0x1.8a3b8c1961271p-1, 2600, 0x1.0c388cfffffffp+33},
+      {"lu", 1, 0x1.7243707a5p-2, 0x1.8e3f05e6d2011p+5,
+       0x1.df0b4de662eebp-1, 4900, 0x1.0c388cfffffffp+34},
+      {"lu_tall", 1, 0x1.2a1e6c5p-3, 0x1.251beb6c8f176p+2,
+       0x1.79b27a5cc0fb8p-1, 1608, 0x1.51be82aaaaaaap+32},
+      {"lu_wide", 1, 0x1.ce05df2ap-4, 0x1.7a416154a4d9ap+2,
+       0x1.ea088196073d6p-1, 1608, 0x1.536546aaaaaaap+32},
+      {"chol", 2, 0x1.28dca2834cbdep-3, 0x1.f0b7447b2b5bap+5,
+       0x1.2acb49338f871p-1, 2600, 0x1.0c388cfffffffp+33},
+      {"lu", 2, 0x1.8443b6577aa26p-3, 0x1.7bc8474ea178fp+6,
+       0x1.c8d5939ec102dp-1, 4900, 0x1.0c388cfffffffp+34},
+      {"lu_tall", 2, 0x1.4cbd27f0f10dcp-4, 0x1.069cc14203058p+3,
+       0x1.52663fe61571p-1, 1608, 0x1.51be82aaaaaaap+32},
+      {"lu_wide", 2, 0x1.e4fc7ba9e21b8p-5, 0x1.685879643ffdap+3,
+       0x1.d2d4b83a0c18ap-1, 1608, 0x1.536546aaaaaaap+32},
+      {"chol", 16, 0x1.8b64a42fea262p-5, 0x1.74ef66982573dp+7,
+       0x1.c0ab953a18c14p-3, 2600, 0x1.0c388cfffffffp+33},
+      {"lu", 16, 0x1.9f72c2082a26p-5, 0x1.62eea974cf10cp+8,
+       0x1.aaf14965314fep-2, 4900, 0x1.0c388cfffffffp+34},
+      {"lu_tall", 16, 0x1.8cdcc5a9a6528p-5, 0x1.b85c61c98354ep+3,
+       0x1.1bb8dde0c2ff9p-3, 1608, 0x1.51be82aaaaaaap+32},
+      {"lu_wide", 16, 0x1.fa904a7c43707p-7, 0x1.58ff18afd9a28p+5,
+       0x1.bef22cff67ffp-2, 1608, 0x1.536546aaaaaaap+32},
+  };
+  const MachineModel mm = MachineModel::kraken();
+  for (const Golden& c : cases) {
+    SCOPED_TRACE(std::string(c.what) + " on " + std::to_string(c.nodes) +
+                 " nodes");
+    const std::string what = c.what;
+    const SimResult r =
+        what == "chol"      ? simulate_cholesky(3000, 128, mm, c.nodes)
+        : what == "lu"      ? simulate_lu(3000, 3000, 128, mm, c.nodes)
+        : what == "lu_tall" ? simulate_lu(6000, 1000, 128, mm, c.nodes)
+                            : simulate_lu(1000, 6000, 128, mm, c.nodes);
+    EXPECT_EQ(r.seconds, c.seconds);
+    EXPECT_EQ(r.useful_gflops, c.useful_gflops);
+    EXPECT_EQ(r.busy_fraction, c.busy_fraction);
+    EXPECT_EQ(r.tasks, c.tasks);
+    EXPECT_EQ(r.total_flops, c.total_flops);
+  }
 }
 
 }  // namespace

@@ -527,6 +527,53 @@ TEST(CrashRecoveryTest, LuOverSocketSurvivesAKill) {
   }
 }
 
+// apply_qt builds the factorization array with store dedup under
+// max_respawns, so a killed node's re-deposits of Q^T B must verify and
+// skip like a factorization's.
+TEST(CrashRecoveryTest, ApplyQtOverSocketSurvivesAKill) {
+  const int m = 256, n = 64, nrhs = 48, nb = 32;
+  Matrix a0(m, n);
+  fill_random(a0.view(), 54);
+  Matrix b0(m, nrhs);
+  fill_random(b0.view(), 55);
+  const plan::PlanConfig tree{plan::TreeKind::BinaryOnFlat, 2,
+                              plan::BoundaryMode::Shifted};
+  const auto factors =
+      ref::tree_qr(TileMatrix::from_dense(a0.view(), nb), 8, tree);
+  const TileMatrix b = TileMatrix::from_dense(b0.view(), nb);
+  vsaqr::TreeQrOptions base;
+  base.nodes = 3;
+  base.workers_per_node = 2;
+  const TileMatrix want = vsaqr::apply_qt(factors, b, base);
+
+  vsaqr::TreeQrOptions opt = base;
+  opt.transport = prt::Transport::Socket;
+  opt.reliable_transport = true;
+  opt.retransmit_timeout_us = 800;
+  opt.max_retransmits = 30;
+  opt.watchdog_seconds = 60.0;
+  opt.fault_plan.kill_rank = 1;
+  opt.fault_plan.kill_after = 2;
+  // apply_qt returns no RunStats: without a respawn budget the same plan
+  // must fail on the dead process, which shows that the kill fires.
+  opt.max_respawns = 0;
+  try {
+    (void)vsaqr::apply_qt(factors, b, opt);
+    FAIL() << "the kill never fired";
+  } catch (const prt::Vsa::RunError& e) {
+    EXPECT_EQ(e.report().reason, "process");
+  }
+
+  opt.max_respawns = 2;
+  const TileMatrix got = vsaqr::apply_qt(factors, b, opt);
+  for (int j = 0; j < nrhs; ++j) {
+    for (int i = 0; i < m; ++i) {
+      ASSERT_EQ(got.at(i, j), want.at(i, j))
+          << "Q^T B diverged at (" << i << "," << j << ")";
+    }
+  }
+}
+
 TEST(CrashRecoveryTest, CholAndLuShipResultsOverTheSocketBackend) {
   // No faults at all: the shared result slots alone must reproduce the
   // in-process factors bit-for-bit for both scenario stores.

@@ -232,23 +232,6 @@ TEST(Comm, RecvWaitTimesOutAndWakes) {
   t.join();
 }
 
-TEST(Comm, BarrierSynchronizesRanks) {
-  net::MailboxComm comm(3);
-  std::atomic<int> before{0};
-  std::vector<std::thread> threads;
-  std::atomic<bool> ok{true};
-  for (int r = 0; r < 3; ++r) {
-    threads.emplace_back([&, r] {
-      (void)r;
-      ++before;
-      comm.barrier();
-      if (before.load() != 3) ok = false;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok.load());
-}
-
 TEST(Comm, CancelDropsQueued) {
   net::MailboxComm comm(2);
   comm.isend(0, 1, 0, Packet::make(8), 0);
@@ -279,36 +262,6 @@ TEST(Comm, InterruptIsLatchedAndIdempotent) {
   auto m = comm.recv_wait(0, 1'000'000);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->meta, 7);
-}
-
-// Regression stress for barrier generation reuse: a rank re-entering the
-// barrier immediately must never release (or be counted into) the
-// previous generation. The two-barrier pattern makes the count exact: all
-// ranks contribute before barrier #1 releases, and none may contribute to
-// the next round until barrier #2 releases. Run under TSan in CI.
-TEST(Comm, BarrierImmediateReentryStress) {
-  const int ranks = 4;
-  const int iters = 2000;
-  net::MailboxComm comm(ranks);
-  std::atomic<long long> count{0};
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < iters; ++i) {
-        count.fetch_add(1, std::memory_order_relaxed);
-        comm.barrier();
-        if (count.load(std::memory_order_relaxed) !=
-            static_cast<long long>(ranks) * (i + 1)) {
-          ok.store(false);
-        }
-        comm.barrier();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok.load());
-  EXPECT_EQ(count.load(), static_cast<long long>(ranks) * iters);
 }
 
 // The channels' lifetime counters feed the stuck-VDP diagnostics.

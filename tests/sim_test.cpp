@@ -84,6 +84,60 @@ TEST(TaskGraph, FirstTaskHasNoPreds) {
   EXPECT_EQ(g.pred_offset[1] - g.pred_offset[0], 0);
 }
 
+// The column arrays' (Cholesky, LU) graph: a VDP's later op waits for its
+// earlier one (Serial), an op waits for the last writer of each tile it
+// touches (Tile), an edge already implied by Serial is not repeated, and
+// step k's VDPs continue the cyclic thread count where step k-1 stopped.
+TEST(TaskGraph, ColumnGraphHasSerialAndLastWriterEdges) {
+  MachineModel mm = MachineModel::kraken();
+  mm.cores_per_node = 3;  // 2 workers + proxy
+  auto op = [](int k, int j, double s) {
+    ColumnTask t;
+    t.k = k;
+    t.j = j;
+    t.seconds = s;
+    return t;
+  };
+  std::vector<ColumnTask> tasks;
+  tasks.push_back(op(0, 0, 1.0));
+  tasks.back().touch(0, 0, true);
+  tasks.push_back(op(0, 1, 2.0));
+  tasks.back().touch(0, 0, false);
+  tasks.back().touch(0, 1, true);
+  tasks.push_back(op(0, 0, 3.0));
+  tasks.back().touch(1, 0, true);
+  tasks.push_back(op(1, 1, 4.0));
+  tasks.back().touch(0, 1, false);
+  tasks.back().touch(1, 0, false);
+  tasks.back().touch(1, 1, true);
+  tasks.push_back(op(1, 1, 5.0));
+  tasks.back().touch(1, 1, true);
+
+  const int n = static_cast<int>(tasks.size());
+  const TaskGraph g = build_column_task_graph(
+      n, 2, 2, mm, 1, [&](int x) { return tasks[static_cast<std::size_t>(x)]; });
+  ASSERT_EQ(g.num_tasks, n);
+  EXPECT_EQ(g.num_threads, 2);
+  EXPECT_EQ(g.workers_per_node, 2);
+  EXPECT_EQ(g.duration, (std::vector<float>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(g.thread, (std::vector<std::int32_t>{0, 1, 0, 0, 0}));
+
+  using E = std::pair<std::int32_t, EdgeKind>;
+  auto preds = [&](int x) {
+    std::vector<E> out;
+    for (auto e = g.pred_offset[x]; e < g.pred_offset[x + 1]; ++e) {
+      out.emplace_back(g.pred_task[e], g.pred_kind[e]);
+    }
+    return out;
+  };
+  EXPECT_TRUE(preds(0).empty());
+  EXPECT_EQ(preds(1), (std::vector<E>{{0, EdgeKind::Tile}}));
+  EXPECT_EQ(preds(2), (std::vector<E>{{0, EdgeKind::Serial}}));
+  EXPECT_EQ(preds(3),
+            (std::vector<E>{{1, EdgeKind::Tile}, {2, EdgeKind::Tile}}));
+  EXPECT_EQ(preds(4), (std::vector<E>{{3, EdgeKind::Serial}}));
+}
+
 TEST(Simulator, SingleWorkerEqualsSerialSum) {
   MachineModel mm = MachineModel::kraken();
   mm.cores_per_node = 2;  // 1 worker + proxy

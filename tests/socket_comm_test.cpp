@@ -140,29 +140,6 @@ TEST(SocketCommTest, InterruptWakesABlockedReceiver) {
   EXPECT_FALSE(p.b->recv_wait(1, 30'000'000).has_value());
 }
 
-TEST(SocketCommTest, BarrierSynchronizesAllRanks) {
-  auto mesh = SocketComm::socketpair_mesh(3);
-  std::vector<std::unique_ptr<SocketComm>> comms;
-  for (int r = 0; r < 3; ++r) {
-    comms.push_back(std::make_unique<SocketComm>(3, r, mesh[r]));
-  }
-  std::atomic<int> arrived{0};
-  std::vector<std::thread> ts;
-  for (int r = 0; r < 3; ++r) {
-    ts.emplace_back([&, r] {
-      for (int round = 0; round < 5; ++round) {
-        arrived.fetch_add(1);
-        comms[static_cast<std::size_t>(r)]->barrier();
-        // After every barrier, all 3 * (round + 1) arrivals so far must
-        // be visible to every rank.
-        EXPECT_GE(arrived.load(), 3 * (round + 1));
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(arrived.load(), 15);
-}
-
 TEST(SocketCommTest, CancelLatchesOwnMailboxAgainstLateFrames) {
   Pair p;
   p.a->isend(0, 1, 0, Packet::make(8), 0);
@@ -323,7 +300,9 @@ TEST(SocketCommTest, HostileHeadersTakeThePeerDownPath) {
       {"oversized length", SocketComm::kData,
        std::uint64_t{SocketComm::kMaxPayloadBytes} + 1},
       {"unknown kind", 7, 0},
-      {"control frame with a payload", SocketComm::kBarrier, 16},
+      {"control frame with a payload", SocketComm::kInterrupt, 16},
+      // Kind 1 was the barrier's; no frame of it is valid any more.
+      {"retired barrier kind", 1, 0},
       // Rank 0's stream claiming rank 1 sent it: without the check it
       // would be delivered as rank 1's own frame.
       {"source is not the peer", SocketComm::kData, 0, 1},

@@ -686,14 +686,27 @@ TEST(Vsa, RejectsBadWiring) {
   }
 }
 
+// The default mapping: a VDP without map_vdp() goes round-robin over all
+// worker threads in creation order, and an explicitly mapped VDP takes no
+// turn of that count.
 TEST(Vsa, DefaultMappingFunction) {
-  Vsa vsa(cfg(1, 3));
+  Vsa::Config c = cfg(1, 3);
+  c.trace = true;
+  Vsa vsa(c);
   auto collector = std::make_shared<Collector>();
   vsa.set_global(collector);
   build_increment_chain(vsa, 6, 4);
-  vsa.set_default_mapping([](const Tuple& t) { return t[1] % 3; });
+  vsa.map_vdp(tuple2(0, 2), 2);
   vsa.run();
   EXPECT_EQ(collector->values.size(), 4u);
+  // VDPs 0, 1, 3, 4, 5 count 0, 1, 2, 0, 1; VDP 2 is pinned to thread 2.
+  const int expected[6] = {0, 1, 2, 2, 0, 1};
+  const auto events = vsa.recorder().collect();
+  EXPECT_EQ(events.size(), 24u);
+  for (const auto& e : events) {
+    ASSERT_EQ(e.tuple, tuple2(0, e.tuple[1]));
+    EXPECT_EQ(e.thread, expected[e.tuple[1]]) << e.tuple.to_string();
+  }
 }
 
 TEST(Vsa, TraceRecordsFirings) {
